@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import engine
-from .exactmath import (MultiPoly, QuadExt, Scalar, scalar_is_zero,
+from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
                         scalar_rank, solve_affine, det, poly_rank)
 from .freealg import FreePoly, FreeTerm, UNIT
 
@@ -397,40 +397,12 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
 # ---------------------------------------------------------------------------
 
 
-class _RREF:
-    """Incremental reduced row echelon form for independence testing."""
-
-    def __init__(self):
-        self.rows: List[List[Scalar]] = []  # each normalized, distinct leads
-        self.leads: List[int] = []
-
-    def try_add(self, coords) -> bool:
-        row = list(coords)
-        for r, lead in zip(self.rows, self.leads):
-            if not scalar_is_zero(row[lead]):
-                f = row[lead]
-                row = [a - f * b for a, b in zip(row, r)]
-        lead = next((i for i, c in enumerate(row) if not scalar_is_zero(c)),
-                    None)
-        if lead is None:
-            return False
-        pv = row[lead]
-        row = [c / pv for c in row]
-        for r in self.rows:
-            if not scalar_is_zero(r[lead]):
-                f = r[lead]
-                r[:] = [a - f * b for a, b in zip(r, row)]
-        self.rows.append(row)
-        self.leads.append(lead)
-        return True
-
-
 def _concrete_closure(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     basis: List[Element] = []
-    rref = _RREF()
+    span = Echelon()
 
     def try_add(v: Element) -> bool:
-        if rref.try_add(v.coords):
+        if span.add(v.coords):
             basis.append(v)
             return True
         return False
@@ -489,13 +461,6 @@ def _generic_closure(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     points = _closure_points(A)
     basis: List[Element] = [x]
     basis_pts: List[List[Element]] = [[_specialize(x, p) for p in points]]
-
-    def pts_rank(rows_pts: List[List[Element]]) -> int:
-        best = 0
-        for pi in range(len(points)):
-            mat = [list(r[pi].coords) for r in rows_pts]
-            best = max(best, scalar_rank(mat))
-        return best
 
     processed = set()
     unresolved: List[Tuple[int, int]] = []

@@ -77,6 +77,14 @@ def _parse_triple(text: str):
     return p, q, r
 
 
+def count(text: str) -> int:
+    """argparse type for --trials and --bound: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_list(args) -> int:
     rows = []
     for name in catalog.CATALOG_NAMES:
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("predicate", _cmd_predicate, help="evaluate a named predicate")
     p.add_argument("algebra")
     p.add_argument("--name", required=True)
-    p.add_argument("--bound", type=int, default=5,
+    p.add_argument("--bound", type=count, default=5,
                    help="word-degree bound for power-commutativity")
     p.add_argument("--backend", choices=("symbolic", "multilinear"),
                    default="symbolic")
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("division", _cmd_division, help="sampled invertibility check")
     p.add_argument("algebra")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("polarize", _cmd_polarize, help="print linearization components")
@@ -335,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("report", _cmd_report, help="full property/hierarchy report")
     p.add_argument("algebra")
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--bound", type=count, default=5)
+    p.add_argument("--trials", type=count, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("paper-verify", _cmd_paper_verify,

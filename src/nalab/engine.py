@@ -58,15 +58,19 @@ class ScaledTensor:
                         has_b = has_b or bval != 0
                     else:
                         ca[i, j, k] = int(Fraction(c) * scale)
+        m = int(np.abs(ca).max()) if n else 0
+        if has_b:
+            m = max(m, int(np.abs(cb).max()))
         self.n = n
         self.scale = scale
         self.d = d
-        self.ca = ca.astype(np.int64)
-        self.cb = cb.astype(np.int64) if has_b else None
-        m = int(np.abs(self.ca).max()) if n else 0
-        if self.cb is not None:
-            m = max(m, int(np.abs(self.cb).max()))
         self.max_abs = max(m, 1)
+        # constants too wide for int64 stay Python ints: max_abs then sends
+        # every product to the object tier
+        if self.max_abs < _INT64_LIMIT:
+            ca, cb = ca.astype(np.int64), cb.astype(np.int64)
+        self.ca = ca
+        self.cb = cb if has_b else None
 
 
 def _pair_arrays(t: ScaledTensor, as_object: bool):

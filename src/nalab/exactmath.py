@@ -277,10 +277,13 @@ def parse_scalar(text: str, d: int = 3) -> Scalar:
     )
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
-    a = Fraction(m.group(1))
-    if m.group(2) is None:
+    try:
+        a = Fraction(m.group(1))
+        b = None if m.group(2) is None else Fraction(m.group(3))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+    if b is None:
         return a
-    b = Fraction(m.group(3))
     if m.group(2) == "-":
         b = -b
     return QuadExt(a, b, d)
@@ -506,6 +509,48 @@ def poly_rank(matrix: Sequence[Sequence]) -> int:
     return rank
 
 
+class Echelon:
+    """Row echelon form over an exact field, built one row at a time.
+
+    The one row-reduction routine for scalar matrices.  Kept rows are scaled
+    to a leading 1 and ordered by leading column (``leads``).  A new row is
+    reduced only until its own leading column is found, and only the entries
+    right of each pivot are updated: entries above a pivot are never cleared.
+    """
+
+    def __init__(self):
+        self.rows: list = []
+        self.leads: list = []
+        #: determinant of the kept rows, as added, on their lead columns
+        self.minor: Scalar = Fraction(1)
+
+    def add(self, row: Sequence[Scalar]) -> bool:
+        """Reduce row and keep it; False when it reduces to zero."""
+        row = list(row)
+        leads, rows = self.leads, self.rows
+        k = 0
+        for c in range(len(row)):
+            x = row[c]
+            if k < len(leads) and leads[k] == c:
+                if not scalar_is_zero(x):
+                    row[c + 1:] = [a - x * b for a, b in
+                                   zip(row[c + 1:], rows[k][c + 1:])]
+                k += 1
+            elif not scalar_is_zero(x):
+                break
+        else:
+            return False
+        # sorting the rows by lead moves the new row past the kept rows of
+        # larger lead; each such exchange flips the sign of the minor
+        self.minor = self.minor * x if (len(leads) - k) % 2 == 0 else \
+            -(self.minor * x)
+        inv = x.inverse() if isinstance(x, QuadExt) else 1 / x
+        rows.insert(k, [Fraction(0)] * c + [Fraction(1)]
+                    + [a * inv for a in row[c + 1:]])
+        leads.insert(k, c)
+        return True
+
+
 def span_membership(target: Sequence[Scalar],
                     generators: Sequence[Sequence[Scalar]]):
     """Decide whether target is a linear combination of the generators.
@@ -516,36 +561,12 @@ def span_membership(target: Sequence[Scalar],
     n = len(target)
     if any(len(g) != n for g in generators):
         raise ValueError("vector length mismatch")
-    k = len(generators)
-    # solve  sum_j coeff_j * generators[j] = target  by column elimination
-    aug = [[generators[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(k):
-        piv = None
-        for r in range(row, n):
-            if not scalar_is_zero(aug[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and not scalar_is_zero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    # inconsistent iff a zero row has nonzero rhs
-    for r in range(row, n):
-        if not scalar_is_zero(aug[r][k]):
-            return False, None
-    coeffs = [Fraction(0)] * k
-    for r, c in pivots:
-        coeffs[c] = aug[r][k]
-    return True, coeffs
+    if n == 0:
+        return True, [Fraction(0)] * len(generators)
+    sol = solve_affine([[g[i] for g in generators] for i in range(n)], target)
+    if sol is None:
+        return False, None
+    return True, sol[0]
 
 
 def solve_affine(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
@@ -554,99 +575,41 @@ def solve_affine(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     The nullspace basis spans all homogeneous solutions, so the full solution
     set is particular + span(nullspace_basis).
     """
-    m = len(matrix)
-    if m == 0:
+    if not matrix:
         return [], []
     n = len(matrix[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    row = 0
-    pivot_cols = []
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if not scalar_is_zero(aug[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and not scalar_is_zero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-    for r in range(row, m):
-        if not scalar_is_zero(aug[r][n]):
-            return None
-    particular = [Fraction(0)] * n
-    for r, c in enumerate(pivot_cols):
-        particular[c] = aug[r][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivot_cols):
-            v[c] = -aug[r][fc]
-        basis.append(v)
+    ech = Echelon()
+    for i, row in enumerate(matrix):
+        ech.add(list(row) + [rhs[i]])
+    rows, leads = ech.rows, ech.leads
+    if leads and leads[-1] == n:
+        return None
+
+    def back_substitute(v):
+        # v[n] is -1 for the particular solution, 0 for a homogeneous one
+        for c, row in zip(reversed(leads), reversed(rows)):
+            v[c] = -sum((a * b for a, b in zip(row[c + 1:], v[c + 1:])),
+                        Fraction(0))
+        return v[:n]
+
+    particular = back_substitute([Fraction(0)] * n + [Fraction(-1)])
+    basis = [back_substitute([Fraction(int(c == free)) for c in range(n + 1)])
+             for free in range(n) if free not in leads]
     return particular, basis
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     """Exact determinant by Gaussian elimination over the field."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != len(matrix) for r in matrix):
         raise ValueError("determinant of non-square matrix")
-    val = Fraction(1)
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not scalar_is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
+    ech = Echelon()
+    for row in matrix:
+        if not ech.add(row):
             return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        val = val * p
-        inv = 1 / p if isinstance(p, Fraction) else p.inverse()
-        for r in range(col + 1, n):
-            if not scalar_is_zero(rows[r][col]):
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return val * sign if sign == 1 else -val
+    return ech.minor
 
 
 def scalar_rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     """Rank of a scalar matrix by Gaussian elimination (field arithmetic)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not scalar_is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        inv = 1 / pv if isinstance(pv, Fraction) else pv.inverse()
-        for r in range(rank + 1, len(rows)):
-            if not scalar_is_zero(rows[r][col]):
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    ech = Echelon()
+    return sum(ech.add(row) for row in matrix)

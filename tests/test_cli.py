@@ -106,6 +106,17 @@ class TestErrors:
         code, _ = run("predicate", "H", "--name", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("division", "H", "--trials", "0"),
+        ("report", "H", "--trials", "0"),
+        ("report", "H", "--bound", "0"),
+        ("predicate", "H", "--name", "power_commutative", "--bound", "-3"),
+    ], ids=lambda a: " ".join(a[:1] + a[-2:]))
+    def test_counts_below_one(self, argv, capsys):
+        code, out = run(*argv)
+        assert code == 2 and out == ""
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")
@@ -127,6 +138,29 @@ class TestFileLoading:
         assert code == 0
         code, out = run("degree", str(path))
         assert code == 0 and "= 2" in out
+
+    def test_zero_denominator_constant(self, tmp_path):
+        spec = {"name": "z", "dim": 1, "field": "Q", "basis": ["e"],
+                "constants": [[0, 0, 0, "1/0"]]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, _ = run("units", str(path))
+        assert code == 2
+
+    def test_constants_beyond_int64(self, tmp_path):
+        spec = {"name": "wide", "dim": 2, "field": "Q", "basis": ["e", "f"],
+                "constants": [[0, 0, 0, "99999999999999999999999"],
+                              [0, 1, 1, "1"], [1, 0, 1, "1"],
+                              [1, 1, 0, "-1"]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        verdicts = set()
+        for backend in ("symbolic", "multilinear"):
+            code, out = run("check", str(path), "--identity", "1,1,2",
+                            "--backend", backend, "--format", "structured")
+            assert code in (0, 1)
+            verdicts.add(parse_structured(out)["holds"])
+        assert len(verdicts) == 1
 
 
 class TestStructuredDeterminism:

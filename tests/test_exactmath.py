@@ -1,5 +1,6 @@
 """Exact scalar arithmetic, polynomials and exact linear algebra."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from nalab.exactmath import (ComplexScalar, DivisionByZeroError,
                              FieldMismatchError, MultiPoly, QuadExt,
                              format_scalar, parse_scalar, poly_rank,
-                             scalar_arith, scalar_rank, span_membership,
-                             solve_affine, det)
+                             scalar_arith, scalar_is_zero, scalar_rank,
+                             span_membership, solve_affine, det)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -80,7 +81,8 @@ class TestScalarText:
         assert parse_scalar(text) == val
 
     def test_parse_errors(self):
-        for bad in ("", "sqrt3", "1.5", "1/2+sqrt3", "1//2"):
+        for bad in ("", "sqrt3", "1.5", "1/2+sqrt3", "1//2", "1/0",
+                    "1+1/0*sqrt3"):
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
@@ -263,3 +265,107 @@ class TestSolveDet:
         assert poly_rank(rows) == 1
         rows = [[x, r3 * x], [r3 * x, MultiPoly.const(1, 1)]]
         assert poly_rank(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# Oracles for exact elimination: every check below is computed without the
+# elimination routines under test (Leibniz expansion, Bareiss rank, direct
+# substitution).
+# ---------------------------------------------------------------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def scalar_matrices(draw, square=False):
+    """Matrices up to 4x4 over Q or Q(sqrt 3), with forced singular and
+    forced-row-swap shapes.  Q(sqrt 3) matrices mix Fraction and QuadExt
+    entries, as the operators of the catalog's pseudo-octonions do."""
+    quad = draw(st.booleans())
+
+    def entry():
+        a = draw(small)
+        return q3(a, draw(small)) if quad and draw(st.booleans()) else a
+
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(("random", "singular", "swap")))
+    if shape == "swap":
+        # an echelon matrix with nonzero pivots, rows reversed: every column
+        # needs a row exchange before its pivot is found
+        rows = []
+        for i in range(m):
+            row = [Fraction(0)] * min(i, n) + [entry() for _ in range(n - i)]
+            if i < n and scalar_is_zero(row[i]):
+                row[i] = q3(1, 1) if quad else Fraction(1)
+            rows.append(row)
+        return rows[::-1]
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if shape == "singular":
+        # last row a combination of the others (the zero row when m == 1)
+        coeffs = [draw(small) for _ in range(m - 1)]
+        rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                    for j in range(n)]
+    return rows
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) if inversions % 2 else Fraction(1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def mat_vec(rows, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
+
+
+class TestEliminationOracles:
+    @given(scalar_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_det_matches_leibniz(self, rows):
+        assert det(rows) == leibniz_det(rows)
+
+    @given(scalar_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_rank_matches_bareiss(self, rows):
+        assert scalar_rank(rows) == poly_rank(rows)
+
+    @given(scalar_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_affine(self, rows, data):
+        ncols = len(rows[0])
+        if data.draw(st.booleans()):
+            # consistent by construction
+            rhs = mat_vec(rows, [data.draw(small) for _ in range(ncols)])
+        else:
+            rhs = [data.draw(small) for _ in rows]
+        rank = poly_rank(rows)
+        aug_rank = poly_rank([r + [b] for r, b in zip(rows, rhs)])
+        sol = solve_affine(rows, rhs)
+        assert (sol is None) == (aug_rank > rank)
+        if sol is None:
+            return
+        particular, basis = sol
+        assert len(particular) == ncols
+        assert mat_vec(rows, particular) == rhs
+        assert len(basis) == ncols - rank
+        for h in basis:
+            assert len(h) == ncols
+            assert all(scalar_is_zero(x) for x in mat_vec(rows, h))
+        if basis:
+            assert poly_rank(basis) == len(basis)
+
+    @given(scalar_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_det_rejects_non_square(self, rows):
+        if len(rows) == len(rows[0]):
+            rows = [r + [Fraction(1)] for r in rows]
+        with pytest.raises(ValueError):
+            det(rows)
