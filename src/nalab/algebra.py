@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import engine
 from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
                         scalar_rank, solve_affine, det, poly_rank)
-from .freealg import FreePoly, FreeTerm, UNIT
+from .freealg import FreePoly, FreeTerm, UNIT, term_bidegree
 
 FIELD_Q = "Q"
 FIELD_QSQRT3 = "Q(sqrt 3)"
@@ -333,25 +333,15 @@ def _find_witness(A: StructureAlgebra, poly: FreePoly):
     return None
 
 
-def _symbolic_groups(A: StructureAlgebra, vars_: Sequence[str]):
+def _symbolic_groups(A: StructureAlgebra, vars_: Sequence[str],
+                     max_degree: int = 1) -> Dict[str, engine.SymVec]:
+    """Generic elements, one variable group each, whose packed keys hold
+    exponents up to ``max_degree``."""
     n = A.dim
     nvars = n * len(vars_)
-    bits = 4
-    if nvars * bits > 64:
-        return None
+    bits = max_degree.bit_length()
     return {v: engine.SymVec.generic(n, nvars, bits, gi * n)
             for gi, v in enumerate(vars_)}
-
-
-def _symbolic_zero_multipoly(A: StructureAlgebra, poly: FreePoly,
-                             vars_: Sequence[str]) -> bool:
-    """Slow exact fallback: evaluate at MultiPoly generic elements."""
-    n = A.dim
-    nv = n * len(vars_)
-    assignment = {v: A.generic_element(nvars=nv, offset=gi * n)
-                  for gi, v in enumerate(vars_)}
-    val = eval_free_poly(A, poly, assignment)
-    return val.is_zero()
 
 
 def identity_holds(A: StructureAlgebra, poly: FreePoly,
@@ -371,12 +361,9 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
         raise ValueError("identity polynomials must be unit-free")
     vars_ = sorted(poly.variables())
     if backend == "symbolic":
-        groups = _symbolic_groups(A, vars_)
-        if groups is None:
-            zero = _symbolic_zero_multipoly(A, poly, vars_)
-        else:
-            zero = engine.poly_vanishes_symbolically(poly, A.tensor(), groups)
-        if zero:
+        max_degree = max(max(term_bidegree(t)) for t in poly.terms)
+        groups = _symbolic_groups(A, vars_, max_degree)
+        if engine.poly_vanishes_symbolically(poly, A.tensor(), groups):
             return HoldsResult(True, backend)
         witness = _find_witness(A, poly)
         return HoldsResult(False, backend, witness)

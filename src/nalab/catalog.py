@@ -343,11 +343,17 @@ def load(spec) -> StructureAlgebra:
     if len(spec.basis) != n:
         raise SpecFormatError("basis length does not match dim")
     constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    first_pos = {}
     for pos, (i, j, k, s) in enumerate(spec.constants):
         for idx in (i, j, k):
             if not (isinstance(idx, int) and 0 <= idx < n):
                 raise SpecFormatError(
                     f"constants[{pos}]: index {idx} out of range 0..{n - 1}")
+        if (i, j, k) in first_pos:
+            raise SpecFormatError(
+                f"constants[{pos}]: [{i}, {j}, {k}] already given at "
+                f"constants[{first_pos[i, j, k]}]")
+        first_pos[i, j, k] = pos
         try:
             val = parse_scalar(s, d)
         except ValueError as exc:
@@ -380,17 +386,17 @@ def save(A: StructureAlgebra, conjugation=None,
 def spec_from_dict(data: dict) -> AlgebraSpec:
     try:
         name = data["name"]
-        dim = data["dim"]
+        dim = int(data["dim"])
         field_tag = data["field"]
         basis = list(data["basis"])
         consts = [(int(e[0]), int(e[1]), int(e[2]), str(e[3]))
                   for e in data["constants"]]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SpecFormatError(f"missing or malformed key: {exc}") from exc
     conj = data.get("conjugation")
     if conj is not None:
         conj = [[str(x) for x in row] for row in conj]
-    return AlgebraSpec(str(name), int(dim), str(field_tag), basis, consts,
+    return AlgebraSpec(str(name), dim, str(field_tag), basis, consts,
                        conj, data.get("properties"))
 
 
@@ -401,6 +407,9 @@ def load_file(path: str) -> StructureAlgebra:
         except json.JSONDecodeError as exc:
             raise SpecFormatError(
                 f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(
+                f"{path}: byte {exc.start} is not UTF-8") from exc
     return load(spec_from_dict(data))
 
 

@@ -89,16 +89,24 @@ def _pair_arrays(t: ScaledTensor, as_object: bool):
 class SymVec:
     """Symbolic algebra element: sum over monomials of coordinate vectors.
 
-    keys are exponent vectors packed into uint64 (``bits`` bits per variable);
-    va/vb hold the rational and sqrt(d) components of the integer coordinate
-    rows.  True coordinates are (va + vb*sqrt(d)) / scale**denom_power.
+    keys are exponent vectors packed ``bits`` bits per variable: uint64 while
+    ``nvars * bits`` fits in 64 bits, Python ints (object dtype) beyond.
+    ``degrees[g]`` bounds the exponents of the variables in group g (the
+    coordinates x_{g*n} .. x_{g*n+n-1}); sym_product refuses a product in
+    which one could reach 2**bits, so packed keys never carry into each
+    other.  va/vb hold the rational and sqrt(d) components of the integer
+    coordinate rows.  True coordinates are (va + vb*sqrt(d)) /
+    scale**denom_power.
     """
 
-    __slots__ = ("nvars", "bits", "keys", "va", "vb", "denom_power", "max_abs")
+    __slots__ = ("nvars", "bits", "degrees", "keys", "va", "vb",
+                 "denom_power", "max_abs")
 
-    def __init__(self, nvars, bits, keys, va, vb, denom_power, max_abs):
+    def __init__(self, nvars, bits, degrees, keys, va, vb, denom_power,
+                 max_abs):
         self.nvars = nvars
         self.bits = bits
+        self.degrees = degrees
         self.keys = keys
         self.va = va
         self.vb = vb
@@ -108,25 +116,14 @@ class SymVec:
     @classmethod
     def generic(cls, n: int, nvars: int, bits: int, offset: int) -> "SymVec":
         """The generic element with coordinates x_offset .. x_{offset+n-1}."""
-        if nvars * bits > 64:
-            raise ValueError("exponent packing exceeds 64 bits")
+        if offset % n or nvars % n:
+            raise ValueError("variable groups must be whole blocks of n")
+        wide = nvars * bits > 64
         keys = np.array([1 << (bits * (offset + i)) for i in range(n)],
-                        dtype=np.uint64)
+                        dtype=object if wide else np.uint64)
+        degrees = tuple(int(g == offset // n) for g in range(nvars // n))
         va = np.eye(n, dtype=np.int64)
-        return cls(nvars, bits, keys, va, None, 0, 1)
-
-    @classmethod
-    def constant(cls, coords_a: Sequence[int], coords_b, nvars: int,
-                 bits: int) -> "SymVec":
-        keys = np.zeros(1, dtype=np.uint64)
-        va = np.array([coords_a], dtype=np.int64)
-        vb = None
-        if coords_b is not None and any(coords_b):
-            vb = np.array([coords_b], dtype=np.int64)
-        m = int(np.abs(va).max())
-        if vb is not None:
-            m = max(m, int(np.abs(vb).max()))
-        return cls(nvars, bits, keys, va, vb, 0, max(m, 1))
+        return cls(nvars, bits, degrees, keys, va, None, 0, 1)
 
 
 def _agg(keys_flat, vals, n):
@@ -150,9 +147,13 @@ def _drop_zero_rows(keys, arrs):
 def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
     """Algebra product of symbolic elements via the structure tensor."""
     n = t.n
+    degrees = tuple(a + b for a, b in zip(u.degrees, v.degrees))
+    if max(degrees) >= 1 << u.bits:
+        raise ValueError(f"an exponent of degree {max(degrees)} does not "
+                         f"fit in {u.bits} bits")
     P, Q = len(u.keys), len(v.keys)
     if P == 0 or Q == 0:
-        return SymVec(u.nvars, u.bits, np.zeros(0, dtype=np.uint64),
+        return SymVec(u.nvars, u.bits, degrees, u.keys[:0],
                       np.zeros((0, n), dtype=np.int64), None,
                       u.denom_power + v.denom_power + 1, 1)
     # rigorous magnitude bound: per (p,q,k) entry then aggregation multiplicity
@@ -208,18 +209,19 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
         m = max(m, int(np.abs(agg_a).max()))
         if agg_b is not None:
             m = max(m, int(np.abs(agg_b).max()))
-    return SymVec(u.nvars, u.bits, all_keys, agg_a, agg_b,
+    return SymVec(u.nvars, u.bits, degrees, all_keys, agg_a, agg_b,
                   u.denom_power + v.denom_power + 1, m)
 
 
 def sym_combine(parts: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
     """Integer linear combination of symbolic elements (same denom_power)."""
+    first = parts[0][1]
+    degrees = tuple(map(max, zip(*(s.degrees for _, s in parts))))
     live = [(c, s) for c, s in parts if c != 0 and len(s.keys)]
     if not live:
-        nv, b = parts[0][1].nvars, parts[0][1].bits
-        dp = parts[0][1].denom_power
-        return SymVec(nv, b, np.zeros(0, dtype=np.uint64),
-                      np.zeros((0, n), dtype=np.int64), None, dp, 1)
+        return SymVec(first.nvars, first.bits, degrees, first.keys[:0],
+                      np.zeros((0, n), dtype=np.int64), None,
+                      first.denom_power, 1)
     dp = live[0][1].denom_power
     if any(s.denom_power != dp for _, s in live):
         raise ValueError("mixed denominator powers in combination")
@@ -250,7 +252,7 @@ def sym_combine(parts: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
         m = max(m, int(np.abs(agg_a).max()))
         if agg_b is not None:
             m = max(m, int(np.abs(agg_b).max()))
-    return SymVec(live[0][1].nvars, live[0][1].bits, all_keys, agg_a, agg_b,
+    return SymVec(first.nvars, first.bits, degrees, all_keys, agg_a, agg_b,
                   dp, m)
 
 
@@ -484,7 +486,12 @@ class MultilinearEngine:
         running = 0  # exact bound on the accumulated entries
         has_b = self.t.cb is not None
         for term, coeff in words:
+            fresh = term not in self.cache
             Ta, Tb, mx = self.word_tensor(term)
+            if fresh:
+                # top-level words of one polynomial are never reused: keep
+                # only their children (8 MB per 4-leaf word at dim 16)
+                self.cache.pop(term, None)
             labels = _leaf_labels(term)
             xs = [i for i, s in enumerate(labels) if s == X]
             ys = [i for i, s in enumerate(labels) if s == Y]

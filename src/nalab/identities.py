@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import engine
-from .algebra import (Element, HoldsResult, StructureAlgebra, degree,
-                      division_sampled, find_units, identity_holds,
-                      multiply, subalgebra_generated)
+from .algebra import (Element, HoldsResult, StructureAlgebra,
+                      _symbolic_groups, degree, division_sampled, find_units,
+                      identity_holds, multiply, subalgebra_generated)
 from .exactmath import MultiPoly, span_membership
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
@@ -102,8 +102,10 @@ def _identity_predicate(A, name, poly, backend) -> PredicateResult:
 def _is_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     """Trilinear associator check in three independent generic elements."""
     n = A.dim
-    if backend == "multilinear" or n * 3 * 4 > 64:
-        # the associator is already multilinear: test all basis triples
+    # the associator is already multilinear: test all basis triples.  The
+    # symbolic backend does so too above dimension 5, the rule that fixes the
+    # mode O, P and D8 report ("multilinear-proof")
+    if backend == "multilinear" or n > 5:
         for i in range(n):
             bi = A.basis_element(i)
             for j in range(n):
@@ -118,8 +120,7 @@ def _is_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
                             "associative", False, "multilinear-proof",
                             {"x": bi, "y": bj, "z": bk})
         return PredicateResult("associative", True, "multilinear-proof")
-    groups = {v: engine.SymVec.generic(n, 3 * n, 4, gi * n)
-              for gi, v in enumerate(("x", "y", "z"))}
+    groups = _symbolic_groups(A, ("x", "y", "z"))
     t = A.tensor()
     xy = engine.sym_product(groups["x"], groups["y"], t)
     yz = engine.sym_product(groups["y"], groups["z"], t)
@@ -145,13 +146,6 @@ def _associativity_witness(A: StructureAlgebra):
     return None
 
 
-def _power_words(max_degree: int) -> List:
-    words = []
-    for deg in range(1, max_degree + 1):
-        words.extend(enumerate_trees(deg))
-    return words
-
-
 def _power_commutative_bounded(A: StructureAlgebra, bound: int
                                ) -> PredicateResult:
     """All parenthesized words in one variable of leaf-degree <= bound
@@ -164,12 +158,8 @@ def _power_commutative_bounded(A: StructureAlgebra, bound: int
     mode = f"bounded({bound})"
     n = A.dim
     t = A.tensor()
-    bits = 5 if n * 5 <= 64 else 4
-    if n * bits > 64:
-        return _power_commutative_bounded_slow(A, bound)
-    gx = engine.SymVec.generic(n, n, bits, 0)
-    ctx = engine.SymContext(t, {X: gx})
-    by_degree: Dict[int, List] = {}
+    # commutators multiply two words of degree <= bound
+    ctx = engine.SymContext(t, _symbolic_groups(A, (X,), 2 * bound))
     reps: List[Tuple] = []  # (word, SymVec)
     for deg in range(1, bound + 1):
         group = []
@@ -231,32 +221,6 @@ def _reduce_rational(group, n):
         basis.append((lead, {k: v / pv for k, v in row.items()}))
         kept.append((w, sv))
     return kept
-
-
-def _power_commutative_bounded_slow(A: StructureAlgebra, bound: int
-                                    ) -> PredicateResult:
-    """MultiPoly fallback for dimensions beyond the packed-key engine."""
-    mode = f"bounded({bound})"
-    x = A.generic_element()
-    values: List[Tuple] = []
-    cache: Dict = {}
-
-    def ev(w):
-        if isinstance(w, str):
-            return x
-        got = cache.get(w)
-        if got is None:
-            got = multiply(A, ev(w[0]), ev(w[1]))
-            cache[w] = got
-        return got
-
-    words = _power_words(bound)
-    for w1, w2 in itertools.combinations(words, 2):
-        u, v = ev(w1), ev(w2)
-        if multiply(A, u, v) != multiply(A, v, u):
-            wit = _commutation_witness(A, w1, w2)
-            return PredicateResult("power_commutative", False, mode, wit)
-    return PredicateResult("power_commutative", True, mode)
 
 
 def _commutation_witness(A: StructureAlgebra, w1, w2):

@@ -296,10 +296,25 @@ class TestSpecFormat:
         with pytest.raises(SpecFormatError):
             spec_from_dict({"name": "x", "dim": 1})
 
+    @pytest.mark.parametrize("dim, entries, match", [
+        ("two", [], "'two'"),
+        (1, [["a", 0, 0, "1"]], "'a'"),
+        (1, [[0, 0, 0, "1"], [0, 0, 0, "2"]],
+         r"constants\[1\]: .* already given at constants\[0\]"),
+    ], ids=["dim", "index", "duplicate"])
+    def test_malformed_spec(self, dim, entries, match):
+        data = {"name": "bad", "dim": dim, "field": "Q", "basis": ["e"],
+                "constants": entries}
+        with pytest.raises(SpecFormatError, match=match):
+            load(data)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SpecFormatError, match="bad.json:1"):
+            load_file(str(path))
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SpecFormatError, match="not UTF-8"):
             load_file(str(path))
 
     def test_basis_length_mismatch(self):

@@ -117,11 +117,19 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "must be at least 1" in capsys.readouterr().err
 
-    def test_malformed_file(self, tmp_path):
+    def test_malformed_file(self, tmp_path, capsys):
+        def spec(dim, entries):
+            return json.dumps({"name": "bad", "dim": dim, "field": "Q",
+                               "basis": ["e"], "constants": entries}).encode()
+
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops", encoding="utf-8")
-        code, _ = run("show", str(bad))
-        assert code == 2
+        for content in (b"{oops", b"\xff\xfe{}", spec("two", []),
+                        spec(1, [["a", 0, 0, "1"]]),
+                        spec(1, [[0, 0, 0, "1"], [0, 0, 0, "2"]])):
+            bad.write_bytes(content)
+            code, _ = run("show", str(bad))
+            assert code == 2, content
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestFileLoading:

@@ -67,14 +67,24 @@ WORDS = [
 ]
 
 
+def left_power(degree):
+    word = "x"
+    for _ in range(degree - 1):
+        word = (word, "x")
+    return word
+
+
 class TestSymbolicKernel:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    # 11 bits for 6 variables packs keys past 64 bits (object keys)
+    @pytest.mark.parametrize("seed, bits", [(1, 4), (2, 4), (3, 4), (1, 11)],
+                             ids=["1", "2", "3", "1-66bit"])
     @pytest.mark.parametrize("word", WORDS, ids=str)
-    def test_matches_multipoly_route(self, seed, word):
+    def test_matches_multipoly_route(self, seed, bits, word):
         A = random_algebra(3, seed)
         n = A.dim
-        groups = {v: engine.SymVec.generic(n, 2 * n, 4, gi * n)
+        groups = {v: engine.SymVec.generic(n, 2 * n, bits, gi * n)
                   for gi, v in enumerate(("x", "y"))}
+        assert (groups["x"].keys.dtype == object) == (2 * n * bits > 64)
         ctx = engine.SymContext(A.tensor(), groups)
         got = sym_to_poly_vector(ctx.eval_term(word), A)
         assignment = {"x": A.generic_element(nvars=2 * n, offset=0),
@@ -108,6 +118,25 @@ class TestSymbolicKernel:
         expect = eval_free_poly(A, FreePoly.term(word),
                                 {"x": A.generic_element()})
         assert got == list(expect.coords)
+
+    def test_degree_17_word_matches_multipoly(self):
+        # 17 needs 5 bits: at 4 bits the key of x0^17 reads as x0*x1
+        A = random_algebra(2, seed=17)
+        word = left_power(17)
+        groups = {"x": engine.SymVec.generic(2, 2, 5, 0)}
+        got = sym_to_poly_vector(
+            engine.SymContext(A.tensor(), groups).eval_term(word), A)
+        expect = eval_free_poly(A, FreePoly.term(word),
+                                {"x": A.generic_element()})
+        assert got == list(expect.coords)
+
+    def test_exponent_overflow_raises(self):
+        A = random_algebra(2, seed=17)
+        ctx = engine.SymContext(
+            A.tensor(), {"x": engine.SymVec.generic(2, 2, 4, 0)})
+        ctx.eval_term(left_power(15))
+        with pytest.raises(ValueError, match="does not fit in 4 bits"):
+            ctx.eval_term(left_power(16))
 
     def test_poly_vanishes_on_commutative(self):
         # symmetric constants -> x*y - y*x vanishes identically

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from nalab.catalog import catalog_algebra
+from nalab.algebra import FIELD_Q, StructureAlgebra, identity_holds
+from nalab.catalog import _cd_mul, catalog_algebra
+from nalab.freealg import polarize
 from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, check_pqr,
                               hierarchy_report, predicate, verify_instances,
                               verify_prop1, verify_prop2)
@@ -243,3 +245,32 @@ class TestHierarchy:
             A = catalog_algebra(name)
             if any(check_pqr(A, p, q, r).holds for (p, q, r) in ALL_TRIPLES):
                 assert predicate(A, "TPA").value
+
+
+@pytest.fixture(scope="module")
+def sedenions():
+    """The 16-dimensional Cayley-Dickson algebra, by the catalog's doubling
+    convention: flexible and power-associative, with zero divisors."""
+    n = 16
+    basis = [[Fraction(int(t == i)) for t in range(n)] for i in range(n)]
+    constants = [[_cd_mul(u, v) for v in basis] for u in basis]
+    return StructureAlgebra("S16", n, FIELD_Q, constants)
+
+
+class TestSedenions:
+    def test_pqr_identities_hold(self, sedenions):
+        for (p, q, r) in ALL_TRIPLES:
+            assert check_pqr(sedenions, p, q, r).holds, (p, q, r)
+
+    @pytest.mark.parametrize("pqr", [t for t in ALL_TRIPLES if sum(t) == 4],
+                             ids=str)
+    def test_backends_agree_on_degree4_components(self, sedenions, pqr):
+        pol = polarize(*pqr)
+        for m in range(1, 4):
+            s = identity_holds(sedenions, pol.f(m), "symbolic")
+            ml = identity_holds(sedenions, pol.f(m), "multilinear")
+            assert s.holds and ml.holds, m
+
+    def test_power_commutative(self, sedenions):
+        res = predicate(sedenions, "power_commutative", bound=5)
+        assert res.value and res.mode == "bounded(5)"
