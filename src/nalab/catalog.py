@@ -383,15 +383,23 @@ def save(A: StructureAlgebra, conjugation=None,
                        conj, properties)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a float, a bool or a string is malformed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecFormatError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> AlgebraSpec:
     try:
         name = data["name"]
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "dim")
         field_tag = data["field"]
         basis = list(data["basis"])
-        consts = [(int(e[0]), int(e[1]), int(e[2]), str(e[3]))
-                  for e in data["constants"]]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        consts = [tuple(_json_int(e[h], f"constants[{pos}] index")
+                        for h in range(3)) + (str(e[3]),)
+                  for pos, e in enumerate(data["constants"])]
+    except (KeyError, TypeError, IndexError) as exc:
         raise SpecFormatError(f"missing or malformed key: {exc}") from exc
     conj = data.get("conjugation")
     if conj is not None:

@@ -4,8 +4,10 @@ Structure constants are cleared of denominators once per algebra, after which
 symbolic evaluation of identities reduces to integer tensor arithmetic: a
 symbolic element is a polynomial whose coefficients are integer coordinate
 vectors, and a fully multilinearized identity is an integer tensor indexed by
-basis tuples.  Scalars from Q(sqrt d) are carried as (rational, sqrt d) integer
-component pairs.  Everything is exact; int64 arrays are used while a rigorous
+basis tuples.  Every exact value is a tuple of parts: one integer array for a
+rational value, or two (rational part, sqrt d part) for a value in Q(sqrt d).
+One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
+operation.  Everything is exact; int64 arrays are used while a rigorous
 magnitude bound permits, with an object-dtype (big-int) fallback otherwise.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,64 +23,79 @@ from .exactmath import QuadExt
 from .freealg import FreePoly, FreeTerm, UNIT, X, Y, term_bidegree
 
 _INT64_LIMIT = 1 << 62
+_FLOAT_EXACT = 1 << 52
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+def _field_product(op: Callable, A: Tuple, B: Tuple, d: int) -> Tuple:
+    """op on part tuples by the rule (a, b)(a', b') = (aa' + d*bb', ab' + ba').
+
+    op is any bilinear array operation.  A missing sqrt(d) part is zero, so
+    the result has one exactly when a factor has one.
+    """
+    out = {}
+    for i, P in enumerate(A):
+        for j, Q in enumerate(B):
+            Z = op(P, Q) * d if i and j else op(P, Q)
+            out[i ^ j] = out[i ^ j] + Z if i ^ j in out else Z
+    return tuple(out.values())
+
+
+def _max_abs(parts) -> int:
+    """Largest entry magnitude over all parts, at least 1."""
+    return max([1] + [int(np.abs(p).max()) for p in parts if p.size])
+
+
+def _padded(parts, width: int) -> Tuple:
+    """parts with zero sqrt(d) parts appended up to width."""
+    return tuple(parts) + tuple(np.zeros_like(parts[0])
+                                for _ in range(width - len(parts)))
+
+
+def _to_kind(arr, kind: str):
+    """Convert an exact integer-valued array between float64/int64/object."""
+    if kind == "f":
+        return arr if arr.dtype == np.float64 else arr.astype(np.float64)
+    if kind == "i":
+        return arr.astype(np.int64) if arr.dtype == np.float64 else arr
+    # object: floats hold exact ints < 2^52, so the round trip is exact
+    if arr.dtype == np.float64:
+        return arr.astype(np.int64).astype(object)
+    return arr.astype(object) if arr.dtype != object else arr
+
+
+def _cast(parts, kind: str) -> Tuple:
+    """_to_kind on every part."""
+    return tuple(_to_kind(p, kind) for p in parts)
 
 
 class ScaledTensor:
-    """Structure constants as integer arrays: c = (ca + cb*sqrt(d)) / scale."""
+    """Structure constants as integer arrays: c = (parts[0] + parts[1]*sqrt(d))
+    / scale, with parts[1] present only when some constant has a sqrt(d)
+    part."""
 
-    __slots__ = ("n", "scale", "ca", "cb", "d", "max_abs")
+    __slots__ = ("n", "scale", "parts", "d", "max_abs")
 
     def __init__(self, constants, d: int = 3):
         n = len(constants)
-        scale = 1
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    c = constants[i][j][k]
-                    if isinstance(c, QuadExt):
-                        scale = _lcm(scale, _lcm(c.a.denominator,
-                                                 c.b.denominator))
-                    else:
-                        scale = _lcm(scale, Fraction(c).denominator)
-        ca = np.zeros((n, n, n), dtype=object)
-        cb = np.zeros((n, n, n), dtype=object)
-        has_b = False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    c = constants[i][j][k]
-                    if isinstance(c, QuadExt):
-                        ca[i, j, k] = int(c.a * scale)
-                        bval = int(c.b * scale)
-                        cb[i, j, k] = bval
-                        has_b = has_b or bval != 0
-                    else:
-                        ca[i, j, k] = int(Fraction(c) * scale)
-        m = int(np.abs(ca).max()) if n else 0
-        if has_b:
-            m = max(m, int(np.abs(cb).max()))
+        pairs = [(c.a, c.b) if isinstance(c, QuadExt) else
+                 (Fraction(c), 0)
+                 for plane in constants for row in plane for c in row]
+        scale = math.lcm(*(x.denominator for p in pairs for x in p))
+        parts = tuple(np.array([int(p[h] * scale) if p[h] else 0
+                                for p in pairs],
+                               dtype=object).reshape(n, n, n)
+                      for h in range(2))
+        if not np.any(parts[1] != 0):
+            parts = parts[:1]
         self.n = n
         self.scale = scale
         self.d = d
-        self.max_abs = max(m, 1)
+        self.max_abs = _max_abs(parts)
         # constants too wide for int64 stay Python ints: max_abs then sends
         # every product to the object tier
         if self.max_abs < _INT64_LIMIT:
-            ca, cb = ca.astype(np.int64), cb.astype(np.int64)
-        self.ca = ca
-        self.cb = cb if has_b else None
-
-
-def _pair_arrays(t: ScaledTensor, as_object: bool):
-    ca = t.ca.astype(object) if as_object else t.ca
-    cb = None
-    if t.cb is not None:
-        cb = t.cb.astype(object) if as_object else t.cb
-    return ca, cb
+            parts = tuple(p.astype(np.int64) for p in parts)
+        self.parts = parts
 
 
 # ---------------------------------------------------------------------------
@@ -94,23 +111,22 @@ class SymVec:
     ``degrees[g]`` bounds the exponents of the variables in group g (the
     coordinates x_{g*n} .. x_{g*n+n-1}); sym_product refuses a product in
     which one could reach 2**bits, so packed keys never carry into each
-    other.  va/vb hold the rational and sqrt(d) components of the integer
-    coordinate rows.  True coordinates are (va + vb*sqrt(d)) /
+    other.  parts holds the integer coordinate rows, one per key, as a part
+    tuple; true coordinates are (parts[0] + parts[1]*sqrt(d)) /
     scale**denom_power.
     """
 
-    __slots__ = ("nvars", "bits", "degrees", "keys", "va", "vb",
-                 "denom_power", "max_abs")
+    __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
+                 "max_abs")
 
-    def __init__(self, nvars, bits, degrees, keys, va, vb, denom_power,
+    def __init__(self, nvars, bits, degrees, denom_power, keys, parts,
                  max_abs):
         self.nvars = nvars
         self.bits = bits
         self.degrees = degrees
-        self.keys = keys
-        self.va = va
-        self.vb = vb
         self.denom_power = denom_power
+        self.keys = keys
+        self.parts = parts
         self.max_abs = max_abs
 
     @classmethod
@@ -122,26 +138,30 @@ class SymVec:
         keys = np.array([1 << (bits * (offset + i)) for i in range(n)],
                         dtype=object if wide else np.uint64)
         degrees = tuple(int(g == offset // n) for g in range(nvars // n))
-        va = np.eye(n, dtype=np.int64)
-        return cls(nvars, bits, degrees, keys, va, None, 0, 1)
+        return cls(nvars, bits, degrees, 0, keys,
+                   (np.eye(n, dtype=np.int64),), 1)
+
+    def zero_like(self, degrees, denom_power, n) -> "SymVec":
+        """The zero element over the same variables and key width."""
+        return SymVec(self.nvars, self.bits, degrees, denom_power,
+                      self.keys[:0], (np.zeros((0, n), dtype=np.int64),), 1)
 
 
-def _agg(keys_flat, vals, n):
-    """Sum rows of vals grouped by key; returns sorted unique keys and sums."""
-    uk, inv = np.unique(keys_flat, return_inverse=True)
-    out = np.zeros((len(uk), n), dtype=vals.dtype)
-    np.add.at(out, inv, vals)
-    return uk, out
+def _aggregate(keys, parts, n):
+    """Sum the rows of every part by key and drop rows zero in all parts.
 
-
-def _drop_zero_rows(keys, arrs):
-    mask = np.zeros(len(keys), dtype=bool)
-    for a in arrs:
-        if a is not None:
-            mask |= np.any(a != 0, axis=1)
-    if mask.all():
-        return keys, arrs
-    return keys[mask], [None if a is None else a[mask] for a in arrs]
+    Returns (sorted unique keys, summed parts, max_abs).
+    """
+    uk, inv = np.unique(keys, return_inverse=True)
+    sums = []
+    for p in parts:
+        s = np.zeros((len(uk), n), dtype=p.dtype)
+        np.add.at(s, inv, p)
+        sums.append(s)
+    live = np.any([np.any(s != 0, axis=1) for s in sums], axis=0)
+    if not live.all():
+        uk, sums = uk[live], [s[live] for s in sums]
+    return uk, tuple(sums), _max_abs(sums)
 
 
 def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
@@ -152,108 +172,46 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
         raise ValueError(f"an exponent of degree {max(degrees)} does not "
                          f"fit in {u.bits} bits")
     P, Q = len(u.keys), len(v.keys)
+    dp = u.denom_power + v.denom_power + 1
     if P == 0 or Q == 0:
-        return SymVec(u.nvars, u.bits, degrees, u.keys[:0],
-                      np.zeros((0, n), dtype=np.int64), None,
-                      u.denom_power + v.denom_power + 1, 1)
+        return u.zero_like(degrees, dp, n)
     # rigorous magnitude bound: per (p,q,k) entry then aggregation multiplicity
-    fold = 1 if (u.vb is None and v.vb is None and t.cb is None) else (1 + t.d) ** 2
+    fold = (1 + t.d) ** 2 if max(map(len, (u.parts, v.parts, t.parts))) > 1 \
+        else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
-    as_object = bound >= _INT64_LIMIT
-    ca, cb = _pair_arrays(t, as_object)
-    ua = u.va.astype(object) if as_object else u.va
-    ub = None if u.vb is None else (u.vb.astype(object) if as_object else u.vb)
-    va = v.va.astype(object) if as_object else v.va
-    vb = None if v.vb is None else (v.vb.astype(object) if as_object else v.vb)
-
-    def bil(Xa, C):
-        if Xa is None or C is None:
-            return None
-        w = np.dot(Xa, C.reshape(n, n * n))
-        return w.reshape(len(Xa), n, n)
-
-    def comb(W, Yv):
-        # W[p, j, k], Yv[q, j] -> [p, q, k]
-        if W is None or Yv is None:
-            return None
-        out = np.tensordot(W, Yv, axes=([1], [1]))  # (p, k, q)
-        return np.moveaxis(out, 2, 1)
-
-    def add(Aarr, Barr, factor=1):
-        if Aarr is None:
-            return None if Barr is None else (Barr * factor if factor != 1 else Barr)
-        if Barr is None:
-            return Aarr
-        return Aarr + Barr * factor
-
-    waa = bil(ua, ca)
-    wab = bil(ua, cb)
-    wba = bil(ub, ca)
-    wbb = bil(ub, cb)
-    # (uC)_a = ua*ca + d*ub*cb ; (uC)_b = ua*cb + ub*ca
-    wa = add(waa, wbb, t.d)
-    wb = add(wab, wba)
-    # out_a = (uC)_a*va + d*(uC)_b*vb ; out_b = (uC)_a*vb + (uC)_b*va
-    oa = add(comb(wa, va), comb(wb, vb), t.d)
-    ob = add(comb(wa, vb), comb(wb, va))
-
+    kind = "o" if bound >= _INT64_LIMIT else "i"
+    # uC[p, j, k] = sum_i u[p, i] C[i, j, k]
+    uC = _field_product(
+        lambda U, C: np.dot(U, C.reshape(n, n * n)).reshape(len(U), n, n),
+        _cast(u.parts, kind), _cast(t.parts, kind), t.d)
+    # out[p, q, k] = sum_j uC[p, j, k] v[q, j]
+    out = _field_product(
+        lambda W, V: np.moveaxis(np.tensordot(W, V, axes=([1], [1])), 2, 1),
+        uC, _cast(v.parts, kind), t.d)
     keys = (u.keys[:, None] + v.keys[None, :]).reshape(-1)
-    oa_flat = oa.reshape(P * Q, n)
-    all_keys, agg_a = _agg(keys, oa_flat, n)
-    agg_b = None
-    if ob is not None:
-        _, agg_b = _agg(keys, ob.reshape(P * Q, n), n)
-    all_keys, (agg_a, agg_b) = _drop_zero_rows(all_keys, [agg_a, agg_b])
-    m = 1
-    if len(all_keys):
-        m = max(m, int(np.abs(agg_a).max()))
-        if agg_b is not None:
-            m = max(m, int(np.abs(agg_b).max()))
-    return SymVec(u.nvars, u.bits, degrees, all_keys, agg_a, agg_b,
-                  u.denom_power + v.denom_power + 1, m)
+    return SymVec(u.nvars, u.bits, degrees, dp,
+                  *_aggregate(keys, [o.reshape(P * Q, n) for o in out], n))
 
 
-def sym_combine(parts: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
+def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
     """Integer linear combination of symbolic elements (same denom_power)."""
-    first = parts[0][1]
-    degrees = tuple(map(max, zip(*(s.degrees for _, s in parts))))
-    live = [(c, s) for c, s in parts if c != 0 and len(s.keys)]
+    first = terms[0][1]
+    degrees = tuple(map(max, zip(*(s.degrees for _, s in terms))))
+    live = [(c, s) for c, s in terms if c != 0 and len(s.keys)]
     if not live:
-        return SymVec(first.nvars, first.bits, degrees, first.keys[:0],
-                      np.zeros((0, n), dtype=np.int64), None,
-                      first.denom_power, 1)
+        return first.zero_like(degrees, first.denom_power, n)
     dp = live[0][1].denom_power
     if any(s.denom_power != dp for _, s in live):
         raise ValueError("mixed denominator powers in combination")
-    as_object = any(s.va.dtype == object for _, s in live) or \
-        sum(abs(c) * s.max_abs for c, s in live) >= _INT64_LIMIT
+    kind = "o" if any(s.parts[0].dtype == object for _, s in live) or \
+        sum(abs(c) * s.max_abs for c, s in live) >= _INT64_LIMIT else "i"
+    width = max(len(s.parts) for _, s in live)
     keys = np.concatenate([s.keys for _, s in live])
-    has_b = any(s.vb is not None for _, s in live)
-
-    def stack(which):
-        rows = []
-        for c, s in live:
-            arr = s.va if which == "a" else s.vb
-            if arr is None:
-                arr = np.zeros((len(s.keys), n),
-                               dtype=object if as_object else np.int64)
-            if as_object and arr.dtype != object:
-                arr = arr.astype(object)
-            rows.append(arr * c)
-        return np.concatenate(rows)
-
-    all_keys, agg_a = _agg(keys, stack("a"), n)
-    agg_b = None
-    if has_b:
-        _, agg_b = _agg(keys, stack("b"), n)
-    all_keys, (agg_a, agg_b) = _drop_zero_rows(all_keys, [agg_a, agg_b])
-    m = 1
-    if len(all_keys):
-        m = max(m, int(np.abs(agg_a).max()))
-        if agg_b is not None:
-            m = max(m, int(np.abs(agg_b).max()))
-    return SymVec(first.nvars, first.bits, degrees, all_keys, agg_a, agg_b,
-                  dp, m)
+    scaled = [[p * c for p in _cast(_padded(s.parts, width), kind)]
+              for c, s in live]
+    return SymVec(first.nvars, first.bits, degrees, dp,
+                  *_aggregate(keys, [np.concatenate(col)
+                                     for col in zip(*scaled)], n))
 
 
 def sym_is_zero(s: SymVec) -> bool:
@@ -301,19 +259,15 @@ class SymContext:
         degs = {sum(term_bidegree(t)) for t in poly.terms}
         if len(degs) != 1:
             raise ValueError("engine evaluation needs leaf-degree homogeneity")
-        denom = 1
-        for c in poly.terms.values():
-            denom = _lcm(denom, c.denominator)
+        denom = math.lcm(*(c.denominator for c in poly.terms.values()))
         parts = [(int(c * denom), self.eval_term(t))
                  for t, c in poly.terms.items()]
         return sym_combine(parts, self.tensor.n)
 
 
 def poly_vanishes_symbolically(poly: FreePoly, tensor: ScaledTensor,
-                               groups: Dict[str, SymVec],
-                               ctx: Optional[SymContext] = None) -> bool:
-    ctx = ctx or SymContext(tensor, groups)
-    out = ctx.eval_poly(poly)
+                               groups: Dict[str, SymVec]) -> bool:
+    out = SymContext(tensor, groups).eval_poly(poly)
     return out is None or sym_is_zero(out)
 
 
@@ -326,56 +280,6 @@ def _leaf_labels(term: FreeTerm) -> List[str]:
     if isinstance(term, str):
         return [] if term == UNIT else [term]
     return _leaf_labels(term[0]) + _leaf_labels(term[1])
-
-
-def _pair_tensordot(A: Tuple, B: Tuple, axes, d: int):
-    """tensordot on (a, b) sqrt(d)-component pairs."""
-    Aa, Ab = A
-    Ba, Bb = B
-
-    def td(Xq, Yq):
-        if Xq is None or Yq is None:
-            return None
-        return np.tensordot(Xq, Yq, axes=axes)
-
-    def add(P, Q, f=1):
-        if P is None:
-            return None if Q is None else (Q * f if f != 1 else Q)
-        if Q is None:
-            return P
-        return P + Q * f
-
-    out_a = add(td(Aa, Ba), td(Ab, Bb), d)
-    out_b = add(td(Aa, Bb), td(Ab, Ba))
-    return out_a, out_b
-
-
-_FLOAT_EXACT = 1 << 52
-
-
-def _measured_max(Ta, Tb) -> int:
-    m = 0
-    if Ta is not None and Ta.size:
-        m = int(np.abs(Ta).max())
-    if Tb is not None and Tb.size:
-        m = max(m, int(np.abs(Tb).max()))
-    return max(m, 1)
-
-
-def _to_kind(arr, kind: str):
-    """Convert an exact integer-valued array between float64/int64/object."""
-    if arr is None:
-        return None
-    if kind == "f":
-        return arr if arr.dtype == np.float64 else arr.astype(np.float64)
-    if kind == "i":
-        if arr.dtype == np.float64:
-            return arr.astype(np.int64)
-        return arr if arr.dtype == np.int64 else arr
-    # object: floats hold exact ints < 2^52, so the round trip is exact
-    if arr.dtype == np.float64:
-        return arr.astype(np.int64).astype(object)
-    return arr.astype(object) if arr.dtype != object else arr
 
 
 def _symmetrize_axes(arr, start: int, count: int):
@@ -415,7 +319,7 @@ class MultilinearEngine:
         self.cache: Dict[FreeTerm, Tuple] = {}
 
     def word_tensor(self, term: FreeTerm):
-        """(Ta, Tb, max_abs) with axes = leaves in left-to-right order + out.
+        """(*parts, max_abs) with axes = leaves in left-to-right order + out.
 
         max_abs is the measured magnitude maximum of the exact result; the
         dtype for each node is chosen from a rigorous bound derived from the
@@ -425,43 +329,37 @@ class MultilinearEngine:
         got = self.cache.get(term)
         if got is not None:
             return got
-        n = self.t.n
+        t = self.t
+        n = t.n
         if isinstance(term, str):
             if term == UNIT:
                 raise ValueError(
                     "unit leaves are not supported by the multilinear backend")
-            res = (np.eye(n, dtype=np.float64), None, 1)
+            res = (np.eye(n, dtype=np.float64), 1)
         else:
-            La, Lb, lmax = self.word_tensor(term[0])
-            Ra, Rb, rmax = self.word_tensor(term[1])
-            fold = 1 if (Lb is None and Rb is None and self.t.cb is None) \
-                else (1 + self.t.d) ** 2
-            bound = n * n * lmax * rmax * self.t.max_abs * fold
+            *L, lmax = self.word_tensor(term[0])
+            *R, rmax = self.word_tensor(term[1])
+            fold = (1 + t.d) ** 2 if max(map(len, (L, R, t.parts))) > 1 \
+                else 1
+            bound = n * n * lmax * rmax * t.max_abs * fold
             kind = "f" if bound < _FLOAT_EXACT else \
                 "i" if bound < _INT64_LIMIT else "o"
-            ca, cb = _pair_arrays(self.t, kind == "o")
-            if kind == "f":
-                ca = ca.astype(np.float64)
-                cb = None if cb is None else cb.astype(np.float64)
-            L = (_to_kind(La, kind), _to_kind(Lb, kind))
-            R = (_to_kind(Ra, kind), _to_kind(Rb, kind))
-            # step 1: contract left output axis with first tensor index
-            step1 = _pair_tensordot(L, (ca, cb),
-                                    axes=([L[0].ndim - 1], [0]), d=self.t.d)
-            # step1 axes: (left leaves..., j, out)
-            step2 = _pair_tensordot(step1, R,
-                                    axes=([step1[0].ndim - 2],
-                                          [R[0].ndim - 1]), d=self.t.d)
-            # step2 axes: (left leaves..., out, right leaves...)
-            Ta, Tb = step2
-            k = Ta.ndim
+            L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
             nl = L[0].ndim - 1
+            # contract the left output axis with the first tensor index:
+            # axes (left leaves..., j, out)
+            step1 = _field_product(
+                lambda A, B: np.tensordot(A, B, axes=([nl], [0])), L, C, t.d)
+            # then j with the right output axis:
+            # axes (left leaves..., out, right leaves...)
+            step2 = _field_product(
+                lambda A, B: np.tensordot(A, B, axes=([nl], [B.ndim - 1])),
+                step1, R, t.d)
+            k = step2[0].ndim
             perm = list(range(nl)) + list(range(nl + 1, k)) + [nl]
-            Ta = np.ascontiguousarray(np.transpose(Ta, perm))
-            Tb = None if Tb is None else np.ascontiguousarray(
-                np.transpose(Tb, perm))
-            mx = _measured_max(Ta, Tb)
-            res = (Ta, Tb, mx)
+            parts = [np.ascontiguousarray(np.transpose(p, perm))
+                     for p in step2]
+            res = (*parts, _max_abs(parts))
         if isinstance(term, str) or res[0].ndim - 1 <= self._CACHE_LEAVES:
             self.cache[term] = res
         return res
@@ -470,24 +368,21 @@ class MultilinearEngine:
         """Full multilinearization tensor of a bidegree-homogeneous poly.
 
         Axes: dx slots for the x-copies, then dy slots for the y-copies,
-        then the output coordinate.  Returns (Ta, Tb, dx, dy).
+        then the output coordinate.  Returns (parts, dx, dy).
         """
         bdegs = poly.bidegrees()
         if len(bdegs) != 1:
             raise ValueError("polynomial is not bidegree-homogeneous")
         dx, dy = next(iter(bdegs))
-        denom = 1
-        for c in poly.terms.values():
-            denom = _lcm(denom, c.denominator)
+        denom = math.lcm(*(c.denominator for c in poly.terms.values()))
         words = sorted(poly.terms.items(), key=lambda kv: str(kv[0]))
-        Ua = None
-        Ub = None
+        width = len(self.t.parts)
+        U: Tuple = ()
         kind = "i"
         running = 0  # exact bound on the accumulated entries
-        has_b = self.t.cb is not None
         for term, coeff in words:
             fresh = term not in self.cache
-            Ta, Tb, mx = self.word_tensor(term)
+            *T, mx = self.word_tensor(term)
             if fresh:
                 # top-level words of one polynomial are never reused: keep
                 # only their children (8 MB per 4-leaf word at dim 16)
@@ -502,40 +397,25 @@ class MultilinearEngine:
             running += abs(c) * mx
             if kind == "i" and running >= _INT64_LIMIT:
                 kind = "o"
-                Ua = _to_kind(Ua, kind)
-                Ub = _to_kind(Ub, kind)
-            Ta = _to_kind(np.ascontiguousarray(np.transpose(Ta, perm)), kind)
-            Ua = Ta * c if Ua is None else Ua + Ta * c
-            if has_b:
-                if Tb is None:
-                    Tb = np.zeros_like(Ta)
-                else:
-                    Tb = _to_kind(np.ascontiguousarray(
-                        np.transpose(Tb, perm)), kind)
-                Ub = Tb * c if Ub is None else Ub + Tb * c
-        if Ua is None:
-            return None, None, dx, dy
+                U = _cast(U, kind)
+            T = _cast([np.ascontiguousarray(np.transpose(p, perm))
+                       for p in _padded(T, width)], kind)
+            U = tuple(u + p * c for u, p in zip(U, T)) if U else \
+                tuple(p * c for p in T)
         if kind == "i" and \
                 running * math.factorial(dx) * math.factorial(dy) >= _INT64_LIMIT:
-            Ua = _to_kind(Ua, "o")
-            Ub = _to_kind(Ub, "o")
+            U = _cast(U, "o")
         # symmetrize over the x slots, then over the y slots
-        Sa = _symmetrize_axes(_symmetrize_axes(Ua, 0, dx), dx, dy)
-        Sb = None
-        if Ub is not None:
-            Sb = _symmetrize_axes(_symmetrize_axes(Ub, 0, dx), dx, dy)
-        return Sa, Sb, dx, dy
+        S = tuple(_symmetrize_axes(_symmetrize_axes(p, 0, dx), dx, dy)
+                  for p in U)
+        return S, dx, dy
 
     def check(self, poly: FreePoly):
         """(holds, witness_basis_tuple or None): tests the multilinearized
         identity on all basis tuples; the first failing tuple in enumeration
         order is reported."""
-        Sa, Sb, dx, dy = self.multilinearization(poly)
-        if Sa is None:
-            return True, None
-        nz = np.any(Sa != 0, axis=-1)
-        if Sb is not None:
-            nz |= np.any(Sb != 0, axis=-1)
+        S, dx, dy = self.multilinearization(poly)
+        nz = np.any([np.any(p != 0, axis=-1) for p in S], axis=0)
         if not nz.any():
             return True, None
         idx = np.argwhere(nz)[0]

@@ -111,19 +111,12 @@ class QuadExt:
             return NotImplemented
         return o * self.inverse()
 
-    def conjugate_root(self) -> "QuadExt":
-        """The field conjugate a - b*sqrt(d)."""
-        return QuadExt(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (rational)."""
         return self.a * self.a - self.d * self.b * self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __bool__(self):
         return not self.is_zero()
@@ -381,11 +374,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def evaluate(self, point: Sequence) -> Scalar:
         if len(point) != self.nvars:

@@ -200,11 +200,6 @@ class FreePoly:
     def bidegrees(self) -> set:
         return {term_bidegree(t) for t in self.terms}
 
-    def component(self, dx: int, dy: int) -> "FreePoly":
-        """Homogeneous component of bidegree (dx, dy)."""
-        return FreePoly({t: c for t, c in self.terms.items()
-                         if term_bidegree(t) == (dx, dy)})
-
     def y_component(self, m: int) -> "FreePoly":
         """Homogeneous component of degree m in y."""
         return FreePoly({t: c for t, c in self.terms.items()

@@ -21,7 +21,7 @@ from . import engine
 from .algebra import (Element, HoldsResult, StructureAlgebra,
                       _symbolic_groups, degree, division_sampled, find_units,
                       identity_holds, multiply, subalgebra_generated)
-from .exactmath import MultiPoly, span_membership
+from .exactmath import Echelon, MultiPoly, poly_rank, span_membership
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
                       poly_to_word_vector, pqr_associator, substitute)
@@ -106,20 +106,9 @@ def _is_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     # symbolic backend does so too above dimension 5, the rule that fixes the
     # mode O, P and D8 report ("multilinear-proof")
     if backend == "multilinear" or n > 5:
-        for i in range(n):
-            bi = A.basis_element(i)
-            for j in range(n):
-                bj = A.basis_element(j)
-                ij = multiply(A, bi, bj)
-                for k in range(n):
-                    bk = A.basis_element(k)
-                    lhs = multiply(A, ij, bk)
-                    rhs = multiply(A, bi, multiply(A, bj, bk))
-                    if lhs != rhs:
-                        return PredicateResult(
-                            "associative", False, "multilinear-proof",
-                            {"x": bi, "y": bj, "z": bk})
-        return PredicateResult("associative", True, "multilinear-proof")
+        wit = _associativity_witness(A)
+        return PredicateResult("associative", wit is None,
+                               "multilinear-proof", wit)
     groups = _symbolic_groups(A, ("x", "y", "z"))
     t = A.tensor()
     xy = engine.sym_product(groups["x"], groups["y"], t)
@@ -134,14 +123,14 @@ def _is_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
 
 
 def _associativity_witness(A: StructureAlgebra):
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bi, bj, bk = (A.basis_element(t) for t in (i, j, k))
-                lhs = multiply(A, multiply(A, bi, bj), bk)
-                rhs = multiply(A, bi, multiply(A, bj, bk))
-                if lhs != rhs:
+    """The first basis triple, in lexicographic order, that does not
+    associate; None when every triple does."""
+    basis = [A.basis_element(i) for i in range(A.dim)]
+    for bi in basis:
+        for bj in basis:
+            ij = multiply(A, bi, bj)
+            for bk in basis:
+                if multiply(A, ij, bk) != multiply(A, bi, multiply(A, bj, bk)):
                     return {"x": bi, "y": bj, "z": bk}
     return None
 
@@ -168,7 +157,7 @@ def _power_commutative_bounded(A: StructureAlgebra, bound: int
             if engine.sym_is_zero(sv):
                 continue
             group.append((w, sv))
-        reps.extend(_reduce_rational(group, n))
+        reps.extend(_reduce_rational(group))
     for (w1, s1), (w2, s2) in itertools.combinations(reps, 2):
         p12 = engine.sym_product(s1, s2, t)
         p21 = engine.sym_product(s2, s1, t)
@@ -179,48 +168,24 @@ def _power_commutative_bounded(A: StructureAlgebra, bound: int
     return PredicateResult("power_commutative", True, mode)
 
 
-def _reduce_rational(group, n):
+def _reduce_rational(group):
     """Keep only words whose generic values are rationally independent.
 
-    Each symbolic value is flattened to a sparse rational vector (the
-    rational and sqrt-part components count as separate coordinates); a
-    word is kept iff its vector is independent of the kept ones.  Dropping
-    rational combinations is sound because commutators are bilinear.
+    Each symbolic value is flattened to a rational vector over the group's
+    (key, coordinate, part) positions, so the rational and sqrt-part
+    components count as separate coordinates; a word is kept iff its vector
+    is independent of the kept ones.  Dropping rational combinations is
+    sound because commutators are bilinear.
     """
-    kept = []
-    basis: List[Tuple[tuple, Dict[tuple, Fraction]]] = []  # (lead, row)
-
-    def flatten(sv: engine.SymVec) -> Dict[tuple, Fraction]:
-        row: Dict[tuple, Fraction] = {}
-        for idx, key in enumerate(sv.keys):
-            for c in range(n):
-                va = int(sv.va[idx][c])
-                if va:
-                    row[(int(key), c, 0)] = Fraction(va)
-                if sv.vb is not None:
-                    vb = int(sv.vb[idx][c])
-                    if vb:
-                        row[(int(key), c, 1)] = Fraction(vb)
-        return row
-
-    for w, sv in group:
-        row = flatten(sv)
-        for lead, brow in basis:
-            f = row.get(lead)
-            if f:
-                for k, val in brow.items():
-                    cur = row.get(k, Fraction(0)) - f * val
-                    if cur == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = cur
-        if not row:
-            continue
-        lead = min(row)
-        pv = row[lead]
-        basis.append((lead, {k: v / pv for k, v in row.items()}))
-        kept.append((w, sv))
-    return kept
+    flat = [{(key, c, h): v
+             for h, rows in enumerate(sv.parts)
+             for key, row in zip(sv.keys.tolist(), rows.tolist())
+             for c, v in enumerate(row) if v}
+            for _, sv in group]
+    positions = sorted(set().union(*flat))
+    ech = Echelon()
+    return [ws for ws, row in zip(group, flat)
+            if ech.add([Fraction(row.get(pos, 0)) for pos in positions])]
 
 
 def _commutation_witness(A: StructureAlgebra, w1, w2):
@@ -275,35 +240,20 @@ def _power_associative(A: StructureAlgebra, backend: str,
 
 
 def _quadratic(A: StructureAlgebra) -> PredicateResult:
-    """Unital, and {e, x, x^2} linearly dependent for every x (all 3x3
-    minors of the (e, x, x^2) coordinate matrix vanish identically)."""
+    """Unital, and {e, x, x^2} linearly dependent for every x (the
+    (e, x, x^2) coordinate matrix of a generic x has rank < 3)."""
     units = find_units(A)
     if units.two_sided is None:
         return PredicateResult("quadratic", False, "symbolic-proof",
                                {"reason": "no two-sided unit"})
-    if A.dim < 3:
-        # at most two independent rows, minors vanish trivially
-        return PredicateResult("quadratic", True, "symbolic-proof")
     x = A.generic_element()
-    x2 = multiply(A, x, x)
     e = units.two_sided
-    nv = A.dim
-    rows = [
-        [MultiPoly.const(nv, c) for c in e.coords],
-        list(x.coords),
-        list(x2.coords),
-    ]
-    for cols in itertools.combinations(range(A.dim), 3):
-        det = MultiPoly.const(nv, 0)
-        for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-            term = rows[0][cols[perm[0]]] * rows[1][cols[perm[1]]] * \
-                rows[2][cols[perm[2]]]
-            det = det + (term if sign > 0 else -term)
-        if not det.is_zero():
-            wit = _find_dependence_witness(A, e)
-            return PredicateResult("quadratic", False, "symbolic-proof", wit)
-    return PredicateResult("quadratic", True, "symbolic-proof")
+    rows = [[MultiPoly.const(A.dim, c) for c in e.coords],
+            list(x.coords), list(multiply(A, x, x).coords)]
+    if poly_rank(rows) < 3:
+        return PredicateResult("quadratic", True, "symbolic-proof")
+    wit = _find_dependence_witness(A, e)
+    return PredicateResult("quadratic", False, "symbolic-proof", wit)
 
 
 def _find_dependence_witness(A: StructureAlgebra, e: Element):

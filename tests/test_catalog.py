@@ -301,7 +301,11 @@ class TestSpecFormat:
         (1, [["a", 0, 0, "1"]], "'a'"),
         (1, [[0, 0, 0, "1"], [0, 0, 0, "2"]],
          r"constants\[1\]: .* already given at constants\[0\]"),
-    ], ids=["dim", "index", "duplicate"])
+        (1.9, [], "dim must be an integer, not 1.9"),
+        (True, [], "dim must be an integer, not True"),
+        (1, [[0.9, 0, 0, "1"]], r"constants\[0\] index .* not 0.9"),
+    ], ids=["dim", "index", "duplicate", "dim-float", "dim-bool",
+            "index-float"])
     def test_malformed_spec(self, dim, entries, match):
         data = {"name": "bad", "dim": dim, "field": "Q", "basis": ["e"],
                 "constants": entries}

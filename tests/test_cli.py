@@ -125,7 +125,9 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         for content in (b"{oops", b"\xff\xfe{}", spec("two", []),
                         spec(1, [["a", 0, 0, "1"]]),
-                        spec(1, [[0, 0, 0, "1"], [0, 0, 0, "2"]])):
+                        spec(1, [[0, 0, 0, "1"], [0, 0, 0, "2"]]),
+                        spec(1.9, []), spec(True, []),
+                        spec(1, [[0.9, 0, 0, "1"]])):
             bad.write_bytes(content)
             code, _ = run("show", str(bad))
             assert code == 2, content

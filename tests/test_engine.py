@@ -46,9 +46,9 @@ def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
         terms = {}
         for idx, key in enumerate(sv.keys):
             exps = engine.unpack_key(int(key), sv.nvars, sv.bits)
-            a = Fraction(int(sv.va[idx][k])) / scale
-            b = Fraction(0) if sv.vb is None else \
-                Fraction(int(sv.vb[idx][k])) / scale
+            a = Fraction(int(sv.parts[0][idx][k])) / scale
+            b = Fraction(0) if len(sv.parts) == 1 else \
+                Fraction(int(sv.parts[1][idx][k])) / scale
             if b:
                 val = QuadExt(a, b)
             else:
@@ -57,6 +57,23 @@ def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
                 terms[exps] = val
         coords.append(MultiPoly(sv.nvars, terms))
     return coords
+
+
+def big_algebra(field):
+    """A dim-2 algebra whose constants reach 10^12 (in both parts over
+    Q(sqrt 3)): products of three of them leave int64."""
+    rng = random.Random(0)
+    big = 10 ** 12
+
+    def const():
+        a = Fraction(rng.randint(-big, big))
+        if field == FIELD_QSQRT3:
+            return QuadExt(a, Fraction(rng.randint(-big, big)))
+        return a
+
+    consts = [[[const() for _ in range(2)] for _ in range(2)]
+              for _ in range(2)]
+    return StructureAlgebra("big", 2, field, consts)
 
 
 WORDS = [
@@ -104,20 +121,18 @@ class TestSymbolicKernel:
         assert got == list(expect.coords)
 
     def test_object_fallback_is_exact(self):
-        # huge constants force the big-int path
-        rng = random.Random(0)
-        dim = 2
-        big = 10 ** 12
-        consts = [[[Fraction(rng.randint(-big, big)) for _ in range(dim)]
-                   for _ in range(dim)] for _ in range(dim)]
-        A = StructureAlgebra("big", dim, FIELD_Q, consts)
-        groups = {"x": engine.SymVec.generic(dim, dim, 5, 0)}
-        ctx = engine.SymContext(A.tensor(), groups)
-        word = ((("x", "x"), ("x", "x")), (("x", "x"), "x"))
-        got = sym_to_poly_vector(ctx.eval_term(word), A)
-        expect = eval_free_poly(A, FreePoly.term(word),
-                                {"x": A.generic_element()})
-        assert got == list(expect.coords)
+        # huge constants force the big-int path, over Q and over Q(sqrt 3)
+        for field in (FIELD_Q, FIELD_QSQRT3):
+            A = big_algebra(field)
+            groups = {"x": engine.SymVec.generic(2, 2, 5, 0)}
+            ctx = engine.SymContext(A.tensor(), groups)
+            word = ((("x", "x"), ("x", "x")), (("x", "x"), "x"))
+            sv = ctx.eval_term(word)
+            assert sv.parts[0].dtype == object
+            got = sym_to_poly_vector(sv, A)
+            expect = eval_free_poly(A, FreePoly.term(word),
+                                    {"x": A.generic_element()})
+            assert got == list(expect.coords), field
 
     def test_degree_17_word_matches_multipoly(self):
         # 17 needs 5 bits: at 4 bits the key of x0^17 reads as x0*x1
@@ -194,7 +209,7 @@ class TestMultilinearKernel:
         A = random_algebra(2, seed)
         ml = engine.MultilinearEngine(A.tensor())
         poly = polarize(1, 1, 2).f(2)  # bidegree (2, 2)
-        Sa, Sb, dx, dy = ml.multilinearization(poly)
+        S, dx, dy = ml.multilinearization(poly)
         assert (dx, dy) == (2, 2)
         scale = Fraction(A.tensor().scale) ** 3  # degree-4 words
         rng = random.Random(seed)
@@ -203,7 +218,7 @@ class TestMultilinearKernel:
             xt = [A.basis_element(idx[0]), A.basis_element(idx[1])]
             yt = [A.basis_element(idx[2]), A.basis_element(idx[3])]
             oracle = inclusion_exclusion_multilin(A, poly, xt, yt)
-            got = [Fraction(int(Sa[tuple(idx) + (k,)])) / scale
+            got = [Fraction(int(S[0][tuple(idx) + (k,)])) / scale
                    for k in range(2)]
             assert got == list(oracle.coords)
 
@@ -211,15 +226,32 @@ class TestMultilinearKernel:
         A = random_algebra(2, seed=21, span=1, field=FIELD_QSQRT3)
         ml = engine.MultilinearEngine(A.tensor())
         poly = pqr_associator(1, 1, 1)
-        Sa, Sb, dx, dy = ml.multilinearization(poly)
+        S, dx, dy = ml.multilinearization(poly)
         scale = Fraction(A.tensor().scale) ** 2
         for idx in itertools.product(range(2), repeat=3):
             xt = [A.basis_element(i) for i in idx]
             oracle = inclusion_exclusion_multilin(A, poly, xt, [])
             got = []
             for k in range(2):
-                a = Fraction(int(Sa[idx + (k,)])) / scale
-                b = Fraction(int(Sb[idx + (k,)])) / scale
+                a = Fraction(int(S[0][idx + (k,)])) / scale
+                b = Fraction(int(S[1][idx + (k,)])) / scale
+                got.append(QuadExt(a, b) if b else a)
+            assert got == list(oracle.coords)
+
+    def test_object_tier_matches_finite_differences(self):
+        A = big_algebra(FIELD_QSQRT3)
+        ml = engine.MultilinearEngine(A.tensor())
+        poly = pqr_associator(1, 1, 1)
+        S, dx, dy = ml.multilinearization(poly)
+        assert S[0].dtype == object and S[1].dtype == object
+        scale = Fraction(A.tensor().scale) ** 2
+        for idx in itertools.product(range(2), repeat=3):
+            xt = [A.basis_element(i) for i in idx]
+            oracle = inclusion_exclusion_multilin(A, poly, xt, [])
+            got = []
+            for k in range(2):
+                a = Fraction(int(S[0][idx + (k,)])) / scale
+                b = Fraction(int(S[1][idx + (k,)])) / scale
                 got.append(QuadExt(a, b) if b else a)
             assert got == list(oracle.coords)
 
@@ -258,16 +290,16 @@ class TestScaledTensor:
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    val = Fraction(int(t.ca[i, j, k]), t.scale)
+                    val = Fraction(int(t.parts[0][i, j, k]), t.scale)
                     assert val == A.constants[i][j][k]
 
     def test_okubo_components(self):
         P = catalog_algebra("P")
         t = P.tensor()
-        assert t.cb is not None
+        assert len(t.parts) == 2
         for i, j, k in ((0, 0, 7), (0, 1, 2), (3, 4, 5)):
             c = P.constants[i][j][k]
             a = c.a if isinstance(c, QuadExt) else Fraction(c)
             b = c.b if isinstance(c, QuadExt) else Fraction(0)
-            assert Fraction(int(t.ca[i, j, k]), t.scale) == a
-            assert Fraction(int(t.cb[i, j, k]), t.scale) == b
+            assert Fraction(int(t.parts[0][i, j, k]), t.scale) == a
+            assert Fraction(int(t.parts[1][i, j, k]), t.scale) == b
