@@ -3,23 +3,24 @@
 The classical algebras R, C, H, O come from Cayley-Dickson doubling with the
 fixed convention (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)) and
 conjugation (a, b) -> (conj(a), -b).  The standard isotopes *A and **A replace
-the product by conj(x) y and conj(x) conj(y) respectively.  The pseudo-octonion
-algebra P is built from its 3x3 traceless hermitian matrix model over
-Q(sqrt 3) with complex intermediates; the construction verifies closure
-(tracelessness, hermiticity, real structure constants) as it runs.
+the product by conj(x) y and conj(x) conj(y) respectively; their tables are
+products of conjugated basis elements in A.  The pseudo-octonion algebra P has
+the structure constants d - f/sqrt(3), with d and f the symmetric and the
+antisymmetric su(3) structure constants on the Gell-Mann basis.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .algebra import FIELD_Q, FIELD_QSQRT3, Element, StructureAlgebra
-from .exactmath import (ComplexScalar, QuadExt, format_scalar,
-                        parse_scalar, scalar_is_zero)
+from .algebra import (FIELD_Q, FIELD_QSQRT3, Element, StructureAlgebra,
+                      multiply)
+from .exactmath import QuadExt, format_scalar, parse_scalar, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -103,48 +104,27 @@ class MissingConjugationError(ValueError):
     pass
 
 
-def star_left(inv: InvolutiveAlgebra) -> StructureAlgebra:
-    """The isotope *A with product x * y = conj(x) y."""
+def _basis_and_conjugates(inv: InvolutiveAlgebra):
     if inv.conjugation is None:
         raise MissingConjugationError("isotope needs a conjugation")
     A = inv.algebra
-    n = A.dim
-    conj = inv.conjugation
-    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = Fraction(0)
-                for m in range(n):
-                    cm = conj[m][i]
-                    if not scalar_is_zero(cm):
-                        acc = acc + cm * A.constants[m][j][k]
-                constants[i][j][k] = acc
-    return StructureAlgebra("*" + A.name, n, A.field, constants, A.basis_names)
+    basis = [A.basis_element(i) for i in range(A.dim)]
+    return A, basis, [inv.conj_element(b) for b in basis]
+
+
+def star_left(inv: InvolutiveAlgebra) -> StructureAlgebra:
+    """The isotope *A with product x * y = conj(x) y."""
+    A, basis, bars = _basis_and_conjugates(inv)
+    constants = [[multiply(A, x, y).coords for y in basis] for x in bars]
+    return StructureAlgebra("*" + A.name, A.dim, A.field, constants,
+                            A.basis_names)
 
 
 def star_both(inv: InvolutiveAlgebra) -> StructureAlgebra:
     """The isotope **A with product x * y = conj(x) conj(y)."""
-    if inv.conjugation is None:
-        raise MissingConjugationError("isotope needs a conjugation")
-    A = inv.algebra
-    n = A.dim
-    conj = inv.conjugation
-    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = Fraction(0)
-                for m in range(n):
-                    cm = conj[m][i]
-                    if scalar_is_zero(cm):
-                        continue
-                    for l in range(n):
-                        cl = conj[l][j]
-                        if not scalar_is_zero(cl):
-                            acc = acc + cm * cl * A.constants[m][l][k]
-                constants[i][j][k] = acc
-    return StructureAlgebra("**" + A.name, n, A.field, constants,
+    A, _, bars = _basis_and_conjugates(inv)
+    constants = [[multiply(A, x, y).coords for y in bars] for x in bars]
+    return StructureAlgebra("**" + A.name, A.dim, A.field, constants,
                             A.basis_names)
 
 
@@ -152,100 +132,52 @@ def star_both(inv: InvolutiveAlgebra) -> StructureAlgebra:
 # Pseudo-octonions (Okubo algebra)
 # ---------------------------------------------------------------------------
 
+_SQRT3 = QuadExt(0, 1, 3)
+_HALF = Fraction(1, 2)
 
-def _cs(a=0, b=0) -> ComplexScalar:
-    """Complex scalar re=a, im=b over Q(sqrt 3); a, b may be QuadExt."""
-    re = a if isinstance(a, QuadExt) else QuadExt(a, 0, 3)
-    im = b if isinstance(b, QuadExt) else QuadExt(b, 0, 3)
-    return ComplexScalar(re, im)
-
-
-def _gell_mann() -> List[List[List[ComplexScalar]]]:
-    """The eight lambda matrices, normalized so Tr(l_a l_b) = 2 delta_ab."""
-    z = _cs()
-    one = _cs(1)
-    i_ = _cs(0, 1)
-    # 1/sqrt(3) = sqrt(3)/3
-    inv_r3 = QuadExt(0, Fraction(1, 3), 3)
-    lam = []
-    lam.append([[z, one, z], [one, z, z], [z, z, z]])
-    lam.append([[z, -i_, z], [i_, z, z], [z, z, z]])
-    lam.append([[one, z, z], [z, -one, z], [z, z, z]])
-    lam.append([[z, z, one], [z, z, z], [one, z, z]])
-    lam.append([[z, z, -i_], [z, z, z], [i_, z, z]])
-    lam.append([[z, z, z], [z, z, one], [z, one, z]])
-    lam.append([[z, z, z], [z, z, -i_], [z, i_, z]])
-    lam.append([[_cs(inv_r3), z, z], [z, _cs(inv_r3), z],
-                [z, z, _cs(-1 * inv_r3 - inv_r3)]])
-    return lam
-
-
-def _mat_mul(A, B):
-    return [[sum((A[i][t] * B[t][j] for t in range(3)), _cs())
-             for j in range(3)] for i in range(3)]
-
-
-def _mat_add(A, B):
-    return [[A[i][j] + B[i][j] for j in range(3)] for i in range(3)]
-
-
-def _mat_scale(c, A):
-    return [[c * A[i][j] for j in range(3)] for i in range(3)]
-
-
-def _mat_trace(A) -> ComplexScalar:
-    return A[0][0] + A[1][1] + A[2][2]
-
-
-def _mat_is_hermitian(A) -> bool:
-    for i in range(3):
-        for j in range(3):
-            if A[i][j] != A[j][i].conjugate():
-                return False
-    return True
-
-
-class OkuboConstructionError(AssertionError):
-    """Internal consistency failure while building the pseudo-octonions."""
+#: su(3) structure constants on the Gell-Mann matrices l1..l8 (indices
+#: 0..7), one entry per index set: [l_a, l_b] = 2i f_abc l_c with f totally
+#: antisymmetric, {l_a, l_b} = (4/3) delta_ab I + 2 d_abc l_c with d totally
+#: symmetric.
+_SU3_F = {
+    (0, 1, 2): 1, (0, 3, 6): _HALF, (0, 4, 5): -_HALF, (1, 3, 5): _HALF,
+    (1, 4, 6): _HALF, (2, 3, 4): _HALF, (2, 5, 6): -_HALF,
+    (3, 4, 7): _SQRT3 / 2, (5, 6, 7): _SQRT3 / 2,
+}
+_SU3_D = {
+    (0, 0, 7): _SQRT3 / 3, (1, 1, 7): _SQRT3 / 3, (2, 2, 7): _SQRT3 / 3,
+    (7, 7, 7): -_SQRT3 / 3, (3, 3, 7): -_SQRT3 / 6, (4, 4, 7): -_SQRT3 / 6,
+    (5, 5, 7): -_SQRT3 / 6, (6, 6, 7): -_SQRT3 / 6,
+    (0, 3, 5): _HALF, (0, 4, 6): _HALF, (1, 3, 6): -_HALF, (1, 4, 5): _HALF,
+    (2, 3, 3): _HALF, (2, 4, 4): _HALF, (2, 5, 5): -_HALF, (2, 6, 6): -_HALF,
+}
+#: even and odd permutations of the three positions of an index triple
+_EVEN = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_ODD = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
 @lru_cache(maxsize=None)
 def okubo() -> StructureAlgebra:
     """The 8-dimensional pseudo-octonion algebra P over Q(sqrt 3).
 
-    Product on traceless 3x3 hermitian matrices:
-    x * y = mu x y + conj(mu) y x - (1/3) Tr(x y) I with mu = 1/2 + (sqrt3/6) i
-    (so mu + conj(mu) = 1 and the product is traceless and hermitian again).
-    Structure constants are expanded on the Gell-Mann basis and must come out
-    real, in Q(sqrt 3); anything else raises OkuboConstructionError.
+    The product on traceless 3x3 hermitian matrices is
+    x * y = mu x y + conj(mu) y x - (1/3) Tr(x y) I with mu = 1/2 + (sqrt3/6) i.
+    With l_a l_b = (2/3) delta_ab I + (d_abc + i f_abc) l_c,
+    mu + conj(mu) = 1 and mu - conj(mu) = i/sqrt 3, the Gell-Mann basis
+    products are l_a * l_b = sum_c (d_abc - f_abc/sqrt 3) l_c, so the
+    structure constants are read off the su(3) tensors d and f.  Every
+    constant is a QuadExt.
     """
-    lam = _gell_mann()
-    mu = ComplexScalar(QuadExt(Fraction(1, 2), 0, 3),
-                       QuadExt(0, Fraction(1, 6), 3))
-    mubar = mu.conjugate()
-    eye = [[_cs(1) if i == j else _cs() for j in range(3)] for i in range(3)]
     n = 8
-    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    for a in range(n):
-        for b in range(n):
-            xy = _mat_mul(lam[a], lam[b])
-            yx = _mat_mul(lam[b], lam[a])
-            prod = _mat_add(_mat_scale(mu, xy), _mat_scale(mubar, yx))
-            tr = _mat_trace(xy)  # Tr(xy) = Tr(yx)
-            prod = _mat_add(prod, _mat_scale(_cs(-1) * tr * third, eye))
-            if not _mat_trace(prod).is_zero():
-                raise OkuboConstructionError("product is not traceless")
-            if not _mat_is_hermitian(prod):
-                raise OkuboConstructionError("product is not hermitian")
-            for k in range(n):
-                # coefficient on lambda_k: Tr(prod * lambda_k) / 2
-                coef = _mat_trace(_mat_mul(prod, lam[k])) * half
-                if not coef.is_real():
-                    raise OkuboConstructionError(
-                        "non-real structure constant found")
-                constants[a][b][k] = coef.re
+    constants = [[[QuadExt(0, 0, 3)] * n for _ in range(n)] for _ in range(n)]
+    for idx, v in _SU3_D.items():
+        for a, b, k in set(itertools.permutations(idx)):
+            constants[a][b][k] += v
+    for idx, v in _SU3_F.items():
+        for sign, perms in ((1, _EVEN), (-1, _ODD)):
+            for p in perms:
+                a, b, k = (idx[t] for t in p)
+                constants[a][b][k] -= sign * v / _SQRT3
     return StructureAlgebra("P", n, FIELD_QSQRT3, constants,
                             tuple(f"l{i}" for i in range(1, 9)))
 
@@ -324,6 +256,10 @@ class SpecFormatError(ValueError):
     """Malformed algebra file, with a location hint."""
 
 
+#: Largest dim a spec may declare; load allocates a dense dim^3 table.
+MAX_DIM = 64
+
+
 def _spec_field_d(field_tag: str) -> int:
     if field_tag == FIELD_Q:
         return 3  # irrelevant, no sqrt part may occur
@@ -340,6 +276,8 @@ def load(spec) -> StructureAlgebra:
     n = spec.dim
     if n < 1:
         raise SpecFormatError("dim must be >= 1")
+    if n > MAX_DIM:
+        raise SpecFormatError(f"dim {n} is above the limit of {MAX_DIM}")
     if len(spec.basis) != n:
         raise SpecFormatError("basis length does not match dim")
     constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -390,34 +328,54 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _text(value: str, what: str) -> str:
+    """A string the CLI prints; JSON admits lone surrogates, UTF-8 does not."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SpecFormatError(f"{what} is not UTF-8 text: {value!r}") from exc
+    return value
+
+
 def spec_from_dict(data: dict) -> AlgebraSpec:
     try:
         name = data["name"]
         dim = _json_int(data["dim"], "dim")
         field_tag = data["field"]
-        basis = list(data["basis"])
+        basis = data["basis"]
         consts = [tuple(_json_int(e[h], f"constants[{pos}] index")
                         for h in range(3)) + (str(e[3]),)
                   for pos, e in enumerate(data["constants"])]
     except (KeyError, TypeError, IndexError) as exc:
         raise SpecFormatError(f"missing or malformed key: {exc}") from exc
+    if not (isinstance(basis, list)
+            and all(isinstance(b, str) for b in basis)):
+        raise SpecFormatError(f"basis must be a list of strings, not {basis!r}")
+    for pos, b in enumerate(basis):
+        _text(b, f"basis[{pos}]")
     conj = data.get("conjugation")
     if conj is not None:
+        if not (isinstance(conj, list)
+                and all(isinstance(row, list) for row in conj)):
+            raise SpecFormatError(
+                f"conjugation must be null or a list of lists, not {conj!r}")
         conj = [[str(x) for x in row] for row in conj]
-    return AlgebraSpec(str(name), dim, str(field_tag), basis, consts,
-                       conj, data.get("properties"))
+    return AlgebraSpec(_text(str(name), "name"), dim, str(field_tag), basis,
+                       consts, conj, data.get("properties"))
 
 
 def load_file(path: str) -> StructureAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise SpecFormatError(
-                f"{path}: byte {exc.start} is not UTF-8") from exc
+    except OSError as exc:
+        raise SpecFormatError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(
+            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(
+            f"{path}: byte {exc.start} is not UTF-8") from exc
     return load(spec_from_dict(data))
 
 

@@ -1,10 +1,8 @@
 """Exact scalar arithmetic, sparse multivariate polynomials and exact linear algebra.
 
 Scalars are either ``fractions.Fraction`` (the rational field) or ``QuadExt``
-(a real quadratic extension a + b*sqrt(d) with rational a, b).  ``ComplexScalar``
-is a complex pair over a quadratic extension; it only appears as a construction
-intermediate and is never stored in an algebra.  All arithmetic is exact: there
-is no floating point anywhere in this package.
+(a real quadratic extension a + b*sqrt(d) with rational a, b).  All arithmetic
+is exact: there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -138,85 +136,6 @@ class QuadExt:
 
     def __str__(self):
         return format_scalar(self)
-
-
-class ComplexScalar:
-    """Complex number over a quadratic extension: re + im*i with re, im QuadExt."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None, d: int = 3):
-        if not isinstance(re, QuadExt):
-            re = QuadExt(re, 0, d)
-        if im is None:
-            im = QuadExt(0, 0, re.d)
-        elif not isinstance(im, QuadExt):
-            im = QuadExt(im, 0, re.d)
-        if re.d != im.d:
-            raise FieldMismatchError("real and imaginary parts over different fields")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexScalar is immutable")
-
-    def _coerce(self, other) -> "ComplexScalar":
-        if isinstance(other, ComplexScalar):
-            return other
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return ComplexScalar(other if isinstance(other, QuadExt)
-                                 else QuadExt(other, 0, self.re.d))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexScalar(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexScalar(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return ComplexScalar(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexScalar(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ComplexScalar":
-        return ComplexScalar(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"ComplexScalar({self.re!r}, {self.im!r})"
 
 
 Scalar = Union[Fraction, QuadExt]

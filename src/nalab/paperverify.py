@@ -181,7 +181,7 @@ def criterion_5() -> List[CheckResult]:
         isinstance(P.constants[i][j][k], (Fraction, QuadExt))
         for i in range(8) for j in range(8) for k in range(8))
     out.append(_c(5, "P structure constants real, in Q(sqrt 3)", real_ok,
-                  "construction re-verifies hermiticity/trace/realness"))
+                  "d - f/sqrt 3 of su(3); each a Fraction or QuadExt"))
     units = find_units(P)
     out.append(_c(5, "P has no unit",
                   not units.has_left and not units.has_right))

@@ -1,7 +1,9 @@
 """Catalog constructions: Cayley-Dickson tower, isotopes, pseudo-octonions,
 and the algebra file format."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -249,6 +251,61 @@ class TestOkubo:
         assert got[7] == -1 * r3_3 and all(c == 0 for c in got[:7])
 
 
+class TestOkuboComposition:
+    """Okubo's symmetric composition law (x*y)*x = x*(y*x) = n(x) y with
+    n(x) = (1/3) sum x_a^2, linearized in x and checked on every basis triple
+    straight from the structure constants."""
+
+    def test_linearized_on_basis_triples(self):
+        P = okubo()
+        c = P.constants
+
+        def times(u, b):  # coordinates of u * b_b, u given by coordinates
+            return [sum((u[m] * c[m][b][k] for m in range(8)), Fraction(0))
+                    for k in range(8)]
+
+        def times_left(a, u):  # coordinates of b_a * u
+            return [sum((c[a][m][k] * u[m] for m in range(8)), Fraction(0))
+                    for k in range(8)]
+
+        for a, b, d in itertools.product(range(8), repeat=3):
+            want = [Fraction(2, 3) if a == d and k == b else 0
+                    for k in range(8)]
+            left = [s + t for s, t in zip(times(c[a][b], d),
+                                          times(c[d][b], a))]
+            right = [s + t for s, t in zip(times_left(a, c[b][d]),
+                                           times_left(d, c[b][a]))]
+            assert left == want, (a, b, d)
+            assert right == want, (a, b, d)
+
+
+#: First 16 hex digits of the SHA-256 of each catalog algebra's saved form.
+CATALOG_DIGESTS = {
+    "R": "f59e5c844eb70828", "C": "12d6af6353b928e1",
+    "H": "23c30c6e37486fb2", "O": "2ef9c24877c8fd60",
+    "*C": "541faee5daf5e2a6", "*H": "1528aefd04cef22f",
+    "*O": "babfa529b757f5af", "**C": "73e4951fca29457b",
+    "**H": "25721962bcd4123e", "**O": "d868ab4b3c69704e",
+    "P": "eafab0aa24d53589",
+}
+
+
+class TestCatalogPins:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_saved_form_digest(self, name):
+        text = json.dumps(save(catalog_algebra(name)).to_json_dict(),
+                          sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == CATALOG_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_constant_types(self, name):
+        A = catalog_algebra(name)
+        kind = QuadExt if name == "P" else Fraction
+        assert all(type(x) is kind
+                   for plane in A.constants for row in plane for x in row)
+
+
 class TestSpecFormat:
     def test_round_trip_catalog(self):
         for name in CATALOG_NAMES:
@@ -296,19 +353,28 @@ class TestSpecFormat:
         with pytest.raises(SpecFormatError):
             spec_from_dict({"name": "x", "dim": 1})
 
-    @pytest.mark.parametrize("dim, entries, match", [
-        ("two", [], "'two'"),
-        (1, [["a", 0, 0, "1"]], "'a'"),
-        (1, [[0, 0, 0, "1"], [0, 0, 0, "2"]],
+    @pytest.mark.parametrize("fields, match", [
+        ({"dim": "two"}, "'two'"),
+        ({"constants": [["a", 0, 0, "1"]]}, "'a'"),
+        ({"constants": [[0, 0, 0, "1"], [0, 0, 0, "2"]]},
          r"constants\[1\]: .* already given at constants\[0\]"),
-        (1.9, [], "dim must be an integer, not 1.9"),
-        (True, [], "dim must be an integer, not True"),
-        (1, [[0.9, 0, 0, "1"]], r"constants\[0\] index .* not 0.9"),
+        ({"dim": 1.9}, "dim must be an integer, not 1.9"),
+        ({"dim": True}, "dim must be an integer, not True"),
+        ({"constants": [[0.9, 0, 0, "1"]]},
+         r"constants\[0\] index .* not 0.9"),
+        ({"conjugation": 5}, "conjugation must be null or a list of lists"),
+        ({"basis": [["e"]]}, "basis must be a list of strings"),
+        ({"dim": 2, "basis": "ab"}, "basis must be a list of strings"),
+        ({"dim": 65, "basis": [f"e{i}" for i in range(65)]},
+         "dim 65 is above the limit of 64"),
+        ({"name": "\ud800"}, "name is not UTF-8 text"),
+        ({"basis": ["\udfff"]}, r"basis\[0\] is not UTF-8 text"),
     ], ids=["dim", "index", "duplicate", "dim-float", "dim-bool",
-            "index-float"])
-    def test_malformed_spec(self, dim, entries, match):
-        data = {"name": "bad", "dim": dim, "field": "Q", "basis": ["e"],
-                "constants": entries}
+            "index-float", "conjugation-int", "basis-nested", "basis-string",
+            "dim-cap", "name-surrogate", "basis-surrogate"])
+    def test_malformed_spec(self, fields, match):
+        data = {"name": "bad", "dim": 1, "field": "Q", "basis": ["e"],
+                "constants": [], **fields}
         with pytest.raises(SpecFormatError, match=match):
             load(data)
 
@@ -320,6 +386,15 @@ class TestSpecFormat:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(SpecFormatError, match="not UTF-8"):
             load_file(str(path))
+        with pytest.raises(SpecFormatError):
+            load_file(str(tmp_path))
+        for fields in ({"conjugation": 5}, {"basis": [["e"]]},
+                       {"dim": 2, "basis": "ab"}):
+            data = {"name": "bad", "dim": 1, "field": "Q", "basis": ["e"],
+                    "constants": [], **fields}
+            path.write_text(json.dumps(data), encoding="utf-8")
+            with pytest.raises(SpecFormatError, match="must be"):
+                load_file(str(path))
 
     def test_basis_length_mismatch(self):
         data = {"name": "bad", "dim": 2, "field": "Q", "basis": ["e"],

@@ -1,9 +1,14 @@
 """Command line driver: grammar, exit codes, formats, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nalab import cli
 from nalab.cli_io import parse_structured, run_capture
 
 
@@ -118,20 +123,26 @@ class TestErrors:
         assert "must be at least 1" in capsys.readouterr().err
 
     def test_malformed_file(self, tmp_path, capsys):
-        def spec(dim, entries):
-            return json.dumps({"name": "bad", "dim": dim, "field": "Q",
-                               "basis": ["e"], "constants": entries}).encode()
+        def spec(**fields):
+            return json.dumps({"name": "bad", "dim": 1, "field": "Q",
+                               "basis": ["e"], "constants": [],
+                               **fields}).encode()
 
         bad = tmp_path / "bad.json"
-        for content in (b"{oops", b"\xff\xfe{}", spec("two", []),
-                        spec(1, [["a", 0, 0, "1"]]),
-                        spec(1, [[0, 0, 0, "1"], [0, 0, 0, "2"]]),
-                        spec(1.9, []), spec(True, []),
-                        spec(1, [[0.9, 0, 0, "1"]])):
+        for content in (b"{oops", b"\xff\xfe{}", spec(dim="two"),
+                        spec(constants=[["a", 0, 0, "1"]]),
+                        spec(constants=[[0, 0, 0, "1"], [0, 0, 0, "2"]]),
+                        spec(dim=1.9), spec(dim=True),
+                        spec(constants=[[0.9, 0, 0, "1"]]),
+                        spec(conjugation=5), spec(basis=[["e"]]),
+                        spec(dim=2, basis="ab"), spec(name="\ud800")):
             bad.write_bytes(content)
             code, _ = run("show", str(bad))
             assert code == 2, content
             assert "Traceback" not in capsys.readouterr().err
+        code, _ = run("show", str(tmp_path))
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestFileLoading:
@@ -171,6 +182,60 @@ class TestFileLoading:
             assert code in (0, 1)
             verdicts.add(parse_structured(out)["holds"])
         assert len(verdicts) == 1
+
+
+NEAR_VALID = {
+    "name": "pauli-free", "dim": 2, "field": "Q", "basis": ["e", "t"],
+    "constants": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                  [1, 1, 0, "1/2"]],
+    "conjugation": [["1", "0"], ["0", "-1"]],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["Q", "Q(sqrt 3)", "1", "-1/2", "1+1*sqrt3", "1/0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def mutated_specs(draw):
+    """NEAR_VALID with one field, one constant or one constant slot replaced
+    by an arbitrary JSON value (or removed), or raw bytes."""
+    fields = sorted(NEAR_VALID) + ["properties"]
+    kind = draw(st.sampled_from(fields + ["drop", "constant", "slot",
+                                          "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    data = json.loads(json.dumps(NEAR_VALID))
+    if kind in fields:
+        data[kind] = draw(json_values)
+    elif kind == "drop":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "constant":
+        data["constants"][draw(st.integers(0, 3))] = draw(json_values)
+    else:
+        data["constants"][draw(st.integers(0, 3))][draw(st.integers(0, 3))] \
+            = draw(json_values)
+    return json.dumps(data).encode()
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=mutated_specs())
+    def test_units_exits_0_or_2(self, tmp_path, content):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(content)
+        err = io.StringIO()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main(["units", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+        assert code in (0, 2), (content, err.getvalue())
 
 
 class TestStructuredDeterminism:

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab.exactmath import (ComplexScalar, DivisionByZeroError,
-                             FieldMismatchError, MultiPoly, QuadExt,
-                             format_scalar, parse_scalar, poly_rank,
-                             scalar_arith, scalar_is_zero, scalar_rank,
-                             span_membership, solve_affine, det)
+from nalab.exactmath import (DivisionByZeroError, FieldMismatchError,
+                             MultiPoly, QuadExt, format_scalar, parse_scalar,
+                             poly_rank, scalar_arith, scalar_is_zero,
+                             scalar_rank, span_membership, solve_affine, det)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -56,17 +55,6 @@ class TestScalarArith:
         assert q3(Fraction(1, 2), 0) == Fraction(1, 2)
         assert hash(q3(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
         assert q3(1, 1) != Fraction(1)
-
-
-class TestComplexScalar:
-    def test_product_and_conj(self):
-        i = ComplexScalar(q3(0), q3(1))
-        assert i * i == ComplexScalar(q3(-1), q3(0))
-        z = ComplexScalar(q3(1, 1), q3(0, 2))
-        w = z * z.conjugate()
-        assert w.is_real()
-        # |z|^2 = (1+sqrt3)^2 + (2 sqrt3)^2 = 4 + 2 sqrt3 + 12
-        assert w.re == q3(16, 2)
 
 
 class TestScalarText:
