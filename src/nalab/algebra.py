@@ -6,7 +6,8 @@ coordinate vectors over the scalar field, or over a multivariate polynomial
 ring for symbolic generic elements.  The module provides multiplication, the
 left/right multiplication operators, exact unit detection, evaluation of free
 polynomials, identity checking (symbolic and multilinear backends), subalgebra
-generation A(x), symbolic degree, and sampled division checks.
+generation A(x), symbolic degree, and division checks: an exact composition
+certificate where one exists, seeded sampling otherwise.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import engine
 from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
-                        scalar_rank, solve_affine, det, poly_rank)
+                        scalar_rank, scalar_sign, solve_affine, det,
+                        poly_rank)
 from .freealg import FreePoly, FreeTerm, UNIT, term_bidegree
 
 FIELD_Q = "Q"
@@ -55,6 +59,11 @@ class StructureAlgebra:
                         if field != FIELD_QSQRT3:
                             raise ValueError(
                                 "quadratic scalar in a rational algebra")
+                        # the engine and the division certificate read
+                        # every sqrt part as sqrt 3
+                        if c.d != 3:
+                            raise ValueError(
+                                f"sqrt {c.d} scalar in a Q(sqrt 3) algebra")
                         cell.append(c)
                     else:
                         cell.append(Fraction(c))
@@ -509,31 +518,68 @@ def degree(A: StructureAlgebra) -> int:
     return subalgebra_generated(A, A.generic_element()).dim
 
 
-def degree_sampled(A: StructureAlgebra, trials: int = 20,
-                   seed: int = 0) -> int:
-    """Sampling cross-check: max dim A(x) over random concrete elements."""
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        x = A.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                       for _ in range(A.dim)])
-        if x.is_zero():
-            continue
-        best = max(best, subalgebra_generated(A, x).dim)
-        if best == A.dim:
-            break
-    return best
+#: Hurwitz: a positive-definite q with M_x^T M_x = q(x)*I for all x exists
+#: only in these dimensions
+_COMPOSITION_DIMS = (1, 2, 4, 8)
 
 
-def division_sampled(A: StructureAlgebra, trials: int = 1000,
-                     seed: int = 0) -> DivisionReport:
-    """Check det L_x != 0 and det R_x != 0 on seeded random nonzero elements.
+def _composition_form(A: StructureAlgebra, side: str):
+    """The Gram matrix of q with M_x^T M_x = q(x)*I for every x, or None.
 
-    This is a falsifier, not a certificate: passing all trials is evidence,
-    not proof, that A has no zero divisors.
+    M_x is L_x (side "left") or R_x.  M_x^T M_x = sum_ij x_i x_j M_i^T M_j
+    with M_i = M_{b_i}, so it is q(x)*I for all x exactly when every block
+    M_i^T M_j + M_j^T M_i equals 2*q_ij*I.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    t = A.tensor()
+    C = engine._cast(t.parts, "o")
+    # (L_{b_i})_{kj} = c[i][j][k] and (R_{b_i})_{kj} = c[j][i][k]
+    spec = "iak,jbk->ijab" if side == "left" else "aik,bjk->ijab"
+    G = engine._field_product(lambda U, V: np.einsum(spec, U, V), C, C, t.d)
+    S = [g + g.transpose(1, 0, 2, 3) for g in G]
+    eye = np.eye(t.n, dtype=int)
+    if any(not np.array_equal(s, s[:, :, :1, :1] * eye) for s in S):
+        return None
+    denom = 2 * t.scale ** 2
+
+    def entry(i, j):
+        a = Fraction(int(S[0][i, j, 0, 0]), denom)
+        return a if len(S) == 1 else \
+            QuadExt(a, Fraction(int(S[1][i, j, 0, 0]), denom), t.d)
+
+    return [[entry(i, j) for j in range(t.n)] for i in range(t.n)]
+
+
+def _positive_definite(q) -> bool:
+    """Sylvester's criterion: every leading principal minor of q is > 0.
+
+    While row k of q keeps lead column k, the rows kept by Echelon stay in
+    the order added and its minor is the k-th leading principal minor.
+    """
+    ech = Echelon()
+    return all(ech.add(row) and ech.leads[k] == k and
+               scalar_sign(ech.minor) > 0 for k, row in enumerate(q))
+
+
+def _division_certified(A: StructureAlgebra) -> bool:
+    """Exact proof that L_x and R_x are invertible for every nonzero real x.
+
+    When M_x^T M_x = q(x)*I with q positive definite, det(M_x)^2 = q(x)^n
+    > 0 for x != 0 (the composition law of Hurwitz algebras, which also
+    covers isotopes f(x)g(y) with f and g orthogonal).  False means no proof
+    was found, not that A has zero divisors.
+    """
+    if A.dim not in _COMPOSITION_DIMS:
+        return False
+    for side in ("left", "right"):
+        q = _composition_form(A, side)
+        if q is None or not _positive_definite(q):
+            return False
+    return True
+
+
+def _sample_division(A: StructureAlgebra, trials: int,
+                     seed: int) -> DivisionReport:
+    """det L_x != 0 and det R_x != 0 on seeded random nonzero elements."""
     rng = random.Random(seed)
     for _ in range(trials):
         coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -546,3 +592,22 @@ def division_sampled(A: StructureAlgebra, trials: int = 1000,
             if scalar_is_zero(det(m)):
                 return DivisionReport(False, trials, seed, x)
     return DivisionReport(True, trials, seed)
+
+
+def division_sampled(A: StructureAlgebra, trials: int = 1000,
+                     seed: int = 0) -> DivisionReport:
+    """Is det L_x != 0 and det R_x != 0 on seeded random nonzero elements?
+
+    In dimensions 1, 2, 4 and 8 an exact composition certificate is tried
+    first: L_x^T L_x = q(x)*I and R_x^T R_x = q'(x)*I with q and q' positive
+    definite prove both operators invertible at every nonzero real x, so
+    every trial would pass and the report is returned without sampling.
+    Otherwise the trials run.  They are a falsifier, not a certificate:
+    passing all of them is evidence, not proof, that A has no zero
+    divisors.  The report is the same on either path.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if _division_certified(A):
+        return DivisionReport(True, trials, seed)
+    return _sample_division(A, trials, seed)

@@ -218,11 +218,6 @@ def sym_is_zero(s: SymVec) -> bool:
     return len(s.keys) == 0
 
 
-def unpack_key(key: int, nvars: int, bits: int) -> Tuple[int, ...]:
-    mask = (1 << bits) - 1
-    return tuple((int(key) >> (bits * i)) & mask for i in range(nvars))
-
-
 # ---------------------------------------------------------------------------
 # Word evaluation
 # ---------------------------------------------------------------------------

@@ -147,6 +147,21 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
+def scalar_sign(x: Scalar) -> int:
+    """Sign (-1, 0 or 1) of x under the real embedding with sqrt(d) > 0.
+
+    For a + b*sqrt(d) with a and b of opposite signs, the larger of a^2 and
+    d*b^2 decides, so no square root is ever evaluated.
+    """
+    if not isinstance(x, QuadExt):
+        return (x > 0) - (x < 0)
+    sa, sb = (x.a > 0) - (x.a < 0), (x.b > 0) - (x.b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    n = x.norm()
+    return sa if n > 0 else sb if n < 0 else 0
+
+
 def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
     """Exact field arithmetic with explicit error contract.
 

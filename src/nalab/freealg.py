@@ -364,13 +364,6 @@ def polarize_blocks(p: int, q: int, r: int, m: int) -> List[Tuple[str, str, str]
     return out
 
 
-def blocks_to_poly(blocks: Sequence[Tuple[str, str, str]]) -> FreePoly:
-    out = FreePoly()
-    for g1, g2, g3 in blocks:
-        out = out + associator(_BLOCK_POLY[g1], _BLOCK_POLY[g2], _BLOCK_POLY[g3])
-    return out
-
-
 def render_blocks(blocks: Sequence[Tuple[str, str, str]]) -> str:
     return " + ".join(
         "(" + ", ".join(_BLOCK_DISPLAY[g] for g in t) + ")" for t in blocks

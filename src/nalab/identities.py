@@ -376,13 +376,16 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
                      seed: int = 0, bound: int = 5) -> List[StatementCheck]:
     """Instance-level consistency of the division-algebra statements on A.
 
-    Hypotheses use exact unit/degree computations plus sampled division
-    evidence; a statement whose hypotheses fail is recorded as vacuous.  A
-    failing conclusion yields "violated" only when every hypothesis component
-    was decided exactly; statements resting on division evidence degrade to
-    "unresolved" instead, because sampled invertibility over Q or Q(sqrt 3)
-    does not certify a division algebra over the reals.  A "violated" verdict
-    must never occur (it would contradict this implementation first).
+    Hypotheses use exact unit/degree computations plus the division check
+    of ``division_sampled``: an exact composition certificate in dimensions
+    1, 2, 4 and 8 where one exists, seeded sampling otherwise.  A statement
+    whose hypotheses fail is recorded as vacuous.  A failing conclusion
+    yields "violated" only when every hypothesis component was decided
+    exactly; statements resting on division evidence degrade to
+    "unresolved" instead, whichever path decided it, because sampled
+    invertibility over Q or Q(sqrt 3) does not certify a division algebra
+    over the reals.  A "violated" verdict must never occur (it would
+    contradict this implementation first).
     """
     units = find_units(A)
     division = division_sampled(A, trials=trials, seed=seed)

@@ -1,18 +1,20 @@
 """Structure-constant algebras: products, operators, units, identity checks,
-subalgebras, degree and sampled division."""
+subalgebras, degree and division (certificate and sampling)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab.algebra import (FIELD_Q, Element, StructureAlgebra, degree,
-                           degree_sampled, division_sampled, eval_free_poly,
-                           find_units, identity_holds, mult_operator,
-                           multiply, subalgebra_generated)
-from nalab.catalog import catalog_algebra, classical
-from nalab.exactmath import poly_rank
+from nalab import algebra
+from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
+                           StructureAlgebra, degree, division_sampled,
+                           eval_free_poly, find_units, identity_holds,
+                           mult_operator, multiply, subalgebra_generated)
+from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
+from nalab.exactmath import QuadExt, det, poly_rank
 from nalab.freealg import FreePoly, associator, pqr_associator
 
 H = classical("H").algebra
@@ -26,7 +28,74 @@ def zero_algebra(n=2):
     return StructureAlgebra("Z", n, FIELD_Q, consts)
 
 
+def table_algebra(name, n, product):
+    """Algebra over Q with b_i * b_j = sum_k product(i, j, k) b_k."""
+    consts = [[[Fraction(product(i, j, k)) for k in range(n)]
+               for j in range(n)] for i in range(n)]
+    return StructureAlgebra(name, n, FIELD_Q, consts)
+
+
+def flipped_H():
+    """H with the sign of the one constant i*j = k flipped."""
+    return table_algebra("H-flip", 4, lambda i, j, k: -H.constants[i][j][k]
+                         if (i, j, k) == (1, 2, 3) else H.constants[i][j][k])
+
+
+def g_isotope_H():
+    """x o y = g(x) y in H with g = 1 + sqrt3 * conj, so that L_x^T L_x =
+    |g(x)|^2 I has the form diag(4 + 2 sqrt3, 4 - 2 sqrt3, ...)."""
+    consts = [[[H.constants[i][j][k] + QuadExt(0, 1) * SH.constants[i][j][k]
+                for k in range(4)] for j in range(4)] for i in range(4)]
+    return StructureAlgebra("g(x)y", 4, FIELD_QSQRT3, consts)
+
+
+#: algebras of dimension 1, 2, 4 or 8 without a composition certificate:
+#: zero (q = 0), x*y = x_0 y (left form x_0^2, singular), componentwise
+#: D8 (no scalar blocks), H with one sign flipped, and the division
+#: algebras f(x)y of H with f = diag(2, 1, 1, 1) or f = g above, in which
+#: L_x composes and R_x does not (for g, only the sqrt 3 part of the R
+#: blocks is not scalar)
+UNCERTIFIED = {
+    "zero": zero_algebra(),
+    "x0y": table_algebra("x0y", 2, lambda i, j, k: i == 0 and j == k),
+    "D8": table_algebra("D8", 8, lambda i, j, k: i == j == k),
+    "H-flip": flipped_H(),
+    "f(x)y": table_algebra("f(x)y", 4, lambda i, j, k:
+                           (2 if i == 0 else 1) * H.constants[i][j][k]),
+    "g(x)y": g_isotope_H(),
+}
+
+
+def degree_sampled(A, trials=20, seed=0):
+    """Oracle: max dim A(x) over seeded random concrete elements."""
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        x = A.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                       for _ in range(A.dim)])
+        if x.is_zero():
+            continue
+        best = max(best, subalgebra_generated(A, x).dim)
+        if best == A.dim:
+            break
+    return best
+
+
+def power(v, n):
+    out = Fraction(1)
+    for _ in range(n):
+        out = v * out
+    return out
+
+
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestConstruction:
+    def test_rejects_other_quadratic_field(self):
+        # a sqrt 5 constant would be read as sqrt 3 by the integer kernels
+        with pytest.raises(ValueError, match="sqrt 5"):
+            StructureAlgebra("Q5", 1, FIELD_QSQRT3, [[[QuadExt(0, 1, 5)]]])
 
 
 class TestMultiply:
@@ -309,3 +378,57 @@ class TestDivision:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             division_sampled(H, trials=0)
+
+
+class TestDivisionCertificate:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog_certified_and_sampler_agrees(self, name):
+        # 50 seed-0 trials are a prefix of the streams criteria 5, 7 and 8
+        # draw
+        A = catalog_algebra(name)
+        assert algebra._division_certified(A)
+        assert algebra._sample_division(A, 50, 0) == \
+            DivisionReport(True, 50, 0)
+
+    @given(name=st.sampled_from(CATALOG_NAMES), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_det_squared_is_form_power(self, name, data):
+        """det(M_x)^2 = q(x)^n exactly, for M = L and M = R."""
+        A = catalog_algebra(name)
+        x = data.draw(st.lists(fracs, min_size=A.dim, max_size=A.dim)
+                      .filter(any))
+        for side in ("left", "right"):
+            q = algebra._composition_form(A, side)
+            qx = sum((q[i][j] * x[i] * x[j] for i in range(A.dim)
+                      for j in range(A.dim)), Fraction(0))
+            d = det(mult_operator(A, A.element(x), side))
+            assert d * d == power(qx, A.dim), side
+
+    @given(data=st.data(), n=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_positive_definite_matches_leading_minors(self, data, n):
+        """Oracle: Sylvester's criterion with one det per leading block."""
+        entries = st.sampled_from([Fraction(v) for v in (-1, 0, 1, 2)])
+        q = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                q[i][j] = q[j][i] = data.draw(entries)
+        expect = all(det([row[:k] for row in q[:k]]) > 0
+                     for k in range(1, n + 1))
+        assert algebra._positive_definite(q) == expect
+
+    @pytest.mark.parametrize("name", UNCERTIFIED)
+    def test_rejects_and_falls_back_to_sampler(self, name):
+        A = UNCERTIFIED[name]
+        assert not algebra._division_certified(A)
+        for trials, seed in ((1, 0), (50, 0), (50, 3)):
+            assert division_sampled(A, trials, seed) == \
+                algebra._sample_division(A, trials, seed)
+
+    @pytest.mark.parametrize("name", ["f(x)y", "g(x)y"])
+    def test_one_sided_composition_is_not_a_proof(self, name):
+        A = UNCERTIFIED[name]
+        q = algebra._composition_form(A, "left")
+        assert q is not None and algebra._positive_definite(q)
+        assert algebra._composition_form(A, "right") is None
+        assert division_sampled(A, 50, 0).all_invertible

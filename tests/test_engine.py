@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nalab import engine
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
@@ -37,6 +39,12 @@ def random_algebra(dim, seed, span=3, field=FIELD_Q):
     return StructureAlgebra(f"rand{seed}", dim, field, consts)
 
 
+def unpack_key(key, nvars, bits):
+    """Exponent vector of a packed key, bits bits per variable."""
+    mask = (1 << bits) - 1
+    return tuple((int(key) >> (bits * i)) & mask for i in range(nvars))
+
+
 def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
     """Unpack a kernel value into exact MultiPoly coordinates."""
     n = A.dim
@@ -45,7 +53,7 @@ def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
     for k in range(n):
         terms = {}
         for idx, key in enumerate(sv.keys):
-            exps = engine.unpack_key(int(key), sv.nvars, sv.bits)
+            exps = unpack_key(key, sv.nvars, sv.bits)
             a = Fraction(int(sv.parts[0][idx][k])) / scale
             b = Fraction(0) if len(sv.parts) == 1 else \
                 Fraction(int(sv.parts[1][idx][k])) / scale
@@ -84,6 +92,17 @@ WORDS = [
 ]
 
 
+#: (word, largest dimension) pairs: the MultiPoly route costs up to about
+#: 0.5 s per evaluation at these sizes
+RANDOM_WORDS = [
+    (("x", "y"), 16),
+    (("x", "x"), 16),
+    ((("x", "x"), "y"), 8),
+    ((("x", "y"), ("y", "x")), 4),
+    (WORDS[3], 3),
+]
+
+
 def left_power(degree):
     word = "x"
     for _ in range(degree - 1):
@@ -104,6 +123,26 @@ class TestSymbolicKernel:
         assert (groups["x"].keys.dtype == object) == (2 * n * bits > 64)
         ctx = engine.SymContext(A.tensor(), groups)
         got = sym_to_poly_vector(ctx.eval_term(word), A)
+        assignment = {"x": A.generic_element(nvars=2 * n, offset=0),
+                      "y": A.generic_element(nvars=2 * n, offset=n)}
+        expect = eval_free_poly(A, FreePoly.term(word), assignment)
+        assert got == list(expect.coords)
+
+    # bits 2 packs 32 variables into exactly 64 bits; 4 and 11 go past it
+    @given(dim=st.integers(1, 16), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           bits=st.sampled_from((2, 4, 11)), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_random_algebras_match_multipoly(self, dim, seed, field, bits,
+                                             data):
+        word = data.draw(st.sampled_from(
+            [w for w, top in RANDOM_WORDS if dim <= top]))
+        A = random_algebra(dim, seed, field=field)
+        n = A.dim
+        groups = {v: engine.SymVec.generic(n, 2 * n, bits, gi * n)
+                  for gi, v in enumerate(("x", "y"))}
+        got = sym_to_poly_vector(
+            engine.SymContext(A.tensor(), groups).eval_term(word), A)
         assignment = {"x": A.generic_element(nvars=2 * n, offset=0),
                       "y": A.generic_element(nvars=2 * n, offset=n)}
         expect = eval_free_poly(A, FreePoly.term(word), assignment)

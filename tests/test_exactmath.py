@@ -1,16 +1,18 @@
 """Exact scalar arithmetic, polynomials and exact linear algebra."""
 
 import itertools
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nalab.exactmath import (DivisionByZeroError, FieldMismatchError,
                              MultiPoly, QuadExt, format_scalar, parse_scalar,
                              poly_rank, scalar_arith, scalar_is_zero,
-                             scalar_rank, span_membership, solve_affine, det)
+                             scalar_rank, scalar_sign, span_membership,
+                             solve_affine, det)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -55,6 +57,33 @@ class TestScalarArith:
         assert q3(Fraction(1, 2), 0) == Fraction(1, 2)
         assert hash(q3(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
         assert q3(1, 1) != Fraction(1)
+
+
+def decimal_sign(a, b, d=3):
+    """Oracle: sign of a + b*sqrt(d) evaluated to 100 decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        val = (Decimal(a.numerator) / a.denominator
+               + Decimal(b.numerator) / b.denominator * Decimal(d).sqrt())
+    return (val > 0) - (val < 0)
+
+
+class TestScalarSign:
+    # 97 - 56*sqrt3 ~ 0.0052 and 1351/780 - sqrt3 ~ 2.8e-7 nearly cancel
+    @given(a=st.fractions(max_denominator=10 ** 6) | st.just(Fraction(0)),
+           b=st.fractions(max_denominator=10 ** 6) | st.just(Fraction(0)))
+    @example(a=Fraction(0), b=Fraction(0))
+    @example(a=Fraction(0), b=Fraction(-2))
+    @example(a=Fraction(-5), b=Fraction(0))
+    @example(a=Fraction(97), b=Fraction(-56))
+    @example(a=Fraction(-97), b=Fraction(56))
+    @example(a=Fraction(1351, 780), b=Fraction(-1))
+    @example(a=Fraction(-1351, 780), b=Fraction(1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_decimal(self, a, b):
+        assert scalar_sign(q3(a, b)) == decimal_sign(a, b)
+        if b == 0:
+            assert scalar_sign(a) == decimal_sign(a, b)
 
 
 class TestScalarText:

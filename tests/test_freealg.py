@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nalab.freealg import (DEGREE4_WORDS, FreePoly, TableRowError,
-                           UnitModeError, associator, blocks_to_poly,
-                           commutator, degree4_consequences, enumerate_trees,
+                           UnitModeError, associator, commutator,
+                           degree4_consequences, enumerate_trees,
                            golden_row_is_misprinted, golden_rows,
                            golden_table, golden_table_corrected, jordan,
                            mul_term, polarize, polarize_blocks,
@@ -22,6 +22,18 @@ Y = FreePoly.var("y")
 XX = FreePoly.term(("x", "x"))
 
 ALL_TRIPLES = list(itertools.product((1, 2), repeat=3))
+
+#: the grading blocks of (x + y)^p, built here independently of freealg
+BLOCK_POLY = {"x": X, "y": Y, "xx": XX, "yy": FreePoly.term(("y", "y")),
+              "xoy": X * Y + Y * X}
+
+
+def blocks_to_poly(blocks):
+    """Oracle: the sum of the associators of the named blocks."""
+    out = FreePoly()
+    for g1, g2, g3 in blocks:
+        out = out + associator(BLOCK_POLY[g1], BLOCK_POLY[g2], BLOCK_POLY[g3])
+    return out
 
 
 def trees(depth):

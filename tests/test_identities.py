@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from nalab.algebra import FIELD_Q, StructureAlgebra, identity_holds
+from nalab import algebra
+from nalab.algebra import (FIELD_Q, StructureAlgebra, division_sampled,
+                           identity_holds, mult_operator)
 from nalab.catalog import _cd_mul, catalog_algebra
+from nalab.exactmath import det
 from nalab.freealg import polarize
 from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, check_pqr,
                               hierarchy_report, predicate, verify_instances,
@@ -274,3 +277,13 @@ class TestSedenions:
     def test_power_commutative(self, sedenions):
         res = predicate(sedenions, "power_commutative", bound=5)
         assert res.value and res.mode == "bounded(5)"
+
+    def test_certificate_rejects_zero_divisor_sampler_misses(self, sedenions):
+        x = sedenions.basis_element(1) + sedenions.basis_element(10)
+        assert det(mult_operator(sedenions, x, "left")) == 0
+        assert not algebra._division_certified(sedenions)
+        assert division_sampled(sedenions, trials=20).all_invertible
+
+    def test_statements_never_violated(self, sedenions):
+        checks = verify_instances(sedenions, trials=20, bound=4)
+        assert all(c.verdict != "violated" for c in checks)
