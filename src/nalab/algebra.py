@@ -531,10 +531,14 @@ def _composition_form(A: StructureAlgebra, side: str):
     M_i^T M_j + M_j^T M_i equals 2*q_ij*I.
     """
     t = A.tensor()
-    C = engine._cast(t.parts, "o")
-    # (L_{b_i})_{kj} = c[i][j][k] and (R_{b_i})_{kj} = c[j][i][k]
-    spec = "iak,jbk->ijab" if side == "left" else "aik,bjk->ijab"
-    G = engine._field_product(lambda U, V: np.einsum(spec, U, V), C, C, t.d)
+    n = t.n
+    # (L_{b_i})_{kj} = c[i][j][k] and (R_{b_i})_{kj} = c[j][i][k]; the rows
+    # of M are (i, a) with M[(i, a), k] = (M_{b_i})_{ka}
+    M = [(c if side == "left" else c.transpose(1, 0, 2)).reshape(n * n, n)
+         for c in engine._cast(t.parts, "o")]
+    # G[i, j, a, b] = (M_i^T M_j)_{ab} = sum_k M[(i, a), k] M[(j, b), k]
+    G = [g.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+         for g in engine._field_product(M, [m.T for m in M], t.d)]
     S = [g + g.transpose(1, 0, 2, 3) for g in G]
     eye = np.eye(t.n, dtype=int)
     if any(not np.array_equal(s, s[:, :, :1, :1] * eye) for s in S):

@@ -268,11 +268,22 @@ def _spec_field_d(field_tag: str) -> int:
     raise SpecFormatError(f"unknown field tag {field_tag!r}")
 
 
+def _field_scalar(text: str, field_tag: str, what: str):
+    """A scalar of the file's field, parsed; anything else is malformed."""
+    try:
+        val = parse_scalar(text, _spec_field_d(field_tag))
+    except ValueError as exc:
+        raise SpecFormatError(f"{what}: {exc}") from exc
+    if isinstance(val, QuadExt) and field_tag == FIELD_Q:
+        raise SpecFormatError(f"{what}: sqrt scalar in a rational algebra")
+    return val
+
+
 def load(spec) -> StructureAlgebra:
     """Build an algebra from an AlgebraSpec or its JSON dictionary."""
     if isinstance(spec, dict):
         spec = spec_from_dict(spec)
-    d = _spec_field_d(spec.field)
+    _spec_field_d(spec.field)
     n = spec.dim
     if n < 1:
         raise SpecFormatError("dim must be >= 1")
@@ -292,14 +303,7 @@ def load(spec) -> StructureAlgebra:
                 f"constants[{pos}]: [{i}, {j}, {k}] already given at "
                 f"constants[{first_pos[i, j, k]}]")
         first_pos[i, j, k] = pos
-        try:
-            val = parse_scalar(s, d)
-        except ValueError as exc:
-            raise SpecFormatError(f"constants[{pos}]: {exc}") from exc
-        if isinstance(val, QuadExt) and spec.field == FIELD_Q:
-            raise SpecFormatError(
-                f"constants[{pos}]: sqrt scalar in a rational algebra")
-        constants[i][j][k] = val
+        constants[i][j][k] = _field_scalar(s, spec.field, f"constants[{pos}]")
     return StructureAlgebra(spec.name, n, spec.field, constants, spec.basis)
 
 
@@ -359,7 +363,14 @@ def spec_from_dict(data: dict) -> AlgebraSpec:
                 and all(isinstance(row, list) for row in conj)):
             raise SpecFormatError(
                 f"conjugation must be null or a list of lists, not {conj!r}")
+        if len(conj) != dim or any(len(row) != dim for row in conj):
+            raise SpecFormatError(
+                f"conjugation must be a {dim} x {dim} matrix, not "
+                f"{len(conj)} rows of lengths {[len(r) for r in conj]}")
         conj = [[str(x) for x in row] for row in conj]
+        for r, row in enumerate(conj):
+            for c, x in enumerate(row):
+                _field_scalar(x, field_tag, f"conjugation[{r}][{c}]")
     return AlgebraSpec(_text(str(name), "name"), dim, str(field_tag), basis,
                        consts, conj, data.get("properties"))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,23 +26,35 @@ _INT64_LIMIT = 1 << 62
 _FLOAT_EXACT = 1 << 52
 
 
-def _field_product(op: Callable, A: Tuple, B: Tuple, d: int) -> Tuple:
-    """op on part tuples by the rule (a, b)(a', b') = (aa' + d*bb', ab' + ba').
+def _field_product(A: Tuple, B: Tuple, d: int) -> Tuple:
+    """Matrix product of part tuples by the rule (a, b)(a', b') =
+    (aa' + d*bb', ab' + ba'): A's parts are (m, k) and B's (k, p) matrices.
 
-    op is any bilinear array operation.  A missing sqrt(d) part is zero, so
-    the result has one exactly when a factor has one.
+    A missing sqrt(d) part is zero, so the result has one exactly when a
+    factor has one.  When both factors have one, the rule is a single
+    product of blocks, [[a, d*b], [b, a]] @ [a'; b'], whose rows sum the
+    same terms as the rule (so every bound on the rule bounds its partial
+    sums) with no pass over the result to combine parts.
     """
-    out = {}
-    for i, P in enumerate(A):
-        for j, Q in enumerate(B):
-            Z = op(P, Q) * d if i and j else op(P, Q)
-            out[i ^ j] = out[i ^ j] + Z if i ^ j in out else Z
-    return tuple(out.values())
+    if len(A) == 2 and len(B) == 2:
+        a, b = A
+        out = np.block([[a, b * d], [b, a]]) @ np.concatenate(B)
+        return out[:len(a)], out[len(a):]
+    return tuple(P @ Q for P in A for Q in B)
 
 
 def _max_abs(parts) -> int:
     """Largest entry magnitude over all parts, at least 1."""
-    return max([1] + [int(np.abs(p).max()) for p in parts if p.size])
+    return max([1] + [max(int(p.max()), -int(p.min()))
+                      for p in parts if p.size])
+
+
+def _tier(bound: int) -> str:
+    """The dtype kind that holds exact integers of magnitude below bound:
+    "f" (float64) below 2^52, "i" (int64) below 2^62, "o" (object) beyond.
+    The kinds order as strings: "f" < "i" < "o"."""
+    return "f" if bound < _FLOAT_EXACT else \
+        "i" if bound < _INT64_LIMIT else "o"
 
 
 def _padded(parts, width: int) -> Tuple:
@@ -52,11 +64,13 @@ def _padded(parts, width: int) -> Tuple:
 
 
 def _to_kind(arr, kind: str):
-    """Convert an exact integer-valued array between float64/int64/object."""
-    if kind == "f":
-        return arr if arr.dtype == np.float64 else arr.astype(np.float64)
-    if kind == "i":
-        return arr.astype(np.int64) if arr.dtype == np.float64 else arr
+    """Convert an exact integer-valued array between float64/int64/object.
+
+    The caller's bound guarantees that the entries fit the target kind.
+    """
+    if kind != "o":
+        dtype = np.float64 if kind == "f" else np.int64
+        return arr if arr.dtype == dtype else arr.astype(dtype)
     # object: floats hold exact ints < 2^52, so the round trip is exact
     if arr.dtype == np.float64:
         return arr.astype(np.int64).astype(object)
@@ -180,17 +194,18 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
         else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
     kind = "o" if bound >= _INT64_LIMIT else "i"
-    # uC[p, j, k] = sum_i u[p, i] C[i, j, k]
-    uC = _field_product(
-        lambda U, C: np.dot(U, C.reshape(n, n * n)).reshape(len(U), n, n),
-        _cast(u.parts, kind), _cast(t.parts, kind), t.d)
-    # out[p, q, k] = sum_j uC[p, j, k] v[q, j]
+    # uC[p, (j, k)] = sum_i u[p, i] C[i, j, k]
+    uC = _field_product(_cast(u.parts, kind),
+                        [C.reshape(n, n * n) for C in _cast(t.parts, kind)],
+                        t.d)
+    # out[q, (p, k)] = sum_j v[q, j] uC[p, j, k]
     out = _field_product(
-        lambda W, V: np.moveaxis(np.tensordot(W, V, axes=([1], [1])), 2, 1),
-        uC, _cast(v.parts, kind), t.d)
-    keys = (u.keys[:, None] + v.keys[None, :]).reshape(-1)
+        _cast(v.parts, kind),
+        [np.moveaxis(W.reshape(P, n, n), 1, 0).reshape(n, P * n) for W in uC],
+        t.d)
+    keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
     return SymVec(u.nvars, u.bits, degrees, dp,
-                  *_aggregate(keys, [o.reshape(P * Q, n) for o in out], n))
+                  *_aggregate(keys, [o.reshape(Q * P, n) for o in out], n))
 
 
 def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
@@ -277,6 +292,13 @@ def _leaf_labels(term: FreeTerm) -> List[str]:
     return _leaf_labels(term[0]) + _leaf_labels(term[1])
 
 
+def _leaf_slots(term: FreeTerm) -> Tuple[List[int], List[int]]:
+    """Positions of the x leaves and of the y leaves among term's leaves."""
+    labels = _leaf_labels(term)
+    return ([i for i, s in enumerate(labels) if s == X],
+            [i for i, s in enumerate(labels) if s == Y])
+
+
 def _symmetrize_axes(arr, start: int, count: int):
     """Sum over all permutations of axes [start, start+count), incrementally.
 
@@ -300,9 +322,12 @@ class MultilinearEngine:
     For a word with k variable leaves the unsymmetrized tensor has axes
     (leaf_1 .. leaf_k, out); the full multilinearization of a homogeneous
     polynomial is the sum over all assignments of distinct slot labels to
-    equal-variable leaves, realized as axis-permuted sums.  Arrays hold exact
-    integers: float64 while a rigorous bound stays below 2^52 (so BLAS paths
-    stay exact), int64 below 2^62, big-int objects beyond.
+    equal-variable leaves, realized as axis-permuted sums.  The product is
+    bilinear, so the words of a polynomial that share a left factor L cost
+    one contraction L * (sum of c * R), and top-level words are never built.
+    Arrays hold exact integers: float64 while a rigorous bound stays below
+    2^52 (so BLAS paths stay exact), int64 below 2^62, big-int objects
+    beyond.
     """
 
     #: cache word tensors only up to this many variable leaves; larger ones
@@ -313,93 +338,131 @@ class MultilinearEngine:
         self.t = tensor
         self.cache: Dict[FreeTerm, Tuple] = {}
 
+    def _contract(self, L, lmax: int, R, rmax: int) -> Tuple:
+        """(parts, bound): the product tensor of the part tuples L and R,
+        each with its output axis last, with axes (L's leaf axes..., R's
+        leaf axes..., out).
+
+        lmax and rmax bound the entries of L and R.  bound = n^2 * lmax *
+        rmax * max|C|, times (1 + d)^2 when a sqrt(d) part is present, is a
+        rigorous bound on every entry and every intermediate partial sum;
+        the dtype comes from it, so float64 is used only where it is exact.
+        """
+        t = self.t
+        n = t.n
+        fold = (1 + t.d) ** 2 if max(map(len, (L, R, t.parts))) > 1 else 1
+        bound = n * n * lmax * rmax * t.max_abs * fold
+        kind = _tier(bound)
+        L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
+        nl, nr = L[0].ndim - 1, R[0].ndim - 1
+        # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's leaf axes
+        V = _field_product([p.reshape(-1, n) for p in R],
+                           [c.transpose(1, 0, 2).reshape(n, n * n)
+                            for c in C], t.d)
+        # out[l, (r, k)] = sum_i L[l, i] V[r, i, k]
+        out = _field_product(
+            [p.reshape(-1, n) for p in L],
+            [np.moveaxis(v.reshape(-1, n, n), 1, 0).reshape(n, -1) for v in V],
+            t.d)
+        return tuple(o.reshape((n,) * (nl + nr + 1)) for o in out), bound
+
     def word_tensor(self, term: FreeTerm):
         """(*parts, max_abs) with axes = leaves in left-to-right order + out.
 
         max_abs is the measured magnitude maximum of the exact result; the
         dtype for each node is chosen from a rigorous bound derived from the
-        children's measured maxima, so float64 is used only while every
-        intermediate partial sum stays below 2^52.
+        children's measured maxima (see _contract).
         """
         got = self.cache.get(term)
         if got is not None:
             return got
-        t = self.t
-        n = t.n
         if isinstance(term, str):
             if term == UNIT:
                 raise ValueError(
                     "unit leaves are not supported by the multilinear backend")
-            res = (np.eye(n, dtype=np.float64), 1)
+            res = (np.eye(self.t.n, dtype=np.float64), 1)
         else:
             *L, lmax = self.word_tensor(term[0])
             *R, rmax = self.word_tensor(term[1])
-            fold = (1 + t.d) ** 2 if max(map(len, (L, R, t.parts))) > 1 \
-                else 1
-            bound = n * n * lmax * rmax * t.max_abs * fold
-            kind = "f" if bound < _FLOAT_EXACT else \
-                "i" if bound < _INT64_LIMIT else "o"
-            L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
-            nl = L[0].ndim - 1
-            # contract the left output axis with the first tensor index:
-            # axes (left leaves..., j, out)
-            step1 = _field_product(
-                lambda A, B: np.tensordot(A, B, axes=([nl], [0])), L, C, t.d)
-            # then j with the right output axis:
-            # axes (left leaves..., out, right leaves...)
-            step2 = _field_product(
-                lambda A, B: np.tensordot(A, B, axes=([nl], [B.ndim - 1])),
-                step1, R, t.d)
-            k = step2[0].ndim
-            perm = list(range(nl)) + list(range(nl + 1, k)) + [nl]
-            parts = [np.ascontiguousarray(np.transpose(p, perm))
-                     for p in step2]
+            parts, _ = self._contract(L, lmax, R, rmax)
             res = (*parts, _max_abs(parts))
         if isinstance(term, str) or res[0].ndim - 1 <= self._CACHE_LEAVES:
             self.cache[term] = res
         return res
+
+    def _summed_right(self, members) -> Tuple:
+        """(parts, max_abs) of the sum of c * R over the (c, R) members, each
+        R's axes aligned as (x leaves, y leaves, out).
+
+        The sum is exact in the dtype of its bound sum |c| * max R; its
+        maximum is then measured.
+        """
+        terms = []
+        for c, right in members:
+            *R, rmax = self.word_tensor(right)
+            xs, ys = _leaf_slots(right)
+            perm = xs + ys + [len(xs) + len(ys)]
+            terms.append((c, [np.transpose(p, perm) for p in R], rmax))
+        kind = _tier(sum(abs(c) * rmax for c, _, rmax in terms))
+        width = max(len(R) for _, R, _ in terms)
+        S = [sum(c * _to_kind(p, kind) for (c, _, _), p in zip(terms, col))
+             for col in zip(*(_padded(R, width) for _, R, _ in terms))]
+        return S, _max_abs(S)
 
     def multilinearization(self, poly: FreePoly):
         """Full multilinearization tensor of a bidegree-homogeneous poly.
 
         Axes: dx slots for the x-copies, then dy slots for the y-copies,
         then the output coordinate.  Returns (parts, dx, dy).
+
+        The words are grouped by their left factor L.  Per group the right
+        factors are summed with their coefficients, slots aligned, into one
+        small tensor R (see _summed_right); L * R is contracted once,
+        transposed into the slot order (x leaves of L, then of R, y leaves
+        of L, then of R, out) and added in place into the accumulator.  A
+        bare-leaf word has no left factor: its R is added as it is.  The
+        accumulator's dtype comes from the same rule as the word tensors,
+        applied to running * dx! * dy!.  running sums the groups'
+        contraction bounds; where that sum would raise the dtype, it is
+        replaced by the measured maxima of the accumulator and of the new
+        group.  Either way it bounds every partial sum of the accumulation
+        and of the symmetrization that follows.
         """
         bdegs = poly.bidegrees()
         if len(bdegs) != 1:
             raise ValueError("polynomial is not bidegree-homogeneous")
         dx, dy = next(iter(bdegs))
         denom = math.lcm(*(c.denominator for c in poly.terms.values()))
-        words = sorted(poly.terms.items(), key=lambda kv: str(kv[0]))
-        width = len(self.t.parts)
-        U: Tuple = ()
-        kind = "i"
+        groups: Dict[Optional[FreeTerm], List] = {}
+        for term, coeff in sorted(poly.terms.items(),
+                                  key=lambda kv: str(kv[0])):
+            left, right = (None, term) if isinstance(term, str) else term
+            groups.setdefault(left, []).append((int(coeff * denom), right))
+        slots = math.factorial(dx) * math.factorial(dy)
+        U = tuple(np.zeros((self.t.n,) * (dx + dy + 1))
+                  for _ in self.t.parts)
+        kind = "f"
         running = 0  # exact bound on the accumulated entries
-        for term, coeff in words:
-            fresh = term not in self.cache
-            *T, mx = self.word_tensor(term)
-            if fresh:
-                # top-level words of one polynomial are never reused: keep
-                # only their children (8 MB per 4-leaf word at dim 16)
-                self.cache.pop(term, None)
-            labels = _leaf_labels(term)
-            xs = [i for i, s in enumerate(labels) if s == X]
-            ys = [i for i, s in enumerate(labels) if s == Y]
-            if len(xs) != dx or len(ys) != dy:
-                raise AssertionError("bidegree bookkeeping broken")
-            perm = xs + ys + [len(labels)]
-            c = int(coeff * denom)
-            running += abs(c) * mx
-            if kind == "i" and running >= _INT64_LIMIT:
-                kind = "o"
+        for left, members in groups.items():
+            R, rmax = self._summed_right(members)
+            if left is None:
+                G, bound, perm = R, rmax, list(range(R[0].ndim))
+            else:
+                *L, lmax = self.word_tensor(left)
+                G, bound = self._contract(L, lmax, R, rmax)
+                xs, ys = _leaf_slots(left)
+                right = list(range(len(xs) + len(ys), G[0].ndim))
+                perm = xs + right[:dx - len(xs)] + ys + right[dx - len(xs):]
+            if _tier((running + bound) * slots) > kind:
+                # the bounds would raise the dtype: measure what they bound
+                running = _max_abs(U) + _max_abs(G)
+            else:
+                running += bound
+            if _tier(running * slots) > kind:
+                kind = _tier(running * slots)
                 U = _cast(U, kind)
-            T = _cast([np.ascontiguousarray(np.transpose(p, perm))
-                       for p in _padded(T, width)], kind)
-            U = tuple(u + p * c for u, p in zip(U, T)) if U else \
-                tuple(p * c for p in T)
-        if kind == "i" and \
-                running * math.factorial(dx) * math.factorial(dy) >= _INT64_LIMIT:
-            U = _cast(U, "o")
+            for u, g in zip(U, G):
+                u += _to_kind(np.transpose(g, perm), kind)
         # symmetrize over the x slots, then over the y slots
         S = tuple(_symmetrize_axes(_symmetrize_axes(p, 0, dx), dx, dy)
                   for p in U)

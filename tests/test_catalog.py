@@ -11,8 +11,9 @@ import pytest
 
 from nalab.algebra import find_units, identity_holds, multiply
 from nalab.catalog import (CATALOG_NAMES, SpecFormatError,
-                           catalog_algebra, classical, load, load_file,
-                           okubo, save, save_file, spec_from_dict)
+                           catalog_algebra, catalog_conjugation, classical,
+                           load, load_file, okubo, save, save_file,
+                           spec_from_dict)
 from nalab.exactmath import QuadExt, parse_scalar
 from nalab.freealg import FreePoly, associator
 
@@ -369,9 +370,25 @@ class TestSpecFormat:
          "dim 65 is above the limit of 64"),
         ({"name": "\ud800"}, "name is not UTF-8 text"),
         ({"basis": ["\udfff"]}, r"basis\[0\] is not UTF-8 text"),
+        ({"conjugation": [["zz", "1/0"], ["q"]]},
+         r"conjugation must be a 1 x 1 matrix, not 2 rows of lengths \[2, 1\]"),
+        ({"conjugation": [[]]}, "conjugation must be a 1 x 1 matrix"),
+        ({"conjugation": [["zz"]]},
+         r"conjugation\[0\]\[0\]: malformed scalar 'zz'"),
+        ({"conjugation": [["1/0"]]},
+         r"conjugation\[0\]\[0\]: zero denominator"),
+        ({"conjugation": [[None]]},
+         r"conjugation\[0\]\[0\]: malformed scalar 'None'"),
+        ({"conjugation": [["1+1*sqrt3"]]},
+         r"conjugation\[0\]\[0\]: sqrt scalar in a rational algebra"),
+        ({"conjugation": [["-1"]], "field": "F7"}, "unknown field tag 'F7'"),
     ], ids=["dim", "index", "duplicate", "dim-float", "dim-bool",
             "index-float", "conjugation-int", "basis-nested", "basis-string",
-            "dim-cap", "name-surrogate", "basis-surrogate"])
+            "dim-cap", "name-surrogate", "basis-surrogate",
+            "conjugation-shape", "conjugation-empty-row",
+            "conjugation-scalar", "conjugation-zero-denominator",
+            "conjugation-null-entry", "conjugation-sqrt-in-Q",
+            "conjugation-field"])
     def test_malformed_spec(self, fields, match):
         data = {"name": "bad", "dim": 1, "field": "Q", "basis": ["e"],
                 "constants": [], **fields}
@@ -389,7 +406,9 @@ class TestSpecFormat:
         with pytest.raises(SpecFormatError):
             load_file(str(tmp_path))
         for fields in ({"conjugation": 5}, {"basis": [["e"]]},
-                       {"dim": 2, "basis": "ab"}):
+                       {"dim": 2, "basis": "ab"},
+                       {"conjugation": [["zz", "1/0"], ["q"]]},
+                       {"conjugation": [["-1", "0"]]}):
             data = {"name": "bad", "dim": 1, "field": "Q", "basis": ["e"],
                     "constants": [], **fields}
             path.write_text(json.dumps(data), encoding="utf-8")
@@ -407,3 +426,18 @@ class TestSpecFormat:
         B = load(save(P))
         assert B.field == "Q(sqrt 3)"
         assert B.constants == P.constants
+
+    @pytest.mark.parametrize("name", ["R", "C", "H", "O"])
+    def test_conjugation_round_trip(self, name):
+        spec = save(catalog_algebra(name), catalog_conjugation(name))
+        back = spec_from_dict(json.loads(json.dumps(spec.to_json_dict())))
+        assert back.conjugation == spec.conjugation
+        assert load(back).constants == catalog_algebra(name).constants
+
+    def test_conjugation_entries_of_the_field(self):
+        data = {"name": "s", "dim": 1, "field": "Q(sqrt 3)", "basis": ["e"],
+                "constants": [[0, 0, 0, "1"]],
+                "conjugation": [["1/2-1/2*sqrt3"]]}
+        assert spec_from_dict(data).conjugation == [["1/2-1/2*sqrt3"]]
+        data.update(field="Q", conjugation=[[-1]])
+        assert spec_from_dict(data).conjugation == [["-1"]]

@@ -135,7 +135,10 @@ class TestErrors:
                         spec(dim=1.9), spec(dim=True),
                         spec(constants=[[0.9, 0, 0, "1"]]),
                         spec(conjugation=5), spec(basis=[["e"]]),
-                        spec(dim=2, basis="ab"), spec(name="\ud800")):
+                        spec(dim=2, basis="ab"), spec(name="\ud800"),
+                        spec(conjugation=[["zz", "1/0"], ["q"]]),
+                        spec(conjugation=[["1/0"]]),
+                        spec(conjugation=[["1+1*sqrt3"]])):
             bad.write_bytes(content)
             code, _ = run("show", str(bad))
             assert code == 2, content
@@ -159,6 +162,23 @@ class TestFileLoading:
         assert code == 0
         code, out = run("degree", str(path))
         assert code == 0 and "= 2" in out
+
+    @pytest.mark.parametrize("conjugation", [
+        [["zz", "1/0"], ["q"]], [["zz"]], [["1/0"]], [["1+1*sqrt3"]]],
+        ids=["shape", "scalar", "zero-denominator", "sqrt-in-Q"])
+    def test_malformed_conjugation(self, tmp_path, capsys, conjugation):
+        spec = {"name": "c", "dim": 1, "field": "Q", "basis": ["e"],
+                "constants": [[0, 0, 0, "1"]], "conjugation": conjugation}
+        path = tmp_path / "conj.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out = run("units", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "conjugation" in err and "Traceback" not in err
+        spec["conjugation"] = [["1"]]
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, _ = run("units", str(path))
+        assert code == 0
 
     def test_zero_denominator_constant(self, tmp_path):
         spec = {"name": "z", "dim": 1, "field": "Q", "basis": ["e"],

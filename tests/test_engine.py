@@ -3,10 +3,12 @@
 The symbolic kernel is compared with direct MultiPoly evaluation; the
 multilinear tensors are compared with an inclusion-exclusion oracle evaluated
 through ordinary algebra multiplication.  Both oracles share no code with the
-kernels they check.
+kernels they check.  The grouped multilinearization is also compared, entry
+for entry, with a per-word accumulation of full word tensors.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from nalab import engine
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
-    eval_free_poly
+    eval_free_poly, identity_holds
 from nalab.catalog import catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt
 from nalab.freealg import FreePoly, polarize, pqr_associator
@@ -342,3 +344,146 @@ class TestScaledTensor:
             b = c.b if isinstance(c, QuadExt) else Fraction(0)
             assert Fraction(int(t.parts[0][i, j, k]), t.scale) == a
             assert Fraction(int(t.parts[1][i, j, k]), t.scale) == b
+
+
+def per_word_multilinearization(A, poly):
+    """Oracle: the multilinearization accumulated one full word tensor per
+    top-level word, in exact big-int arithmetic.
+
+    Each word tensor is transposed into the slot order (x leaves, y leaves,
+    out), scaled by its cleared coefficient and added; the sum is then
+    symmetrized over the x slots and over the y slots.  Returns (parts, dx,
+    dy) like ``MultilinearEngine.multilinearization``, plus the per-word
+    bound dx! dy! * sum |c| * max|word| on every partial sum.
+    """
+    ml = engine.MultilinearEngine(A.tensor())
+    (dx, dy), = poly.bidegrees()
+    denom = math.lcm(*(c.denominator for c in poly.terms.values()))
+    width = len(ml.t.parts)
+    U = None
+    bound = 0
+    for term, coeff in poly.terms.items():
+        *T, mx = ml.word_tensor(term)
+        labels = engine._leaf_labels(term)
+        perm = [i for i, s in enumerate(labels) if s == "x"] + \
+            [i for i, s in enumerate(labels) if s == "y"] + [len(labels)]
+        c = int(coeff * denom)
+        bound += abs(c) * mx
+        T = [engine._to_kind(np.transpose(p, perm), "o") * c
+             for p in engine._padded(T, width)]
+        U = T if U is None else [u + p for u, p in zip(U, T)]
+    S = tuple(engine._symmetrize_axes(engine._symmetrize_axes(p, 0, dx),
+                                      dx, dy) for p in U)
+    return S, dx, dy, bound * math.factorial(dx) * math.factorial(dy)
+
+
+def assert_same_tensor(got, expect):
+    """got and expect are equal entry for entry (values, not dtypes)."""
+    (G, gx, gy), (E, ex, ey, _) = got, expect
+    assert (gx, gy) == (ex, ey)
+    assert len(G) == len(E)
+    for g, e in zip(G, E):
+        assert g.shape == e.shape
+        assert (engine._to_kind(g, "o") == e).all()
+
+
+def triple_polys(p, q, r):
+    """(key, poly): the identity (x^p, x^q, x^r) and its components f_m."""
+    pol = polarize(p, q, r)
+    return [(f"({p},{q},{r})", pqr_associator(p, q, r))] + \
+        [(f"({p}.{q}.{r}.{m})", pol.f(m)) for m in range(1, p + q + r)]
+
+
+#: every triple of degree <= 5 (all but (2,2,2))
+LOW_TRIPLES = [t for t in itertools.product((1, 2), repeat=3) if sum(t) <= 5]
+
+#: the kind letter of each dtype, as ``engine._tier`` names it
+KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i",
+         np.dtype(object): "o"}
+
+#: constant spans reaching every accumulator tier on random algebras:
+#: float64, int64 (from 2^10 on) and object (from 2^20 on)
+SPANS = (3, 2 ** 10, 2 ** 20, 10 ** 12)
+
+
+class TestGroupedMultilinearization:
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           span=st.sampled_from(SPANS), triple=st.sampled_from(LOW_TRIPLES))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_word_oracle(self, dim, seed, field, span, triple):
+        A = random_algebra(dim, seed, span=span, field=field)
+        for key, poly in triple_polys(*triple):
+            assert_same_tensor(A.ml_engine().multilinearization(poly),
+                               per_word_multilinearization(A, poly))
+
+    @pytest.mark.parametrize("field", (FIELD_Q, FIELD_QSQRT3))
+    def test_every_component_on_every_tier(self, field):
+        dtypes = set()
+        for span in SPANS:
+            A = random_algebra(2, seed=5, span=span, field=field)
+            for triple in LOW_TRIPLES:
+                for key, poly in triple_polys(*triple):
+                    got = A.ml_engine().multilinearization(poly)
+                    expect = per_word_multilinearization(A, poly)
+                    assert_same_tensor(got, expect)
+                    # never wider than the per-word bound asks for
+                    assert KINDS[got[0][0].dtype] <= \
+                        engine._tier(expect[3]), (span, key)
+                    dtypes.add(got[0][0].dtype)
+        assert dtypes == {np.dtype(np.float64), np.dtype(np.int64),
+                          np.dtype(object)}
+
+    @pytest.mark.parametrize("k", range(8, 16))
+    def test_accumulator_tier_on_loose_bounds(self, k):
+        # H scaled by 2^k: every product of basis elements is one basis
+        # element, so a contraction bound overstates the entries n^2 = 16
+        # times, and summed bounds alone would move the accumulator past
+        # the tier the per-word bound asks for at k = 11 and k = 13
+        H = catalog_algebra("H")
+        A = StructureAlgebra("sH", 4, FIELD_Q, [
+            [[c * 2 ** k for c in row] for row in plane]
+            for plane in H.constants])
+        for key, poly in triple_polys(1, 2, 2):
+            got = A.ml_engine().multilinearization(poly)
+            expect = per_word_multilinearization(A, poly)
+            assert_same_tensor(got, expect)
+            assert KINDS[got[0][0].dtype] <= engine._tier(expect[3]), key
+
+    @pytest.mark.parametrize("poly, groups", [
+        (polarize(2, 2, 2).f(1), 8),
+        (polarize(2, 2, 2).f(3), 18),
+        (pqr_associator(2, 2, 2), 2),
+    ], ids=["2.2.2.1", "2.2.2.3", "2,2,2"])
+    def test_one_contraction_per_left_factor(self, poly, groups,
+                                             monkeypatch):
+        # every factor of these words has at most 4 leaves, so a first pass
+        # caches them all and a second contracts only the groups
+        assert groups == len({term[0] for term in poly.terms})
+        H = catalog_algebra("H")
+        expect = per_word_multilinearization(H, poly)
+        ml = H.ml_engine()
+        ml.multilinearization(poly)
+        calls = []
+        contract = engine.MultilinearEngine._contract
+
+        def counting(self, *args):
+            calls.append(args)
+            return contract(self, *args)
+
+        monkeypatch.setattr(engine.MultilinearEngine, "_contract", counting)
+        assert_same_tensor(ml.multilinearization(poly), expect)
+        assert len(calls) == groups
+
+    @pytest.mark.parametrize("coeff", (1, 2))
+    @pytest.mark.parametrize("var", ("x", "y"))
+    def test_bare_leaf_identity(self, coeff, var):
+        # a bare variable has no left factor; c*x = 0 fails on both backends
+        H = catalog_algebra("H")
+        poly = FreePoly.var(var).scale(coeff)
+        S, dx, dy = H.ml_engine().multilinearization(poly)
+        assert (dx, dy) == ((1, 0) if var == "x" else (0, 1))
+        assert (S[0] == coeff * np.eye(4)).all()
+        for backend in ("symbolic", "multilinear"):
+            res = identity_holds(H, poly, backend)
+            assert not res.holds and res.witness, backend
