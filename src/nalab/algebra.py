@@ -6,8 +6,10 @@ coordinate vectors over the scalar field, or over a multivariate polynomial
 ring for symbolic generic elements.  The module provides multiplication, the
 left/right multiplication operators, exact unit detection, evaluation of free
 polynomials, identity checking (symbolic and multilinear backends), subalgebra
-generation A(x), symbolic degree, and division checks: an exact composition
-certificate where one exists, seeded sampling otherwise.
+generation A(x) by one pair closure (exact at a concrete element; at a generic
+element, run at one rational specialization and then certified over the
+function field), the degree max dim A(x), and division checks: an exact
+composition certificate where one exists, seeded sampling otherwise.
 """
 
 from __future__ import annotations
@@ -16,18 +18,25 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from . import engine
 from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
-                        scalar_rank, scalar_sign, solve_affine, det,
-                        poly_rank)
+                        scalar_sign, solve_affine, det, poly_rank)
 from .freealg import FreePoly, FreeTerm, UNIT, term_bidegree
 
 FIELD_Q = "Q"
 FIELD_QSQRT3 = "Q(sqrt 3)"
+
+BACKENDS = ("symbolic", "multilinear")
+
+
+def check_backend(backend: str) -> None:
+    """Raise ValueError unless backend names an identity-checking backend."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
 
 
 def _coord_is_zero(x) -> bool:
@@ -316,7 +325,12 @@ def eval_free_poly(A: StructureAlgebra, poly: FreePoly,
 # ---------------------------------------------------------------------------
 
 
-def _witness_candidates(A: StructureAlgebra, limit: int = 400):
+#: random elements after the basis sums and differences; callers take at
+#: most 120 candidates in all, so the stream never runs out
+_WITNESS_RANDOM = 400
+
+
+def _witness_candidates(A: StructureAlgebra):
     """Deterministic stream of small concrete elements for witness search."""
     n = A.dim
     for i in range(n):
@@ -326,7 +340,7 @@ def _witness_candidates(A: StructureAlgebra, limit: int = 400):
             yield A.basis_element(i) + A.basis_element(j)
             yield A.basis_element(i) - A.basis_element(j)
     rng = random.Random(12345)
-    for _ in range(limit):
+    for _ in range(_WITNESS_RANDOM):
         yield A.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
 
 
@@ -364,6 +378,7 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
     (valid in characteristic zero) and evaluates on all basis tuples.  Both
     report a concrete witness when the identity fails.
     """
+    check_backend(backend)
     if poly.is_zero():
         return HoldsResult(True, backend)
     if poly.contains_unit():
@@ -376,16 +391,14 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
             return HoldsResult(True, backend)
         witness = _find_witness(A, poly)
         return HoldsResult(False, backend, witness)
-    if backend == "multilinear":
-        ok, idx = A.ml_engine().check(poly)
-        if ok:
-            return HoldsResult(True, backend)
-        xs, ys = idx
-        witness = {"x_tuple": tuple(A.basis_element(i) for i in xs)}
-        if ys:
-            witness["y_tuple"] = tuple(A.basis_element(j) for j in ys)
-        return HoldsResult(False, backend, witness)
-    raise ValueError(f"unknown backend {backend!r}")
+    ok, idx = A.ml_engine().check(poly)
+    if ok:
+        return HoldsResult(True, backend)
+    xs, ys = idx
+    witness = {"x_tuple": tuple(A.basis_element(i) for i in xs)}
+    if ys:
+        witness["y_tuple"] = tuple(A.basis_element(j) for j in ys)
+    return HoldsResult(False, backend, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -393,128 +406,81 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
 # ---------------------------------------------------------------------------
 
 
-def _concrete_closure(A: StructureAlgebra, x: Element) -> SubalgebraResult:
-    basis: List[Element] = []
-    span = Echelon()
+def _pair_closure(A: StructureAlgebra, x: Element):
+    """Close span{x} under products of basis elements, by ``Echelon``.
 
-    def try_add(v: Element) -> bool:
-        if span.add(v.coords):
-            basis.append(v)
-            return True
-        return False
-
-    if x.is_zero():
-        return SubalgebraResult((), 0)
-    try_add(x)
-    while True:
-        grew = False
-        current = list(basis)
-        for u in current:
-            for v in current:
-                if len(basis) == A.dim:
-                    return SubalgebraResult(tuple(basis), len(basis))
-                if try_add(multiply(A, u, v)):
-                    grew = True
-        if not grew:
-            return SubalgebraResult(tuple(basis), len(basis))
-
-
-def _closure_points(A: StructureAlgebra, count: int = 4) -> List[List[Fraction]]:
-    rng = random.Random(9001)
-    pts = [[Fraction(1 + i) for i in range(A.dim)]]
-    while len(pts) < count:
-        p = [Fraction(rng.randint(-4, 4)) for _ in range(A.dim)]
-        if any(p):
-            pts.append(p)
-    return pts
-
-
-def _specialize(v: Element, point: Sequence[Fraction]) -> Element:
-    return Element(tuple(
-        c.evaluate(point) if isinstance(c, MultiPoly) else c
-        for c in v.coords))
-
-
-def _sym_member_of_span(cand: Element, basis: Sequence[Element]) -> bool:
-    """Membership over the function field: rank comparison by Bareiss."""
-    rows = [list(b.coords) for b in basis]
-    r0 = poly_rank(rows)
-    r1 = poly_rank(rows + [list(cand.coords)])
-    return r1 == r0
-
-
-def _generic_closure(A: StructureAlgebra, x: Element) -> SubalgebraResult:
-    """Span-closure at a symbolic element, exact over the function field.
-
-    Independence of a candidate is certified cheaply by exhibiting a rational
-    specialization where the rank grows (specialization can only drop rank);
-    only candidates that look dependent at every probe point are decided by
-    fraction-free elimination over the polynomial ring.
+    Each ordered pair (i, j) of basis indices is tested once.  Round by
+    round, the pairs of the basis as it stood at the start of the round are
+    taken row by row, skipping those an earlier round took; the closure
+    stops when a round adds nothing or the basis reaches dim A.  Returns the
+    basis and, for each element after x, the pair (i, j) whose product it is.
     """
-    n = A.dim
-    if x.is_zero():
-        return SubalgebraResult((), 0)
-    points = _closure_points(A)
-    basis: List[Element] = [x]
-    basis_pts: List[List[Element]] = [[_specialize(x, p) for p in points]]
-
-    processed = set()
-    unresolved: List[Tuple[int, int]] = []
-    while True:
-        grew = False
+    basis, pairs = [x], []
+    span = Echelon()
+    span.add(x.coords)
+    seen = 0
+    while seen < len(basis) < A.dim:
         k = len(basis)
         for i in range(k):
-            for j in range(k):
-                if (i, j) in processed:
-                    continue
-                processed.add((i, j))
-                cand_pts = [multiply(A, basis_pts[i][pi], basis_pts[j][pi])
-                            for pi in range(len(points))]
-                indep = False
-                for pi in range(len(points)):
-                    mat = [list(r[pi].coords) for r in basis_pts]
-                    mat.append(list(cand_pts[pi].coords))
-                    if scalar_rank(mat) > len(basis):
-                        indep = True
-                        break
-                if indep:
-                    basis.append(multiply(A, basis[i], basis[j]))
-                    basis_pts.append(cand_pts)
-                    grew = True
-                    if len(basis) == n:
-                        return SubalgebraResult(tuple(basis), n)
-                else:
-                    unresolved.append((i, j))
-        if grew:
-            continue
-        # decide the deferred candidates exactly; membership once certified
-        # stays valid as the span only ever grows
-        added = False
-        while unresolved:
-            i, j = unresolved.pop(0)
-            cand = multiply(A, basis[i], basis[j])
-            if not _sym_member_of_span(cand, basis):
-                basis.append(cand)
-                basis_pts.append([
-                    multiply(A, basis_pts[i][pi], basis_pts[j][pi])
-                    for pi in range(len(points))])
-                added = True
-                if len(basis) == n:
-                    return SubalgebraResult(tuple(basis), n)
-                break
-        if not added:
-            return SubalgebraResult(tuple(basis), len(basis))
+            for j in range(0 if i >= seen else seen, k):
+                v = multiply(A, basis[i], basis[j])
+                if span.add(v.coords):
+                    basis.append(v)
+                    pairs.append((i, j))
+                    if len(basis) == A.dim:
+                        return basis, pairs
+        seen = k
+    return basis, pairs
 
 
 def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
-    """Basis and dimension of the subalgebra A(x) generated by x."""
+    """Basis and dimension of the subalgebra A(x) generated by x.
+
+    A concrete x is closed exactly by ``_pair_closure``.  A symbolic x is
+    closed first at the specialization x_i = i + 1, which can only drop
+    rank.  If the words found there span A, then A(x) = A, and the result is
+    A's standard basis: no polynomial product is formed.  Otherwise the same
+    words are rebuilt at x along the recorded pairs; they are independent
+    over the function field because their specializations are.  Every other
+    pair is then decided exactly by one fraction-free rank, and each
+    independent product joins the basis with its own pairs queued.
+    """
+    if x.is_zero():
+        return SubalgebraResult((), 0)
     if x.is_concrete():
-        return _concrete_closure(A, x)
-    return _generic_closure(A, x)
+        basis, _ = _pair_closure(A, x)
+        return SubalgebraResult(tuple(basis), len(basis))
+    nvars = next(c.nvars for c in x.coords if isinstance(c, MultiPoly))
+    point = [Fraction(1 + i) for i in range(nvars)]
+    at_point = Element(tuple(c.evaluate(point) if isinstance(c, MultiPoly)
+                             else c for c in x.coords))
+    special, pairs = _pair_closure(A, at_point)
+    if len(special) == A.dim:
+        return SubalgebraResult(
+            tuple(A.basis_element(i) for i in range(A.dim)), A.dim)
+    basis = [x]
+    for i, j in pairs:
+        basis.append(multiply(A, basis[i], basis[j]))
+    queue = [(i, j) for i in range(len(basis)) for j in range(len(basis))
+             if (i, j) not in pairs]
+    # the loop also takes the pairs appended to the queue while it runs
+    for i, j in queue:
+        if len(basis) == A.dim:
+            break
+        cand = multiply(A, basis[i], basis[j])
+        if poly_rank([b.coords for b in basis + [cand]]) > len(basis):
+            k = len(basis)
+            basis.append(cand)
+            queue.extend([(m, k) for m in range(k + 1)]
+                         + [(k, m) for m in range(k)])
+    return SubalgebraResult(tuple(basis), len(basis))
 
 
 def degree(A: StructureAlgebra) -> int:
-    """max over x of dim A(x): the dimension at a fully generic element."""
+    """max over x of dim A(x): the dimension at a fully generic element.
+
+    Exact over the function field; see ``subalgebra_generated``.
+    """
     return subalgebra_generated(A, A.generic_element()).dim
 
 

@@ -28,8 +28,8 @@ import sys
 from typing import List, Optional
 
 from . import catalog, freealg, paperverify
-from .algebra import (Element, StructureAlgebra, degree, division_sampled,
-                      find_units)
+from .algebra import (BACKENDS, Element, StructureAlgebra, degree,
+                      division_sampled, find_units)
 from .exactmath import format_scalar
 from .identities import (PROPERTY_NAMES, check_pqr, hierarchy_report,
                          predicate, verify_instances)
@@ -313,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", _cmd_check, help="check an identity (x^p,x^q,x^r)=0")
     p.add_argument("algebra")
     p.add_argument("--identity", required=True, metavar="p,q,r")
-    p.add_argument("--backend", choices=("symbolic", "multilinear"),
-                   default="symbolic")
+    p.add_argument("--backend", choices=BACKENDS, default="symbolic")
 
     p = add("predicate", _cmd_predicate, help="evaluate a named predicate")
     p.add_argument("algebra")
     p.add_argument("--name", required=True)
     p.add_argument("--bound", type=count, default=5,
                    help="word-degree bound for power-commutativity")
-    p.add_argument("--backend", choices=("symbolic", "multilinear"),
-                   default="symbolic")
+    p.add_argument("--backend", choices=BACKENDS, default="symbolic")
 
     p = add("degree", _cmd_degree, help="symbolic degree of an algebra")
     p.add_argument("algebra")

@@ -19,9 +19,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import engine
 from .algebra import (Element, HoldsResult, StructureAlgebra,
-                      _symbolic_groups, degree, division_sampled, find_units,
+                      _find_witness, _symbolic_groups, _witness_candidates,
+                      check_backend, degree, division_sampled, find_units,
                       identity_holds, multiply, subalgebra_generated)
-from .exactmath import Echelon, MultiPoly, poly_rank, span_membership
+from .exactmath import (Echelon, MultiPoly, poly_rank, scalar_rank,
+                        span_membership)
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
                       poly_to_word_vector, pqr_associator, substitute)
@@ -75,17 +77,15 @@ def check_pqr(A: StructureAlgebra, p: int, q: int, r: int,
     f_1 .. f_{p+q+r-1} (an equivalent system in characteristic zero) on all
     basis tuples, stopping at the first failure.
     """
-    ident = pqr_associator(p, q, r)
+    check_backend(backend)
     if backend == "symbolic":
-        return identity_holds(A, ident, "symbolic")
-    if backend == "multilinear":
-        pol = polarize(p, q, r)
-        for m in range(1, p + q + r):
-            res = identity_holds(A, pol.f(m), "multilinear")
-            if not res.holds:
-                return res
-        return HoldsResult(True, "multilinear")
-    raise ValueError(f"unknown backend {backend!r}")
+        return identity_holds(A, pqr_associator(p, q, r), "symbolic")
+    pol = polarize(p, q, r)
+    for m in range(1, p + q + r):
+        res = identity_holds(A, pol.f(m), "multilinear")
+        if not res.holds:
+            return res
+    return HoldsResult(True, "multilinear")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,6 @@ def _reduce_rational(group):
 def _commutation_witness(A: StructureAlgebra, w1, w2):
     poly = FreePoly.term(w1) * FreePoly.term(w2) - \
         FreePoly.term(w2) * FreePoly.term(w1)
-    from .algebra import _find_witness
     wit = _find_witness(A, poly)
     if wit is None:
         return None
@@ -200,9 +199,13 @@ def _commutation_witness(A: StructureAlgebra, w1, w2):
     return wit
 
 
-def _power_associative(A: StructureAlgebra, backend: str,
-                       cross_trials: int = 3, seed: int = 7
-                       ) -> PredicateResult:
+#: concrete points, and their seed, at which A(x) is checked associative
+#: after the power-associativity criterion holds
+_PA_CROSS_TRIALS = 3
+_PA_CROSS_SEED = 7
+
+
+def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     """Characteristic-zero criterion: x x^2 = x^2 x and x^2 x^2 = (x^2 x) x.
 
     These two identities imply full power-associativity over characteristic
@@ -222,8 +225,8 @@ def _power_associative(A: StructureAlgebra, backend: str,
         return PredicateResult("power_associative", False,
                                f"{backend}-proof", r2.witness)
     # sampled cross-check on A(x) associativity
-    rng = random.Random(seed)
-    for _ in range(cross_trials):
+    rng = random.Random(_PA_CROSS_SEED)
+    for _ in range(_PA_CROSS_TRIALS):
         pt = A.element([Fraction(rng.randint(-3, 3)) for _ in range(A.dim)])
         if pt.is_zero():
             continue
@@ -257,8 +260,6 @@ def _quadratic(A: StructureAlgebra) -> PredicateResult:
 
 
 def _find_dependence_witness(A: StructureAlgebra, e: Element):
-    from .exactmath import scalar_rank
-    from .algebra import _witness_candidates
     for cand in itertools.islice(_witness_candidates(A), 0, 120):
         x2 = multiply(A, cand, cand)
         m = [list(e.coords), list(cand.coords), list(x2.coords)]
@@ -269,7 +270,12 @@ def _find_dependence_witness(A: StructureAlgebra, e: Element):
 
 def predicate(A: StructureAlgebra, name: str, backend: str = "symbolic",
               bound: int = 5) -> PredicateResult:
-    """Evaluate a named structural predicate with proof-mode bookkeeping."""
+    """Evaluate a named structural predicate with proof-mode bookkeeping.
+
+    backend must be "symbolic" or "multilinear" for every name, though only
+    the identity predicates use it.
+    """
+    check_backend(backend)
     x, y = FreePoly.var(X), FreePoly.var(Y)
     if name == "associative":
         return _is_associative(A, backend)

@@ -16,6 +16,7 @@ from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
 from nalab.exactmath import QuadExt, det, poly_rank
 from nalab.freealg import FreePoly, associator, pqr_associator
+from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
 
 H = classical("H").algebra
 C = classical("C").algebra
@@ -79,6 +80,42 @@ def degree_sampled(A, trials=20, seed=0):
         if best == A.dim:
             break
     return best
+
+
+def closure_oracle(A, x):
+    """Oracle: the basis of A(x), multiplying every pair of the basis again
+    in every round and admitting a product when the fraction-free rank
+    grows.  At a generic x this closes over the function field with no
+    specialization."""
+    basis = [] if x.is_zero() else [x]
+    grew = True
+    while grew and len(basis) < A.dim:
+        grew = False
+        for u in list(basis):
+            for v in list(basis):
+                cand = multiply(A, u, v)
+                rows = [list(b.coords) for b in basis + [cand]]
+                if poly_rank(rows) == len(rows):
+                    basis.append(cand)
+                    grew = True
+    return basis
+
+
+def degree_brute_force(A):
+    return len(closure_oracle(A, A.generic_element()))
+
+
+def degenerate_algebra():
+    """e0 e0 = 2 e0, e1 e1 = e1: at x = (1, 2), x^2 = 2x, yet x and x^2 are
+    independent at a generic x."""
+    return table_algebra("degen", 2, lambda i, j, k:
+                         (2 if i == 0 else 1) * (i == j == k))
+
+
+def dense_algebra(n, seed):
+    rng = random.Random(seed)
+    return table_algebra(f"dense{n}", n,
+                         lambda i, j, k: rng.randint(-9, 9))
 
 
 def power(v, n):
@@ -235,6 +272,13 @@ class TestIdentityHolds:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             identity_holds(H, pqr_associator(1, 1, 1), "numeric")
+        with pytest.raises(ValueError):
+            identity_holds(H, FreePoly.zero(), "numeric")
+        with pytest.raises(ValueError):
+            check_pqr(H, 1, 1, 1, "numeric")
+        for name in PROPERTY_NAMES:
+            with pytest.raises(ValueError, match="unknown backend"):
+                predicate(H, name, backend="numeric")
 
 
 class TestSubalgebra:
@@ -260,16 +304,31 @@ class TestSubalgebra:
         res = subalgebra_generated(H, x)
         assert res.dim == 2
 
-    def test_closure_property_generic(self):
+    @pytest.mark.parametrize("A", [H, SH, DH], ids=["H", "*H", "**H"])
+    def test_closure_property_generic(self, A):
         """Products of the returned generic basis lie in its span."""
-        res = subalgebra_generated(H, H.generic_element())
+        res = subalgebra_generated(A, A.generic_element())
         rows = [list(b.coords) for b in res.basis]
         base_rank = poly_rank(rows)
         assert base_rank == res.dim
         for u in res.basis:
             for v in res.basis:
-                prod = multiply(H, u, v)
+                prod = multiply(A, u, v)
                 assert poly_rank(rows + [list(prod.coords)]) == base_rank
+
+    def test_concrete_basis_matches_oracle(self):
+        """The basis itself, element by element and in order."""
+        rng = random.Random(4)
+        algebras = [catalog_algebra(name) for name in CATALOG_NAMES]
+        algebras += [UNCERTIFIED["D8"], dense_algebra(5, 1),
+                     degenerate_algebra()]
+        for A in algebras:
+            for _ in range(3):
+                x = A.element([Fraction(rng.randint(-2, 2))
+                               if rng.random() < 0.6 else Fraction(0)
+                               for _ in range(A.dim)])
+                assert list(subalgebra_generated(A, x).basis) == \
+                    closure_oracle(A, x)
 
     def test_closure_property_concrete(self):
         x = SH.element([Fraction(1), Fraction(1), Fraction(-2), Fraction(3)])
@@ -310,6 +369,59 @@ class TestDegree:
                     consts[i][j][i + j] = Fraction(1)
         A = StructureAlgebra("K[t]/t^3", n, FIELD_Q, consts)
         assert degree(A) == 3
+
+    def test_degenerate_specialization(self):
+        """x^2 = 2x at the specialization x = (1, 2) but not generically:
+        the exact rank decides the pair the specialization missed.  In the
+        second algebra x^2 = x at s = (1, 2, 3, 4), so x^3 and x^4 are found
+        only among the pairs of the exactly admitted x^2.  The third has
+        u v = Q(u, v) s + (u_0 v_1 - u_1 v_0) e_3 with Q(s, s) = 0: x^2 is
+        zero at s and x^2 x^2 = 0, so x x^2 is the only new product."""
+        table = {(0, 0, 0): 1, (1, 1, 1): Fraction(1, 2), (1, 1, 3): 1,
+                 (1, 2, 2): -1, (2, 2, 2): 1}
+        idempotent = table_algebra("x2=x", 4,
+                                   lambda i, j, k: table.get((i, j, k), 0))
+        s = (1, 2, 3, 4)
+        rows = {(0, 0): [4 * v for v in s], (1, 1): [-v for v in s],
+                (0, 1): [0, 0, 0, 1], (1, 0): [0, 0, 0, -1]}
+        square_zero = table_algebra(
+            "x2(s)=0", 4, lambda i, j, k: rows.get((i, j), [0] * 4)[k])
+        for A, d in ((degenerate_algebra(), 2), (idempotent, 4),
+                     (square_zero, 3)):
+            assert degree(A) == d
+            assert degree_brute_force(A) == d
+
+    def test_full_degree_standard_basis(self):
+        """When the words at the specialization span A, A(x) = A is
+        returned with A's standard basis."""
+        for A in (UNCERTIFIED["D8"], dense_algebra(6, 1)):
+            assert degree(A) == A.dim
+            res = subalgebra_generated(A, A.generic_element())
+            assert res.basis == tuple(A.basis_element(i)
+                                      for i in range(A.dim))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+    def test_matches_brute_force(self, n, sqrt3, diagonal, data):
+        """Random algebras of dimension 1-3 over Q and Q(sqrt 3).  With
+        c[i][i][i] = m_i/(i+1), (x^2)_i = m_i x_i at x = (1, 2, 3) on the
+        diagonal algebras, so the specialization often loses rank there."""
+        unit = QuadExt(data.draw(st.integers(0, 1)),
+                       data.draw(st.integers(1, 2))) if sqrt3 else 1
+        small = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+        def entry(i, j, k):
+            if i == j == k:
+                return unit * Fraction(data.draw(st.integers(0, 2)), i + 1)
+            return unit * (0 if diagonal else data.draw(small))
+
+        consts = [[[entry(i, j, k) for k in range(n)] for j in range(n)]
+                  for i in range(n)]
+        A = StructureAlgebra("rnd", n, FIELD_QSQRT3 if sqrt3 else FIELD_Q,
+                             consts)
+        d = degree(A)
+        assert d == degree_brute_force(A)
+        assert degree_sampled(A, trials=6) <= d
 
     def test_degree_dominates_samples_on_random_algebras(self):
         import random as _random
