@@ -57,9 +57,11 @@ class StructureAlgebra:
         self.name = name
         self.dim = dim
         self.field = field
-        rows = []
+        # the constants, and for each (i, j) the sparse product: the
+        # nonzero (k, c) pairs
+        rows, sparse = [], []
         for i in range(dim):
-            row = []
+            row, sparse_row = [], []
             for j in range(dim):
                 cell = []
                 for k in range(dim):
@@ -73,23 +75,20 @@ class StructureAlgebra:
                         if c.d != 3:
                             raise ValueError(
                                 f"sqrt {c.d} scalar in a Q(sqrt 3) algebra")
-                        cell.append(c)
-                    else:
-                        cell.append(Fraction(c))
+                    elif not isinstance(c, Fraction):
+                        c = Fraction(c)
+                    cell.append(c)
                 row.append(tuple(cell))
+                sparse_row.append(tuple((k, c) for k, c in enumerate(cell)
+                                        if c))
             rows.append(tuple(row))
+            sparse.append(tuple(sparse_row))
         self.constants = tuple(rows)
+        self._sparse = tuple(sparse)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i}" for i in range(dim))
         if len(self.basis_names) != dim:
             raise ValueError("basis name count mismatch")
-        # sparse products: for each (i, j), the nonzero (k, c) pairs
-        self._sparse = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(self.constants[i][j])
-                      if not scalar_is_zero(c))
-                for j in range(dim))
-            for i in range(dim))
         self._tensor: Optional[engine.ScaledTensor] = None
         self._ml: Optional[engine.MultilinearEngine] = None
         self._units: Optional[UnitReport] = None

@@ -7,8 +7,10 @@ vectors, and a fully multilinearized identity is an integer tensor indexed by
 basis tuples.  Every exact value is a tuple of parts: one integer array for a
 rational value, or two (rational part, sqrt d part) for a value in Q(sqrt d).
 One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
-operation.  Everything is exact; int64 arrays are used while a rigorous
-magnitude bound permits, with an object-dtype (big-int) fallback otherwise.
+operation.  Everything is exact: each product runs in float64 (BLAS) while
+a rigorous magnitude bound stays below 2^52, in int64 below 2^62, and in
+object dtype (big ints) beyond.  Symbolic values are stored as int64 or
+object arrays; a float64 product is converted back after its reduction.
 """
 
 from __future__ import annotations
@@ -91,25 +93,35 @@ class ScaledTensor:
 
     def __init__(self, constants, d: int = 3):
         n = len(constants)
-        pairs = [(c.a, c.b) if isinstance(c, QuadExt) else
-                 (Fraction(c), 0)
-                 for plane in constants for row in plane for c in row]
-        scale = math.lcm(*(x.denominator for p in pairs for x in p))
-        parts = tuple(np.array([int(p[h] * scale) if p[h] else 0
-                                for p in pairs],
-                               dtype=object).reshape(n, n, n)
-                      for h in range(2))
-        if not np.any(parts[1] != 0):
-            parts = parts[:1]
+        # (flat index, rational part, sqrt(d) part) of every nonzero constant
+        nonzero = []
+        for pos, c in enumerate(c for plane in constants for row in plane
+                                for c in row):
+            if isinstance(c, QuadExt):
+                if c.a or c.b:
+                    nonzero.append((pos, c.a, c.b))
+            elif c:
+                nonzero.append(
+                    (pos, c if isinstance(c, Fraction) else Fraction(c), 0))
+        scale = math.lcm(*(x.denominator for _, a, b in nonzero
+                           for x in (a, b)))
+        values = [[x.numerator * (scale // x.denominator) for x in (a, b)]
+                  for _, a, b in nonzero]
+        width = 2 if any(b for _, b in values) else 1
         self.n = n
         self.scale = scale
         self.d = d
-        self.max_abs = _max_abs(parts)
+        self.max_abs = max([1] + [abs(x) for v in values for x in v])
         # constants too wide for int64 stay Python ints: max_abs then sends
         # every product to the object tier
-        if self.max_abs < _INT64_LIMIT:
-            parts = tuple(p.astype(np.int64) for p in parts)
-        self.parts = parts
+        dtype = np.int64 if self.max_abs < _INT64_LIMIT else object
+        where = np.array([pos for pos, _, _ in nonzero], dtype=np.intp)
+        parts = []
+        for h in range(width):
+            flat = np.zeros(n ** 3, dtype=dtype)
+            flat[where] = np.array([v[h] for v in values], dtype=dtype)
+            parts.append(flat.reshape(n, n, n))
+        self.parts = tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +173,39 @@ class SymVec:
                       self.keys[:0], (np.zeros((0, n), dtype=np.int64),), 1)
 
 
+#: rows gathered at once in _aggregate (a key's rows are never split): a
+#: product is never copied whole into key order
+_AGGREGATE_ROWS = 1 << 13
+
+
 def _aggregate(keys, parts, n):
     """Sum the rows of every part by key and drop rows zero in all parts.
 
-    Returns (sorted unique keys, summed parts, max_abs).
+    One stable argsort orders the keys; each run of equal keys is summed by
+    np.add.reduceat, over blocks of whole runs of about _AGGREGATE_ROWS
+    rows.  float64 parts (exact integers below 2^52) are summed in float64
+    and stored as int64; int64 and object parts keep their dtype.  Returns
+    (sorted unique keys, summed parts, max_abs).
     """
-    uk, inv = np.unique(keys, return_inverse=True)
-    sums = []
-    for p in parts:
-        s = np.zeros((len(uk), n), dtype=p.dtype)
-        np.add.at(s, inv, p)
-        sums.append(s)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], sorted_keys[1:] != sorted_keys[:-1])))
+    uk = sorted_keys[starts]
+    del sorted_keys
+    bounds = np.append(starts, len(keys))
+    sums = [np.empty((len(uk), n), dtype=object if p.dtype == object
+                     else np.int64) for p in parts]
+    lo = 0
+    while lo < len(uk):
+        hi = int(np.searchsorted(bounds, bounds[lo] + _AGGREGATE_ROWS,
+                                 "right")) - 1
+        hi = min(max(hi, lo + 1), len(uk))
+        rows = order[bounds[lo]:bounds[hi]]
+        for s, p in zip(sums, parts):
+            s[lo:hi] = np.add.reduceat(p[rows], bounds[lo:hi] - bounds[lo],
+                                       axis=0)
+        lo = hi
     live = np.any([np.any(s != 0, axis=1) for s in sums], axis=0)
     if not live.all():
         uk, sums = uk[live], [s[live] for s in sums]
@@ -189,11 +223,13 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
     dp = u.denom_power + v.denom_power + 1
     if P == 0 or Q == 0:
         return u.zero_like(degrees, dp, n)
-    # rigorous magnitude bound: per (p,q,k) entry then aggregation multiplicity
+    # rigorous bound on every product entry and every partial sum of it,
+    # before and during aggregation: a key is the sum of at most min(P, Q)
+    # pairs of keys, each entry of a pair sums n^2 terms
     fold = (1 + t.d) ** 2 if max(map(len, (u.parts, v.parts, t.parts))) > 1 \
         else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
-    kind = "o" if bound >= _INT64_LIMIT else "i"
+    kind = _tier(bound)
     # uC[p, (j, k)] = sum_i u[p, i] C[i, j, k]
     uC = _field_product(_cast(u.parts, kind),
                         [C.reshape(n, n * n) for C in _cast(t.parts, kind)],
@@ -203,6 +239,7 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
         _cast(v.parts, kind),
         [np.moveaxis(W.reshape(P, n, n), 1, 0).reshape(n, P * n) for W in uC],
         t.d)
+    del uC
     keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
     return SymVec(u.nvars, u.bits, degrees, dp,
                   *_aggregate(keys, [o.reshape(Q * P, n) for o in out], n))
@@ -299,21 +336,45 @@ def _leaf_slots(term: FreeTerm) -> Tuple[List[int], List[int]]:
             [i for i, s in enumerate(labels) if s == Y])
 
 
-def _symmetrize_axes(arr, start: int, count: int):
-    """Sum over all permutations of axes [start, start+count), incrementally.
+def _sorted_sums(T, n: int, k: int):
+    """(S, tuples): the sums of T (shape (B, n^k, m)) over all permutations
+    of its k slot axes, at the nondecreasing k-tuples only.
 
-    Uses the coset decomposition of the symmetric group: after the first
-    m-1 axes are symmetric, summing the m swaps of axis m-1 with each
-    earlier axis (and itself) extends the symmetry, so the full sum costs
-    O(count^2) array additions rather than count! of them.
+    tuples (M, k) lists the nondecreasing tuples in lexicographic order and
+    S[b, r] = sum over the k! permutations sigma of T[b, sigma(tuples[r])].
+    The sum is built one slot at a time: with the first j slots summed at
+    sorted tuples and the others free, the sum at a sorted (j+1)-tuple t
+    adds, for each position i, the j-slot sum at t without t_i with t_i in
+    slot j (a coset decomposition of the symmetric group, so j+1 gathers
+    per slot rather than k! in all).  Every partial sum is a sum of some of
+    the k! permuted entries.
     """
-    T = arr
-    for m in range(2, count + 1):
-        acc = T.copy()
-        for i in range(m - 1):
-            acc += np.swapaxes(T, start + i, start + m - 1)
-        T = acc
-    return T
+    B, m = T.shape[0], T.shape[-1]
+    tuples = np.zeros((1, 0), dtype=np.intp)
+    last = np.zeros(1, dtype=np.intp)
+    drops: List = []  # drops[i][r]: the row of tuples[r] without slot i
+    V = T.reshape(B, 1, -1)
+    for j in range(k):
+        # the sorted (j+1)-tuples, in order: each sorted j-tuple extended by
+        # every value no smaller than its last
+        parent, a = np.nonzero(np.arange(n) >= last[:, None])
+        if drops:
+            # row[q, v]: the row of the sorted (j-1)-tuple q extended by v
+            row = np.empty((rows_before, n), dtype=np.intp)
+            row[built] = np.arange(len(tuples))
+            drops = [row[d[parent], a] for d in drops]
+        drops.append(parent)
+        rows_before, built = len(tuples), (parent, a)
+        tuples = np.column_stack([tuples[parent], a])
+        last = a
+        V4 = V.reshape(B, -1, n, n ** (k - j - 1) * m)
+        if j == 0:
+            V = V4[:, 0]
+        else:
+            V = V4[:, drops[0], tuples[:, 0]]
+            for i in range(1, j + 1):
+                V += V4[:, drops[i], tuples[:, i]]
+    return V, tuples
 
 
 class MultilinearEngine:
@@ -331,7 +392,8 @@ class MultilinearEngine:
     """
 
     #: cache word tensors only up to this many variable leaves; larger ones
-    #: (16 MB and up at dim 8) are rebuilt on demand to bound memory
+    #: (from 8^6 * 8 B = 2 MB per part at dim 8) are rebuilt on demand to
+    #: bound memory
     _CACHE_LEAVES = 4
 
     def __init__(self, tensor: ScaledTensor):
@@ -410,10 +472,13 @@ class MultilinearEngine:
         return S, _max_abs(S)
 
     def multilinearization(self, poly: FreePoly):
-        """Full multilinearization tensor of a bidegree-homogeneous poly.
+        """Unsymmetrized multilinearization tensor of a bidegree-homogeneous
+        poly.
 
         Axes: dx slots for the x-copies, then dy slots for the y-copies,
-        then the output coordinate.  Returns (parts, dx, dy).
+        then the output coordinate.  Returns (parts, dx, dy).  The full
+        multilinearization is the sum of parts over all permutations of the
+        x slots and of the y slots; check forms that sum where it needs it.
 
         The words are grouped by their left factor L.  Per group the right
         factors are summed with their coefficients, slots aligned, into one
@@ -426,7 +491,7 @@ class MultilinearEngine:
         contraction bounds; where that sum would raise the dtype, it is
         replaced by the measured maxima of the accumulator and of the new
         group.  Either way it bounds every partial sum of the accumulation
-        and of the symmetrization that follows.
+        and of the permutation sums in check.
         """
         bdegs = poly.bidegrees()
         if len(bdegs) != 1:
@@ -463,19 +528,30 @@ class MultilinearEngine:
                 U = _cast(U, kind)
             for u, g in zip(U, G):
                 u += _to_kind(np.transpose(g, perm), kind)
-        # symmetrize over the x slots, then over the y slots
-        S = tuple(_symmetrize_axes(_symmetrize_axes(p, 0, dx), dx, dy)
-                  for p in U)
-        return S, dx, dy
+        return U, dx, dy
 
     def check(self, poly: FreePoly):
         """(holds, witness_basis_tuple or None): tests the multilinearized
-        identity on all basis tuples; the first failing tuple in enumeration
-        order is reported."""
-        S, dx, dy = self.multilinearization(poly)
-        nz = np.any([np.any(p != 0, axis=-1) for p in S], axis=0)
+        identity on all basis tuples; the first failing tuple in
+        lexicographic order is reported.
+
+        The multilinearization is symmetric in its x slots and in its y
+        slots, so a tuple is nonzero exactly when its sorting is, and the
+        sorting is no later in lexicographic order: the first failing tuple
+        has sorted x slots and sorted y slots.  So the sum over the dx! dy!
+        slot permutations of the accumulator is formed at those tuples only
+        (see _sorted_sums), in the accumulator's dtype.
+        """
+        U, dx, dy = self.multilinearization(poly)
+        n = self.t.n
+        S = []
+        for p in U:
+            Sx, X = _sorted_sums(p.reshape(1, n ** dx, -1), n, dx)
+            Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, n), n, dy)
+            S.append(Sxy)
+        nz = np.any([np.any(s != 0, axis=-1) for s in S], axis=0)
         if not nz.any():
             return True, None
-        idx = np.argwhere(nz)[0]
-        return False, (tuple(int(i) for i in idx[:dx]),
-                       tuple(int(j) for j in idx[dx:]))
+        i, j = divmod(int(np.argmax(nz)), len(Y))
+        return False, (tuple(int(a) for a in X[i]),
+                       tuple(int(b) for b in Y[j]))

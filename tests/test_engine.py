@@ -4,13 +4,15 @@ The symbolic kernel is compared with direct MultiPoly evaluation; the
 multilinear tensors are compared with an inclusion-exclusion oracle evaluated
 through ordinary algebra multiplication.  Both oracles share no code with the
 kernels they check.  The grouped multilinearization is also compared, entry
-for entry, with a per-word accumulation of full word tensors.
+for entry, with a per-word accumulation of full word tensors, and the
+multilinear check with a scan of the fully symmetrized tensor.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,13 +246,39 @@ def inclusion_exclusion_multilin(A, poly, x_tuple, y_tuple):
     return total
 
 
+def symmetrize_axes(arr, start: int, count: int):
+    """Oracle: the sum over all permutations of axes [start, start+count).
+
+    Uses the coset decomposition of the symmetric group: after the first
+    m-1 axes are symmetric, summing the m swaps of axis m-1 with each
+    earlier axis (and itself) extends the symmetry, so the full sum costs
+    O(count^2) array additions rather than count! of them.
+    """
+    T = arr
+    for m in range(2, count + 1):
+        acc = T.copy()
+        for i in range(m - 1):
+            acc += np.swapaxes(T, start + i, start + m - 1)
+        T = acc
+    return T
+
+
+def symmetrized(multilinearization):
+    """The full multilinearization (parts, dx, dy) from the unsymmetrized
+    (parts, dx, dy), in exact big-int arithmetic."""
+    U, dx, dy = multilinearization[:3]
+    return tuple(symmetrize_axes(symmetrize_axes(engine._to_kind(p, "o"),
+                                                 0, dx), dx, dy)
+                 for p in U), dx, dy
+
+
 class TestMultilinearKernel:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_tensor_matches_finite_differences(self, seed):
         A = random_algebra(2, seed)
         ml = engine.MultilinearEngine(A.tensor())
         poly = polarize(1, 1, 2).f(2)  # bidegree (2, 2)
-        S, dx, dy = ml.multilinearization(poly)
+        S, dx, dy = symmetrized(ml.multilinearization(poly))
         assert (dx, dy) == (2, 2)
         scale = Fraction(A.tensor().scale) ** 3  # degree-4 words
         rng = random.Random(seed)
@@ -267,7 +295,7 @@ class TestMultilinearKernel:
         A = random_algebra(2, seed=21, span=1, field=FIELD_QSQRT3)
         ml = engine.MultilinearEngine(A.tensor())
         poly = pqr_associator(1, 1, 1)
-        S, dx, dy = ml.multilinearization(poly)
+        S, dx, dy = symmetrized(ml.multilinearization(poly))
         scale = Fraction(A.tensor().scale) ** 2
         for idx in itertools.product(range(2), repeat=3):
             xt = [A.basis_element(i) for i in idx]
@@ -283,8 +311,9 @@ class TestMultilinearKernel:
         A = big_algebra(FIELD_QSQRT3)
         ml = engine.MultilinearEngine(A.tensor())
         poly = pqr_associator(1, 1, 1)
-        S, dx, dy = ml.multilinearization(poly)
-        assert S[0].dtype == object and S[1].dtype == object
+        U, dx, dy = ml.multilinearization(poly)
+        assert U[0].dtype == object and U[1].dtype == object
+        S, dx, dy = symmetrized((U, dx, dy))
         scale = Fraction(A.tensor().scale) ** 2
         for idx in itertools.product(range(2), repeat=3):
             xt = [A.basis_element(i) for i in idx]
@@ -311,7 +340,7 @@ class TestMultilinearKernel:
     def test_symmetrize_axes_matches_brute_force(self):
         rng = np.random.default_rng(5)
         U = rng.integers(-4, 4, size=(3, 3, 3, 2)).astype(np.int64)
-        got = engine._symmetrize_axes(U, 0, 3)
+        got = symmetrize_axes(U, 0, 3)
         brute = np.zeros_like(U)
         for perm in itertools.permutations(range(3)):
             brute += np.transpose(U, perm + (3,))
@@ -347,14 +376,14 @@ class TestScaledTensor:
 
 
 def per_word_multilinearization(A, poly):
-    """Oracle: the multilinearization accumulated one full word tensor per
-    top-level word, in exact big-int arithmetic.
+    """Oracle: the unsymmetrized multilinearization accumulated one full
+    word tensor per top-level word, in exact big-int arithmetic.
 
     Each word tensor is transposed into the slot order (x leaves, y leaves,
-    out), scaled by its cleared coefficient and added; the sum is then
-    symmetrized over the x slots and over the y slots.  Returns (parts, dx,
+    out), scaled by its cleared coefficient and added.  Returns (parts, dx,
     dy) like ``MultilinearEngine.multilinearization``, plus the per-word
-    bound dx! dy! * sum |c| * max|word| on every partial sum.
+    bound dx! dy! * sum |c| * max|word| on every partial sum of it and of
+    its symmetrization.
     """
     ml = engine.MultilinearEngine(A.tensor())
     (dx, dy), = poly.bidegrees()
@@ -372,9 +401,7 @@ def per_word_multilinearization(A, poly):
         T = [engine._to_kind(np.transpose(p, perm), "o") * c
              for p in engine._padded(T, width)]
         U = T if U is None else [u + p for u, p in zip(U, T)]
-    S = tuple(engine._symmetrize_axes(engine._symmetrize_axes(p, 0, dx),
-                                      dx, dy) for p in U)
-    return S, dx, dy, bound * math.factorial(dx) * math.factorial(dy)
+    return tuple(U), dx, dy, bound * math.factorial(dx) * math.factorial(dy)
 
 
 def assert_same_tensor(got, expect):
@@ -487,3 +514,213 @@ class TestGroupedMultilinearization:
         for backend in ("symbolic", "multilinear"):
             res = identity_holds(H, poly, backend)
             assert not res.holds and res.witness, backend
+
+
+def dict_sum(keys, parts):
+    """Oracle: {key: per-part row sums} of the rows whose sums are not all
+    zero, in Python integers."""
+    sums = {}
+    for r, key in enumerate(keys):
+        acc = sums.setdefault(int(key), [[0] * p.shape[1] for p in parts])
+        for a, p in zip(acc, parts):
+            for k in range(p.shape[1]):
+                a[k] += int(p[r, k])
+    return {key: acc for key, acc in sums.items()
+            if any(x for row in acc for x in row)}
+
+
+#: (dtype, largest entry magnitude): every sum of 80 rows stays exact in the
+#: dtype (below 2^52 for float64, 2^62 for int64)
+AGGREGATE_PARTS = {"f": (np.float64, 2 ** 40), "i": (np.int64, 2 ** 54),
+                   "o": (object, 2 ** 100)}
+
+
+class TestAggregate:
+    @given(data=st.data(), wide=st.booleans(),
+           kind=st.sampled_from(sorted(AGGREGATE_PARTS)),
+           width=st.integers(1, 2), n=st.integers(1, 3),
+           block=st.sampled_from((1, 2, 3, engine._AGGREGATE_ROWS)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dict_sum(self, data, wide, kind, width, n, block):
+        nkeys = data.draw(st.integers(1, 6), label="nkeys")
+        pool = data.draw(st.lists(
+            st.integers(0, 2 ** 80 if wide else 2 ** 64 - 1),
+            min_size=nkeys, max_size=nkeys, unique=True), label="pool")
+        picks = data.draw(st.lists(st.integers(0, nkeys - 1), min_size=1,
+                                   max_size=40), label="picks")
+        dtype, top = AGGREGATE_PARTS[kind]
+        # small multiples of one magnitude, so that sums often cancel
+        unit = data.draw(st.sampled_from((1, top // 4)), label="unit")
+        rows = [[[unit * data.draw(st.integers(-2, 2)) for _ in range(n)]
+                 for _ in picks] for _ in range(width)]
+        if data.draw(st.booleans(), label="cancel"):
+            # the rows of the first key, negated: that key sums to zero
+            mine = [r for r, k in enumerate(picks) if k == picks[0]]
+            picks = picks + [picks[0]] * len(mine)
+            rows = [part + [[-x for x in part[r]] for r in mine]
+                    for part in rows]
+        keys = np.array([pool[k] for k in picks],
+                        dtype=object if wide else np.uint64)
+        parts = [np.array(part, dtype=dtype).reshape(len(picks), n)
+                 for part in rows]
+        expect = dict_sum(keys, parts)
+        with mock.patch.object(engine, "_AGGREGATE_ROWS", block):
+            uk, sums, max_abs = engine._aggregate(keys, parts, n)
+        assert uk.dtype == keys.dtype
+        assert [int(k) for k in uk] == sorted(expect)
+        assert len(sums) == width
+        for h, s in enumerate(sums):
+            assert s.dtype == (object if kind == "o" else np.int64)
+            assert s.shape == (len(expect), n)
+            assert [[int(x) for x in row] for row in s] == \
+                [expect[k][h] for k in sorted(expect)]
+        assert max_abs == max([1] + [abs(x) for acc in expect.values()
+                                     for row in acc for x in row])
+
+
+def line_algebra(c):
+    """The dimension-1 algebra e0 e0 = c e0: a product of symbolic elements
+    with nonnegative rows reaches its magnitude bound exactly."""
+    return StructureAlgebra("line", 1, FIELD_QSQRT3 if isinstance(c, QuadExt)
+                            else FIELD_Q, [[[c]]])
+
+
+def product_kinds(monkeypatch, u, v, t):
+    """sym_product(u, v, t) and the dtype kinds its products ran in."""
+    kinds = []
+    cast = engine._cast
+
+    def recording(parts, kind):
+        kinds.append(kind)
+        return cast(parts, kind)
+
+    monkeypatch.setattr(engine, "_cast", recording)
+    got = engine.sym_product(u, v, t)
+    return got, set(kinds)
+
+
+class TestSymbolicTiers:
+    """(x + y)^2 on e0 e0 = c e0 (c = a + b sqrt 3 with a sqrt 3 part): its
+    bound is 2 * max|c|, times (1 + 3)^2 = 16 with a sqrt 3 part, and the xy
+    coefficient reaches 2c.  The constants put the bound just under and
+    just over 2^52, and past 2^53 and 2^62 where float64 and int64 would
+    round."""
+
+    @pytest.mark.parametrize("c, kind", [
+        (2 ** 51 - 1, "f"), (2 ** 51, "i"),
+        (QuadExt(2 ** 47 - 1, 2 ** 47 - 1), "f"), (QuadExt(2 ** 47, 1), "i"),
+        (QuadExt(-3, 2 ** 47), "i"),
+        (2 ** 60 + 1, "i"), (2 ** 61 + 1, "o"),
+        (QuadExt(2 ** 55 + 1, 2 ** 54 - 1), "i"),
+        (QuadExt(1, 2 ** 58 + 1), "o"),
+    ], ids=str)
+    def test_matches_object_and_multipoly_routes(self, c, kind, monkeypatch):
+        A = line_algebra(c)
+        t = A.tensor()
+        x, y = (engine.SymVec.generic(1, 2, 4, g) for g in (0, 1))
+        s = engine.sym_combine([(1, x), (1, y)], 1)
+        got, kinds = product_kinds(monkeypatch, s, s, t)
+        assert kinds == {kind}
+        for p in got.parts:
+            assert p.dtype == (object if kind == "o" else np.int64)
+        # the same product with every step in big ints
+        monkeypatch.setattr(engine, "_tier", lambda bound: "o")
+        exact = engine.sym_product(s, s, t)
+        assert list(got.keys) == list(exact.keys)
+        assert len(got.parts) == len(exact.parts)
+        for g, e in zip(got.parts, exact.parts):
+            assert (engine._to_kind(g, "o") == e).all()
+        # and through MultiPoly arithmetic
+        X, Y = FreePoly.var("x"), FreePoly.var("y")
+        expect = eval_free_poly(A, (X + Y) * (X + Y), {
+            "x": A.generic_element(nvars=2, offset=0),
+            "y": A.generic_element(nvars=2, offset=1)})
+        assert sym_to_poly_vector(got, A) == list(expect.coords)
+
+
+def sparse_algebra(dim, seed, span, field, density):
+    """A random algebra whose constants are nonzero with probability
+    density: its identities fail on some basis tuples and not others."""
+    rng = random.Random(seed)
+
+    def const():
+        if rng.random() >= density:
+            return Fraction(0)
+        a = Fraction(rng.randint(-span, span))
+        if field == FIELD_QSQRT3:
+            return QuadExt(a, Fraction(rng.randint(-span, span)))
+        return a
+
+    return StructureAlgebra("sparse", dim, field, [
+        [[const() for _ in range(dim)] for _ in range(dim)]
+        for _ in range(dim)])
+
+
+def full_scan_check(A, poly):
+    """Oracle: (holds, witness) from the first nonzero tuple, in argwhere
+    order, of the full symmetrization of the per-word accumulation."""
+    S, dx, dy = symmetrized(per_word_multilinearization(A, poly))
+    nz = np.any([np.any(p != 0, axis=-1) for p in S], axis=0)
+    if not nz.any():
+        return True, None
+    idx = np.argwhere(nz)[0]
+    return False, (tuple(int(i) for i in idx[:dx]),
+                   tuple(int(j) for j in idx[dx:]))
+
+
+def scaled(A, factor):
+    """A with every constant times factor: isomorphic to A (x -> x/factor),
+    so it satisfies the same homogeneous identities."""
+    return StructureAlgebra(f"{factor}{A.name}", A.dim, A.field, [
+        [[c * factor for c in row] for row in plane]
+        for plane in A.constants])
+
+
+class TestSortedSlotCheck:
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("k", (0, 1, 2, 3, 4))
+    def test_sorted_sums_match_brute_force(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        T = rng.integers(-9, 9, size=(2, n ** k, 3))
+        S, tuples = engine._sorted_sums(T, n, k)
+        sorted_tuples = list(itertools.combinations_with_replacement(
+            range(n), k))
+        assert [tuple(t) for t in tuples] == sorted_tuples
+        full = T.reshape((2,) + (n,) * k + (3,))
+        for r, t in enumerate(sorted_tuples):
+            expect = sum(full[(slice(None),) + tuple(t[i] for i in perm)]
+                         for perm in itertools.permutations(range(k)))
+            assert (S[:, r] == expect).all(), t
+
+    def test_matches_full_scan_on_every_tier(self):
+        # O scaled by 2^16 and 2^30 moves the degree-4 accumulators to
+        # int64 and to big ints; P has sqrt 3 parts
+        O = catalog_algebra("O")
+        algebras = [catalog_algebra(name) for name in ("H", "*H", "P")] + \
+            [O, scaled(O, 2 ** 16), scaled(O, 2 ** 30)]
+        polys = triple_polys(1, 1, 1) + triple_polys(1, 1, 2)
+        kinds, verdicts, shapes = set(), set(), set()
+        for A in algebras:
+            ml = A.ml_engine()
+            for key, poly in polys:
+                U, dx, dy = ml.multilinearization(poly)
+                kinds.add(KINDS[U[0].dtype])
+                shapes.add((dx == 1, dy == 0))
+                got = ml.check(poly)
+                assert got == full_scan_check(A, poly), (A.name, key)
+                verdicts.add(got[0])
+        assert kinds == {"f", "i", "o"}
+        assert verdicts == {True, False}
+        assert {(True, False), (False, True)} <= shapes
+
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           span=st.sampled_from(SPANS),
+           density=st.sampled_from((0.1, 0.3, 1.0)),
+           triple=st.sampled_from(LOW_TRIPLES))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_scan_on_random_algebras(self, dim, seed, field,
+                                                  span, density, triple):
+        A = sparse_algebra(dim, seed, span, field, density)
+        for key, poly in triple_polys(*triple):
+            assert A.ml_engine().check(poly) == full_scan_check(A, poly), key
