@@ -19,12 +19,11 @@ from .algebra import (Element, StructureAlgebra, degree, division_sampled,
 from .catalog import (CATALOG_NAMES, InvolutiveAlgebra, catalog_algebra,
                       classical, load, load_file, okubo, save, save_file,
                       star_both, star_left)
-from .exactmath import (MultiPoly, QuadExt, poly_rank, scalar_arith,
-                        span_membership)
+from .exactmath import MultiPoly, QuadExt, poly_rank, span_membership
 from .freealg import (FreePoly, PolarizedIdentity, associator, commutator,
                       degree4_consequences, golden_table,
                       golden_table_corrected, jordan, polarize, render_poly,
-                      substitute, term_ops)
+                      substitute)
 from .identities import (HIERARCHY_EDGES, check_pqr, hierarchy_report,
                          predicate, verify_instances, verify_prop1,
                          verify_prop2)

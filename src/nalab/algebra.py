@@ -39,12 +39,6 @@ def check_backend(backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
-def _coord_is_zero(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return scalar_is_zero(x)
-
-
 class StructureAlgebra:
     """Immutable finite-dimensional algebra over Q or Q(sqrt 3)."""
 
@@ -137,7 +131,7 @@ class Element:
     coords: tuple
 
     def is_zero(self) -> bool:
-        return all(_coord_is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def is_concrete(self) -> bool:
         return not any(isinstance(c, MultiPoly) for c in self.coords)
@@ -214,11 +208,11 @@ def multiply(A: StructureAlgebra, u: Element, v: Element) -> Element:
     out = [Fraction(0)] * A.dim
     sparse = A._sparse
     for i, ui in enumerate(u.coords):
-        if _coord_is_zero(ui):
+        if not ui:
             continue
         row = sparse[i]
         for j, vj in enumerate(v.coords):
-            if _coord_is_zero(vj):
+            if not vj:
                 continue
             p = ui * vj
             for k, c in row[j]:

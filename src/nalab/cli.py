@@ -16,7 +16,8 @@ Subcommands mirror the library operations one to one:
 ALG is a catalog name (see `list`; quote names like '*H') or a path to an
 algebra file.  Every command accepts --format text|structured; structured
 output is stable JSON with a schema_version field.  Exit codes: 0 success,
-1 a checked assertion failed, 2 usage or input errors.
+1 a checked assertion failed, 2 usage or input errors, or a computation that
+ran out of memory.
 """
 
 from __future__ import annotations
@@ -360,6 +361,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the multilinear backend allocates dim^(degree+1) tensor entries
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; try --backend symbolic",
+              file=sys.stderr)
         return 2
 
 

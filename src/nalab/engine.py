@@ -91,7 +91,7 @@ class ScaledTensor:
 
     __slots__ = ("n", "scale", "parts", "d", "max_abs")
 
-    def __init__(self, constants, d: int = 3):
+    def __init__(self, constants):
         n = len(constants)
         # (flat index, rational part, sqrt(d) part) of every nonzero constant
         nonzero = []
@@ -110,7 +110,8 @@ class ScaledTensor:
         width = 2 if any(b for _, b in values) else 1
         self.n = n
         self.scale = scale
-        self.d = d
+        # StructureAlgebra admits Q and Q(sqrt 3) only
+        self.d = 3
         self.max_abs = max([1] + [abs(x) for v in values for x in v])
         # constants too wide for int64 stay Python ints: max_abs then sends
         # every product to the object tier

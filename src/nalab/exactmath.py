@@ -162,28 +162,6 @@ def scalar_sign(x: Scalar) -> int:
     return sa if n > 0 else sb if n < 0 else 0
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact field arithmetic with explicit error contract.
-
-    op is one of add, sub, mul, div.  Division by zero raises
-    DivisionByZeroError; mixing distinct quadratic extensions raises
-    FieldMismatchError.
-    """
-    if isinstance(a, QuadExt) and isinstance(b, QuadExt) and a.d != b.d:
-        raise FieldMismatchError(f"sqrt({a.d}) vs sqrt({b.d})")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if scalar_is_zero(b):
-            raise DivisionByZeroError("scalar division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: 'n', 'n/m', or 'a+b*sqrt3' / 'a-b*sqrt3'."""
     if isinstance(x, QuadExt):
@@ -381,12 +359,6 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-def _entry_is_zero(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return scalar_is_zero(x)
-
-
 def _entry_exact_div(x, y):
     if isinstance(x, MultiPoly) or isinstance(y, MultiPoly):
         if not isinstance(x, MultiPoly):
@@ -412,7 +384,7 @@ def poly_rank(matrix: Sequence[Sequence]) -> int:
     for col in range(ncols):
         piv = None
         for r in range(rank, len(rows)):
-            if not _entry_is_zero(rows[r][col]):
+            if rows[r][col]:
                 piv = r
                 break
         if piv is None:

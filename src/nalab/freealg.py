@@ -252,21 +252,6 @@ def render_poly(p: FreePoly) -> str:
     return out
 
 
-def term_ops(a: FreePoly, b: FreePoly, op: str) -> FreePoly:
-    """Bilinear term operations: mul, add, sub, commutator, jordan."""
-    if op == "mul":
-        return a * b
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "commutator":
-        return a * b - b * a
-    if op == "jordan":
-        return a * b + b * a
-    raise ValueError(f"unknown op {op!r}")
-
-
 def jordan(a: FreePoly, b: FreePoly) -> FreePoly:
     return a * b + b * a
 

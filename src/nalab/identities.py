@@ -7,6 +7,10 @@ degree-4 span membership behind the "TPA implies (x, x^2, x) = 0" statement,
 the unital substitution constants behind "unital + one identity implies TPA",
 instance-level verification of the division-algebra statements on catalog
 algebras, and the property hierarchy consistency report.
+
+Associativity has one check, ``_nonassociative_triple``, on exact products
+of a list of elements.  It decides the "associative" predicate on A's basis
+for both backends, and it is the A(x) cross-check of "power_associative".
 """
 
 from __future__ import annotations
@@ -99,40 +103,47 @@ def _identity_predicate(A, name, poly, backend) -> PredicateResult:
     return PredicateResult(name, res.holds, mode, res.witness)
 
 
-def _is_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
-    """Trilinear associator check in three independent generic elements."""
-    n = A.dim
-    # the associator is already multilinear: test all basis triples.  The
-    # symbolic backend does so too above dimension 5, the rule that fixes the
-    # mode O, P and D8 report ("multilinear-proof")
-    if backend == "multilinear" or n > 5:
-        wit = _associativity_witness(A)
-        return PredicateResult("associative", wit is None,
-                               "multilinear-proof", wit)
-    groups = _symbolic_groups(A, ("x", "y", "z"))
-    t = A.tensor()
-    xy = engine.sym_product(groups["x"], groups["y"], t)
-    yz = engine.sym_product(groups["y"], groups["z"], t)
-    lhs = engine.sym_product(xy, groups["z"], t)
-    rhs = engine.sym_product(groups["x"], yz, t)
-    diff = engine.sym_combine([(1, lhs), (-1, rhs)], n)
-    if engine.sym_is_zero(diff):
-        return PredicateResult("associative", True, "symbolic-proof")
-    wit = _associativity_witness(A)
-    return PredicateResult("associative", False, "symbolic-proof", wit)
+def _nonassociative_triple(A: StructureAlgebra, elements: Sequence[Element]
+                           ) -> Optional[Tuple[int, int, int]]:
+    """The first (a, b, c), in lexicographic order, with
+    (w_a w_b) w_c != w_a (w_b w_c) for w = elements; None when every triple
+    associates.
 
+    Only exact ``multiply`` is used, so the check shares no code with either
+    identity backend.  Each pair product w_a w_b is formed at most once, when
+    first needed: a triple costs two more products.
+    """
+    w = list(elements)
+    pairs: Dict[Tuple[int, int], Element] = {}
 
-def _associativity_witness(A: StructureAlgebra):
-    """The first basis triple, in lexicographic order, that does not
-    associate; None when every triple does."""
-    basis = [A.basis_element(i) for i in range(A.dim)]
-    for bi in basis:
-        for bj in basis:
-            ij = multiply(A, bi, bj)
-            for bk in basis:
-                if multiply(A, ij, bk) != multiply(A, bi, multiply(A, bj, bk)):
-                    return {"x": bi, "y": bj, "z": bk}
+    def pair(a: int, b: int) -> Element:
+        if (a, b) not in pairs:
+            pairs[a, b] = multiply(A, w[a], w[b])
+        return pairs[a, b]
+
+    for a, b, c in itertools.product(range(len(w)), repeat=3):
+        if multiply(A, pair(a, b), w[c]) != multiply(A, w[a], pair(b, c)):
+            return a, b, c
     return None
+
+
+def _is_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
+    """Associativity, decided on A's basis triples for both backends: the
+    associator is trilinear, so that is exact.  The witness is the first
+    non-associating triple (x, y, z) in lexicographic order.
+
+    The mode is an output rule, not a record of which backend ran:
+    "multilinear-proof" for the multilinear backend or dimension above 5,
+    "symbolic-proof" otherwise.  Structured output pins it byte for byte.
+    """
+    mode = ("multilinear-proof" if backend == "multilinear" or A.dim > 5
+            else "symbolic-proof")
+    basis = [A.basis_element(i) for i in range(A.dim)]
+    triple = _nonassociative_triple(A, basis)
+    if triple is None:
+        return PredicateResult("associative", True, mode)
+    wit = {v: basis[i] for v, i in zip(("x", "y", "z"), triple)}
+    return PredicateResult("associative", False, mode, wit)
 
 
 def _power_commutative_bounded(A: StructureAlgebra, bound: int
@@ -209,8 +220,10 @@ def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     """Characteristic-zero criterion: x x^2 = x^2 x and x^2 x^2 = (x^2 x) x.
 
     These two identities imply full power-associativity over characteristic
-    zero (a classical theorem used here as an external fact); a sampled
-    cross-check verifies associativity of A(x) at random concrete points.
+    zero (A. A. Albert, "Power-associative rings", Trans. AMS 64, 1948; used
+    here as an external fact).  When both hold, a sampled cross-check closes
+    A(x) at three seeded concrete points and checks each basis associative
+    with ``_nonassociative_triple``; a failure raises AssertionError.
     """
     x = FreePoly.var(X)
     xx = FreePoly.term((X, X))
@@ -231,14 +244,10 @@ def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
         if pt.is_zero():
             continue
         sub = subalgebra_generated(A, pt)
-        for u in sub.basis:
-            for v in sub.basis:
-                uv = multiply(A, u, v)
-                for w in sub.basis:
-                    if multiply(A, uv, w) != multiply(A, u, multiply(A, v, w)):
-                        raise AssertionError(
-                            "power-associativity criterion contradicted by "
-                            "a concrete A(x)")
+        if _nonassociative_triple(A, sub.basis) is not None:
+            raise AssertionError(
+                "power-associativity criterion contradicted by a concrete "
+                "A(x)")
     return PredicateResult("power_associative", True, f"{backend}-proof")
 
 

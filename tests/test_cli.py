@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nalab import cli
+from nalab import cli, engine
 from nalab.cli_io import parse_structured, run_capture
 
 
@@ -121,6 +121,19 @@ class TestErrors:
         code, out = run(*argv)
         assert code == 2 and out == ""
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def exhausted(self, poly):
+            raise MemoryError("Unable to allocate 32.0 TiB for an array")
+
+        monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
+                            exhausted)
+        code, out = run("check", "H", "--identity", "2,2,2",
+                        "--backend", "multilinear")
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "32.0 TiB" in lines[0] and "--backend symbolic" in lines[0]
 
     def test_malformed_file(self, tmp_path, capsys):
         def spec(**fields):

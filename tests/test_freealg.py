@@ -14,8 +14,7 @@ from nalab.freealg import (DEGREE4_WORDS, FreePoly, TableRowError,
                            golden_table, golden_table_corrected, jordan,
                            mul_term, polarize, polarize_blocks,
                            poly_to_word_vector, pqr_associator, render_poly,
-                           substitute, term_bidegree, term_degree, term_key,
-                           term_ops)
+                           substitute, term_bidegree, term_degree, term_key)
 
 X = FreePoly.var("x")
 Y = FreePoly.var("y")
@@ -43,23 +42,19 @@ def trees(depth):
 
 class TestTermOps:
     def test_jordan_square(self):
-        assert term_ops(X, X, "jordan") == XX.scale(2)
+        assert jordan(X, X) == XX.scale(2)
 
     def test_commutator_self(self):
-        assert term_ops(XX, XX, "commutator") == FreePoly.zero()
+        assert commutator(XX, XX) == FreePoly.zero()
 
     def test_jordan_xy(self):
         expect = FreePoly.term(("x", "y")) + FreePoly.term(("y", "x"))
-        assert term_ops(X, Y, "jordan") == expect
+        assert jordan(X, Y) == expect
 
     def test_add_sub_mul(self):
-        assert term_ops(X, Y, "add") - Y == X
-        assert term_ops(X, Y, "mul") == FreePoly.term(("x", "y"))
-        assert term_ops(X, X, "sub").is_zero()
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            term_ops(X, Y, "pow")
+        assert (X + Y) - Y == X
+        assert X * Y == FreePoly.term(("x", "y"))
+        assert (X - X).is_zero()
 
 
 class TestAssociator:

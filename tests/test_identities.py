@@ -1,16 +1,22 @@
 """Predicate suite, statement verifications and hierarchy consistency."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nalab import algebra
-from nalab.algebra import (FIELD_Q, StructureAlgebra, division_sampled,
-                           identity_holds, mult_operator)
+from nalab import algebra, identities
+from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, HoldsResult,
+                           StructureAlgebra, division_sampled,
+                           identity_holds, mult_operator, multiply)
 from nalab.catalog import _cd_mul, catalog_algebra
-from nalab.exactmath import det
+from nalab.exactmath import QuadExt, det
 from nalab.freealg import polarize
-from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, check_pqr,
+from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES,
+                              _nonassociative_triple, check_pqr,
                               hierarchy_report, predicate, verify_instances,
                               verify_prop1, verify_prop2)
 
@@ -103,6 +109,119 @@ class TestPredicates:
             A = catalog_algebra(name)
             assert predicate(A, "flexible").value
             assert predicate(A, "x_x2_x").value
+
+
+def associativity_oracle(A, elements):
+    """The first non-associating triple of indices, in lexicographic order,
+    with three products per triple and no pair table; None when every
+    triple associates."""
+    w = list(elements)
+    for i, j, k in itertools.product(range(len(w)), repeat=3):
+        ij = multiply(A, w[i], w[j])
+        if multiply(A, ij, w[k]) != multiply(A, w[i], multiply(A, w[j], w[k])):
+            return i, j, k
+    return None
+
+
+def diagonal(n):
+    """D_n: Q^n with the componentwise product, associative."""
+    return StructureAlgebra(f"D{n}", n, FIELD_Q, [
+        [[Fraction(int(i == j == k)) for k in range(n)] for j in range(n)]
+        for i in range(n)])
+
+
+def random_scalar(rng, field):
+    a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    if field == FIELD_QSQRT3:
+        return QuadExt(a, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return a
+
+
+def sparse_random(dim, seed, field, density):
+    """Constants nonzero with probability density: the sparsest ones are
+    sometimes associative, the others fail at varying triples."""
+    rng = random.Random(seed)
+
+    def const():
+        if rng.random() >= density:
+            return Fraction(0)
+        return random_scalar(rng, field)
+
+    return StructureAlgebra("sparse", dim, field, [
+        [[const() for _ in range(dim)] for _ in range(dim)]
+        for _ in range(dim)])
+
+
+def random_elements(A, seed, count):
+    rng = random.Random(seed)
+    return [A.element([random_scalar(rng, A.field) if rng.random() < 0.6
+                       else Fraction(0) for _ in range(A.dim)])
+            for _ in range(count)]
+
+
+ASSOCIATIVE = ("R", "C", "H")
+
+
+class TestAssociativityCheck:
+    @given(dim=st.integers(1, 7), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           density=st.sampled_from((0.02, 0.1, 0.4)),
+           count=st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_on_random_algebras(self, dim, seed, field,
+                                               density, count):
+        A = sparse_random(dim, seed, field, density)
+        basis = [A.basis_element(i) for i in range(dim)]
+        assert _nonassociative_triple(A, basis) == \
+            associativity_oracle(A, basis)
+        elements = random_elements(A, seed, count)
+        assert _nonassociative_triple(A, elements) == \
+            associativity_oracle(A, elements)
+
+    def test_both_verdicts_occur(self):
+        algebras = [diagonal(n) for n in range(1, 8)]
+        algebras += [catalog_algebra(name) for name in ASSOCIATIVE]
+        algebras += [sparse_random(dim, seed, field, density)
+                     for dim in range(1, 8)
+                     for seed, field in enumerate((FIELD_Q, FIELD_QSQRT3))
+                     for density in (0.05, 0.3)]
+        verdicts = set()
+        for A in algebras:
+            basis = [A.basis_element(i) for i in range(A.dim)]
+            got = _nonassociative_triple(A, basis)
+            assert got == associativity_oracle(A, basis), A.name
+            elements = random_elements(A, A.dim, 3)
+            assert _nonassociative_triple(A, elements) == \
+                associativity_oracle(A, elements), A.name
+            verdicts.add(got is None)
+            if A.name in ASSOCIATIVE or A.name.startswith("D"):
+                assert got is None, A.name
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    @pytest.mark.parametrize("backend", ["symbolic", "multilinear"])
+    def test_mode_rule(self, dim, backend):
+        expect = ("symbolic-proof" if backend == "symbolic" and dim <= 5
+                  else "multilinear-proof")
+        res = predicate(diagonal(dim), "associative", backend=backend)
+        assert res.value and res.mode == expect and res.witness is None
+        A = sparse_random(dim, 1, FIELD_Q, 0.3)
+        basis = [A.basis_element(i) for i in range(dim)]
+        triple = associativity_oracle(A, basis)
+        assert triple is not None
+        res = predicate(A, "associative", backend=backend)
+        assert not res.value and res.mode == expect
+        assert res.witness == {v: basis[i]
+                               for v, i in zip(("x", "y", "z"), triple)}
+
+    def test_cross_check_fires(self, monkeypatch):
+        # with both identities forced to hold, P's sampled A(x) bases must
+        # contradict the criterion
+        monkeypatch.setattr(identities, "identity_holds",
+                            lambda A, poly, backend="symbolic":
+                            HoldsResult(True, backend))
+        with pytest.raises(AssertionError, match="concrete A\\(x\\)"):
+            predicate(P, "power_associative")
 
 
 class TestProp1:
