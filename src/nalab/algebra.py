@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
                         scalar_sign, solve_affine, det, poly_rank)
-from .freealg import FreePoly, FreeTerm, UNIT, term_bidegree
+from .freealg import FreePoly, FreeTerm, UNIT, X, term_bidegree
 
 FIELD_Q = "Q"
 FIELD_QSQRT3 = "Q(sqrt 3)"
@@ -199,6 +199,7 @@ class DivisionReport:
 class SubalgebraResult:
     basis: tuple
     dim: int
+    words: tuple = ()  # FreeTerms in x; see subalgebra_generated
 
 
 def multiply(A: StructureAlgebra, u: Element, v: Element) -> Element:
@@ -432,11 +433,12 @@ def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     A concrete x is closed exactly by ``_pair_closure``.  A symbolic x is
     closed first at the specialization x_i = i + 1, which can only drop
     rank.  If the words found there span A, then A(x) = A, and the result is
-    A's standard basis: no polynomial product is formed.  Otherwise the same
-    words are rebuilt at x along the recorded pairs; they are independent
-    over the function field because their specializations are.  Every other
-    pair is then decided exactly by one fraction-free rank, and each
-    independent product joins the basis with its own pairs queued.
+    A's standard basis with no words: no polynomial product is formed.
+    Otherwise the same words are rebuilt at x along the recorded pairs; they
+    are independent over the function field because their specializations
+    are.  Every other pair is then decided exactly by one fraction-free
+    rank, and each independent product joins the basis with its own pairs
+    queued.  ``words`` holds the ``FreeTerm`` in "x" behind each element.
     """
     if x.is_zero():
         return SubalgebraResult((), 0)
@@ -451,9 +453,10 @@ def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     if len(special) == A.dim:
         return SubalgebraResult(
             tuple(A.basis_element(i) for i in range(A.dim)), A.dim)
-    basis = [x]
+    basis, words = [x], [X]
     for i, j in pairs:
         basis.append(multiply(A, basis[i], basis[j]))
+        words.append((words[i], words[j]))
     queue = [(i, j) for i in range(len(basis)) for j in range(len(basis))
              if (i, j) not in pairs]
     # the loop also takes the pairs appended to the queue while it runs
@@ -464,9 +467,10 @@ def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
         if poly_rank([b.coords for b in basis + [cand]]) > len(basis):
             k = len(basis)
             basis.append(cand)
+            words.append((words[i], words[j]))
             queue.extend([(m, k) for m in range(k + 1)]
                          + [(k, m) for m in range(k)])
-    return SubalgebraResult(tuple(basis), len(basis))
+    return SubalgebraResult(tuple(basis), len(basis), tuple(words))
 
 
 def degree(A: StructureAlgebra) -> int:

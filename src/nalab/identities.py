@@ -10,13 +10,12 @@ algebras, and the property hierarchy consistency report.
 
 Associativity has one check, ``_nonassociative_triple``, on exact products
 of a list of elements.  It decides the "associative" predicate on A's basis
-for both backends, and it is the A(x) cross-check of "power_associative".
+for both backends, and A(x) = A in the cross-check of "power_associative".
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +29,8 @@ from .exactmath import (Echelon, MultiPoly, poly_rank, scalar_rank,
                         span_membership)
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
-                      poly_to_word_vector, pqr_associator, substitute)
+                      poly_to_word_vector, pqr_associator, substitute,
+                      term_degree)
 
 ALL_TRIPLES: Tuple[Tuple[int, int, int], ...] = tuple(
     itertools.product((1, 2), repeat=3))
@@ -46,7 +46,7 @@ PROPERTY_NAMES = (
 class PredicateResult:
     name: str
     value: bool
-    mode: str  # "symbolic-proof" | "multilinear-proof" | "bounded(D)" | "sampled(k,seed)"
+    mode: str  # "symbolic-proof" | "multilinear-proof" | "bounded(D)"
     witness: Optional[dict] = None
 
     def to_dict(self) -> dict:
@@ -210,20 +210,16 @@ def _commutation_witness(A: StructureAlgebra, w1, w2):
     return wit
 
 
-#: concrete points, and their seed, at which A(x) is checked associative
-#: after the power-associativity criterion holds
-_PA_CROSS_TRIALS = 3
-_PA_CROSS_SEED = 7
-
-
 def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     """Characteristic-zero criterion: x x^2 = x^2 x and x^2 x^2 = (x^2 x) x.
 
     These two identities imply full power-associativity over characteristic
     zero (A. A. Albert, "Power-associative rings", Trans. AMS 64, 1948; used
-    here as an external fact).  When both hold, a sampled cross-check closes
-    A(x) at three seeded concrete points and checks each basis associative
-    with ``_nonassociative_triple``; a failure raises AssertionError.
+    here as an external fact).  When both hold, an exact cross-check asks
+    whether A(x) is associative at a generic x; a failure raises
+    AssertionError.  With no words (A(x) = A) A's basis triples decide it;
+    otherwise the associator is trilinear, so every associator of the words
+    spanning A(x) must vanish, evaluated in one ``engine.SymContext``.
     """
     x = FreePoly.var(X)
     xx = FreePoly.term((X, X))
@@ -237,17 +233,21 @@ def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     if not r2.holds:
         return PredicateResult("power_associative", False,
                                f"{backend}-proof", r2.witness)
-    # sampled cross-check on A(x) associativity
-    rng = random.Random(_PA_CROSS_SEED)
-    for _ in range(_PA_CROSS_TRIALS):
-        pt = A.element([Fraction(rng.randint(-3, 3)) for _ in range(A.dim)])
-        if pt.is_zero():
-            continue
-        sub = subalgebra_generated(A, pt)
-        if _nonassociative_triple(A, sub.basis) is not None:
-            raise AssertionError(
-                "power-associativity criterion contradicted by a concrete "
-                "A(x)")
+    words = subalgebra_generated(A, A.generic_element()).words
+    if not words:
+        basis = [A.basis_element(i) for i in range(A.dim)]
+        associative = _nonassociative_triple(A, basis) is None
+    else:
+        top = max(term_degree(w) for w in words)
+        ctx = engine.SymContext(A.tensor(),
+                                _symbolic_groups(A, (X,), 3 * top))
+        terms = [FreePoly.term(w) for w in words]
+        associative = all(
+            engine.sym_is_zero(ctx.eval_poly(associator(a, b, c)))
+            for a, b, c in itertools.product(terms, repeat=3))
+    if not associative:
+        raise AssertionError(
+            "power-associativity criterion contradicted by the generic A(x)")
     return PredicateResult("power_associative", True, f"{backend}-proof")
 
 
@@ -407,7 +407,7 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     deg = degree(A)
     idents = {(p, q, r): check_pqr(A, p, q, r).holds
               for (p, q, r) in ALL_TRIPLES}
-    tpa = predicate(A, "TPA").value
+    tpa = idents[(1, 1, 1)]
     pa = predicate(A, "power_associative").value
     pc = predicate(A, "power_commutative", bound=bound).value
     quad = predicate(A, "quadratic").value
@@ -552,7 +552,7 @@ def hierarchy_report(A: StructureAlgebra, bound: int = 5,
         if cres.value:
             qualifier = ""
             for m in (pres.mode, cres.mode):
-                if m.startswith("bounded") or m.startswith("sampled"):
+                if m.startswith("bounded"):
                     qualifier = f" at {m}"
             verdicts.append(EdgeVerdict(prem, concl, True,
                                         "consistent" + qualifier))

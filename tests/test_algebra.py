@@ -15,7 +15,7 @@ from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            mult_operator, multiply, subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
 from nalab.exactmath import QuadExt, det, poly_rank
-from nalab.freealg import FreePoly, associator, pqr_associator
+from nalab.freealg import X, FreePoly, associator, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
 
 H = classical("H").algebra
@@ -110,6 +110,26 @@ def degenerate_algebra():
     independent at a generic x."""
     return table_algebra("degen", 2, lambda i, j, k:
                          (2 if i == 0 else 1) * (i == j == k))
+
+
+def degenerate_specializations():
+    """(algebra, degree) pairs on which the specialization x = (1, .., n)
+    loses rank.  x^2 = 2x at x = (1, 2) in ``degenerate_algebra`` but not
+    generically: the exact rank decides the pair the specialization missed.
+    In the second algebra x^2 = x at s = (1, 2, 3, 4), so x^3 and x^4 are
+    found only among the pairs of the exactly admitted x^2.  The third has
+    u v = Q(u, v) s + (u_0 v_1 - u_1 v_0) e_3 with Q(s, s) = 0: x^2 is zero
+    at s and x^2 x^2 = 0, so x x^2 is the only new product."""
+    table = {(0, 0, 0): 1, (1, 1, 1): Fraction(1, 2), (1, 1, 3): 1,
+             (1, 2, 2): -1, (2, 2, 2): 1}
+    idempotent = table_algebra("x2=x", 4,
+                               lambda i, j, k: table.get((i, j, k), 0))
+    s = (1, 2, 3, 4)
+    rows = {(0, 0): [4 * v for v in s], (1, 1): [-v for v in s],
+            (0, 1): [0, 0, 0, 1], (1, 0): [0, 0, 0, -1]}
+    square_zero = table_algebra(
+        "x2(s)=0", 4, lambda i, j, k: rows.get((i, j), [0] * 4)[k])
+    return [(degenerate_algebra(), 2), (idempotent, 4), (square_zero, 3)]
 
 
 def dense_algebra(n, seed):
@@ -371,23 +391,7 @@ class TestDegree:
         assert degree(A) == 3
 
     def test_degenerate_specialization(self):
-        """x^2 = 2x at the specialization x = (1, 2) but not generically:
-        the exact rank decides the pair the specialization missed.  In the
-        second algebra x^2 = x at s = (1, 2, 3, 4), so x^3 and x^4 are found
-        only among the pairs of the exactly admitted x^2.  The third has
-        u v = Q(u, v) s + (u_0 v_1 - u_1 v_0) e_3 with Q(s, s) = 0: x^2 is
-        zero at s and x^2 x^2 = 0, so x x^2 is the only new product."""
-        table = {(0, 0, 0): 1, (1, 1, 1): Fraction(1, 2), (1, 1, 3): 1,
-                 (1, 2, 2): -1, (2, 2, 2): 1}
-        idempotent = table_algebra("x2=x", 4,
-                                   lambda i, j, k: table.get((i, j, k), 0))
-        s = (1, 2, 3, 4)
-        rows = {(0, 0): [4 * v for v in s], (1, 1): [-v for v in s],
-                (0, 1): [0, 0, 0, 1], (1, 0): [0, 0, 0, -1]}
-        square_zero = table_algebra(
-            "x2(s)=0", 4, lambda i, j, k: rows.get((i, j), [0] * 4)[k])
-        for A, d in ((degenerate_algebra(), 2), (idempotent, 4),
-                     (square_zero, 3)):
+        for A, d in degenerate_specializations():
             assert degree(A) == d
             assert degree_brute_force(A) == d
 
@@ -399,6 +403,34 @@ class TestDegree:
             res = subalgebra_generated(A, A.generic_element())
             assert res.basis == tuple(A.basis_element(i)
                                       for i in range(A.dim))
+
+    def test_words_reproduce_basis(self, ut3):
+        """At a generic x, each word evaluated at x is its basis element.
+        The degenerate specializations include words the queue admits."""
+        algebras = [catalog_algebra(name)
+                    for name in ("H", "O", "P", "*O", "**O")]
+        algebras += [ut3] + [A for A, _ in degenerate_specializations()]
+        for A in algebras:
+            x = A.generic_element()
+            res = subalgebra_generated(A, x)
+            assert len(res.words) == res.dim > 0, A.name
+            for w, b in zip(res.words, res.basis):
+                assert eval_free_poly(A, FreePoly.term(w), {X: x}) == b, \
+                    (A.name, w)
+        assert subalgebra_generated(ut3, ut3.generic_element()).words == \
+            (X, (X, X), (X, (X, X)))
+
+    def test_words_empty(self, files_algebras, ut3):
+        """No words when A(x) = A is found at the specialization, and none
+        for a concrete x."""
+        for A in (UNCERTIFIED["D8"], files_algebras["sparse9"],
+                  files_algebras["sparse10"]):
+            res = subalgebra_generated(A, A.generic_element())
+            assert res.dim == A.dim and res.words == (), A.name
+        for A in (H, ut3):
+            x = A.element([Fraction(i + 1) for i in range(A.dim)])
+            res = subalgebra_generated(A, x)
+            assert res.dim > 1 and res.words == (), A.name
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.booleans(), st.booleans(), st.data())

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from nalab import algebra, identities
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, HoldsResult,
-                           StructureAlgebra, division_sampled,
-                           identity_holds, mult_operator, multiply)
-from nalab.catalog import _cd_mul, catalog_algebra
+                           StructureAlgebra, degree, division_sampled,
+                           identity_holds, mult_operator, multiply,
+                           subalgebra_generated)
+from nalab.catalog import CATALOG_NAMES, _cd_mul, catalog_algebra
 from nalab.exactmath import QuadExt, det
-from nalab.freealg import polarize
+from nalab.freealg import (X, FreePoly, associator, commutator, polarize,
+                           term_degree)
 from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES,
                               _nonassociative_triple, check_pqr,
                               hierarchy_report, predicate, verify_instances,
@@ -159,6 +161,17 @@ def random_elements(A, seed, count):
             for _ in range(count)]
 
 
+def force_identities(monkeypatch):
+    """Make every identity check of ``identities`` hold."""
+    monkeypatch.setattr(identities, "identity_holds",
+                        lambda A, poly, backend="symbolic":
+                        HoldsResult(True, backend))
+
+
+def generic_words(A):
+    return subalgebra_generated(A, A.generic_element()).words
+
+
 ASSOCIATIVE = ("R", "C", "H")
 
 
@@ -215,13 +228,107 @@ class TestAssociativityCheck:
                                for v, i in zip(("x", "y", "z"), triple)}
 
     def test_cross_check_fires(self, monkeypatch):
-        # with both identities forced to hold, P's sampled A(x) bases must
-        # contradict the criterion
-        monkeypatch.setattr(identities, "identity_holds",
-                            lambda A, poly, backend="symbolic":
-                            HoldsResult(True, backend))
-        with pytest.raises(AssertionError, match="concrete A\\(x\\)"):
+        # with both identities forced to hold, the associators of P's
+        # generic words must contradict the criterion
+        assert generic_words(P)
+        force_identities(monkeypatch)
+        with pytest.raises(AssertionError, match="generic A\\(x\\)"):
             predicate(P, "power_associative")
+
+    def test_cross_check_fires_on_basis_path(self, monkeypatch):
+        # a dense dim-4 algebra of degree 4: A(x) = A is found at the
+        # specialization, so A's basis triples contradict the criterion
+        A = sparse_random(4, 5, FIELD_Q, 1.0)
+        assert degree(A) == 4 and generic_words(A) == ()
+        assert associativity_oracle(
+            A, [A.basis_element(i) for i in range(4)]) is not None
+        force_identities(monkeypatch)
+        with pytest.raises(AssertionError, match="generic A\\(x\\)"):
+            predicate(A, "power_associative")
+
+    def test_cross_check_passes(self, ut3):
+        # UT3 through the words, D8 through the basis
+        for A, words in ((ut3, True), (diagonal(8), False)):
+            assert bool(generic_words(A)) == words
+            assert predicate(A, "power_associative").value, A.name
+
+
+def exact_pc(A, words):
+    """A(x) is commutative at a generic x: the words in x commute pairwise,
+    or A's basis elements do when A(x) = A (no words)."""
+    if not words:
+        basis = [A.basis_element(i) for i in range(A.dim)]
+        return all(multiply(A, u, v) == multiply(A, v, u)
+                   for u, v in itertools.combinations(basis, 2))
+    terms = [FreePoly.term(w) for w in words]
+    return all(identity_holds(A, commutator(a, b), "symbolic").holds
+               for a, b in itertools.combinations(terms, 2))
+
+
+def exact_pa(A, words):
+    """A(x) is associative at a generic x: every triple of words in x
+    associates, or A's basis triples do when A(x) = A (no words)."""
+    if not words:
+        basis = [A.basis_element(i) for i in range(A.dim)]
+        return associativity_oracle(A, basis) is None
+    terms = [FreePoly.term(w) for w in words]
+    return all(identity_holds(A, associator(a, b, c), "symbolic").holds
+               for a, b, c in itertools.product(terms, repeat=3))
+
+
+def albert(A):
+    """Albert's criterion: x x^2 = x^2 x and x^2 x^2 = (x^2 x) x."""
+    x, xx = FreePoly.var(X), FreePoly.term((X, X))
+    return all(identity_holds(A, f, "symbolic").holds
+               for f in (x * xx - xx * x, xx * xx - (xx * x) * x))
+
+
+def check_exact_against_bounded(A):
+    """exact PC True => bounded(D) True (so bounded False => exact False),
+    with equality once D reaches the largest word degree; D is that degree
+    when there are words and 2 otherwise.  Returns (exact PC, exact PA)."""
+    words = generic_words(A)
+    top = max((term_degree(w) for w in words), default=2)
+    pc = exact_pc(A, words)
+    bounded = predicate(A, "power_commutative", bound=top).value
+    assert bounded or not pc, A.name
+    if words:
+        assert bounded == pc, A.name
+    return pc, exact_pa(A, words)
+
+
+class TestExactOneGenerator:
+    """Exact power-commutativity and power-associativity from the generic
+    closure's words, as oracles for the predicates."""
+
+    def test_catalog_and_files(self, ut3, files_algebras):
+        algebras = [catalog_algebra(name) for name in CATALOG_NAMES]
+        algebras += [diagonal(8), ut3] + list(files_algebras.values())
+        seen = set()
+        for A in algebras:
+            pc, pa = check_exact_against_bounded(A)
+            assert pa == albert(A), A.name
+            assert pa == predicate(A, "power_associative").value, A.name
+            seen.add((pc, pa))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           density=st.sampled_from((0.05, 0.2, 0.6)),
+           commutative=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_random_algebras(self, dim, seed, field, density, commutative):
+        A = sparse_random(dim, seed, field, density)
+        if commutative:
+            A = StructureAlgebra("sym", dim, field, [
+                [[A.constants[i][j][k] + A.constants[j][i][k]
+                  for k in range(dim)] for j in range(dim)]
+                for i in range(dim)])
+        pc, pa = check_exact_against_bounded(A)
+        assert pa == albert(A)
+        assert pa == predicate(A, "power_associative").value
+        if commutative:
+            assert pc
 
 
 class TestProp1:
