@@ -1,7 +1,7 @@
 """nalab: exact computations in finite-dimensional nonassociative algebras.
 
 Submodules:
-  exactmath   exact scalars (Q, Q(sqrt d)), sparse polynomials, exact linear
+  exactmath   exact scalars (Q, Q(sqrt 3)), sparse polynomials, exact linear
               algebra (fraction-free rank, span membership, affine solve)
   freealg     free nonassociative algebra on {x, y}: associators, jordan
               product, polarization of (x^p, x^q, x^r) = 0, golden tables

@@ -64,11 +64,6 @@ class StructureAlgebra:
                         if field != FIELD_QSQRT3:
                             raise ValueError(
                                 "quadratic scalar in a rational algebra")
-                        # the engine and the division certificate read
-                        # every sqrt part as sqrt 3
-                        if c.d != 3:
-                            raise ValueError(
-                                f"sqrt {c.d} scalar in a Q(sqrt 3) algebra")
                     elif not isinstance(c, Fraction):
                         c = Fraction(c)
                     cell.append(c)
@@ -86,6 +81,7 @@ class StructureAlgebra:
         self._tensor: Optional[engine.ScaledTensor] = None
         self._ml: Optional[engine.MultilinearEngine] = None
         self._units: Optional[UnitReport] = None
+        self._generic: Optional[SubalgebraResult] = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -234,7 +230,11 @@ def mult_operator(A: StructureAlgebra, x: Element, side: str):
 
 
 def find_units(A: StructureAlgebra) -> UnitReport:
-    """Exact left/right/two-sided unit solution sets."""
+    """Exact left/right/two-sided unit solution sets.
+
+    A left unit e and a right unit f are equal, e = ef = f, so when both
+    exist each set is that one point and it is the two-sided unit.
+    """
     if A._units is not None:
         return A._units
     n = A.dim
@@ -250,10 +250,8 @@ def find_units(A: StructureAlgebra) -> UnitReport:
                 rhs.append(Fraction(1) if j == k else Fraction(0))
         return rows, rhs
 
-    lrows, lrhs = system(True)
-    rrows, rrhs = system(False)
-    lsol = solve_affine(lrows, lrhs)
-    rsol = solve_affine(rrows, rrhs)
+    lsol = solve_affine(*system(True))
+    rsol = solve_affine(*system(False))
 
     def verify(e_coords, left: bool):
         e = Element(tuple(e_coords))
@@ -273,11 +271,9 @@ def find_units(A: StructureAlgebra) -> UnitReport:
         right = AffineSet(tuple(rsol[0]), tuple(tuple(v) for v in rsol[1]))
     two = None
     if left is not None and right is not None:
-        tsol = solve_affine(lrows + rrows, lrhs + rrhs)
-        if tsol is not None:
-            verify(tsol[0], True)
-            verify(tsol[0], False)
-            two = Element(tuple(tsol[0]))
+        if left.particular != right.particular:
+            raise AssertionError("left and right units differ")
+        two = Element(left.particular)
     report = UnitReport(left, right, two)
     A._units = report
     return report
@@ -473,12 +469,21 @@ def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     return SubalgebraResult(tuple(basis), len(basis), tuple(words))
 
 
+def generic_closure(A: StructureAlgebra) -> SubalgebraResult:
+    """A(x) at the generic x, closed on first use and kept on A."""
+    if A._generic is None:
+        A._generic = subalgebra_generated(A, A.generic_element())
+    return A._generic
+
+
 def degree(A: StructureAlgebra) -> int:
     """max over x of dim A(x): the dimension at a fully generic element.
 
-    Exact over the function field; see ``subalgebra_generated``.
+    Exact over the function field; see ``subalgebra_generated``.  The
+    closure is kept on A (``generic_closure``), so ``degree`` and the
+    power-associativity check close A(x) once between them.
     """
-    return subalgebra_generated(A, A.generic_element()).dim
+    return generic_closure(A).dim
 
 
 #: Hurwitz: a positive-definite q with M_x^T M_x = q(x)*I for all x exists
@@ -501,7 +506,7 @@ def _composition_form(A: StructureAlgebra, side: str):
          for c in engine._cast(t.parts, "o")]
     # G[i, j, a, b] = (M_i^T M_j)_{ab} = sum_k M[(i, a), k] M[(j, b), k]
     G = [g.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-         for g in engine._field_product(M, [m.T for m in M], t.d)]
+         for g in engine._field_product(M, [m.T for m in M])]
     S = [g + g.transpose(1, 0, 2, 3) for g in G]
     eye = np.eye(t.n, dtype=int)
     if any(not np.array_equal(s, s[:, :, :1, :1] * eye) for s in S):
@@ -511,7 +516,7 @@ def _composition_form(A: StructureAlgebra, side: str):
     def entry(i, j):
         a = Fraction(int(S[0][i, j, 0, 0]), denom)
         return a if len(S) == 1 else \
-            QuadExt(a, Fraction(int(S[1][i, j, 0, 0]), denom), t.d)
+            QuadExt(a, Fraction(int(S[1][i, j, 0, 0]), denom))
 
     return [[entry(i, j) for j in range(t.n)] for i in range(t.n)]
 

@@ -132,7 +132,7 @@ def star_both(inv: InvolutiveAlgebra) -> StructureAlgebra:
 # Pseudo-octonions (Okubo algebra)
 # ---------------------------------------------------------------------------
 
-_SQRT3 = QuadExt(0, 1, 3)
+_SQRT3 = QuadExt(0, 1)
 _HALF = Fraction(1, 2)
 
 #: su(3) structure constants on the Gell-Mann matrices l1..l8 (indices
@@ -169,7 +169,7 @@ def okubo() -> StructureAlgebra:
     constant is a QuadExt.
     """
     n = 8
-    constants = [[[QuadExt(0, 0, 3)] * n for _ in range(n)] for _ in range(n)]
+    constants = [[[QuadExt()] * n for _ in range(n)] for _ in range(n)]
     for idx, v in _SU3_D.items():
         for a, b, k in set(itertools.permutations(idx)):
             constants[a][b][k] += v
@@ -260,18 +260,16 @@ class SpecFormatError(ValueError):
 MAX_DIM = 64
 
 
-def _spec_field_d(field_tag: str) -> int:
-    if field_tag == FIELD_Q:
-        return 3  # irrelevant, no sqrt part may occur
-    if field_tag == FIELD_QSQRT3:
-        return 3
-    raise SpecFormatError(f"unknown field tag {field_tag!r}")
+def _check_field(field_tag: str) -> None:
+    if field_tag not in (FIELD_Q, FIELD_QSQRT3):
+        raise SpecFormatError(f"unknown field tag {field_tag!r}")
 
 
 def _field_scalar(text: str, field_tag: str, what: str):
     """A scalar of the file's field, parsed; anything else is malformed."""
     try:
-        val = parse_scalar(text, _spec_field_d(field_tag))
+        _check_field(field_tag)
+        val = parse_scalar(text)
     except ValueError as exc:
         raise SpecFormatError(f"{what}: {exc}") from exc
     if isinstance(val, QuadExt) and field_tag == FIELD_Q:
@@ -283,7 +281,7 @@ def load(spec) -> StructureAlgebra:
     """Build an algebra from an AlgebraSpec or its JSON dictionary."""
     if isinstance(spec, dict):
         spec = spec_from_dict(spec)
-    _spec_field_d(spec.field)
+    _check_field(spec.field)
     n = spec.dim
     if n < 1:
         raise SpecFormatError("dim must be >= 1")

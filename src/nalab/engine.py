@@ -5,7 +5,7 @@ symbolic evaluation of identities reduces to integer tensor arithmetic: a
 symbolic element is a polynomial whose coefficients are integer coordinate
 vectors, and a fully multilinearized identity is an integer tensor indexed by
 basis tuples.  Every exact value is a tuple of parts: one integer array for a
-rational value, or two (rational part, sqrt d part) for a value in Q(sqrt d).
+rational value, or two (rational part, sqrt 3 part) for a value in Q(sqrt 3).
 One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
 operation.  Everything is exact: each product runs in float64 (BLAS) while
 a rigorous magnitude bound stays below 2^52, in int64 below 2^62, and in
@@ -21,26 +21,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactmath import QuadExt
+from .exactmath import SQRT_RADICAND, QuadExt
 from .freealg import FreePoly, FreeTerm, UNIT, X, Y, term_bidegree
 
 _INT64_LIMIT = 1 << 62
 _FLOAT_EXACT = 1 << 52
 
 
-def _field_product(A: Tuple, B: Tuple, d: int) -> Tuple:
+def _field_product(A: Tuple, B: Tuple) -> Tuple:
     """Matrix product of part tuples by the rule (a, b)(a', b') =
-    (aa' + d*bb', ab' + ba'): A's parts are (m, k) and B's (k, p) matrices.
+    (aa' + 3bb', ab' + ba'): A's parts are (m, k) and B's (k, p) matrices.
 
-    A missing sqrt(d) part is zero, so the result has one exactly when a
+    A missing sqrt 3 part is zero, so the result has one exactly when a
     factor has one.  When both factors have one, the rule is a single
-    product of blocks, [[a, d*b], [b, a]] @ [a'; b'], whose rows sum the
+    product of blocks, [[a, 3b], [b, a]] @ [a'; b'], whose rows sum the
     same terms as the rule (so every bound on the rule bounds its partial
     sums) with no pass over the result to combine parts.
     """
     if len(A) == 2 and len(B) == 2:
         a, b = A
-        out = np.block([[a, b * d], [b, a]]) @ np.concatenate(B)
+        out = np.block([[a, b * SQRT_RADICAND], [b, a]]) @ np.concatenate(B)
         return out[:len(a)], out[len(a):]
     return tuple(P @ Q for P in A for Q in B)
 
@@ -60,7 +60,7 @@ def _tier(bound: int) -> str:
 
 
 def _padded(parts, width: int) -> Tuple:
-    """parts with zero sqrt(d) parts appended up to width."""
+    """parts with zero sqrt 3 parts appended up to width."""
     return tuple(parts) + tuple(np.zeros_like(parts[0])
                                 for _ in range(width - len(parts)))
 
@@ -85,15 +85,15 @@ def _cast(parts, kind: str) -> Tuple:
 
 
 class ScaledTensor:
-    """Structure constants as integer arrays: c = (parts[0] + parts[1]*sqrt(d))
-    / scale, with parts[1] present only when some constant has a sqrt(d)
+    """Structure constants as integer arrays: c = (parts[0] + parts[1]*sqrt 3)
+    / scale, with parts[1] present only when some constant has a sqrt 3
     part."""
 
-    __slots__ = ("n", "scale", "parts", "d", "max_abs")
+    __slots__ = ("n", "scale", "parts", "max_abs")
 
     def __init__(self, constants):
         n = len(constants)
-        # (flat index, rational part, sqrt(d) part) of every nonzero constant
+        # (flat index, rational part, sqrt 3 part) of every nonzero constant
         nonzero = []
         for pos, c in enumerate(c for plane in constants for row in plane
                                 for c in row):
@@ -110,8 +110,6 @@ class ScaledTensor:
         width = 2 if any(b for _, b in values) else 1
         self.n = n
         self.scale = scale
-        # StructureAlgebra admits Q and Q(sqrt 3) only
-        self.d = 3
         self.max_abs = max([1] + [abs(x) for v in values for x in v])
         # constants too wide for int64 stay Python ints: max_abs then sends
         # every product to the object tier
@@ -139,7 +137,7 @@ class SymVec:
     coordinates x_{g*n} .. x_{g*n+n-1}); sym_product refuses a product in
     which one could reach 2**bits, so packed keys never carry into each
     other.  parts holds the integer coordinate rows, one per key, as a part
-    tuple; true coordinates are (parts[0] + parts[1]*sqrt(d)) /
+    tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
     scale**denom_power.
     """
 
@@ -227,19 +225,17 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
     # rigorous bound on every product entry and every partial sum of it,
     # before and during aggregation: a key is the sum of at most min(P, Q)
     # pairs of keys, each entry of a pair sums n^2 terms
-    fold = (1 + t.d) ** 2 if max(map(len, (u.parts, v.parts, t.parts))) > 1 \
-        else 1
+    fold = (1 + SQRT_RADICAND) ** 2 \
+        if max(map(len, (u.parts, v.parts, t.parts))) > 1 else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
     kind = _tier(bound)
     # uC[p, (j, k)] = sum_i u[p, i] C[i, j, k]
     uC = _field_product(_cast(u.parts, kind),
-                        [C.reshape(n, n * n) for C in _cast(t.parts, kind)],
-                        t.d)
+                        [C.reshape(n, n * n) for C in _cast(t.parts, kind)])
     # out[q, (p, k)] = sum_j v[q, j] uC[p, j, k]
     out = _field_product(
         _cast(v.parts, kind),
-        [np.moveaxis(W.reshape(P, n, n), 1, 0).reshape(n, P * n) for W in uC],
-        t.d)
+        [np.moveaxis(W.reshape(P, n, n), 1, 0).reshape(n, P * n) for W in uC])
     del uC
     keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
     return SymVec(u.nvars, u.bits, degrees, dp,
@@ -407,13 +403,14 @@ class MultilinearEngine:
         leaf axes..., out).
 
         lmax and rmax bound the entries of L and R.  bound = n^2 * lmax *
-        rmax * max|C|, times (1 + d)^2 when a sqrt(d) part is present, is a
+        rmax * max|C|, times (1 + 3)^2 when a sqrt 3 part is present, is a
         rigorous bound on every entry and every intermediate partial sum;
         the dtype comes from it, so float64 is used only where it is exact.
         """
         t = self.t
         n = t.n
-        fold = (1 + t.d) ** 2 if max(map(len, (L, R, t.parts))) > 1 else 1
+        fold = (1 + SQRT_RADICAND) ** 2 \
+            if max(map(len, (L, R, t.parts))) > 1 else 1
         bound = n * n * lmax * rmax * t.max_abs * fold
         kind = _tier(bound)
         L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
@@ -421,12 +418,11 @@ class MultilinearEngine:
         # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's leaf axes
         V = _field_product([p.reshape(-1, n) for p in R],
                            [c.transpose(1, 0, 2).reshape(n, n * n)
-                            for c in C], t.d)
+                            for c in C])
         # out[l, (r, k)] = sum_i L[l, i] V[r, i, k]
         out = _field_product(
             [p.reshape(-1, n) for p in L],
-            [np.moveaxis(v.reshape(-1, n, n), 1, 0).reshape(n, -1) for v in V],
-            t.d)
+            [np.moveaxis(v.reshape(-1, n, n), 1, 0).reshape(n, -1) for v in V])
         return tuple(o.reshape((n,) * (nl + nr + 1)) for o in out), bound
 
     def word_tensor(self, term: FreeTerm):

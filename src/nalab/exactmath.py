@@ -1,8 +1,8 @@
 """Exact scalar arithmetic, sparse multivariate polynomials and exact linear algebra.
 
 Scalars are either ``fractions.Fraction`` (the rational field) or ``QuadExt``
-(a real quadratic extension a + b*sqrt(d) with rational a, b).  All arithmetic
-is exact: there is no floating point anywhere in this package.
+(a + b*sqrt 3 with rational a, b, in the one quadratic field Q(sqrt 3)).  All
+arithmetic is exact: there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-
-class FieldMismatchError(ValueError):
-    """Operands do not live in the same field tower."""
+#: the radicand of the one quadratic field, Q(sqrt 3)
+SQRT_RADICAND = 3
 
 
 class DivisionByZeroError(ZeroDivisionError):
@@ -28,39 +27,33 @@ def _as_fraction(x) -> Fraction:
 
 
 class QuadExt:
-    """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
+    """Element a + b*sqrt 3 of the real quadratic field Q(sqrt 3), the field
+    of the pseudo-octonion construction.
 
-    d is a small positive square-free integer fixed per algebra (d=3 for the
-    pseudo-octonion construction).  Representation is unique, so equality and
-    hashing are component-wise.
+    Representation is unique, so equality and hashing are component-wise.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a=0, b=0, d: int = 3):
+    def __init__(self, a=0, b=0):
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
-        if not (isinstance(d, int) and d > 1):
-            raise ValueError("d must be an integer > 1")
-        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise FieldMismatchError(f"sqrt({self.d}) vs sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return QuadExt(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return QuadExt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -68,26 +61,23 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        return QuadExt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        return QuadExt(o.a - self.a, o.b - self.b)
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt(-self.a, -self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        return QuadExt(self.a * o.a + SQRT_RADICAND * self.b * o.b,
+                       self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -95,7 +85,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise DivisionByZeroError("inverse of zero quadratic element")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return QuadExt(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -110,8 +100,8 @@ class QuadExt:
         return o * self.inverse()
 
     def norm(self) -> Fraction:
-        """Field norm a^2 - d*b^2 (rational)."""
-        return self.a * self.a - self.d * self.b * self.b
+        """Field norm a^2 - 3*b^2 (rational)."""
+        return self.a * self.a - SQRT_RADICAND * self.b * self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -121,7 +111,7 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         return NotImplemented
@@ -129,10 +119,10 @@ class QuadExt:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b))
 
     def __repr__(self):
-        return f"QuadExt({self.a!r}, {self.b!r}, d={self.d})"
+        return f"QuadExt({self.a!r}, {self.b!r})"
 
     def __str__(self):
         return format_scalar(self)
@@ -148,10 +138,10 @@ def scalar_is_zero(x) -> bool:
 
 
 def scalar_sign(x: Scalar) -> int:
-    """Sign (-1, 0 or 1) of x under the real embedding with sqrt(d) > 0.
+    """Sign (-1, 0 or 1) of x under the real embedding with sqrt 3 > 0.
 
-    For a + b*sqrt(d) with a and b of opposite signs, the larger of a^2 and
-    d*b^2 decides, so no square root is ever evaluated.
+    For a + b*sqrt 3 with a and b of opposite signs, the larger of a^2 and
+    3*b^2 decides, so no square root is ever evaluated.
     """
     if not isinstance(x, QuadExt):
         return (x > 0) - (x < 0)
@@ -168,17 +158,17 @@ def format_scalar(x: Scalar) -> str:
         if x.b == 0:
             return str(x.a)
         sep = "+" if x.b > 0 else "-"
-        return f"{x.a}{sep}{abs(x.b)}*sqrt{x.d}"
+        return f"{x.a}{sep}{abs(x.b)}*sqrt{SQRT_RADICAND}"
     return str(x)
 
 
-def parse_scalar(text: str, d: int = 3) -> Scalar:
-    """Parse the scalar grammar R | R+R*sqrtD | R-R*sqrtD, R = [-]digits[/digits]."""
+def parse_scalar(text: str) -> Scalar:
+    """Parse the scalar grammar R | R+R*sqrt3 | R-R*sqrt3, R = [-]digits[/digits]."""
     import re
 
     t = text.strip().replace(" ", "")
     m = re.fullmatch(
-        rf"(-?\d+(?:/\d+)?)(?:([+-])(-?\d+(?:/\d+)?)\*sqrt{d})?", t
+        rf"(-?\d+(?:/\d+)?)(?:([+-])(-?\d+(?:/\d+)?)\*sqrt{SQRT_RADICAND})?", t
     )
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
@@ -191,7 +181,7 @@ def parse_scalar(text: str, d: int = 3) -> Scalar:
         return a
     if m.group(2) == "-":
         b = -b
-    return QuadExt(a, b, d)
+    return QuadExt(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +440,7 @@ def span_membership(target: Sequence[Scalar],
     """Decide whether target is a linear combination of the generators.
 
     Returns (inside, coefficients); when inside, the coefficients exactly
-    reproduce the target in generator order.  Works over Q or a fixed Q(sqrt d).
+    reproduce the target in generator order.  Works over Q or Q(sqrt 3).
     """
     n = len(target)
     if any(len(g) != n for g in generators):

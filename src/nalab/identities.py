@@ -24,7 +24,7 @@ from . import engine
 from .algebra import (Element, HoldsResult, StructureAlgebra,
                       _find_witness, _symbolic_groups, _witness_candidates,
                       check_backend, degree, division_sampled, find_units,
-                      identity_holds, multiply, subalgebra_generated)
+                      generic_closure, identity_holds, multiply)
 from .exactmath import (Echelon, MultiPoly, poly_rank, scalar_rank,
                         span_membership)
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
@@ -223,9 +223,9 @@ def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     """
     x = FreePoly.var(X)
     xx = FreePoly.term((X, X))
-    third = x * xx - xx * x
     fourth = xx * xx - (xx * x) * x
-    r1 = identity_holds(A, third, backend)
+    # x x^2 - x^2 x = -(x, x, x): the same zero set and the same witness
+    r1 = identity_holds(A, pqr_associator(1, 1, 1), backend)
     if not r1.holds:
         return PredicateResult("power_associative", False,
                                f"{backend}-proof", r1.witness)
@@ -233,7 +233,7 @@ def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
     if not r2.holds:
         return PredicateResult("power_associative", False,
                                f"{backend}-proof", r2.witness)
-    words = subalgebra_generated(A, A.generic_element()).words
+    words = generic_closure(A).words
     if not words:
         basis = [A.basis_element(i) for i in range(A.dim)]
         associative = _nonassociative_triple(A, basis) is None

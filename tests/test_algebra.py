@@ -14,7 +14,7 @@ from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            eval_free_poly, find_units, identity_holds,
                            mult_operator, multiply, subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
-from nalab.exactmath import QuadExt, det, poly_rank
+from nalab.exactmath import QuadExt, det, poly_rank, solve_affine
 from nalab.freealg import X, FreePoly, associator, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
 
@@ -148,13 +148,6 @@ def power(v, n):
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-class TestConstruction:
-    def test_rejects_other_quadratic_field(self):
-        # a sqrt 5 constant would be read as sqrt 3 by the integer kernels
-        with pytest.raises(ValueError, match="sqrt 5"):
-            StructureAlgebra("Q5", 1, FIELD_QSQRT3, [[[QuadExt(0, 1, 5)]]])
-
-
 class TestMultiply:
     def test_quaternion_table(self):
         e, i, j, k = (H.basis_element(t) for t in range(4))
@@ -212,6 +205,20 @@ class TestMultOperator:
         assert Element(applied) == multiply(H, ex, ev)
 
 
+def stacked_two_sided(A):
+    """Oracle: the two-sided unit by one solve of the left and the right
+    unit systems stacked, or None."""
+    n = A.dim
+    rows, rhs = [], []
+    for j in range(n):
+        for k in range(n):
+            rows.append([A.constants[i][j][k] for i in range(n)])
+            rows.append([A.constants[j][i][k] for i in range(n)])
+            rhs += [Fraction(int(j == k))] * 2
+    sol = solve_affine(rows, rhs)
+    return None if sol is None else Element(tuple(sol[0]))
+
+
 class TestFindUnits:
     def test_quaternion_two_sided(self):
         rep = find_units(H)
@@ -232,6 +239,31 @@ class TestFindUnits:
     def test_zero_algebra_none(self):
         rep = find_units(zero_algebra())
         assert rep.left is None and rep.right is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.sampled_from(
+        ["left", "right", "both", "none"]), st.data())
+    def test_two_sided_matches_stacked_solve(self, n, sqrt3, forced, data):
+        """Random algebras over Q and Q(sqrt 3) with a unit forced at a
+        basis element on the left, the right, both sides or neither: the
+        two-sided unit equals the one solve of both systems stacked."""
+        unit = QuadExt(data.draw(st.integers(0, 1)),
+                       data.draw(st.integers(1, 2))) if sqrt3 else 1
+        small = st.sampled_from([0, 0, 0, 1, -1, 2])
+        consts = [[[unit * data.draw(small) for _ in range(n)]
+                   for _ in range(n)] for _ in range(n)]
+        u = data.draw(st.integers(0, n - 1))
+        for j in range(n):
+            for k in range(n):
+                if forced in ("left", "both"):
+                    consts[u][j][k] = Fraction(int(j == k))
+                if forced in ("right", "both"):
+                    consts[j][u][k] = Fraction(int(j == k))
+        A = StructureAlgebra("rnd", n, FIELD_QSQRT3 if sqrt3 else FIELD_Q,
+                             consts)
+        assert find_units(A).two_sided == stacked_two_sided(A)
+        if forced == "both":
+            assert find_units(A).two_sided == A.basis_element(u)
 
 
 class TestEvalFreePoly:

@@ -151,7 +151,9 @@ class TestErrors:
                         spec(dim=2, basis="ab"), spec(name="\ud800"),
                         spec(conjugation=[["zz", "1/0"], ["q"]]),
                         spec(conjugation=[["1/0"]]),
-                        spec(conjugation=[["1+1*sqrt3"]])):
+                        spec(conjugation=[["1+1*sqrt3"]]),
+                        spec(field="Q(sqrt 3)",
+                             constants=[[0, 0, 0, "1+1*sqrt5"]])):
             bad.write_bytes(content)
             code, _ = run("show", str(bad))
             assert code == 2, content

@@ -423,6 +423,26 @@ class TestInstances:
             assert not any(c.statement.startswith("open_question")
                            for c in checks)
 
+    @pytest.mark.parametrize("name", ["O", "H", "P", "*O"])
+    def test_one_generic_closure_per_algebra(self, monkeypatch, name):
+        """A report closes A(x) at the generic x once: ``degree`` and the
+        power-associativity check share the closure kept on A.  A fresh
+        copy is used, since the catalog algebras are cached across tests."""
+        A = catalog_algebra(name)
+        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                             A.basis_names)
+        calls = []
+        closure = algebra.subalgebra_generated
+
+        def counting(A, x):
+            calls.append(x.is_concrete())
+            return closure(A, x)
+
+        monkeypatch.setattr(algebra, "subalgebra_generated", counting)
+        hierarchy_report(B, bound=4)
+        verify_instances(B, trials=20, bound=4)
+        assert calls.count(False) == 1
+
 
 class TestHierarchy:
     def test_edge_set(self):
