@@ -15,6 +15,7 @@ for both backends, and A(x) = A in the cross-check of "power_associative".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +26,7 @@ from .algebra import (Element, HoldsResult, StructureAlgebra,
                       _find_witness, _symbolic_groups, _witness_candidates,
                       check_backend, degree, division_sampled, find_units,
                       generic_closure, identity_holds, multiply)
-from .exactmath import (Echelon, MultiPoly, poly_rank, scalar_rank,
-                        span_membership)
+from .exactmath import MultiPoly, poly_rank, scalar_rank, span_membership
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
                       poly_to_word_vector, pqr_associator, substitute,
@@ -151,24 +151,37 @@ def _power_commutative_bounded(A: StructureAlgebra, bound: int
     """All parenthesized words in one variable of leaf-degree <= bound
     commute pairwise at a generic element.
 
-    Words are first reduced modulo rational linear dependence of their
-    generic values (sound: commutators are bilinear), which collapses the
-    word lists sharply on the algebras where powers nearly coincide.
+    A word is skipped when its generic value is zero or equal to that of an
+    earlier kept word of the same leaf-degree.  One degree shares one
+    denom_power, so ``sym_combine`` decides the equality exactly.
+
+    Skipping cannot move the answer.  Let (a, b) be the first pair, in
+    enumeration order over all words, with [w_a, w_b] != 0.  Were w_b
+    skipped, w_b = sum c_k w_k over kept k < b; commutators are bilinear
+    and [w, w] = 0, so some [w_a, w_k] != 0 with k != a, and the pair
+    (a, k) or (k, a) comes before (a, b).  Were w_a skipped, w_a =
+    sum c_k w_k over kept k < a gives some [w_k, w_b] != 0, and (k, b)
+    comes first.  So both are kept, (a, b) is also the first failing kept
+    pair, and the value, the mode and the [w1, w2] witness are those of
+    the full enumeration.  The argument holds for any skipping of words in
+    the rational span of earlier kept ones.
     """
     mode = f"bounded({bound})"
     n = A.dim
     t = A.tensor()
     # commutators multiply two words of degree <= bound
     ctx = engine.SymContext(t, _symbolic_groups(A, (X,), 2 * bound))
-    reps: List[Tuple] = []  # (word, SymVec)
+    reps: List[Tuple] = []  # (word, SymVec), distinct nonzero values
     for deg in range(1, bound + 1):
-        group = []
+        start = len(reps)
         for w in enumerate_trees(deg):
             sv = ctx.eval_term(w)
-            if engine.sym_is_zero(sv):
+            if engine.sym_is_zero(sv) or any(
+                    engine.sym_is_zero(engine.sym_combine(
+                        [(1, sv), (-1, kept)], n))
+                    for _, kept in reps[start:]):
                 continue
-            group.append((w, sv))
-        reps.extend(_reduce_rational(group))
+            reps.append((w, sv))
     for (w1, s1), (w2, s2) in itertools.combinations(reps, 2):
         p12 = engine.sym_product(s1, s2, t)
         p21 = engine.sym_product(s2, s1, t)
@@ -177,26 +190,6 @@ def _power_commutative_bounded(A: StructureAlgebra, bound: int
             wit = _commutation_witness(A, w1, w2)
             return PredicateResult("power_commutative", False, mode, wit)
     return PredicateResult("power_commutative", True, mode)
-
-
-def _reduce_rational(group):
-    """Keep only words whose generic values are rationally independent.
-
-    Each symbolic value is flattened to a rational vector over the group's
-    (key, coordinate, part) positions, so the rational and sqrt-part
-    components count as separate coordinates; a word is kept iff its vector
-    is independent of the kept ones.  Dropping rational combinations is
-    sound because commutators are bilinear.
-    """
-    flat = [{(key, c, h): v
-             for h, rows in enumerate(sv.parts)
-             for key, row in zip(sv.keys.tolist(), rows.tolist())
-             for c, v in enumerate(row) if v}
-            for _, sv in group]
-    positions = sorted(set().union(*flat))
-    ech = Echelon()
-    return [ws for ws, row in zip(group, flat)
-            if ech.add([Fraction(row.get(pos, 0)) for pos in positions])]
 
 
 def _commutation_witness(A: StructureAlgebra, w1, w2):
@@ -408,14 +401,16 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     idents = {(p, q, r): check_pqr(A, p, q, r).holds
               for (p, q, r) in ALL_TRIPLES}
     tpa = idents[(1, 1, 1)]
-    pa = predicate(A, "power_associative").value
-    pc = predicate(A, "power_commutative", bound=bound).value
-    quad = predicate(A, "quadratic").value
     out: List[StatementCheck] = []
 
     limited_note = ("division hypothesis rests on sampled field-relative "
                     "evidence; a failing conclusion means the algebra is "
                     "most likely not a real division algebra")
+
+    @functools.cache
+    def holds(name: str) -> bool:
+        # conclusions only: each is asked for behind `hyp and`
+        return predicate(A, name, bound=bound).value
 
     def add(name, hyp, concl, notes="", limited=False):
         if not hyp:
@@ -448,13 +443,13 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     # Left unit + no zero divisors + (x, x, x^2) = 0 -> unit and PA
     hyp = units.has_left and division.all_invertible and idents[(1, 1, 2)]
     add("prop4_left_unit_division_112_implies_PA", hyp,
-        units.has_unit and pa,
+        hyp and units.has_unit and holds("power_associative"),
         "sampled division evidence" if hyp else "", limited=True)
 
     # Theorem 1: division + left unit + (x, x, x^2) = 0 -> unit and quadratic
     hyp = division.all_invertible and units.has_left and idents[(1, 1, 2)]
     add("thm1_left_unit_division_112_implies_quadratic", hyp,
-        units.has_unit and quad,
+        hyp and units.has_unit and holds("quadratic"),
         "sampled division evidence" if hyp else "", limited=True)
 
     # Lemma 1: degree <= 4 + left unit + (case 1 or case 2) -> PC.
@@ -463,13 +458,15 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     case1 = units.has_unit and any_ident
     case2 = division.all_invertible and any(one_qr)
     hyp = deg <= 4 and units.has_left and (case1 or case2)
-    add("lemma1_degree_le4_implies_power_commutative", hyp, pc,
+    add("lemma1_degree_le4_implies_power_commutative", hyp,
+        hyp and holds("power_commutative"),
         f"power-commutativity in bounded({bound}) mode" if hyp else "",
         limited=not case1)
 
     # Theorem 2: division + unit + degree <= 4: identity <=> PA <=> quadratic
     hyp = division.all_invertible and units.has_unit and deg <= 4
-    equiv = (any_ident == pa == quad)
+    equiv = hyp and (any_ident == holds("power_associative")
+                     == holds("quadratic"))
     add("thm2_equivalence_identity_PA_quadratic", hyp, equiv,
         "" if hyp else "hypothesis fails (needs two-sided unit + division + "
         "degree <= 4)", limited=True)
@@ -477,7 +474,7 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     # Theorem 3: division + degree <= 4 + left unit:
     #   some (x, x^q, x^r) identity <=> quadratic
     hyp = division.all_invertible and deg <= 4 and units.has_left
-    equiv = (any(one_qr) == quad)
+    equiv = hyp and (any(one_qr) == holds("quadratic"))
     add("thm3_left_unit_equivalence", hyp, equiv,
         "" if hyp else "hypothesis fails (needs left unit + division)",
         limited=True)
@@ -525,10 +522,10 @@ class EdgeVerdict:
                 "applicable": self.applicable, "verdict": self.verdict}
 
 
-def hierarchy_report(A: StructureAlgebra, bound: int = 5,
-                     backend: str = "symbolic"
+def hierarchy_report(A: StructureAlgebra, bound: int = 5
                      ) -> Tuple[PropertyReport, List[EdgeVerdict], bool]:
-    """All predicates plus edge-by-edge consistency of the implication chart.
+    """All predicates, checked symbolically, plus edge-by-edge consistency
+    of the implication chart.
 
     Returns (report, edge verdicts, ok).  A violated edge means a bug in
     this implementation or a counterexample to the published chart, so ok is
@@ -536,11 +533,10 @@ def hierarchy_report(A: StructureAlgebra, bound: int = 5,
     """
     report = PropertyReport(A.name)
     for name in PROPERTY_NAMES:
-        report.entries[name] = predicate(A, name, backend=backend,
-                                         bound=bound)
-    res222 = check_pqr(A, 2, 2, 2, backend)
+        report.entries[name] = predicate(A, name, bound=bound)
+    res222 = check_pqr(A, 2, 2, 2)
     report.entries["x2_x2_x2"] = PredicateResult(
-        "x2_x2_x2", res222.holds, f"{backend}-proof", res222.witness)
+        "x2_x2_x2", res222.holds, "symbolic-proof", res222.witness)
     verdicts: List[EdgeVerdict] = []
     ok = True
     for prem, concl in HIERARCHY_EDGES:

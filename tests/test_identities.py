@@ -8,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab import algebra, identities
+from nalab import algebra, engine, identities
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, HoldsResult,
-                           StructureAlgebra, degree, division_sampled,
-                           identity_holds, mult_operator, multiply,
-                           subalgebra_generated)
+                           StructureAlgebra, _symbolic_groups, degree,
+                           division_sampled, identity_holds, mult_operator,
+                           multiply, subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, _cd_mul, catalog_algebra
-from nalab.exactmath import QuadExt, det
-from nalab.freealg import (X, FreePoly, associator, commutator, polarize,
-                           term_degree)
-from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES,
-                              _nonassociative_triple, check_pqr,
-                              hierarchy_report, predicate, verify_instances,
-                              verify_prop1, verify_prop2)
+from nalab.exactmath import Echelon, QuadExt, det
+from nalab.freealg import (X, FreePoly, associator, commutator,
+                           enumerate_trees, polarize, term_degree)
+from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, PredicateResult,
+                              _commutation_witness, _nonassociative_triple,
+                              check_pqr, hierarchy_report, predicate,
+                              verify_instances, verify_prop1, verify_prop2)
 
 H = catalog_algebra("H")
 O = catalog_algebra("O")
@@ -152,6 +152,15 @@ def sparse_random(dim, seed, field, density):
     return StructureAlgebra("sparse", dim, field, [
         [[const() for _ in range(dim)] for _ in range(dim)]
         for _ in range(dim)])
+
+
+def symmetrized(A):
+    """A with b_i b_j replaced by b_i b_j + b_j b_i: commutative, so the
+    power-commutativity scan checks every pair of kept words."""
+    n = A.dim
+    return StructureAlgebra("sym", n, A.field, [
+        [[A.constants[i][j][k] + A.constants[j][i][k] for k in range(n)]
+         for j in range(n)] for i in range(n)])
 
 
 def random_elements(A, seed, count):
@@ -320,15 +329,117 @@ class TestExactOneGenerator:
     def test_random_algebras(self, dim, seed, field, density, commutative):
         A = sparse_random(dim, seed, field, density)
         if commutative:
-            A = StructureAlgebra("sym", dim, field, [
-                [[A.constants[i][j][k] + A.constants[j][i][k]
-                  for k in range(dim)] for j in range(dim)]
-                for i in range(dim)])
+            A = symmetrized(A)
         pc, pa = check_exact_against_bounded(A)
         assert pa == albert(A)
         assert pa == predicate(A, "power_associative").value
         if commutative:
             assert pc
+
+
+def reduced_scan_oracle(A, bound):
+    """The bounded power-commutativity scan with each degree's words
+    reduced modulo rational linear dependence of their generic values: a
+    word is kept iff its flattened (key, coordinate, part) vector is
+    independent of the kept ones, by exact Fraction elimination."""
+    n, t = A.dim, A.tensor()
+    ctx = engine.SymContext(t, _symbolic_groups(A, (X,), 2 * bound))
+    reps = []
+    for deg in range(1, bound + 1):
+        group = [(w, ctx.eval_term(w)) for w in enumerate_trees(deg)]
+        group = [(w, sv) for w, sv in group if not engine.sym_is_zero(sv)]
+        flat = [{(key, c, h): v
+                 for h, rows in enumerate(sv.parts)
+                 for key, row in zip(sv.keys.tolist(), rows.tolist())
+                 for c, v in enumerate(row) if v}
+                for _, sv in group]
+        positions = sorted(set().union(*flat))
+        ech = Echelon()
+        reps += [ws for ws, row in zip(group, flat)
+                 if ech.add([Fraction(row.get(pos, 0)) for pos in positions])]
+    mode = f"bounded({bound})"
+    for (w1, s1), (w2, s2) in itertools.combinations(reps, 2):
+        comm = engine.sym_combine([(1, engine.sym_product(s1, s2, t)),
+                                   (-1, engine.sym_product(s2, s1, t))], n)
+        if not engine.sym_is_zero(comm):
+            return PredicateResult("power_commutative", False, mode,
+                                   _commutation_witness(A, w1, w2))
+    return PredicateResult("power_commutative", True, mode)
+
+
+def count_sym_products(monkeypatch):
+    calls = []
+    product = engine.sym_product
+
+    def counting(u, v, t):
+        calls.append(None)
+        return product(u, v, t)
+
+    monkeypatch.setattr(engine, "sym_product", counting)
+    return calls
+
+
+def assert_scan_matches_oracle(A, bound):
+    got = predicate(A, "power_commutative", bound=bound).to_dict()
+    assert got == reduced_scan_oracle(A, bound).to_dict(), (A.name, bound)
+
+
+class TestPowerCommutativeScan:
+    """The scan skips a word only when its generic value is zero or equals
+    an earlier kept one; the rational reduction is the oracle."""
+
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           density=st.sampled_from((0.05, 0.2, 0.6)),
+           commutative=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_oracle_on_random_algebras(self, dim, seed, field,
+                                               density, commutative):
+        A = sparse_random(dim, seed, field, density)
+        if commutative:
+            A = symmetrized(A)
+        for bound in range(1, 5):
+            assert_scan_matches_oracle(A, bound)
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    def test_matches_oracle_on_catalog_and_files(self, bound, ut3,
+                                                 files_algebras):
+        algebras = [catalog_algebra(name) for name in CATALOG_NAMES]
+        algebras += [diagonal(8), ut3] + list(files_algebras.values())
+        for A in algebras:
+            assert_scan_matches_oracle(A, bound)
+
+    def test_keeps_a_word_the_rational_reduction_drops(self, monkeypatch):
+        """Found by a seeded search over 300 symmetrized random algebras:
+        of the words of degree 5 the rational reduction keeps 2, equality
+        keeps 3.  Both scans check every pair (the algebra is
+        commutative): 22 word products, then 2 per pair of 8 kept words
+        against 7."""
+        A = symmetrized(sparse_random(2, 131, FIELD_Q, 0.2))
+        calls = count_sym_products(monkeypatch)
+        oracle = reduced_scan_oracle(A, 5)
+        assert len(calls) == 22 + 2 * 21
+        del calls[:]
+        got = predicate(A, "power_commutative", bound=5)
+        assert len(calls) == 22 + 2 * 28
+        assert got.value and got.to_dict() == oracle.to_dict()
+
+    def test_equal_words_are_skipped(self, monkeypatch):
+        """In H every word of one degree has one value: 5 words are kept
+        out of 23 (22 word products, then 2 per pair of kept words).  With
+        no word skipped the scan would make 22 + 2 * 253 = 528 products."""
+        calls = count_sym_products(monkeypatch)
+        res = predicate(catalog_algebra("H"), "power_commutative", bound=5)
+        assert res.value and len(calls) == 22 + 2 * 10
+
+    def test_first_failing_pair_above_bound(self):
+        """bounded(D) True is not a proof: in *H no word pair fails below
+        degree 2, where [x, x^2] does."""
+        one = predicate(SH, "power_commutative", bound=1)
+        assert one.value and one.mode == "bounded(1)"
+        two = predicate(SH, "power_commutative", bound=2)
+        assert not two.value and two.mode == "bounded(2)"
+        assert two.witness["words"] == "[x, ('x', 'x')]"
 
 
 class TestProp1:
@@ -442,6 +553,27 @@ class TestInstances:
         hierarchy_report(B, bound=4)
         verify_instances(B, trials=20, bound=4)
         assert calls.count(False) == 1
+
+    @pytest.mark.parametrize("name,asked", [
+        ("P", []), ("**O", []),
+        ("H", ["power_associative", "power_commutative", "quadratic"])])
+    def test_conclusions_only_under_hypotheses(self, monkeypatch, name,
+                                               asked):
+        """The power-associative, power-commutative and quadratic
+        predicates are asked for only by statements whose hypothesis holds,
+        each at most once: none on P and **O, whose statements are
+        vacuous, and each once on H, where three statements need PA and
+        quadratic."""
+        names = []
+        pred = identities.predicate
+
+        def counting(A, name, *args, **kwargs):
+            names.append(name)
+            return pred(A, name, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "predicate", counting)
+        verify_instances(catalog_algebra(name), 20, 0, 4)
+        assert sorted(names) == asked
 
 
 class TestHierarchy:
