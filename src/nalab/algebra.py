@@ -24,7 +24,7 @@ import numpy as np
 
 from . import engine
 from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
-                        scalar_sign, solve_affine, det, poly_rank)
+                        scalar_sign, solve_affine, det)
 from .freealg import FreePoly, FreeTerm, UNIT, X, term_bidegree
 
 FIELD_Q = "Q"
@@ -335,10 +335,17 @@ def _witness_candidates(A: StructureAlgebra):
 
 
 def _find_witness(A: StructureAlgebra, poly: FreePoly):
-    """Search for a concrete assignment where poly evaluates nonzero."""
+    """Search for a concrete assignment where poly evaluates nonzero.
+
+    One variable walks the first 80 candidates lazily, so the random ones
+    are drawn only when no basis element, sum or difference is a witness;
+    more variables take tuples of them in ``itertools.product`` order.
+    """
     vars_ = sorted(poly.variables())
-    cands = list(itertools.islice(_witness_candidates(A), 0, 80))
-    for combo in itertools.product(cands, repeat=len(vars_)):
+    cands = itertools.islice(_witness_candidates(A), 0, 80)
+    combos = ((c,) for c in cands) if len(vars_) == 1 else \
+        itertools.product(list(cands), repeat=len(vars_))
+    for combo in combos:
         assignment = dict(zip(vars_, combo))
         val = eval_free_poly(A, poly, assignment)
         if not val.is_zero():
@@ -423,50 +430,85 @@ def _pair_closure(A: StructureAlgebra, x: Element):
     return basis, pairs
 
 
+def _polynomial_element(A: StructureAlgebra, v: engine.SymVec) -> Element:
+    """The element of MultiPoly coordinates that v stands for."""
+    mask = (1 << v.bits) - 1
+    exps = [tuple((int(key) >> (v.bits * i)) & mask for i in range(v.nvars))
+            for key in v.keys]
+    denom = A.tensor().scale ** v.denom_power
+
+    def coeff(vals):
+        a = Fraction(int(vals[0]), denom)
+        return a if len(vals) == 1 else QuadExt(a, Fraction(int(vals[1]),
+                                                            denom))
+
+    return Element(tuple(
+        MultiPoly(v.nvars, {e: coeff(vals) for e, *vals in
+                            zip(exps, *(p[:, k] for p in v.parts))})
+        for k in range(A.dim)))
+
+
 def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     """Basis and dimension of the subalgebra A(x) generated by x.
 
-    A concrete x is closed exactly by ``_pair_closure``.  A symbolic x is
-    closed first at the specialization x_i = i + 1, which can only drop
-    rank.  If the words found there span A, then A(x) = A, and the result is
-    A's standard basis with no words: no polynomial product is formed.
-    Otherwise the same words are rebuilt at x along the recorded pairs; they
-    are independent over the function field because their specializations
-    are.  Every other pair is then decided exactly by one fraction-free
-    rank, and each independent product joins the basis with its own pairs
-    queued.  ``words`` holds the ``FreeTerm`` in "x" behind each element.
+    A concrete x is closed exactly by ``_pair_closure``.  A symbolic x must
+    be A's generic element.  It is closed first at the specialization
+    x_i = i + 1, which can only drop rank.  If the words found there span A,
+    then A(x) = A, and the result is A's standard basis with no words: no
+    polynomial work is done.  Otherwise the same words are evaluated at x,
+    on packed keys in one ``engine.SymContext``, and every other pair is
+    queued.  ``engine.SymSpan`` decides over the function field K(x)
+    whether a product is in the span of the kept words: the d x d minor of
+    the kept rows on their columns R is a nonzero polynomial, so the product
+    c is in the span exactly when every (d+1)-minor bordering it by c and
+    one more column vanishes, and these minors are the coordinates of
+    sum_r (-1)^r M_r v_r over the rows v_r of the words and c, M_r the
+    minor on R of the rows other than r (see ``engine.SymSpan``).  An
+    independent product joins the basis, R gains a column where that sum is
+    nonzero, and its own pairs are queued.  The words of the specialization
+    are independent at x because their values at the point are, so the test
+    must keep each of them.  ``words`` holds the ``FreeTerm`` in "x" behind
+    each element, and ``basis`` their values at x.
     """
     if x.is_zero():
         return SubalgebraResult((), 0)
     if x.is_concrete():
         basis, _ = _pair_closure(A, x)
         return SubalgebraResult(tuple(basis), len(basis))
-    nvars = next(c.nvars for c in x.coords if isinstance(c, MultiPoly))
-    point = [Fraction(1 + i) for i in range(nvars)]
-    at_point = Element(tuple(c.evaluate(point) if isinstance(c, MultiPoly)
-                             else c for c in x.coords))
-    special, pairs = _pair_closure(A, at_point)
-    if len(special) == A.dim:
+    if x != A.generic_element():
+        raise ValueError("a symbolic element must be the generic element")
+    n = A.dim
+    special, pairs = _pair_closure(A, A.element(
+        [Fraction(1 + i) for i in range(n)]))
+    if len(special) == n:
         return SubalgebraResult(
-            tuple(A.basis_element(i) for i in range(A.dim)), A.dim)
-    basis, words = [x], [X]
+            tuple(A.basis_element(i) for i in range(n)), n)
+    # the k-th kept word has degree at most 2^k, and a test multiplies at
+    # most n rows, so no exponent reaches 2^n
+    ctx = engine.SymContext(A.tensor(), _symbolic_groups(A, (X,),
+                                                         (1 << n) - 1))
+    span = engine.SymSpan()
+    words = [X]
     for i, j in pairs:
-        basis.append(multiply(A, basis[i], basis[j]))
         words.append((words[i], words[j]))
-    queue = [(i, j) for i in range(len(basis)) for j in range(len(basis))
+    for w in words:
+        if not span.add(ctx.eval_term(w)):
+            raise AssertionError("a word independent at the specialization "
+                                 "is dependent at the generic element")
+    queue = [(i, j) for i in range(len(words)) for j in range(len(words))
              if (i, j) not in pairs]
     # the loop also takes the pairs appended to the queue while it runs
     for i, j in queue:
-        if len(basis) == A.dim:
+        if len(words) == n:
             break
-        cand = multiply(A, basis[i], basis[j])
-        if poly_rank([b.coords for b in basis + [cand]]) > len(basis):
-            k = len(basis)
-            basis.append(cand)
-            words.append((words[i], words[j]))
+        w = (words[i], words[j])
+        if span.add(ctx.eval_term(w)):
+            k = len(words)
+            words.append(w)
             queue.extend([(m, k) for m in range(k + 1)]
                          + [(k, m) for m in range(k)])
-    return SubalgebraResult(tuple(basis), len(basis), tuple(words))
+    basis = tuple(_polynomial_element(A, ctx.eval_term(w)) for w in words)
+    return SubalgebraResult(basis, len(basis), tuple(words))
 
 
 def generic_closure(A: StructureAlgebra) -> SubalgebraResult:

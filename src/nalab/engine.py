@@ -4,8 +4,10 @@ Structure constants are cleared of denominators once per algebra, after which
 symbolic evaluation of identities reduces to integer tensor arithmetic: a
 symbolic element is a polynomial whose coefficients are integer coordinate
 vectors, and a fully multilinearized identity is an integer tensor indexed by
-basis tuples.  Every exact value is a tuple of parts: one integer array for a
-rational value, or two (rational part, sqrt 3 part) for a value in Q(sqrt 3).
+basis tuples.  Spans of symbolic elements over the function field are decided
+by division-free minors (``SymSpan``).  Every exact value is a tuple of
+parts: one integer array for a rational value, or two (rational part, sqrt 3
+part) for a value in Q(sqrt 3).
 One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
 operation.  Everything is exact: each product runs in float64 (BLAS) while
 a rigorous magnitude bound stays below 2^52, in int64 below 2^62, and in
@@ -15,6 +17,8 @@ object arrays; a float64 product is converted back after its reduction.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -166,6 +170,20 @@ class SymVec:
         return cls(nvars, bits, degrees, 0, keys,
                    (np.eye(n, dtype=np.int64),), 1)
 
+    def constant_like(self, coords) -> "SymVec":
+        """The constant vector coords (rational or QuadExt entries) times
+        the lcm of their denominators, over the same variables and key
+        width."""
+        pairs = [(c.a, c.b) if isinstance(c, QuadExt)
+                 else (Fraction(c), Fraction(0)) for c in coords]
+        scale = math.lcm(*(q.denominator for pair in pairs for q in pair))
+        parts = tuple(np.array([[int(pair[h] * scale) for pair in pairs]],
+                               dtype=object)
+                      for h in range(2 if any(b for _, b in pairs) else 1))
+        return SymVec(self.nvars, self.bits, (0,) * len(self.degrees), 0,
+                      np.zeros(1, dtype=self.keys.dtype), parts,
+                      _max_abs(parts))
+
     def zero_like(self, degrees, denom_power, n) -> "SymVec":
         """The zero element over the same variables and key width."""
         return SymVec(self.nvars, self.bits, degrees, denom_power,
@@ -211,13 +229,20 @@ def _aggregate(keys, parts, n):
     return uk, tuple(sums), _max_abs(sums)
 
 
-def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
-    """Algebra product of symbolic elements via the structure tensor."""
-    n = t.n
+def _product_degrees(u: SymVec, v: SymVec) -> Tuple[int, ...]:
+    """The degrees of a product of u and v; ValueError when an exponent
+    could reach 2**bits and carry into the next packed variable."""
     degrees = tuple(a + b for a, b in zip(u.degrees, v.degrees))
     if max(degrees) >= 1 << u.bits:
         raise ValueError(f"an exponent of degree {max(degrees)} does not "
                          f"fit in {u.bits} bits")
+    return degrees
+
+
+def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
+    """Algebra product of symbolic elements via the structure tensor."""
+    n = t.n
+    degrees = _product_degrees(u, v)
     P, Q = len(u.keys), len(v.keys)
     dp = u.denom_power + v.denom_power + 1
     if P == 0 or Q == 0:
@@ -240,6 +265,36 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
     keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
     return SymVec(u.nvars, u.bits, degrees, dp,
                   *_aggregate(keys, [o.reshape(Q * P, n) for o in out], n))
+
+
+def sym_scale(s: SymVec, v: SymVec) -> SymVec:
+    """The product of the scalar s (one coordinate column) and the vector v:
+    keys add, every row of s's parts multiplies every row of v's, and equal
+    keys are summed."""
+    m = v.parts[0].shape[1]
+    degrees = _product_degrees(s, v)
+    P, Q = len(s.keys), len(v.keys)
+    dp = s.denom_power + v.denom_power
+    if P == 0 or Q == 0:
+        return v.zero_like(degrees, dp, m)
+    # each entry is one product (two under the sqrt 3 rule) and a key sums
+    # at most min(P, Q) of them
+    fold = 1 + SQRT_RADICAND if max(len(s.parts), len(v.parts)) > 1 else 1
+    kind = _tier(min(P, Q) * s.max_abs * v.max_abs * fold)
+    out = _field_product(_cast(s.parts, kind),
+                         [p.reshape(1, Q * m) for p in _cast(v.parts, kind)])
+    keys = (s.keys[:, None] + v.keys[None, :]).reshape(-1)
+    return SymVec(v.nvars, v.bits, degrees, dp,
+                  *_aggregate(keys, [o.reshape(P * Q, m) for o in out], m))
+
+
+def sym_coordinate(v: SymVec, k: int) -> SymVec:
+    """Coordinate k of v, as a scalar (one coordinate column)."""
+    cols = [p[:, k:k + 1] for p in v.parts]
+    live = np.any([c[:, 0] != 0 for c in cols], axis=0)
+    cols = [c[live] for c in cols]
+    return SymVec(v.nvars, v.bits, v.degrees, v.denom_power, v.keys[live],
+                  tuple(cols), _max_abs(cols))
 
 
 def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
@@ -265,6 +320,62 @@ def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
 
 def sym_is_zero(s: SymVec) -> bool:
     return len(s.keys) == 0
+
+
+class SymSpan:
+    """Symbolic rows kept while they are independent over the function field
+    K(x), by one exact test per row and no division.
+
+    The kept rows v_0 .. v_{d-1} come with columns R = c_0 .. c_{d-1} on
+    which their d x d minor is a nonzero polynomial.  A new row v_d is in
+    their span exactly when w = sum_r (-1)^r M_r v_r is zero, M_r the minor
+    of the rows other than r on R: coordinate k of w is, by Laplace along
+    its first column, the (d+1)-minor of all rows on k followed by R, and a
+    nonzero d-minor is bordered only by zero (d+1)-minors exactly when the
+    rank is d.  A row found independent is kept, and R gains the first
+    column k with w_k != 0, the new minor being (-1)^d w_k.  The minors are
+    Laplace expansions over row subsets; those of kept rows only are kept
+    for later rows.  Scaling a row by a nonzero constant changes no rank, so
+    the rows' denom_power is dropped.
+    """
+
+    def __init__(self):
+        self.rows: List[SymVec] = []
+        self.cols: List[int] = []
+        #: S (sorted kept row indices) -> minor of the rows S on R[:len(S)]
+        self._minors: Dict[Tuple[int, ...], SymVec] = {}
+
+    def add(self, v: SymVec) -> bool:
+        """Keep v when it is independent of the kept rows; False when not."""
+        v = SymVec(v.nvars, v.bits, v.degrees, 0, v.keys, v.parts, v.max_abs)
+        d = len(self.rows)
+        rows = self.rows + [v]
+        minors = collections.ChainMap({}, self._minors)
+        if d == 0:
+            minors[()] = v.constant_like([1])
+        # the minors of subsets with v, each along its last column of R
+        for size in range(1, d + 1):
+            col = self.cols[size - 1]
+            for rest in itertools.combinations(range(d), size - 1):
+                S = rest + (d,)
+                minors[S] = sym_combine(
+                    [((-1) ** (i + size - 1),
+                      sym_scale(sym_coordinate(rows[s], col),
+                                minors[S[:i] + S[i + 1:]]))
+                     for i, s in enumerate(S)], 1)
+        full = tuple(range(d + 1))
+        w = sym_combine([((-1) ** r, sym_scale(minors[full[:r] + full[r + 1:]],
+                                               rows[r]))
+                         for r in full], v.parts[0].shape[1])
+        if sym_is_zero(w):
+            return False
+        k = int(np.flatnonzero(np.any([p != 0 for p in w.parts],
+                                      axis=(0, 1)))[0])
+        minors[full] = sym_combine([((-1) ** d, sym_coordinate(w, k))], 1)
+        self._minors.update(minors.maps[0])
+        self.rows.append(v)
+        self.cols.append(k)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .algebra import (Element, HoldsResult, StructureAlgebra,
                       _find_witness, _symbolic_groups, _witness_candidates,
                       check_backend, degree, division_sampled, find_units,
                       generic_closure, identity_holds, multiply)
-from .exactmath import MultiPoly, poly_rank, scalar_rank, span_membership
+from .exactmath import scalar_rank, span_membership
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
                       poly_to_word_vector, pqr_associator, substitute,
@@ -245,17 +245,20 @@ def _power_associative(A: StructureAlgebra, backend: str) -> PredicateResult:
 
 
 def _quadratic(A: StructureAlgebra) -> PredicateResult:
-    """Unital, and {e, x, x^2} linearly dependent for every x (the
-    (e, x, x^2) coordinate matrix of a generic x has rank < 3)."""
+    """Unital, and {e, x, x^2} linearly dependent for every x: at a generic
+    x, ``engine.SymSpan`` keeps e, then x, then x^2 only while each is
+    independent of the rows before it over the function field."""
     units = find_units(A)
     if units.two_sided is None:
         return PredicateResult("quadratic", False, "symbolic-proof",
                                {"reason": "no two-sided unit"})
-    x = A.generic_element()
     e = units.two_sided
-    rows = [[MultiPoly.const(A.dim, c) for c in e.coords],
-            list(x.coords), list(multiply(A, x, x).coords)]
-    if poly_rank(rows) < 3:
+    # the test multiplies e, x and x^2: degree 3
+    x = _symbolic_groups(A, (X,), 3)[X]
+    span = engine.SymSpan()
+    if not all(span.add(row) for row in (
+            x.constant_like(e.coords), x,
+            engine.sym_product(x, x, A.tensor()))):
         return PredicateResult("quadratic", True, "symbolic-proof")
     wit = _find_dependence_witness(A, e)
     return PredicateResult("quadratic", False, "symbolic-proof", wit)
@@ -397,7 +400,9 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     """
     units = find_units(A)
     division = division_sampled(A, trials=trials, seed=seed)
-    deg = degree(A)
+    # every statement that reads the degree also needs a left unit, and
+    # tests it first
+    deg = degree(A) if units.has_left else None
     idents = {(p, q, r): check_pqr(A, p, q, r).holds
               for (p, q, r) in ALL_TRIPLES}
     tpa = idents[(1, 1, 1)]
@@ -457,7 +462,7 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
     # no-zero-divisor hypothesis, hence division evidence.
     case1 = units.has_unit and any_ident
     case2 = division.all_invertible and any(one_qr)
-    hyp = deg <= 4 and units.has_left and (case1 or case2)
+    hyp = units.has_left and deg <= 4 and (case1 or case2)
     add("lemma1_degree_le4_implies_power_commutative", hyp,
         hyp and holds("power_commutative"),
         f"power-commutativity in bounded({bound}) mode" if hyp else "",
@@ -473,7 +478,7 @@ def verify_instances(A: StructureAlgebra, trials: int = 200,
 
     # Theorem 3: division + degree <= 4 + left unit:
     #   some (x, x^q, x^r) identity <=> quadratic
-    hyp = division.all_invertible and deg <= 4 and units.has_left
+    hyp = division.all_invertible and units.has_left and deg <= 4
     equiv = hyp and (any(one_qr) == holds("quadratic"))
     add("thm3_left_unit_equivalence", hyp, equiv,
         "" if hyp else "hypothesis fails (needs left unit + division)",

@@ -14,7 +14,7 @@ from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            eval_free_poly, find_units, identity_holds,
                            mult_operator, multiply, subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
-from nalab.exactmath import QuadExt, det, poly_rank, solve_affine
+from nalab.exactmath import MultiPoly, QuadExt, det, poly_rank, solve_affine
 from nalab.freealg import X, FreePoly, associator, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
 
@@ -351,6 +351,10 @@ class TestSubalgebra:
     def test_zero_element(self):
         assert subalgebra_generated(H, H.zero()).dim == 0
 
+    def test_symbolic_element_must_be_generic(self):
+        with pytest.raises(ValueError, match="generic element"):
+            subalgebra_generated(H, H.generic_element(nvars=8))
+
     def test_concrete_quaternion(self):
         x = H.element([Fraction(1), Fraction(2), Fraction(0), Fraction(1)])
         res = subalgebra_generated(H, x)
@@ -497,6 +501,120 @@ class TestDegree:
             A = StructureAlgebra(f"rnd{seed}", n, FIELD_Q, consts)
             d = degree(A)
             assert degree_sampled(A, trials=8, seed=seed) <= d <= n
+
+
+def poly_rank_closure(A):
+    """Oracle: the generic closure as ``subalgebra_generated`` ran it on
+    MultiPoly products with one fraction-free rank per queued pair.  Returns
+    (basis, words), basis the values of words at the generic x."""
+    x = A.generic_element()
+    point = [Fraction(1 + i) for i in range(A.dim)]
+    special, pairs = algebra._pair_closure(
+        A, A.element([c.evaluate(point) for c in x.coords]))
+    if len(special) == A.dim:
+        return [A.basis_element(i) for i in range(A.dim)], []
+    basis, words = [x], [X]
+    for i, j in pairs:
+        basis.append(multiply(A, basis[i], basis[j]))
+        words.append((words[i], words[j]))
+    queue = [(i, j) for i in range(len(basis)) for j in range(len(basis))
+             if (i, j) not in pairs]
+    for i, j in queue:
+        if len(basis) == A.dim:
+            break
+        cand = multiply(A, basis[i], basis[j])
+        if poly_rank([b.coords for b in basis + [cand]]) > len(basis):
+            k = len(basis)
+            basis.append(cand)
+            words.append((words[i], words[j]))
+            queue.extend([(m, k) for m in range(k + 1)]
+                         + [(k, m) for m in range(k)])
+    return basis, words
+
+
+def quadratic_oracle(A):
+    """Oracle: unital, and the (e, x, x^2) rows of a generic x have
+    fraction-free rank below 3."""
+    e = find_units(A).two_sided
+    if e is None:
+        return False
+    x = A.generic_element()
+    rows = [[MultiPoly.const(A.dim, c) for c in e.coords], list(x.coords),
+            list(multiply(A, x, x).coords)]
+    return poly_rank(rows) < 3
+
+
+def assert_matches_poly_rank(A):
+    basis, words = poly_rank_closure(A)
+    res = subalgebra_generated(A, A.generic_element())
+    assert (res.dim, list(res.basis), list(res.words)) == \
+        (len(basis), basis, words), A.name
+    assert predicate(A, "quadratic").value == quadratic_oracle(A), A.name
+
+
+class TestFunctionFieldSpan:
+    """The generic closure and the quadratic test, decided by the
+    bordered-minor span test (``engine.SymSpan``), against the
+    fraction-free ``poly_rank`` on MultiPoly products."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.sampled_from(
+        ["random", "diagonal", "unital", "quadratic"]), st.data())
+    def test_matches_poly_rank(self, n, sqrt3, shape, data):
+        """Random algebras of dimension 1-4 over Q and Q(sqrt 3).  The
+        diagonal ones often lose rank at the specialization, so the queue
+        admits words it missed; the unital ones (b_0 the unit) reach the
+        quadratic test, and in the "quadratic" ones b_i b_j = q_ij b_0 +
+        (antisymmetric in i, j) for i, j >= 1, so that x^2 is in
+        span{e, x}."""
+        unit = QuadExt(data.draw(st.integers(0, 1)),
+                       data.draw(st.integers(1, 2))) if sqrt3 else 1
+        small = st.sampled_from([0, 0, 0, 1, -1, 2])
+        anti = {(i, j, k): data.draw(small) for i in range(n)
+                for j in range(i + 1, n) for k in range(1, n)}
+        sym = {(i, j): data.draw(small) for i in range(n)
+               for j in range(i, n)}
+
+        def entry(i, j, k):
+            if shape in ("unital", "quadratic") and 0 in (i, j):
+                return int(k == i + j)
+            if shape == "quadratic":
+                if k == 0:
+                    return unit * sym[min(i, j), max(i, j)]
+                return unit * (anti.get((i, j, k), 0)
+                               - anti.get((j, i, k), 0))
+            if shape == "diagonal":
+                return unit * Fraction(data.draw(st.integers(0, 2)), i + 1) \
+                    if i == j == k else 0
+            return unit * data.draw(small)
+
+        consts = [[[entry(i, j, k) for k in range(n)] for j in range(n)]
+                  for i in range(n)]
+        A = StructureAlgebra("rnd", n, FIELD_QSQRT3 if sqrt3 else FIELD_Q,
+                             consts)
+        if shape == "quadratic":
+            assert quadratic_oracle(A)
+        assert_matches_poly_rank(A)
+
+    def test_degenerate_specializations(self):
+        for A, _ in degenerate_specializations():
+            assert_matches_poly_rank(A)
+
+    def test_catalog(self, ut3):
+        for name in CATALOG_NAMES:
+            assert_matches_poly_rank(catalog_algebra(name))
+        assert_matches_poly_rank(ut3)
+
+    def test_object_keys(self):
+        """dim 9 packs 9 variables at 9 bits, past 64 bits: object keys.
+        b_0 b_0 = 2 b_0 and b_1 b_1 = b_1 lose x x^2 = 2 x^2 at the
+        specialization, and the queue admits it."""
+        A = table_algebra("degen9", 9, lambda i, j, k:
+                          (2 if i == 0 else 1) * (i == j == k < 2))
+        assert algebra._symbolic_groups(A, (X,), (1 << 9) - 1)[X] \
+            .keys.dtype == object
+        assert_matches_poly_rank(A)
+        assert degree(A) == 3
 
 
 class TestLargeDimFallback:

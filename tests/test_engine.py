@@ -23,7 +23,7 @@ from nalab import engine
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
     eval_free_poly, identity_holds
 from nalab.catalog import catalog_algebra
-from nalab.exactmath import MultiPoly, QuadExt
+from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import FreePoly, polarize, pqr_associator
 
 
@@ -49,26 +49,25 @@ def unpack_key(key, nvars, bits):
     return tuple((int(key) >> (bits * i)) & mask for i in range(nvars))
 
 
-def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
-    """Unpack a kernel value into exact MultiPoly coordinates."""
-    n = A.dim
-    scale = Fraction(A.tensor().scale) ** sv.denom_power
+def poly_row(sv):
+    """The MultiPoly coordinates of a SymVec, its denom_power ignored."""
+    m = sv.parts[0].shape[1]
     coords = []
-    for k in range(n):
+    for k in range(m):
         terms = {}
         for idx, key in enumerate(sv.keys):
-            exps = unpack_key(key, sv.nvars, sv.bits)
-            a = Fraction(int(sv.parts[0][idx][k])) / scale
-            b = Fraction(0) if len(sv.parts) == 1 else \
-                Fraction(int(sv.parts[1][idx][k])) / scale
-            if b:
-                val = QuadExt(a, b)
-            else:
-                val = a
-            if val != 0:
-                terms[exps] = val
+            a = Fraction(int(sv.parts[0][idx][k]))
+            b = 0 if len(sv.parts) == 1 else int(sv.parts[1][idx][k])
+            terms[unpack_key(key, sv.nvars, sv.bits)] = QuadExt(a, b) \
+                if b else a
         coords.append(MultiPoly(sv.nvars, terms))
     return coords
+
+
+def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
+    """Unpack a kernel value into exact MultiPoly coordinates."""
+    scale = Fraction(A.tensor().scale) ** sv.denom_power
+    return [c * (1 / scale) for c in poly_row(sv)]
 
 
 def big_algebra(field):
@@ -214,6 +213,86 @@ class TestSymbolicKernel:
         groups = {v: engine.SymVec.generic(dim, 2 * dim, 4, gi * dim)
                   for gi, v in enumerate(("x", "y"))}
         assert engine.poly_vanishes_symbolically(comm, A.tensor(), groups)
+
+
+def symvec(terms, nvars, bits, width, m):
+    """The SymVec of m columns with the given {exponent tuple: [(a, b) per
+    column]} terms, its degree bound the largest total degree."""
+    keys = [sum(e << (bits * i) for i, e in enumerate(exps))
+            for exps in terms]
+    rows = list(terms.values())
+    wide = nvars * bits > 64
+    parts = tuple(np.array([[c[h] for c in row] for row in rows],
+                           dtype=object).reshape(len(rows), m)
+                  for h in range(width))
+    degree = max([0] + [sum(exps) for exps in terms])
+    return engine.SymVec(nvars, bits, (degree,), 0,
+                         np.array(keys, dtype=object if wide else np.uint64),
+                         parts, engine._max_abs(parts))
+
+
+@st.composite
+def sym_rows(draw, nvars, bits, m, width, big=False):
+    """Up to four rows of m polynomial columns in nvars variables, each
+    either random or a combination of earlier rows with random polynomial
+    multipliers (so some rows are dependent over K(x) but not over K)."""
+    span = 10 ** 15 if big else 3
+    coeff = st.integers(-span, span)
+    exps = st.tuples(*[st.integers(0, 1)] * nvars)
+
+    def poly(columns):
+        terms = draw(st.dictionaries(exps, st.lists(
+            st.tuples(coeff, coeff), min_size=columns, max_size=columns),
+            max_size=3))
+        return symvec(terms, nvars, bits, width, columns)
+
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if rows and draw(st.booleans()):
+            terms = [(1, engine.sym_scale(poly(1), r)) for r in rows]
+            rows.append(engine.sym_combine(terms, m))
+        else:
+            rows.append(poly(m))
+    return rows
+
+
+class TestSymSpan:
+    """The bordered-minor span test against fraction-free ``poly_rank``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 4), st.integers(1, 2),
+           st.booleans(), st.data())
+    def test_add_matches_poly_rank(self, nvars, m, width, wide, data):
+        # 40 bits per variable packs two variables past 64 bits
+        bits = 40 if wide else 4
+        rows = data.draw(sym_rows(nvars, bits, m, width))
+        span = engine.SymSpan()
+        kept = []
+        for row in rows:
+            independent = poly_rank(kept + [poly_row(row)]) > len(kept)
+            assert span.add(row) == independent
+            if independent:
+                kept.append(poly_row(row))
+        assert len(span.rows) == len(kept)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2),
+           st.booleans(), st.data())
+    def test_scale_matches_multipoly(self, nvars, m, width, big, data):
+        """Products on every tier: entries near 10^15 leave float64 and,
+        multiplied, int64."""
+        s, v = data.draw(sym_rows(nvars, 8, 1, width, big)), \
+            data.draw(sym_rows(nvars, 8, m, width, big))
+        got = engine.sym_scale(s[0], v[0])
+        (c,) = poly_row(s[0])
+        assert poly_row(got) == [c * p for p in poly_row(v[0])]
+
+    def test_scale_exponent_overflow_raises(self):
+        x = engine.SymVec.generic(1, 1, 2, 0)
+        x3 = engine.sym_scale(engine.sym_scale(x, x), x)
+        assert x3.degrees == (3,)
+        with pytest.raises(ValueError, match="does not fit in 2 bits"):
+            engine.sym_scale(x3, x)
 
 
 def inclusion_exclusion_multilin(A, poly, x_tuple, y_tuple):

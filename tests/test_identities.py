@@ -476,6 +476,29 @@ class TestProp2:
             verify_prop2(1, 1, 1)
 
 
+class TestLazyWitness:
+    @pytest.mark.parametrize("name", ["*C", "*H", "*O", "**C", "**H", "**O",
+                                      "P"])
+    def test_no_random_candidates_for_basis_witness(self, monkeypatch, name):
+        """A one-variable witness that is a basis element is found before
+        the seeded random candidates are drawn: with ``random.Random``
+        raising, the power-associativity witness is unchanged."""
+        A = catalog_algebra(name)
+
+        def fresh():
+            return StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                                    A.basis_names)
+
+        expect = predicate(fresh(), "power_associative").to_dict()
+        assert not expect["value"] and "witness" in expect
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random candidates drawn")
+
+        monkeypatch.setattr(algebra.random, "Random", refuse)
+        assert predicate(fresh(), "power_associative").to_dict() == expect
+
+
 class TestInstances:
     def test_quaternions_all_consistent(self):
         checks = verify_instances(H, trials=50)
@@ -536,9 +559,11 @@ class TestInstances:
 
     @pytest.mark.parametrize("name", ["O", "H", "P", "*O"])
     def test_one_generic_closure_per_algebra(self, monkeypatch, name):
-        """A report closes A(x) at the generic x once: ``degree`` and the
-        power-associativity check share the closure kept on A.  A fresh
-        copy is used, since the catalog algebras are cached across tests."""
+        """A report closes A(x) at the generic x at most once: ``degree``
+        and the power-associativity check share the closure kept on A, and
+        on P, with no left unit and failing Albert's criterion, neither asks
+        for it.  A fresh copy is used, since the catalog algebras are cached
+        across tests."""
         A = catalog_algebra(name)
         B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
                              A.basis_names)
@@ -552,7 +577,29 @@ class TestInstances:
         monkeypatch.setattr(algebra, "subalgebra_generated", counting)
         hierarchy_report(B, bound=4)
         verify_instances(B, trials=20, bound=4)
-        assert calls.count(False) == 1
+        assert calls.count(False) == (0 if name == "P" else 1)
+
+    @pytest.mark.parametrize("name", ["P", "H"])
+    def test_degree_only_with_left_unit(self, monkeypatch, name):
+        """Every statement that reads the degree also needs a left unit, so
+        a fresh P (none) never closes A(x), and its statements are the same
+        as with the degree known."""
+        A = catalog_algebra(name)
+        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                             A.basis_names)
+        calls = []
+        closure = algebra.generic_closure
+
+        def counting(A):
+            calls.append(A.name)
+            return closure(A)
+
+        monkeypatch.setattr(algebra, "generic_closure", counting)
+        checks = [c.to_dict() for c in verify_instances(B, 20, 0, 4)]
+        assert len(calls) == (0 if name == "P" else 1)
+        monkeypatch.undo()
+        degree(B)
+        assert checks == [c.to_dict() for c in verify_instances(B, 20, 0, 4)]
 
     @pytest.mark.parametrize("name,asked", [
         ("P", []), ("**O", []),
