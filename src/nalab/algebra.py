@@ -320,37 +320,65 @@ def eval_free_poly(A: StructureAlgebra, poly: FreePoly,
 _WITNESS_RANDOM = 400
 
 
-def _witness_candidates(A: StructureAlgebra):
-    """Deterministic stream of small concrete elements for witness search."""
-    n = A.dim
+def _witness_points(n: int):
+    """The witness candidates as integer coordinate points: the basis
+    vectors, then e_i + e_j and e_i - e_j for i < j, then seeded random
+    points with coordinates in -3..3."""
     for i in range(n):
-        yield A.basis_element(i)
+        yield tuple(int(k == i) for k in range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            yield A.basis_element(i) + A.basis_element(j)
-            yield A.basis_element(i) - A.basis_element(j)
+            yield tuple(int(k == i) + int(k == j) for k in range(n))
+            yield tuple(int(k == i) - int(k == j) for k in range(n))
     rng = random.Random(12345)
     for _ in range(_WITNESS_RANDOM):
-        yield A.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
+        yield tuple(rng.randint(-3, 3) for _ in range(n))
 
 
-def _find_witness(A: StructureAlgebra, poly: FreePoly):
-    """Search for a concrete assignment where poly evaluates nonzero.
+def _find_witness(A: StructureAlgebra, poly: FreePoly, value: engine.SymVec):
+    """The first candidate assignment at which poly evaluates nonzero.
 
-    One variable walks the first 80 candidates lazily, so the random ones
-    are drawn only when no basis element, sum or difference is a witness;
-    more variables take tuples of them in ``itertools.product`` order.
+    value is poly at generic elements, one variable group per variable in
+    sorted order, as ``identity_holds`` builds it: a nonzero multiple of
+    poly, so at an integer point it is zero exactly when poly is.  The
+    candidates are the first 80 of ``_witness_points``.  One variable walks
+    them lazily, so the random ones are drawn only when no basis element,
+    sum or difference is a witness.  Two variables (x and y) take pairs in
+    ``itertools.product`` order: for each x candidate, all y candidates are
+    tested at once, from y's monomials evaluated once at every candidate.
+    Only the keys of value whose monomial is nonzero at the x candidate
+    enter the test (``engine.sym_nonzero_at``).  One ``eval_free_poly``
+    confirms the witness found.
     """
     vars_ = sorted(poly.variables())
-    cands = itertools.islice(_witness_candidates(A), 0, 80)
-    combos = ((c,) for c in cands) if len(vars_) == 1 else \
-        itertools.product(list(cands), repeat=len(vars_))
-    for combo in combos:
-        assignment = dict(zip(vars_, combo))
-        val = eval_free_poly(A, poly, assignment)
-        if not val.is_zero():
-            return assignment
-    return None
+    exps = engine.sym_exponents(value, A.dim)
+    points = itertools.islice(_witness_points(A.dim), 0, 80)
+    combo = None
+    if len(exps) == 1:
+        # one point at a time: its monomial values weigh the keys
+        ones = np.ones((1, len(value.keys)), dtype=np.int64)
+        combo = next(((p,) for p in points if engine.sym_nonzero_at(
+            value, ones, engine.monomial_values(exps[0], [p])[0])[0]), None)
+    else:
+        ex, ey = exps
+        cands = list(points)
+        # y's monomials, once per run of equal exponent rows: y's exponents
+        # are the top bits of the sorted keys, so equal rows are adjacent
+        start = np.r_[True, np.any(ey[1:] != ey[:-1], axis=1)]
+        M = engine.monomial_values(ey[start], cands)[:, np.cumsum(start) - 1]
+        for p in cands:
+            hits = engine.sym_nonzero_at(
+                value, M, engine.monomial_values(ex, [p])[0])
+            if hits.any():
+                combo = (p, cands[int(np.argmax(hits))])
+                break
+    if combo is None:
+        return None
+    assignment = {v: A.element([Fraction(c) for c in p])
+                  for v, p in zip(vars_, combo)}
+    if eval_free_poly(A, poly, assignment).is_zero():
+        raise AssertionError("the witness does not refute the identity")
+    return assignment
 
 
 def _symbolic_groups(A: StructureAlgebra, vars_: Sequence[str],
@@ -384,10 +412,10 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
     if backend == "symbolic":
         max_degree = max(max(term_bidegree(t)) for t in poly.terms)
         groups = _symbolic_groups(A, vars_, max_degree)
-        if engine.poly_vanishes_symbolically(poly, A.tensor(), groups):
+        value = engine.SymContext(A.tensor(), groups).eval_poly(poly)
+        if engine.sym_is_zero(value):
             return HoldsResult(True, backend)
-        witness = _find_witness(A, poly)
-        return HoldsResult(False, backend, witness)
+        return HoldsResult(False, backend, _find_witness(A, poly, value))
     ok, idx = A.ml_engine().check(poly)
     if ok:
         return HoldsResult(True, backend)
@@ -432,9 +460,7 @@ def _pair_closure(A: StructureAlgebra, x: Element):
 
 def _polynomial_element(A: StructureAlgebra, v: engine.SymVec) -> Element:
     """The element of MultiPoly coordinates that v stands for."""
-    mask = (1 << v.bits) - 1
-    exps = [tuple((int(key) >> (v.bits * i)) & mask for i in range(v.nvars))
-            for key in v.keys]
+    exps = [tuple(e) for e in engine.sym_exponents(v, v.nvars)[0].tolist()]
     denom = A.tensor().scale ** v.denom_power
 
     def coeff(vals):

@@ -420,10 +420,56 @@ class SymContext:
         return sym_combine(parts, self.tensor.n)
 
 
-def poly_vanishes_symbolically(poly: FreePoly, tensor: ScaledTensor,
-                               groups: Dict[str, SymVec]) -> bool:
-    out = SymContext(tensor, groups).eval_poly(poly)
-    return out is None or sym_is_zero(out)
+# ---------------------------------------------------------------------------
+# Values at integer points
+# ---------------------------------------------------------------------------
+
+
+def sym_exponents(v: SymVec, n: int) -> List[np.ndarray]:
+    """The exponents of v's keys, one (K, n) int64 array per group of n
+    variables."""
+    shifts = np.arange(v.nvars) * v.bits
+    mask = (1 << v.bits) - 1
+    if v.keys.dtype == object:
+        E = (v.keys[:, None] >> shifts.astype(object)) & mask
+    else:
+        E = (v.keys[:, None] >> shifts.astype(np.uint64)) & np.uint64(mask)
+    E = E.astype(np.int64)
+    return [E[:, g * n:(g + 1) * n] for g in range(v.nvars // n)]
+
+
+#: entries of the (points, monomials, variables) array of powers formed at
+#: once in monomial_values
+_POWER_CHUNK = 1 << 20
+
+
+def monomial_values(E: np.ndarray, points) -> np.ndarray:
+    """(C, K): the value at each integer point (row of points, (C, n)) of
+    each monomial whose exponents are a row of E (K, n), exactly: int64
+    while max|point| ** degree stays below 2^62, Python ints beyond."""
+    P = np.asarray(points, dtype=np.int64)
+    top = int(np.abs(P).max(initial=0)) ** int(E.sum(axis=1).max(initial=0))
+    dtype = np.int64 if top < _INT64_LIMIT else object
+    P, E = P.astype(dtype), E.astype(dtype)
+    step = max(1, _POWER_CHUNK // max(1, E.size))
+    return np.concatenate([np.prod(P[lo:lo + step, None, :] ** E[None], axis=2)
+                           for lo in range(0, len(P), step)])
+
+
+def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """For each row c of M (C, K), is sum_k M[c, k] w[k] v_k nonzero, v_k
+    the coordinate row of v's k-th key?  That sum is v at a point whose
+    monomial values are M[c, k] w[k]; it is zero exactly when its rational
+    part and its sqrt 3 part are.  Only the keys with w != 0 are used, and
+    the dtype comes from the bound K' max|M| max|w| max|v| over those K'
+    keys, so the test is exact."""
+    live = np.flatnonzero(w)
+    M, w = M[:, live], w[live]
+    kind = _tier(len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs)
+    w = _to_kind(w, kind)[:, None]
+    out = _field_product((_to_kind(M, kind),),
+                         [_to_kind(p[live], kind) * w for p in v.parts])
+    return np.any([np.any(o != 0, axis=1) for o in out], axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -457,17 +457,24 @@ def solve_affine(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     """Solve M v = rhs exactly; returns (particular, nullspace_basis) or None.
 
     The nullspace basis spans all homogeneous solutions, so the full solution
-    set is particular + span(nullspace_basis).
+    set is particular + span(nullspace_basis).  Both depend only on the row
+    space of the augmented matrix (the particular solution sets the free
+    variables to 0), so zero and repeated augmented rows are skipped, and
+    the system is inconsistent as soon as a row's lead is the rhs column.
     """
     if not matrix:
         return [], []
     n = len(matrix[0])
     ech = Echelon()
-    for i, row in enumerate(matrix):
-        ech.add(list(row) + [rhs[i]])
+    seen = set()
+    for row, b in zip(matrix, rhs):
+        aug = (*row, b)
+        if aug in seen or not any(aug):
+            continue
+        seen.add(aug)
+        if ech.add(aug) and ech.leads[-1] == n:
+            return None
     rows, leads = ech.rows, ech.leads
-    if leads and leads[-1] == n:
-        return None
 
     def back_substitute(v):
         # v[n] is -1 for the particular solution, 0 for a homogeneous one

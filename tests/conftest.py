@@ -28,12 +28,23 @@ def ut3():
         for a in range(n)])
 
 
-@pytest.fixture(scope="session")
-def files_algebras():
-    """The algebras of the benchmark's ``files`` workload at seed 1, loaded
-    from their file specs: S16, sparse9, sparse10, dense4 and dense6."""
+def _files_algebras(seed):
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                            / "perfbench"))
     import workloads
     return {name: catalog.load(spec)
-            for name, spec in workloads.files_algebras(1).items()}
+            for name, spec in workloads.files_algebras(seed).items()}
+
+
+@pytest.fixture(scope="session")
+def files_algebras():
+    """The algebras of the benchmark's ``files`` workload at seed 1, loaded
+    from their file specs: S16, sparse9, sparse10, dense4 and dense6."""
+    return _files_algebras(1)
+
+
+@pytest.fixture(scope="session")
+def files_by_seed(files_algebras):
+    """The ``files`` algebras of seeds 1-3, by seed.  S16 is the same at
+    every seed; the random algebras vary."""
+    return {1: files_algebras, 2: _files_algebras(2), 3: _files_algebras(3)}

@@ -212,7 +212,49 @@ class TestSymbolicKernel:
         comm = x * y - y * x
         groups = {v: engine.SymVec.generic(dim, 2 * dim, 4, gi * dim)
                   for gi, v in enumerate(("x", "y"))}
-        assert engine.poly_vanishes_symbolically(comm, A.tensor(), groups)
+        assert engine.sym_is_zero(
+            engine.SymContext(A.tensor(), groups).eval_poly(comm))
+
+
+class TestPointValues:
+    """Values of symbolic elements at integer points, against exponents
+    decoded one key at a time and against ``eval_free_poly``."""
+
+    @pytest.mark.parametrize("max_degree", [2, 1024])
+    @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QSQRT3])
+    def test_match_eval_free_poly(self, max_degree, field):
+        # 2 groups of 3 variables: 2 bits per variable give uint64 keys,
+        # 11 bits (66 > 64) Python-int keys
+        A = random_algebra(3, seed=9, field=field)
+        x, y = FreePoly.var("x"), FreePoly.var("y")
+        poly = (x * x) * y - x * (x * y)
+        groups = {v: engine.SymVec.generic(3, 6, max_degree.bit_length(),
+                                           gi * 3)
+                  for gi, v in enumerate(("x", "y"))}
+        value = engine.SymContext(A.tensor(), groups).eval_poly(poly)
+        assert (value.keys.dtype == object) == (max_degree > 2)
+        E = engine.sym_exponents(value, 3)
+        decoded = [unpack_key(k, 6, value.bits) for k in value.keys]
+        assert np.hstack(E).tolist() == [list(e) for e in decoded]
+        rng = random.Random(3)
+        points = [[rng.randint(-3, 3) * (rng.random() < 0.7)
+                   for _ in range(6)] for _ in range(40)]
+        w = engine.monomial_values(E[0], [p[:3] for p in points])
+        M = engine.monomial_values(E[1], [p[3:] for p in points])
+        for c, p in enumerate(points):
+            nonzero = engine.sym_nonzero_at(value, M[c:c + 1], w[c])[0]
+            assignment = {v: A.element([Fraction(a) for a in part])
+                          for v, part in (("x", p[:3]), ("y", p[3:]))}
+            assert nonzero == \
+                (not eval_free_poly(A, poly, assignment).is_zero()), p
+
+    def test_monomial_tiers(self):
+        E = np.array([[40, 0], [0, 1], [0, 0]])
+        got = engine.monomial_values(E, [[3, 2], [0, -5]])
+        assert got.dtype == object
+        assert got.tolist() == [[3 ** 40, 2, 1], [0, -5, 1]]
+        got = engine.monomial_values(E[1:], [[3, 2], [0, -5]])
+        assert got.dtype == np.int64 and got.tolist() == [[2, 1], [-5, 1]]
 
 
 def symvec(terms, nvars, bits, width, m):

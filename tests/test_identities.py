@@ -1,7 +1,9 @@
 """Predicate suite, statement verifications and hierarchy consistency."""
 
 import itertools
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,16 +13,18 @@ from hypothesis import strategies as st
 from nalab import algebra, engine, identities
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, HoldsResult,
                            StructureAlgebra, _symbolic_groups, degree,
-                           division_sampled, identity_holds, mult_operator,
-                           multiply, subalgebra_generated)
+                           division_sampled, eval_free_poly, identity_holds,
+                           mult_operator, multiply, subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, _cd_mul, catalog_algebra
 from nalab.exactmath import Echelon, QuadExt, det
 from nalab.freealg import (X, FreePoly, associator, commutator,
-                           enumerate_trees, polarize, term_degree)
+                           enumerate_trees, polarize, pqr_associator,
+                           term_degree)
 from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, PredicateResult,
-                              _commutation_witness, _nonassociative_triple,
-                              check_pqr, hierarchy_report, predicate,
-                              verify_instances, verify_prop1, verify_prop2)
+                              _nonassociative_triple,
+                              _power_commutative_scan, check_pqr,
+                              hierarchy_report, predicate, verify_instances,
+                              verify_prop1, verify_prop2)
 
 H = catalog_algebra("H")
 O = catalog_algebra("O")
@@ -337,6 +341,43 @@ class TestExactOneGenerator:
             assert pc
 
 
+def candidate_oracle(A):
+    """The witness candidates as elements: basis elements, then b_i + b_j
+    and b_i - b_j for i < j, then seeded random elements."""
+    n = A.dim
+    for i in range(n):
+        yield A.basis_element(i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield A.basis_element(i) + A.basis_element(j)
+            yield A.basis_element(i) - A.basis_element(j)
+    rng = random.Random(12345)
+    for _ in range(400):
+        yield A.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
+
+
+def witness_oracle(A, poly):
+    """The candidate loop: the first of 80 candidates (one variable) or
+    tuple of them (more, in ``itertools.product`` order) at which
+    ``eval_free_poly`` is nonzero, or None."""
+    vars_ = sorted(poly.variables())
+    cands = itertools.islice(candidate_oracle(A), 0, 80)
+    combos = ((c,) for c in cands) if len(vars_) == 1 else \
+        itertools.product(list(cands), repeat=len(vars_))
+    for combo in combos:
+        assignment = dict(zip(vars_, combo))
+        if not eval_free_poly(A, poly, assignment).is_zero():
+            return assignment
+    return None
+
+
+def commutation_witness_oracle(A, w1, w2):
+    poly = FreePoly.term(w1) * FreePoly.term(w2) - \
+        FreePoly.term(w2) * FreePoly.term(w1)
+    wit = witness_oracle(A, poly)
+    return None if wit is None else {**wit, "words": f"[{w1}, {w2}]"}
+
+
 def reduced_scan_oracle(A, bound):
     """The bounded power-commutativity scan with each degree's words
     reduced modulo rational linear dependence of their generic values: a
@@ -363,7 +404,7 @@ def reduced_scan_oracle(A, bound):
                                    (-1, engine.sym_product(s2, s1, t))], n)
         if not engine.sym_is_zero(comm):
             return PredicateResult("power_commutative", False, mode,
-                                   _commutation_witness(A, w1, w2))
+                                   commutation_witness_oracle(A, w1, w2))
     return PredicateResult("power_commutative", True, mode)
 
 
@@ -409,6 +450,45 @@ class TestPowerCommutativeScan:
         for A in algebras:
             assert_scan_matches_oracle(A, bound)
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_matches_oracle_on_files_of_other_seeds(self, seed,
+                                                    files_by_seed):
+        for A in files_by_seed[seed].values():
+            for bound in range(1, 5):
+                assert_scan_matches_oracle(A, bound)
+
+    @pytest.mark.parametrize("name,bound,closes,scans", [
+        ("C", 4, 0, []), ("*H", 4, 0, [2]), ("O", 4, 1, [2]),
+        ("P", 4, 1, [2]), ("P", 5, 1, [2]), ("P", 3, 0, [3])])
+    def test_settled_before_the_scan(self, monkeypatch, name, bound, closes,
+                                     scans):
+        """C is commutative, so neither the closure nor a scan runs; *H
+        has [x, x^2] != 0, so the bound-2 scan fails and answers with no
+        closure; the words of A(x) commute in O and P, so after the bound-2
+        scan the closure answers.  Below bound 4 only the scan runs.  The
+        answer is the full scan's either way."""
+        A = catalog_algebra(name)
+        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                             A.basis_names)
+        closed, scanned = [], []
+        original_closure = identities.generic_closure
+        original_scan = identities._power_commutative_scan
+
+        def closure(A):
+            closed.append(A)
+            return original_closure(A)
+
+        def scan(A, bound):
+            scanned.append(bound)
+            return original_scan(A, bound)
+
+        monkeypatch.setattr(identities, "generic_closure", closure)
+        monkeypatch.setattr(identities, "_power_commutative_scan", scan)
+        got = predicate(B, "power_commutative", bound=bound).to_dict()
+        assert len(closed) == closes
+        assert scanned == scans
+        assert got == reduced_scan_oracle(A, bound).to_dict()
+
     def test_keeps_a_word_the_rational_reduction_drops(self, monkeypatch):
         """Found by a seeded search over 300 symmetrized random algebras:
         of the words of degree 5 the rational reduction keeps 2, equality
@@ -420,7 +500,7 @@ class TestPowerCommutativeScan:
         oracle = reduced_scan_oracle(A, 5)
         assert len(calls) == 22 + 2 * 21
         del calls[:]
-        got = predicate(A, "power_commutative", bound=5)
+        got = _power_commutative_scan(A, 5)
         assert len(calls) == 22 + 2 * 28
         assert got.value and got.to_dict() == oracle.to_dict()
 
@@ -429,7 +509,7 @@ class TestPowerCommutativeScan:
         out of 23 (22 word products, then 2 per pair of kept words).  With
         no word skipped the scan would make 22 + 2 * 253 = 528 products."""
         calls = count_sym_products(monkeypatch)
-        res = predicate(catalog_algebra("H"), "power_commutative", bound=5)
+        res = _power_commutative_scan(catalog_algebra("H"), 5)
         assert res.value and len(calls) == 22 + 2 * 10
 
     def test_first_failing_pair_above_bound(self):
@@ -499,6 +579,96 @@ class TestLazyWitness:
         assert predicate(fresh(), "power_associative").to_dict() == expect
 
 
+def check_polys():
+    """The 16 identities of the benchmark's ``check`` workload: each
+    (x^p, x^q, x^r) and its first linearization component."""
+    out = []
+    for p, q, r in ALL_TRIPLES:
+        out += [pqr_associator(p, q, r), polarize(p, q, r).f(1)]
+    return out
+
+
+def assert_witness_matches_oracle(A, poly):
+    got = identity_holds(A, poly, "symbolic")
+    assert got.witness == (None if got.holds else witness_oracle(A, poly)), \
+        (A.name, poly)
+    return got.holds
+
+
+class TestWitnessFromValue:
+    """The symbolic backend takes its witness from the generic value that
+    refuted the identity; the candidate loop with ``eval_free_poly`` is the
+    oracle."""
+
+    def test_catalog(self, ut3):
+        algebras = [catalog_algebra(name) for name in CATALOG_NAMES]
+        verdicts = set()
+        for A in algebras + [diagonal(8), ut3]:
+            for poly in check_polys():
+                verdicts.add(assert_witness_matches_oracle(A, poly))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_files(self, seed, files_by_seed):
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                               / "perfbench"))
+        import workloads
+        for A in files_by_seed[seed].values():
+            for _, _, poly in workloads._files_identities(A):
+                assert_witness_matches_oracle(A, poly)
+
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           density=st.sampled_from((0.05, 0.2, 0.6)),
+           which=st.lists(st.integers(0, 15), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle_on_random_algebras(self, dim, seed, field,
+                                               density, which):
+        A = sparse_random(dim, seed, field, density)
+        polys = check_polys()
+        for i in which:
+            assert_witness_matches_oracle(A, polys[i])
+
+    def test_only_a_random_candidate_is_a_witness(self):
+        """With b0 b1 = b3 and b3 b2 = b4, (x, x, x) = x0 x1 x2 b4 vanishes
+        on every basis element, sum and difference: the witness is the
+        27th candidate, the second seeded random one, the first with
+        x0 x1 x2 != 0."""
+        n = 5
+        consts = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        consts[0][1][3] = consts[3][2][4] = Fraction(1)
+        A = StructureAlgebra("R5", n, FIELD_Q, consts)
+        poly = pqr_associator(1, 1, 1)
+        res = identity_holds(A, poly)
+        assert res.witness == {"x": A.element(
+            [Fraction(c) for c in (3, -1, 3, -1, -2)])}
+        assert res.witness == witness_oracle(A, poly)
+        assert list(itertools.islice(candidate_oracle(A), 80)).index(
+            res.witness["x"]) == 26
+
+    def test_one_evaluation_per_failing_search(self, monkeypatch):
+        """eval_free_poly runs once, to confirm the witness found, and a
+        witness it finds zero raises AssertionError."""
+        calls = []
+        evaluate = algebra.eval_free_poly
+
+        def counting(*args):
+            calls.append(None)
+            return evaluate(*args)
+
+        monkeypatch.setattr(algebra, "eval_free_poly", counting)
+        x, y = FreePoly.var(X), FreePoly.var("y")
+        for A, poly in ((SH, pqr_associator(1, 1, 1)),
+                        (P, associator(y, x, x))):
+            del calls[:]
+            assert not identity_holds(A, poly).holds
+            assert len(calls) == 1
+        monkeypatch.setattr(algebra, "eval_free_poly",
+                            lambda A, poly, assignment: A.zero())
+        with pytest.raises(AssertionError, match="does not refute"):
+            identity_holds(SH, pqr_associator(1, 1, 1))
+
+
 class TestInstances:
     def test_quaternions_all_consistent(self):
         checks = verify_instances(H, trials=50)
@@ -559,11 +729,12 @@ class TestInstances:
 
     @pytest.mark.parametrize("name", ["O", "H", "P", "*O"])
     def test_one_generic_closure_per_algebra(self, monkeypatch, name):
-        """A report closes A(x) at the generic x at most once: ``degree``
-        and the power-associativity check share the closure kept on A, and
-        on P, with no left unit and failing Albert's criterion, neither asks
-        for it.  A fresh copy is used, since the catalog algebras are cached
-        across tests."""
+        """A report closes A(x) at the generic x at most once: ``degree``,
+        the power-associativity check and the power-commutativity predicate
+        share the closure kept on A.  On P, with no left unit and failing
+        Albert's criterion, only power-commutativity asks for it.  A fresh
+        copy is used, since the catalog algebras are cached across
+        tests."""
         A = catalog_algebra(name)
         B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
                              A.basis_names)
@@ -577,7 +748,7 @@ class TestInstances:
         monkeypatch.setattr(algebra, "subalgebra_generated", counting)
         hierarchy_report(B, bound=4)
         verify_instances(B, trials=20, bound=4)
-        assert calls.count(False) == (0 if name == "P" else 1)
+        assert calls.count(False) == 1
 
     @pytest.mark.parametrize("name", ["P", "H"])
     def test_degree_only_with_left_unit(self, monkeypatch, name):
