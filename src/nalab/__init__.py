@@ -1,12 +1,13 @@
 """nalab: exact computations in finite-dimensional nonassociative algebras.
 
 Submodules:
-  exactmath   exact scalars (Q, Q(sqrt 3)), sparse polynomials, exact linear
-              algebra (fraction-free rank, span membership, affine solve)
+  exactmath   exact scalars (Q, Q(sqrt 3)) and exact linear algebra (span
+              membership, affine solve, determinants)
   freealg     free nonassociative algebra on {x, y}: associators, jordan
               product, polarization of (x^p, x^q, x^r) = 0, golden tables
   algebra     structure-constant algebras: products, units, identity checks
-              (symbolic / multilinear), subalgebras A(x), degree, division
+              (symbolic / multilinear), subalgebras A(x) of concrete x, the
+              generic closure, degree, division
   catalog     R, C, H, O, the isotopes *A and **A, pseudo-octonions P, and
               the algebra file format
   identities  predicate suite, statement verifications, hierarchy report
@@ -14,12 +15,13 @@ Submodules:
 """
 
 from .algebra import (Element, StructureAlgebra, degree, division_sampled,
-                      eval_free_poly, find_units, identity_holds,
-                      mult_operator, multiply, subalgebra_generated)
+                      eval_free_poly, find_units, generic_closure,
+                      identity_holds, mult_operator, multiply,
+                      subalgebra_generated)
 from .catalog import (CATALOG_NAMES, InvolutiveAlgebra, catalog_algebra,
                       classical, load, load_file, okubo, save, save_file,
                       star_both, star_left)
-from .exactmath import MultiPoly, QuadExt, poly_rank, span_membership
+from .exactmath import QuadExt, span_membership
 from .freealg import (FreePoly, PolarizedIdentity, associator, commutator,
                       degree4_consequences, golden_table,
                       golden_table_corrected, jordan, polarize, render_poly,

@@ -2,14 +2,14 @@
 
 An algebra is a dim x dim x dim array of exact scalars c[i][j][k] (the
 coefficient of basis vector k in b_i * b_j) over Q or Q(sqrt 3).  Elements are
-coordinate vectors over the scalar field, or over a multivariate polynomial
-ring for symbolic generic elements.  The module provides multiplication, the
-left/right multiplication operators, exact unit detection, evaluation of free
-polynomials, identity checking (symbolic and multilinear backends), subalgebra
-generation A(x) by one pair closure (exact at a concrete element; at a generic
-element, run at one rational specialization and then certified over the
-function field), the degree max dim A(x), and division checks: an exact
-composition certificate where one exists, seeded sampling otherwise.
+coordinate vectors over the scalar field; a generic element is a packed-key
+``engine.SymVec``.  The module provides multiplication, the left/right
+multiplication operators, exact unit detection, evaluation of free
+polynomials, identity checking (symbolic and multilinear backends), the
+subalgebra A(x) of a concrete x by one pair closure, the generic closure
+(run at one rational specialization and then certified over the function
+field), the degree max dim A(x), and division checks: an exact composition
+certificate where one exists, seeded sampling otherwise.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from . import engine
-from .exactmath import (Echelon, MultiPoly, QuadExt, scalar_is_zero,
-                        scalar_sign, solve_affine, det)
+from .exactmath import (Echelon, QuadExt, scalar_is_zero, scalar_sign,
+                        solve_affine, det)
 from .freealg import FreePoly, FreeTerm, UNIT, X, term_bidegree
 
 FIELD_Q = "Q"
@@ -81,7 +81,7 @@ class StructureAlgebra:
         self._tensor: Optional[engine.ScaledTensor] = None
         self._ml: Optional[engine.MultilinearEngine] = None
         self._units: Optional[UnitReport] = None
-        self._generic: Optional[SubalgebraResult] = None
+        self._generic: Optional[GenericClosure] = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -99,13 +99,6 @@ class StructureAlgebra:
             raise ValueError("coordinate length mismatch")
         return Element(coords)
 
-    def generic_element(self, nvars: Optional[int] = None,
-                        offset: int = 0) -> "Element":
-        """Element with independent polynomial indeterminate coordinates."""
-        nv = nvars if nvars is not None else self.dim
-        return Element(tuple(MultiPoly.variable(nv, offset + i)
-                             for i in range(self.dim)))
-
     def tensor(self) -> engine.ScaledTensor:
         if self._tensor is None:
             self._tensor = engine.ScaledTensor(self.constants)
@@ -122,15 +115,12 @@ class StructureAlgebra:
 
 @dataclass(frozen=True)
 class Element:
-    """Coordinate vector; entries are scalars or MultiPoly (generic)."""
+    """Coordinate vector of exact scalars."""
 
     coords: tuple
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def is_concrete(self) -> bool:
-        return not any(isinstance(c, MultiPoly) for c in self.coords)
 
     def __add__(self, other: "Element") -> "Element":
         return Element(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -195,7 +185,12 @@ class DivisionReport:
 class SubalgebraResult:
     basis: tuple
     dim: int
-    words: tuple = ()  # FreeTerms in x; see subalgebra_generated
+
+
+@dataclass(frozen=True)
+class GenericClosure:
+    dim: int
+    words: tuple  # FreeTerms in x; see generic_closure
 
 
 def multiply(A: StructureAlgebra, u: Element, v: Element) -> Element:
@@ -458,57 +453,44 @@ def _pair_closure(A: StructureAlgebra, x: Element):
     return basis, pairs
 
 
-def _polynomial_element(A: StructureAlgebra, v: engine.SymVec) -> Element:
-    """The element of MultiPoly coordinates that v stands for."""
-    exps = [tuple(e) for e in engine.sym_exponents(v, v.nvars)[0].tolist()]
-    denom = A.tensor().scale ** v.denom_power
-
-    def coeff(vals):
-        a = Fraction(int(vals[0]), denom)
-        return a if len(vals) == 1 else QuadExt(a, Fraction(int(vals[1]),
-                                                            denom))
-
-    return Element(tuple(
-        MultiPoly(v.nvars, {e: coeff(vals) for e, *vals in
-                            zip(exps, *(p[:, k] for p in v.parts))})
-        for k in range(A.dim)))
-
-
 def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
-    """Basis and dimension of the subalgebra A(x) generated by x.
-
-    A concrete x is closed exactly by ``_pair_closure``.  A symbolic x must
-    be A's generic element.  It is closed first at the specialization
-    x_i = i + 1, which can only drop rank.  If the words found there span A,
-    then A(x) = A, and the result is A's standard basis with no words: no
-    polynomial work is done.  Otherwise the same words are evaluated at x,
-    on packed keys in one ``engine.SymContext``, and every other pair is
-    queued.  ``engine.SymSpan`` decides over the function field K(x)
-    whether a product is in the span of the kept words: the d x d minor of
-    the kept rows on their columns R is a nonzero polynomial, so the product
-    c is in the span exactly when every (d+1)-minor bordering it by c and
-    one more column vanishes, and these minors are the coordinates of
-    sum_r (-1)^r M_r v_r over the rows v_r of the words and c, M_r the
-    minor on R of the rows other than r (see ``engine.SymSpan``).  An
-    independent product joins the basis, R gains a column where that sum is
-    nonzero, and its own pairs are queued.  The words of the specialization
-    are independent at x because their values at the point are, so the test
-    must keep each of them.  ``words`` holds the ``FreeTerm`` in "x" behind
-    each element, and ``basis`` their values at x.
-    """
+    """Basis and dimension of the subalgebra A(x) generated by a concrete x,
+    closed exactly by ``_pair_closure``."""
     if x.is_zero():
         return SubalgebraResult((), 0)
-    if x.is_concrete():
-        basis, _ = _pair_closure(A, x)
-        return SubalgebraResult(tuple(basis), len(basis))
-    if x != A.generic_element():
-        raise ValueError("a symbolic element must be the generic element")
+    basis, _ = _pair_closure(A, x)
+    return SubalgebraResult(tuple(basis), len(basis))
+
+
+def generic_closure(A: StructureAlgebra) -> GenericClosure:
+    """A(x) at the generic x: its dimension and the words that span it.
+
+    A(x) is closed first at the specialization x_i = i + 1, which can only
+    drop rank.  If the words found there span A, then A(x) = A, and the
+    result has no words: no polynomial work is done.  Otherwise the same
+    words are evaluated at x, on packed keys in one ``engine.SymContext``,
+    and every other pair is queued.  ``engine.SymSpan`` decides over the
+    function field K(x) whether a product is in the span of the kept words:
+    the d x d minor of the kept rows on their columns R is a nonzero
+    polynomial, so the product c is in the span exactly when every
+    (d+1)-minor bordering it by c and one more column vanishes, and these
+    minors are the coordinates of sum_r (-1)^r M_r v_r over the rows v_r of
+    the words and c, M_r the minor on R of the rows other than r (see
+    ``engine.SymSpan``).  An independent product joins the words, R gains a
+    column where that sum is nonzero, and its own pairs are queued.  The
+    words of the specialization are independent at x because their values at
+    the point are, so the test must keep each of them.  ``words`` holds the
+    ``FreeTerm`` in "x" behind each element of a basis of A(x).  The result
+    is kept on A.
+    """
+    if A._generic is not None:
+        return A._generic
     n = A.dim
     special, pairs = _pair_closure(A, A.element(
         [Fraction(1 + i) for i in range(n)]))
     if len(special) == n:
-        return SubalgebraResult(
-            tuple(A.basis_element(i) for i in range(n)), n)
+        A._generic = GenericClosure(n, ())
+        return A._generic
     # the k-th kept word has degree at most 2^k, and a test multiplies at
     # most n rows, so no exponent reaches 2^n
     ctx = engine.SymContext(A.tensor(), _symbolic_groups(A, (X,),
@@ -533,23 +515,16 @@ def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
             words.append(w)
             queue.extend([(m, k) for m in range(k + 1)]
                          + [(k, m) for m in range(k)])
-    basis = tuple(_polynomial_element(A, ctx.eval_term(w)) for w in words)
-    return SubalgebraResult(basis, len(basis), tuple(words))
-
-
-def generic_closure(A: StructureAlgebra) -> SubalgebraResult:
-    """A(x) at the generic x, closed on first use and kept on A."""
-    if A._generic is None:
-        A._generic = subalgebra_generated(A, A.generic_element())
+    A._generic = GenericClosure(len(words), tuple(words))
     return A._generic
 
 
 def degree(A: StructureAlgebra) -> int:
     """max over x of dim A(x): the dimension at a fully generic element.
 
-    Exact over the function field; see ``subalgebra_generated``.  The
-    closure is kept on A (``generic_closure``), so ``degree`` and the
-    power-associativity check close A(x) once between them.
+    Exact over the function field; see ``generic_closure``.  The closure
+    is kept on A, so ``degree`` and the power-associativity check close A(x)
+    once between them.
     """
     return generic_closure(A).dim
 

@@ -385,6 +385,8 @@ def load_file(path: str) -> StructureAlgebra:
     except UnicodeDecodeError as exc:
         raise SpecFormatError(
             f"{path}: byte {exc.start} is not UTF-8") from exc
+    except RecursionError as exc:
+        raise SpecFormatError(f"{path}: nested too deeply to parse") from exc
     return load(spec_from_dict(data))
 
 

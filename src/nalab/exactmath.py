@@ -3,6 +3,8 @@
 Scalars are either ``fractions.Fraction`` (the rational field) or ``QuadExt``
 (a + b*sqrt 3 with rational a, b, in the one quadratic field Q(sqrt 3)).  All
 arithmetic is exact: there is no floating point anywhere in this package.
+``MultiPoly`` and ``poly_rank`` are reference implementations that the tests
+compare the packed symbolic kernels against; no analysis path uses them.
 """
 
 from __future__ import annotations

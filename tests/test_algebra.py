@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from nalab import algebra
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            StructureAlgebra, degree, division_sampled,
-                           eval_free_poly, find_units, identity_holds,
-                           mult_operator, multiply, subalgebra_generated)
+                           eval_free_poly, find_units, generic_closure,
+                           identity_holds, mult_operator, multiply,
+                           subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
 from nalab.exactmath import MultiPoly, QuadExt, det, poly_rank, solve_affine
 from nalab.freealg import X, FreePoly, associator, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
+from oracles import generic_element
 
 H = classical("H").algebra
 C = classical("C").algebra
@@ -102,7 +104,18 @@ def closure_oracle(A, x):
 
 
 def degree_brute_force(A):
-    return len(closure_oracle(A, A.generic_element()))
+    return len(closure_oracle(A, generic_element(A)))
+
+
+def generic_basis(A):
+    """The basis of A(x) at the generic x that ``generic_closure`` stands
+    for: the values of its words at MultiPoly coordinates, or A's standard
+    basis when A(x) = A was found at the specialization (no words)."""
+    res = generic_closure(A)
+    if not res.words:
+        return [A.basis_element(i) for i in range(res.dim)]
+    x = generic_element(A)
+    return [eval_free_poly(A, FreePoly.term(w), {X: x}) for w in res.words]
 
 
 def degenerate_algebra():
@@ -340,8 +353,7 @@ class TestSubalgebra:
         assert res.dim == 1
 
     def test_quaternion_generic(self):
-        res = subalgebra_generated(H, H.generic_element())
-        assert res.dim == 2
+        assert generic_closure(H).dim == 2
 
     def test_zero_algebra(self):
         Z = zero_algebra()
@@ -351,10 +363,6 @@ class TestSubalgebra:
     def test_zero_element(self):
         assert subalgebra_generated(H, H.zero()).dim == 0
 
-    def test_symbolic_element_must_be_generic(self):
-        with pytest.raises(ValueError, match="generic element"):
-            subalgebra_generated(H, H.generic_element(nvars=8))
-
     def test_concrete_quaternion(self):
         x = H.element([Fraction(1), Fraction(2), Fraction(0), Fraction(1)])
         res = subalgebra_generated(H, x)
@@ -362,13 +370,14 @@ class TestSubalgebra:
 
     @pytest.mark.parametrize("A", [H, SH, DH], ids=["H", "*H", "**H"])
     def test_closure_property_generic(self, A):
-        """Products of the returned generic basis lie in its span."""
-        res = subalgebra_generated(A, A.generic_element())
-        rows = [list(b.coords) for b in res.basis]
+        """The words' values at the generic x are independent, and their
+        products lie in their span."""
+        basis = generic_basis(A)
+        rows = [list(b.coords) for b in basis]
         base_rank = poly_rank(rows)
-        assert base_rank == res.dim
-        for u in res.basis:
-            for v in res.basis:
+        assert base_rank == generic_closure(A).dim
+        for u in basis:
+            for v in basis:
                 prod = multiply(A, u, v)
                 assert poly_rank(rows + [list(prod.coords)]) == base_rank
 
@@ -433,40 +442,35 @@ class TestDegree:
 
     def test_full_degree_standard_basis(self):
         """When the words at the specialization span A, A(x) = A is
-        returned with A's standard basis."""
+        returned with no words: A's standard basis stands for it."""
         for A in (UNCERTIFIED["D8"], dense_algebra(6, 1)):
             assert degree(A) == A.dim
-            res = subalgebra_generated(A, A.generic_element())
-            assert res.basis == tuple(A.basis_element(i)
-                                      for i in range(A.dim))
+            res = generic_closure(A)
+            assert (res.dim, res.words) == (A.dim, ()), A.name
 
     def test_words_reproduce_basis(self, ut3):
-        """At a generic x, each word evaluated at x is its basis element.
-        The degenerate specializations include words the queue admits."""
+        """At a generic x, the words evaluated at x span the closure
+        oracle's A(x).  The degenerate specializations include words the
+        queue admits."""
         algebras = [catalog_algebra(name)
                     for name in ("H", "O", "P", "*O", "**O")]
         algebras += [ut3] + [A for A, _ in degenerate_specializations()]
         for A in algebras:
-            x = A.generic_element()
-            res = subalgebra_generated(A, x)
+            res = generic_closure(A)
             assert len(res.words) == res.dim > 0, A.name
-            for w, b in zip(res.words, res.basis):
-                assert eval_free_poly(A, FreePoly.term(w), {X: x}) == b, \
-                    (A.name, w)
-        assert subalgebra_generated(ut3, ut3.generic_element()).words == \
-            (X, (X, X), (X, (X, X)))
+            rows = [list(b.coords) for b in generic_basis(A)]
+            oracle = [list(b.coords)
+                      for b in closure_oracle(A, generic_element(A))]
+            assert poly_rank(rows) == len(oracle) == res.dim, A.name
+            assert poly_rank(rows + oracle) == res.dim, A.name
+        assert generic_closure(ut3).words == (X, (X, X), (X, (X, X)))
 
-    def test_words_empty(self, files_algebras, ut3):
-        """No words when A(x) = A is found at the specialization, and none
-        for a concrete x."""
+    def test_words_empty(self, files_algebras):
+        """No words when A(x) = A is found at the specialization."""
         for A in (UNCERTIFIED["D8"], files_algebras["sparse9"],
                   files_algebras["sparse10"]):
-            res = subalgebra_generated(A, A.generic_element())
+            res = generic_closure(A)
             assert res.dim == A.dim and res.words == (), A.name
-        for A in (H, ut3):
-            x = A.element([Fraction(i + 1) for i in range(A.dim)])
-            res = subalgebra_generated(A, x)
-            assert res.dim > 1 and res.words == (), A.name
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.booleans(), st.booleans(), st.data())
@@ -504,10 +508,10 @@ class TestDegree:
 
 
 def poly_rank_closure(A):
-    """Oracle: the generic closure as ``subalgebra_generated`` ran it on
+    """Oracle: the closure of ``generic_closure`` run on
     MultiPoly products with one fraction-free rank per queued pair.  Returns
     (basis, words), basis the values of words at the generic x."""
-    x = A.generic_element()
+    x = generic_element(A)
     point = [Fraction(1 + i) for i in range(A.dim)]
     special, pairs = algebra._pair_closure(
         A, A.element([c.evaluate(point) for c in x.coords]))
@@ -538,7 +542,7 @@ def quadratic_oracle(A):
     e = find_units(A).two_sided
     if e is None:
         return False
-    x = A.generic_element()
+    x = generic_element(A)
     rows = [[MultiPoly.const(A.dim, c) for c in e.coords], list(x.coords),
             list(multiply(A, x, x).coords)]
     return poly_rank(rows) < 3
@@ -546,9 +550,9 @@ def quadratic_oracle(A):
 
 def assert_matches_poly_rank(A):
     basis, words = poly_rank_closure(A)
-    res = subalgebra_generated(A, A.generic_element())
-    assert (res.dim, list(res.basis), list(res.words)) == \
-        (len(basis), basis, words), A.name
+    res = generic_closure(A)
+    assert (res.dim, list(res.words)) == (len(basis), words), A.name
+    assert generic_basis(A) == basis, A.name
     assert predicate(A, "quadratic").value == quadratic_oracle(A), A.name
 
 
@@ -619,8 +623,9 @@ class TestFunctionFieldSpan:
 
 class TestLargeDimFallback:
     def test_two_variable_identity_beyond_packed_keys(self):
-        """dim 9 with two variables exceeds 64-bit exponent packing, so the
-        symbolic backend falls back to direct MultiPoly evaluation."""
+        """dim 9 with two variables: 18 variables, packed at the
+        identity's exponent width (2 bits for the associator, 1 for the
+        commutator), so the keys fit in uint64."""
         n = 9
         consts = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):

@@ -162,6 +162,17 @@ class TestErrors:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        """JSON nested past the parser's recursion limit is a malformed
+        file (exit 2), not a failed assertion (exit 1)."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out = run("show", str(deep))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed algebra file: ")
+        assert "nested too deeply" in err and "Traceback" not in err
+
 
 class TestFileLoading:
     def test_load_user_algebra(self, tmp_path):

@@ -25,6 +25,7 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
 from nalab.catalog import catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import FreePoly, polarize, pqr_associator
+from oracles import generic_element
 
 
 def random_algebra(dim, seed, span=3, field=FIELD_Q):
@@ -126,8 +127,8 @@ class TestSymbolicKernel:
         assert (groups["x"].keys.dtype == object) == (2 * n * bits > 64)
         ctx = engine.SymContext(A.tensor(), groups)
         got = sym_to_poly_vector(ctx.eval_term(word), A)
-        assignment = {"x": A.generic_element(nvars=2 * n, offset=0),
-                      "y": A.generic_element(nvars=2 * n, offset=n)}
+        assignment = {"x": generic_element(A, nvars=2 * n, offset=0),
+                      "y": generic_element(A, nvars=2 * n, offset=n)}
         expect = eval_free_poly(A, FreePoly.term(word), assignment)
         assert got == list(expect.coords)
 
@@ -146,8 +147,8 @@ class TestSymbolicKernel:
                   for gi, v in enumerate(("x", "y"))}
         got = sym_to_poly_vector(
             engine.SymContext(A.tensor(), groups).eval_term(word), A)
-        assignment = {"x": A.generic_element(nvars=2 * n, offset=0),
-                      "y": A.generic_element(nvars=2 * n, offset=n)}
+        assignment = {"x": generic_element(A, nvars=2 * n, offset=0),
+                      "y": generic_element(A, nvars=2 * n, offset=n)}
         expect = eval_free_poly(A, FreePoly.term(word), assignment)
         assert got == list(expect.coords)
 
@@ -159,7 +160,7 @@ class TestSymbolicKernel:
         word = (("x", "x"), "x")
         got = sym_to_poly_vector(ctx.eval_term(word), A)
         expect = eval_free_poly(A, FreePoly.term(word),
-                                {"x": A.generic_element()})
+                                {"x": generic_element(A)})
         assert got == list(expect.coords)
 
     def test_object_fallback_is_exact(self):
@@ -173,7 +174,7 @@ class TestSymbolicKernel:
             assert sv.parts[0].dtype == object
             got = sym_to_poly_vector(sv, A)
             expect = eval_free_poly(A, FreePoly.term(word),
-                                    {"x": A.generic_element()})
+                                    {"x": generic_element(A)})
             assert got == list(expect.coords), field
 
     def test_degree_17_word_matches_multipoly(self):
@@ -184,7 +185,7 @@ class TestSymbolicKernel:
         got = sym_to_poly_vector(
             engine.SymContext(A.tensor(), groups).eval_term(word), A)
         expect = eval_free_poly(A, FreePoly.term(word),
-                                {"x": A.generic_element()})
+                                {"x": generic_element(A)})
         assert got == list(expect.coords)
 
     def test_exponent_overflow_raises(self):
@@ -754,8 +755,8 @@ class TestSymbolicTiers:
         # and through MultiPoly arithmetic
         X, Y = FreePoly.var("x"), FreePoly.var("y")
         expect = eval_free_poly(A, (X + Y) * (X + Y), {
-            "x": A.generic_element(nvars=2, offset=0),
-            "y": A.generic_element(nvars=2, offset=1)})
+            "x": generic_element(A, nvars=2, offset=0),
+            "y": generic_element(A, nvars=2, offset=1)})
         assert sym_to_poly_vector(got, A) == list(expect.coords)
 
 

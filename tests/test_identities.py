@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab import algebra, engine, identities
+from nalab import algebra, engine, exactmath, identities
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, HoldsResult,
                            StructureAlgebra, _symbolic_groups, degree,
-                           division_sampled, eval_free_poly, identity_holds,
-                           mult_operator, multiply, subalgebra_generated)
+                           division_sampled, eval_free_poly, generic_closure,
+                           identity_holds, mult_operator, multiply)
 from nalab.catalog import CATALOG_NAMES, _cd_mul, catalog_algebra
 from nalab.exactmath import Echelon, QuadExt, det
 from nalab.freealg import (X, FreePoly, associator, commutator,
                            enumerate_trees, polarize, pqr_associator,
                            term_degree)
-from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, PredicateResult,
-                              _nonassociative_triple,
+from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, PROPERTY_NAMES,
+                              PredicateResult, _nonassociative_triple,
                               _power_commutative_scan, check_pqr,
                               hierarchy_report, predicate, verify_instances,
                               verify_prop1, verify_prop2)
@@ -182,7 +182,7 @@ def force_identities(monkeypatch):
 
 
 def generic_words(A):
-    return subalgebra_generated(A, A.generic_element()).words
+    return generic_closure(A).words
 
 
 ASSOCIATIVE = ("R", "C", "H")
@@ -738,17 +738,19 @@ class TestInstances:
         A = catalog_algebra(name)
         B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
                              A.basis_names)
-        calls = []
-        closure = algebra.subalgebra_generated
+        closes = []
+        closure = algebra.generic_closure
 
-        def counting(A, x):
-            calls.append(x.is_concrete())
-            return closure(A, x)
+        def counting(A):
+            # a call closes A(x) only when none is kept on A yet
+            closes.append(A._generic is None)
+            return closure(A)
 
-        monkeypatch.setattr(algebra, "subalgebra_generated", counting)
+        for module in (algebra, identities):
+            monkeypatch.setattr(module, "generic_closure", counting)
         hierarchy_report(B, bound=4)
         verify_instances(B, trials=20, bound=4)
-        assert calls.count(False) == 1
+        assert closes.count(True) == 1
 
     @pytest.mark.parametrize("name", ["P", "H"])
     def test_degree_only_with_left_unit(self, monkeypatch, name):
@@ -883,3 +885,25 @@ class TestSedenions:
     def test_statements_never_violated(self, sedenions):
         checks = verify_instances(sedenions, trials=20, bound=4)
         assert all(c.verdict != "violated" for c in checks)
+
+
+def test_analysis_builds_no_multipoly(monkeypatch, ut3, files_algebras):
+    """Every analysis path runs on packed keys and exact scalars: with
+    ``MultiPoly`` refusing to be built, ``degree``, every predicate, the
+    hierarchy report and the statement checks all run.  Fresh copies are
+    used, so that nothing is kept on an algebra from an earlier test."""
+    algebras = [catalog_algebra(name) for name in CATALOG_NAMES]
+    algebras += [diagonal(8), ut3] + list(files_algebras.values())
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a MultiPoly was built")
+
+    monkeypatch.setattr(exactmath.MultiPoly, "__init__", refuse)
+    for A in algebras:
+        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                             A.basis_names)
+        degree(B)
+        for name in PROPERTY_NAMES:
+            predicate(B, name, bound=4)
+        hierarchy_report(B, bound=4)
+        verify_instances(B, trials=20, bound=4)
