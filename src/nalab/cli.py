@@ -368,6 +368,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: out of memory{detail}; try --backend symbolic",
               file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a limit of the exact kernels, such as a packed exponent width or
+        # an inner dimension too wide for exact products of residues
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,9 +10,14 @@ parts: one integer array for a rational value, or two (rational part, sqrt 3
 part) for a value in Q(sqrt 3).
 One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
 operation.  Everything is exact: each product runs in float64 (BLAS) while
-a rigorous magnitude bound stays below 2^52, in int64 below 2^62, and in
-object dtype (big ints) beyond.  Symbolic values are stored as int64 or
-object arrays; a float64 product is converted back after its reduction.
+a rigorous magnitude bound stays below 2^52, in int64 below 2^62, and
+beyond that on float64 residues modulo primes below 2^22 (``_primes``),
+enough of them that their product exceeds the bound.  The symbolic product
+rebuilds the rows left after aggregation from their residues by CRT; the
+multilinear check and the witness search only test for zero, so they run
+one prime at a time and rebuild nothing.  Symbolic values are stored as
+int64 or object arrays; a float64 product is converted back after its
+reduction.
 """
 
 from __future__ import annotations
@@ -31,8 +36,107 @@ from .freealg import FreePoly, FreeTerm, UNIT, X, Y, term_bidegree
 _INT64_LIMIT = 1 << 62
 _FLOAT_EXACT = 1 << 52
 
+#: primes below 2^22, in the order they are used: a product of two residues
+#: is below 2^44, so float64 sums 512 of them exactly (``_residue_width``).
+#: ``_primes`` extends the list, below its last entry, when a bound needs
+#: more.
+_PRIMES = [4194301, 4194287, 4194277, 4194271, 4194247, 4194217, 4194199,
+           4194191, 4194187, 4194181, 4194173, 4194167, 4194143, 4194137,
+           4194131, 4194107]
 
-def _field_product(A: Tuple, B: Tuple) -> Tuple:
+
+def _primes(bound: int) -> List[int]:
+    """The first primes of _PRIMES whose product exceeds bound."""
+    out, product = [], 1
+    while product <= bound:
+        if len(out) == len(_PRIMES):
+            q = _PRIMES[-1] - 2
+            while any(q % d == 0 for d in range(3, math.isqrt(q) + 1, 2)):
+                q -= 2
+            _PRIMES.append(q)
+        out.append(_PRIMES[len(out)])
+        product *= out[-1]
+    return out
+
+
+def _residue_width(p: int) -> int:
+    """The widest inner dimension K of an exact float64 product of residues
+    mod p: K (p - 1)^2 < 2^53."""
+    return ((1 << 53) - 1) // (p - 1) ** 2
+
+
+def _fmod(x, p: int):
+    """x mod p in [0, p), for float64 x holding exact integers of magnitude
+    below 2^53.
+
+    floor(x / p) taken from one rounded product is off by at most one, and
+    x - floor(x / p) p is exact, so one correction each way lands in
+    [0, p); np.fmod gives the same values some forty times slower.
+    """
+    r = x * (1.0 / p)
+    np.floor(r, out=r)
+    r *= -p
+    r += x
+    np.add(r, p, out=r, where=r < 0)
+    np.subtract(r, p, out=r, where=r >= p)
+    return r
+
+
+def _residues(arr, p: int):
+    """The exact integers arr (any dtype) mod p, as float64 in [0, p)."""
+    if arr.dtype == np.float64:
+        return _fmod(arr, p)
+    return (arr % p).astype(np.float64)
+
+
+def _reduce(parts, p: int) -> Tuple:
+    """_residues on every part."""
+    return tuple(_residues(x, p) for x in parts)
+
+
+def _mod(parts, m: int, p: int) -> Tuple:
+    """A multilinear tensor's parts as residues mod p.  m is its entry
+    bound, and m >= 2^62 marks parts that are residues already."""
+    return tuple(parts) if m >= _INT64_LIMIT else _reduce(parts, p)
+
+
+def _crt(residues: Sequence[np.ndarray], primes: Sequence[int]) -> np.ndarray:
+    """The integers of magnitude below M/2, M the product of primes, with the
+    given int64 residues, as an object array.
+
+    Garner's mixed-radix digits d_i (x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)))
+    are found in int64, where every step stays below 2^44; two digits at a
+    time join into one int64 below 2^44 before Python ints are formed.
+    """
+    digits: List[np.ndarray] = []
+    for r, p in zip(residues, primes):
+        x = r
+        for d, q in zip(digits, primes):
+            x = (x - d) * pow(q, -1, p) % p
+        digits.append(x)
+    pairs = [(digits[i] + primes[i] * digits[i + 1], primes[i] * primes[i + 1])
+             if i + 1 < len(digits) else (digits[i], primes[i])
+             for i in range(0, len(digits), 2)]
+    acc = pairs[-1][0].astype(object)
+    for e, radix in reversed(pairs[:-1]):
+        acc = acc * radix + e.astype(object)
+    M = math.prod(primes)
+    return np.where(acc > M // 2, acc - M, acc)
+
+
+def _matmul(P, Q, p: Optional[int]):
+    """P @ Q; with p, a product of residues mod p, reduced mod p.  It is
+    exact while the inner dimension K keeps K (p - 1)^2 below 2^53, and
+    raises ValueError beyond."""
+    if p is None:
+        return P @ Q
+    if P.shape[-1] > _residue_width(p):
+        raise ValueError(f"an inner dimension of {P.shape[-1]} is too wide "
+                         f"for exact float64 products modulo {p}")
+    return _fmod(P @ Q, p)
+
+
+def _field_product(A: Tuple, B: Tuple, p: Optional[int] = None) -> Tuple:
     """Matrix product of part tuples by the rule (a, b)(a', b') =
     (aa' + 3bb', ab' + ba'): A's parts are (m, k) and B's (k, p) matrices.
 
@@ -40,13 +144,16 @@ def _field_product(A: Tuple, B: Tuple) -> Tuple:
     factor has one.  When both factors have one, the rule is a single
     product of blocks, [[a, 3b], [b, a]] @ [a'; b'], whose rows sum the
     same terms as the rule (so every bound on the rule bounds its partial
-    sums) with no pass over the result to combine parts.
+    sums) with no pass over the result to combine parts.  With p, the parts
+    are float64 residues mod p and so is the result (see _matmul); the
+    block's inner dimension is 2k.
     """
     if len(A) == 2 and len(B) == 2:
         a, b = A
-        out = np.block([[a, b * SQRT_RADICAND], [b, a]]) @ np.concatenate(B)
+        b3 = b * SQRT_RADICAND if p is None else b * SQRT_RADICAND % p
+        out = _matmul(np.block([[a, b3], [b, a]]), np.concatenate(B), p)
         return out[:len(a)], out[len(a):]
-    return tuple(P @ Q for P in A for Q in B)
+    return tuple(_matmul(P, Q, p) for P in A for Q in B)
 
 
 def _max_abs(parts) -> int:
@@ -57,8 +164,10 @@ def _max_abs(parts) -> int:
 
 def _tier(bound: int) -> str:
     """The dtype kind that holds exact integers of magnitude below bound:
-    "f" (float64) below 2^52, "i" (int64) below 2^62, "o" (object) beyond.
-    The kinds order as strings: "f" < "i" < "o"."""
+    "f" (float64) below 2^52, "i" (int64) below 2^62, "o" beyond.  The
+    identity kernels hold "o" values as residues mod primes (``_primes``);
+    sym_scale and sym_combine hold them in object dtype (big ints).  The
+    kinds order as strings: "f" < "i" < "o"."""
     return "f" if bound < _FLOAT_EXACT else \
         "i" if bound < _INT64_LIMIT else "o"
 
@@ -93,7 +202,7 @@ class ScaledTensor:
     / scale, with parts[1] present only when some constant has a sqrt 3
     part."""
 
-    __slots__ = ("n", "scale", "parts", "max_abs")
+    __slots__ = ("n", "scale", "parts", "max_abs", "_mod")
 
     def __init__(self, constants):
         n = len(constants)
@@ -125,6 +234,14 @@ class ScaledTensor:
             flat[where] = np.array([v[h] for v in values], dtype=dtype)
             parts.append(flat.reshape(n, n, n))
         self.parts = tuple(parts)
+        self._mod: Dict[int, Tuple] = {}
+
+    def mod(self, p: int) -> Tuple:
+        """The parts as float64 residues mod p, kept per prime."""
+        got = self._mod.get(p)
+        if got is None:
+            got = self._mod[p] = _reduce(self.parts, p)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +259,16 @@ class SymVec:
     which one could reach 2**bits, so packed keys never carry into each
     other.  parts holds the integer coordinate rows, one per key, as a part
     tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
-    scale**denom_power.
+    scale**denom_power.  A value rebuilt from residues keeps them, by
+    prime, in ``residues`` (None otherwise), so later products need not
+    reduce its big ints again.
     """
 
     __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
-                 "max_abs")
+                 "max_abs", "residues")
 
     def __init__(self, nvars, bits, degrees, denom_power, keys, parts,
-                 max_abs):
+                 max_abs, residues=None):
         self.nvars = nvars
         self.bits = bits
         self.degrees = degrees
@@ -157,6 +276,7 @@ class SymVec:
         self.keys = keys
         self.parts = parts
         self.max_abs = max_abs
+        self.residues: Optional[Dict[int, Tuple]] = residues
 
     @classmethod
     def generic(cls, n: int, nvars: int, bits: int, offset: int) -> "SymVec":
@@ -195,35 +315,48 @@ class SymVec:
 _AGGREGATE_ROWS = 1 << 13
 
 
-def _aggregate(keys, parts, n):
-    """Sum the rows of every part by key and drop rows zero in all parts.
-
-    One stable argsort orders the keys; each run of equal keys is summed by
-    np.add.reduceat, over blocks of whole runs of about _AGGREGATE_ROWS
-    rows.  float64 parts (exact integers below 2^52) are summed in float64
-    and stored as int64; int64 and object parts keep their dtype.  Returns
-    (sorted unique keys, summed parts, max_abs).
-    """
+def _runs(keys):
+    """(order, bounds, unique keys): one stable argsort orders the keys, and
+    the rows order[bounds[r]:bounds[r + 1]] hold the r-th unique key."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.concatenate(
         ([True], sorted_keys[1:] != sorted_keys[:-1])))
-    uk = sorted_keys[starts]
-    del sorted_keys
-    bounds = np.append(starts, len(keys))
-    sums = [np.empty((len(uk), n), dtype=object if p.dtype == object
+    return order, np.append(starts, len(keys)), sorted_keys[starts]
+
+
+def _run_sums(parts, order, bounds) -> List[np.ndarray]:
+    """The rows of every part summed over each run of _runs, by
+    np.add.reduceat over blocks of whole runs of about _AGGREGATE_ROWS rows.
+    float64 parts (exact integers below 2^52) are summed in float64 and
+    stored as int64; int64 and object parts keep their dtype."""
+    runs = len(bounds) - 1
+    sums = [np.empty((runs, p.shape[1]), dtype=object if p.dtype == object
                      else np.int64) for p in parts]
     lo = 0
-    while lo < len(uk):
+    while lo < runs:
         hi = int(np.searchsorted(bounds, bounds[lo] + _AGGREGATE_ROWS,
                                  "right")) - 1
-        hi = min(max(hi, lo + 1), len(uk))
+        hi = min(max(hi, lo + 1), runs)
         rows = order[bounds[lo]:bounds[hi]]
         for s, p in zip(sums, parts):
             s[lo:hi] = np.add.reduceat(p[rows], bounds[lo:hi] - bounds[lo],
                                        axis=0)
         lo = hi
-    live = np.any([np.any(s != 0, axis=1) for s in sums], axis=0)
+    return sums
+
+
+def _live(sums) -> np.ndarray:
+    """The rows that are nonzero in some part."""
+    return np.any([np.any(s != 0, axis=1) for s in sums], axis=0)
+
+
+def _aggregate(keys, parts, n):
+    """Sum the rows of every part by key and drop rows zero in all parts.
+    Returns (sorted unique keys, summed parts, max_abs); see _run_sums."""
+    order, bounds, uk = _runs(keys)
+    sums = _run_sums(parts, order, bounds)
+    live = _live(sums)
     if not live.all():
         uk, sums = uk[live], [s[live] for s in sums]
     return uk, tuple(sums), _max_abs(sums)
@@ -237,6 +370,29 @@ def _product_degrees(u: SymVec, v: SymVec) -> Tuple[int, ...]:
         raise ValueError(f"an exponent of degree {max(degrees)} does not "
                          f"fit in {u.bits} bits")
     return degrees
+
+
+def _sym_residues(x: SymVec, p: int) -> Tuple:
+    """x's parts mod p: kept from the product that built x, or reduced."""
+    if x.residues and p in x.residues:
+        return x.residues[p]
+    return _reduce(x.parts, p)
+
+
+def _product_rows(U: Tuple, V: Tuple, C: Tuple, n: int,
+                  p: Optional[int] = None) -> List[np.ndarray]:
+    """Row (b, a) is the product of the rows V[b] and U[a] through the
+    structure tensor C: one (len(V) * len(U), n) array per part.  With p,
+    every part is a residue mod p."""
+    A = len(U[0])
+    # uC[a, (j, k)] = sum_i U[a, i] C[i, j, k]
+    uC = _field_product(U, [c.reshape(n, n * n) for c in C], p)
+    # out[b, (a, k)] = sum_j V[b, j] uC[a, j, k]
+    out = _field_product(
+        V, [np.moveaxis(W.reshape(A, n, n), 1, 0).reshape(n, A * n)
+            for W in uC], p)
+    del uC
+    return [o.reshape(-1, n) for o in out]
 
 
 def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
@@ -254,17 +410,30 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
         if max(map(len, (u.parts, v.parts, t.parts))) > 1 else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
     kind = _tier(bound)
-    # uC[p, (j, k)] = sum_i u[p, i] C[i, j, k]
-    uC = _field_product(_cast(u.parts, kind),
-                        [C.reshape(n, n * n) for C in _cast(t.parts, kind)])
-    # out[q, (p, k)] = sum_j v[q, j] uC[p, j, k]
-    out = _field_product(
-        _cast(v.parts, kind),
-        [np.moveaxis(W.reshape(P, n, n), 1, 0).reshape(n, P * n) for W in uC])
-    del uC
-    keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
-    return SymVec(u.nvars, u.bits, degrees, dp,
-                  *_aggregate(keys, [o.reshape(Q * P, n) for o in out], n))
+    if kind != "o":
+        out = _product_rows(*(_cast(x.parts, kind) for x in (u, v, t)), n)
+        keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
+        return SymVec(u.nvars, u.bits, degrees, dp,
+                      *_aggregate(keys, out, n))
+    # residues mod primes whose product exceeds 2 * bound, one prime at a
+    # time, summed by key in int64; a row is zero when all its residues are,
+    # and the others are rebuilt, signs included, by CRT
+    order, bounds, uk = _runs((v.keys[:, None] + u.keys[None, :]).reshape(-1))
+    primes = _primes(2 * bound)
+    sums = []
+    for p in primes:
+        out = _product_rows(_sym_residues(u, p), _sym_residues(v, p),
+                            t.mod(p), n, p)
+        sums.append([s % p for s in _run_sums(out, order, bounds)])
+        del out
+    live = _live([s for per_prime in sums for s in per_prime])
+    sums = [[s[live] for s in per_prime] for per_prime in sums]
+    parts = tuple(_crt([per_prime[h] for per_prime in sums], primes)
+                  for h in range(len(sums[0])))
+    return SymVec(u.nvars, u.bits, degrees, dp, uk[live], parts,
+                  _max_abs(parts),
+                  {p: tuple(s.astype(np.float64) for s in per_prime)
+                   for p, per_prime in zip(primes, sums)})
 
 
 def sym_scale(s: SymVec, v: SymVec) -> SymVec:
@@ -461,15 +630,30 @@ def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     the coordinate row of v's k-th key?  That sum is v at a point whose
     monomial values are M[c, k] w[k]; it is zero exactly when its rational
     part and its sqrt 3 part are.  Only the keys with w != 0 are used, and
-    the dtype comes from the bound K' max|M| max|w| max|v| over those K'
-    keys, so the test is exact."""
+    the tier comes from the bound K' max|M| max|w| max|v| over those K'
+    keys, so the test is exact.  Past 2^62 the sums are taken mod primes
+    whose product exceeds the bound, K' keys a block at a time, with no
+    rebuild: a sum is nonzero exactly when one of its residues is."""
     live = np.flatnonzero(w)
     M, w = M[:, live], w[live]
-    kind = _tier(len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs)
-    w = _to_kind(w, kind)[:, None]
-    out = _field_product((_to_kind(M, kind),),
-                         [_to_kind(p[live], kind) * w for p in v.parts])
-    return np.any([np.any(o != 0, axis=1) for o in out], axis=0)
+    bound = len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs
+    kind = _tier(bound)
+    if kind != "o":
+        w = _to_kind(w, kind)[:, None]
+        out = _field_product((_to_kind(M, kind),),
+                             [_to_kind(p[live], kind) * w for p in v.parts])
+        return np.any([np.any(o != 0, axis=1) for o in out], axis=0)
+    nonzero = np.zeros(len(M), dtype=bool)
+    for p in _primes(bound):
+        Mp, wp = _residues(M, p), _residues(w, p)[:, None]
+        width = _residue_width(p)
+        for part in v.parts:
+            # products of two residues are below 2^44: exact in float64
+            x = _fmod(_residues(part[live], p) * wp, p)
+            acc = sum(_matmul(Mp[:, lo:lo + width], x[lo:lo + width], p)
+                      for lo in range(0, len(live), width))
+            nonzero |= np.any(_fmod(acc, p) != 0, axis=1)
+    return nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +724,13 @@ class MultilinearEngine:
     equal-variable leaves, realized as axis-permuted sums.  The product is
     bilinear, so the words of a polynomial that share a left factor L cost
     one contraction L * (sum of c * R), and top-level words are never built.
-    Arrays hold exact integers: float64 while a rigorous bound stays below
-    2^52 (so BLAS paths stay exact), int64 below 2^62, big-int objects
-    beyond.
+    Every tensor comes with an entry bound m.  Below 2^62 its arrays hold
+    the exact integers, m is their measured maximum, and they are float64
+    while a rigorous bound stays below 2^52 (so BLAS paths stay exact) and
+    int64 beyond.  From 2^62 on they hold float64 residues mod the engine's
+    current prime (``multilinearization`` sets it) and m is a rigorous
+    bound: ``check`` only tests for zero, so it runs once per prime of a
+    set whose product exceeds its bound and never rebuilds an integer.
     """
 
     #: cache word tensors only up to this many variable leaves; larger ones
@@ -552,7 +740,11 @@ class MultilinearEngine:
 
     def __init__(self, tensor: ScaledTensor):
         self.t = tensor
+        #: exact word tensors
         self.cache: Dict[FreeTerm, Tuple] = {}
+        #: the prime of the residue tier, and the residue word tensors
+        self._prime = _PRIMES[0]
+        self._residue_cache: Dict[FreeTerm, Tuple] = {}
 
     def _contract(self, L, lmax: int, R, rmax: int) -> Tuple:
         """(parts, bound): the product tensor of the part tuples L and R,
@@ -562,34 +754,42 @@ class MultilinearEngine:
         lmax and rmax bound the entries of L and R.  bound = n^2 * lmax *
         rmax * max|C|, times (1 + 3)^2 when a sqrt 3 part is present, is a
         rigorous bound on every entry and every intermediate partial sum;
-        the dtype comes from it, so float64 is used only where it is exact.
+        the tier comes from it, so float64 is used only where it is exact,
+        and from 2^62 on the product is taken mod the current prime.
         """
         t = self.t
         n = t.n
+        p = self._prime
         fold = (1 + SQRT_RADICAND) ** 2 \
             if max(map(len, (L, R, t.parts))) > 1 else 1
         bound = n * n * lmax * rmax * t.max_abs * fold
         kind = _tier(bound)
-        L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
+        if kind == "o":
+            L, R, C = _mod(L, lmax, p), _mod(R, rmax, p), t.mod(p)
+        else:
+            L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
+            p = None
         nl, nr = L[0].ndim - 1, R[0].ndim - 1
         # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's leaf axes
-        V = _field_product([p.reshape(-1, n) for p in R],
+        V = _field_product([x.reshape(-1, n) for x in R],
                            [c.transpose(1, 0, 2).reshape(n, n * n)
-                            for c in C])
+                            for c in C], p)
         # out[l, (r, k)] = sum_i L[l, i] V[r, i, k]
         out = _field_product(
-            [p.reshape(-1, n) for p in L],
-            [np.moveaxis(v.reshape(-1, n, n), 1, 0).reshape(n, -1) for v in V])
+            [x.reshape(-1, n) for x in L],
+            [np.moveaxis(v.reshape(-1, n, n), 1, 0).reshape(n, -1)
+             for v in V], p)
         return tuple(o.reshape((n,) * (nl + nr + 1)) for o in out), bound
 
     def word_tensor(self, term: FreeTerm):
-        """(*parts, max_abs) with axes = leaves in left-to-right order + out.
+        """(*parts, m) with axes = leaves in left-to-right order + out.
 
-        max_abs is the measured magnitude maximum of the exact result; the
-        dtype for each node is chosen from a rigorous bound derived from the
-        children's measured maxima (see _contract).
+        m is the measured magnitude maximum of the exact result, or its
+        rigorous bound when that reaches 2^62 and the parts are residues
+        mod the current prime; the tier for each node is chosen from a
+        rigorous bound derived from the children's m (see _contract).
         """
-        got = self.cache.get(term)
+        got = self.cache.get(term) or self._residue_cache.get(term)
         if got is not None:
             return got
         if isinstance(term, str):
@@ -600,39 +800,59 @@ class MultilinearEngine:
         else:
             *L, lmax = self.word_tensor(term[0])
             *R, rmax = self.word_tensor(term[1])
-            parts, _ = self._contract(L, lmax, R, rmax)
-            res = (*parts, _max_abs(parts))
+            parts, bound = self._contract(L, lmax, R, rmax)
+            res = (*parts, bound if bound >= _INT64_LIMIT
+                   else _max_abs(parts))
         if isinstance(term, str) or res[0].ndim - 1 <= self._CACHE_LEAVES:
-            self.cache[term] = res
+            cache = self._residue_cache if res[-1] >= _INT64_LIMIT \
+                else self.cache
+            cache[term] = res
         return res
 
     def _summed_right(self, members) -> Tuple:
-        """(parts, max_abs) of the sum of c * R over the (c, R) members, each
-        R's axes aligned as (x leaves, y leaves, out).
+        """(parts, m) of the sum of c * R over the (c, R) members, each R's
+        axes aligned as (x leaves, y leaves, out).
 
-        The sum is exact in the dtype of its bound sum |c| * max R; its
-        maximum is then measured.
+        The sum is exact in the tier of its bound sum |c| * max R, and its
+        maximum is then measured; from 2^62 on it is taken mod the current
+        prime, and m is that bound.
         """
+        p = self._prime
         terms = []
         for c, right in members:
             *R, rmax = self.word_tensor(right)
             xs, ys = _leaf_slots(right)
             perm = xs + ys + [len(xs) + len(ys)]
-            terms.append((c, [np.transpose(p, perm) for p in R], rmax))
-        kind = _tier(sum(abs(c) * rmax for c, _, rmax in terms))
+            terms.append((c, [np.transpose(x, perm) for x in R], rmax))
+        bound = sum(abs(c) * rmax for c, _, rmax in terms)
         width = max(len(R) for _, R, _ in terms)
-        S = [sum(c * _to_kind(p, kind) for (c, _, _), p in zip(terms, col))
-             for col in zip(*(_padded(R, width) for _, R, _ in terms))]
-        return S, _max_abs(S)
+        kind = _tier(bound)
+        if kind != "o":
+            S = [sum(c * _to_kind(x, kind) for (c, _, _), x in zip(terms, col))
+                 for col in zip(*(_padded(R, width) for _, R, _ in terms))]
+            return S, _max_abs(S)
+        S = []
+        for col in zip(*(_padded(_mod(R, rmax, p), width)
+                         for _, R, rmax in terms)):
+            acc = np.zeros_like(col[0])
+            for (c, _, _), x in zip(terms, col):
+                # below p + (p - 1)^2 < 2^45: exact in float64
+                acc = _fmod(acc + (c % p) * x, p)
+            S.append(acc)
+        return S, bound
 
-    def multilinearization(self, poly: FreePoly):
+    def multilinearization(self, poly: FreePoly, p: Optional[int] = None):
         """Unsymmetrized multilinearization tensor of a bidegree-homogeneous
         poly.
 
         Axes: dx slots for the x-copies, then dy slots for the y-copies,
-        then the output coordinate.  Returns (parts, dx, dy).  The full
-        multilinearization is the sum of parts over all permutations of the
-        x slots and of the y slots; check forms that sum where it needs it.
+        then the output coordinate.  Returns (parts, dx, dy, bound).  The
+        full multilinearization is the sum of parts over all permutations of
+        the x slots and of the y slots; check forms that sum where it needs
+        it.  bound bounds every entry of it and every partial sum on the way.
+        While bound < 2^62, parts hold the exact integers; beyond, their
+        residues mod p (float64, in [0, p)), which becomes the engine's
+        current prime (by default the first prime of _PRIMES).
 
         The words are grouped by their left factor L.  Per group the right
         factors are summed with their coefficients, slots aligned, into one
@@ -640,9 +860,9 @@ class MultilinearEngine:
         transposed into the slot order (x leaves of L, then of R, y leaves
         of L, then of R, out) and added in place into the accumulator.  A
         bare-leaf word has no left factor: its R is added as it is.  The
-        accumulator's dtype comes from the same rule as the word tensors,
+        accumulator's tier comes from the same rule as the word tensors,
         applied to running * dx! * dy!.  running sums the groups'
-        contraction bounds; where that sum would raise the dtype, it is
+        contraction bounds; where that sum would raise an exact tier, it is
         replaced by the measured maxima of the accumulator and of the new
         group.  Either way it bounds every partial sum of the accumulation
         and of the permutation sums in check.
@@ -651,6 +871,9 @@ class MultilinearEngine:
         if len(bdegs) != 1:
             raise ValueError("polynomial is not bidegree-homogeneous")
         dx, dy = next(iter(bdegs))
+        p = _PRIMES[0] if p is None else p
+        if p != self._prime:
+            self._prime, self._residue_cache = p, {}
         denom = math.lcm(*(c.denominator for c in poly.terms.values()))
         groups: Dict[Optional[FreeTerm], List] = {}
         for term, coeff in sorted(poly.terms.items(),
@@ -672,17 +895,39 @@ class MultilinearEngine:
                 xs, ys = _leaf_slots(left)
                 right = list(range(len(xs) + len(ys), G[0].ndim))
                 perm = xs + right[:dx - len(xs)] + ys + right[dx - len(xs):]
-            if _tier((running + bound) * slots) > kind:
-                # the bounds would raise the dtype: measure what they bound
+            if _tier((running + bound) * slots) > kind and \
+                    bound < _INT64_LIMIT:
+                # the bounds would raise an exact tier: measure what they
+                # bound
                 running = _max_abs(U) + _max_abs(G)
             else:
                 running += bound
             if _tier(running * slots) > kind:
                 kind = _tier(running * slots)
-                U = _cast(U, kind)
+                U = _cast(U, kind) if kind != "o" else _reduce(U, p)
             for u, g in zip(U, G):
-                u += _to_kind(np.transpose(g, perm), kind)
-        return U, dx, dy
+                g = np.transpose(g, perm)
+                if kind != "o":
+                    u += _to_kind(g, kind)
+                else:
+                    u += g if bound >= _INT64_LIMIT else _residues(g, p)
+        if kind == "o":
+            # a sum of fewer than 2^31 residues below 2^22 is exact
+            U = tuple(_fmod(u, p) for u in U)
+        return U, dx, dy, running * slots
+
+    def _nonzero(self, U, dx: int, dy: int, p: Optional[int]):
+        """(mask, X, Y): mask[i, j] tells whether the sum of U (residues mod
+        p when p is given) over the dx! dy! slot permutations is nonzero at
+        the sorted x tuple X[i] and the sorted y tuple Y[j]; see check."""
+        n = self.t.n
+        S = []
+        for u in U:
+            Sx, X = _sorted_sums(u.reshape(1, n ** dx, -1), n, dx)
+            Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, n), n, dy)
+            # sums of dx! dy! < 2^31 residues below 2^22 are exact
+            S.append(Sxy if p is None else _fmod(Sxy, p))
+        return np.any([np.any(s != 0, axis=-1) for s in S], axis=0), X, Y
 
     def check(self, poly: FreePoly):
         """(holds, witness_basis_tuple or None): tests the multilinearized
@@ -694,16 +939,18 @@ class MultilinearEngine:
         sorting is no later in lexicographic order: the first failing tuple
         has sorted x slots and sorted y slots.  So the sum over the dx! dy!
         slot permutations of the accumulator is formed at those tuples only
-        (see _sorted_sums), in the accumulator's dtype.
+        (see _sorted_sums).  When the accumulator's bound reaches 2^62, that
+        is done once per prime of _primes(bound), one prime at a time, and
+        a tuple fails when its sum is nonzero mod any of them.
         """
-        U, dx, dy = self.multilinearization(poly)
-        n = self.t.n
-        S = []
-        for p in U:
-            Sx, X = _sorted_sums(p.reshape(1, n ** dx, -1), n, dx)
-            Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, n), n, dy)
-            S.append(Sxy)
-        nz = np.any([np.any(s != 0, axis=-1) for s in S], axis=0)
+        U, dx, dy, bound = self.multilinearization(poly)
+        residues = bound >= _INT64_LIMIT
+        nz, X, Y = self._nonzero(U, dx, dy, _PRIMES[0] if residues else None)
+        if residues:
+            for q in _primes(bound)[1:]:
+                del U
+                U = self.multilinearization(poly, q)[0]
+                nz |= self._nonzero(U, dx, dy, q)[0]
         if not nz.any():
             return True, None
         i, j = divmod(int(np.argmax(nz)), len(Y))

@@ -16,9 +16,9 @@ from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
 from nalab.exactmath import MultiPoly, QuadExt, det, poly_rank, solve_affine
-from nalab.freealg import X, FreePoly, associator, pqr_associator
+from nalab.freealg import X, FreePoly, associator, polarize, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
-from oracles import generic_element
+from oracles import generic_element, inclusion_exclusion_multilin
 
 H = classical("H").algebra
 C = classical("C").algebra
@@ -625,7 +625,8 @@ class TestLargeDimFallback:
     def test_two_variable_identity_beyond_packed_keys(self):
         """dim 9 with two variables: 18 variables, packed at the
         identity's exponent width (2 bits for the associator, 1 for the
-        commutator), so the keys fit in uint64."""
+        commutator), so the keys still fit in uint64 (36 and 18 bits);
+        ``test_two_variable_identity_on_object_keys`` goes past 64 bits."""
         n = 9
         consts = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -636,6 +637,31 @@ class TestLargeDimFallback:
         assert identity_holds(A, fassoc(x, y, x)).holds
         comm = x * y - y * x
         assert identity_holds(A, comm).holds
+
+    def test_two_variable_identity_on_object_keys(self):
+        """dim 11 with two variables: (2,2,1)'s f_1 has bidegree (4, 1), so
+        its 22 variables take 3 bits each, 66 bits in all, and the keys
+        are Python ints.  On a seeded sparse algebra both backends refute
+        it, and each witness is confirmed by direct evaluation."""
+        n = 11
+        rng = random.Random(11)
+        consts = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in rng.sample(range(n), 2):
+                    consts[i][j][k] = Fraction(rng.choice((-2, -1, 1, 2)))
+        A = StructureAlgebra("sparse11", n, FIELD_Q, consts)
+        poly = polarize(2, 2, 1).f(1)
+        assert poly.bidegrees() == {(4, 1)}
+        assert algebra._symbolic_groups(A, ("x", "y"), 4)["x"] \
+            .keys.dtype == object
+        sym = identity_holds(A, poly, "symbolic")
+        ml = identity_holds(A, poly, "multilinear")
+        assert not sym.holds and not ml.holds
+        assert not eval_free_poly(A, poly, sym.witness).is_zero()
+        assert not inclusion_exclusion_multilin(
+            A, poly, list(ml.witness["x_tuple"]),
+            list(ml.witness["y_tuple"])).is_zero()
 
 
 class TestNonUniqueUnits:

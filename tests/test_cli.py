@@ -135,6 +135,25 @@ class TestErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "32.0 TiB" in lines[0] and "--backend symbolic" in lines[0]
 
+    @pytest.mark.parametrize("backend", ("symbolic", "multilinear"))
+    def test_prime_too_large_for_residue_products_exits_2(
+            self, backend, tmp_path, monkeypatch, capsys):
+        # products of a dim-2 algebra with constants near 10^12 pass 2^62;
+        # with a 31-bit prime no residue product is exact in float64
+        rows = [[i, j, k, str(10 ** 12 + 7 * i + 3 * j + k)]
+                for i in range(2) for j in range(2) for k in range(2)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "dim": 2, "field": "Q",
+                                    "basis": ["e0", "e1"],
+                                    "constants": rows}))
+        monkeypatch.setattr(engine, "_PRIMES", [2 ** 31 - 1])
+        code, out = run("check", str(path), "--identity", "1,2,2",
+                        "--backend", backend)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "too wide" in lines[0]
+
     def test_malformed_file(self, tmp_path, capsys):
         def spec(**fields):
             return json.dumps({"name": "bad", "dim": 1, "field": "Q",

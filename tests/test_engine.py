@@ -4,8 +4,11 @@ The symbolic kernel is compared with direct MultiPoly evaluation; the
 multilinear tensors are compared with an inclusion-exclusion oracle evaluated
 through ordinary algebra multiplication.  Both oracles share no code with the
 kernels they check.  The grouped multilinearization is also compared, entry
-for entry, with a per-word accumulation of full word tensors, and the
-multilinear check with a scan of the fully symmetrized tensor.
+for entry, with a per-word accumulation of full word tensors built in Python
+ints (``oracles.bigint_word_tensor``), and the multilinear check with a scan
+of the fully symmetrized tensor.  Past 2^62 the kernels keep residues mod
+primes: those are compared with the big-int oracles mod each prime used,
+and by verdict and witness.
 """
 
 import itertools
@@ -25,7 +28,8 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
 from nalab.catalog import catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import FreePoly, polarize, pqr_associator
-from oracles import generic_element
+from oracles import bigint, bigint_nonzero_at, bigint_sym_product, \
+    bigint_word_tensor, generic_element, inclusion_exclusion_multilin
 
 
 def random_algebra(dim, seed, span=3, field=FIELD_Q):
@@ -338,36 +342,6 @@ class TestSymSpan:
             engine.sym_scale(x3, x)
 
 
-def inclusion_exclusion_multilin(A, poly, x_tuple, y_tuple):
-    """Oracle: full multilinearization evaluated via finite differences.
-
-    M(v_1..v_dx; w_1..w_dy) = sum over subsets S, T of
-    (-1)^(dx-|S|) (-1)^(dy-|T|) f(sum_S v, sum_T w).
-    """
-    dx, dy = len(x_tuple), len(y_tuple)
-    total = A.zero()
-    for smask in range(2 ** dx):
-        xs = A.zero()
-        for i in range(dx):
-            if smask >> i & 1:
-                xs = xs + x_tuple[i]
-        sign_s = (-1) ** (dx - bin(smask).count("1"))
-        for tmask in range(2 ** dy):
-            ys = A.zero()
-            for j in range(dy):
-                if tmask >> j & 1:
-                    ys = ys + y_tuple[j]
-            sign = sign_s * (-1) ** (dy - bin(tmask).count("1"))
-            assignment = {}
-            if "x" in poly.variables() or dx:
-                assignment["x"] = xs
-            if dy:
-                assignment["y"] = ys
-            val = eval_free_poly(A, poly, assignment)
-            total = total + val.scale(sign)
-    return total
-
-
 def symmetrize_axes(arr, start: int, count: int):
     """Oracle: the sum over all permutations of axes [start, start+count).
 
@@ -387,10 +361,9 @@ def symmetrize_axes(arr, start: int, count: int):
 
 def symmetrized(multilinearization):
     """The full multilinearization (parts, dx, dy) from the unsymmetrized
-    (parts, dx, dy), in exact big-int arithmetic."""
+    (parts, dx, dy, ...), in exact big-int arithmetic."""
     U, dx, dy = multilinearization[:3]
-    return tuple(symmetrize_axes(symmetrize_axes(engine._to_kind(p, "o"),
-                                                 0, dx), dx, dy)
+    return tuple(symmetrize_axes(symmetrize_axes(bigint(p), 0, dx), dx, dy)
                  for p in U), dx, dy
 
 
@@ -430,22 +403,31 @@ class TestMultilinearKernel:
             assert got == list(oracle.coords)
 
     def test_object_tier_matches_finite_differences(self):
+        # past 2^62 the tensor is kept mod each prime the check uses: its
+        # residues match the oracle's exact values mod that prime, and the
+        # check's verdict and witness match the big-int full scan
         A = big_algebra(FIELD_QSQRT3)
         ml = engine.MultilinearEngine(A.tensor())
         poly = pqr_associator(1, 1, 1)
-        U, dx, dy = ml.multilinearization(poly)
-        assert U[0].dtype == object and U[1].dtype == object
-        S, dx, dy = symmetrized((U, dx, dy))
-        scale = Fraction(A.tensor().scale) ** 2
-        for idx in itertools.product(range(2), repeat=3):
-            xt = [A.basis_element(i) for i in idx]
-            oracle = inclusion_exclusion_multilin(A, poly, xt, [])
-            got = []
-            for k in range(2):
-                a = Fraction(int(S[0][idx + (k,)])) / scale
-                b = Fraction(int(S[1][idx + (k,)])) / scale
-                got.append(QuadExt(a, b) if b else a)
-            assert got == list(oracle.coords)
+        bound = ml.multilinearization(poly)[3]
+        primes = engine._primes(bound)
+        assert bound >= 2 ** 62 and len(primes) > 1
+        scale = A.tensor().scale ** 2
+        oracle = {idx: inclusion_exclusion_multilin(
+            A, poly, [A.basis_element(i) for i in idx], [])
+            for idx in itertools.product(range(2), repeat=3)}
+        for p in primes:
+            U, dx, dy, _ = ml.multilinearization(poly, p)
+            assert all(u.dtype == np.float64 for u in U)
+            S, dx, dy = symmetrized((U, dx, dy))
+            for idx, value in oracle.items():
+                for k, c in enumerate(value.coords):
+                    a, b = (c.a, c.b) if isinstance(c, QuadExt) else (c, 0)
+                    exact = [a * scale, b * scale]
+                    assert all(x.denominator == 1 for x in exact)
+                    assert [S[h][idx + (k,)] % p for h in range(2)] == \
+                        [int(x) % p for x in exact], (p, idx, k)
+        assert ml.check(poly) == full_scan_check(A, poly)
 
     def test_check_detects_failure_tuple(self):
         SH = catalog_algebra("*H")
@@ -497,43 +479,58 @@ class TestScaledTensor:
             assert Fraction(int(t.parts[1][i, j, k]), t.scale) == b
 
 
-def per_word_multilinearization(A, poly):
+def per_word_multilinearization(A, poly, cache=None):
     """Oracle: the unsymmetrized multilinearization accumulated one full
     word tensor per top-level word, in exact big-int arithmetic.
 
-    Each word tensor is transposed into the slot order (x leaves, y leaves,
-    out), scaled by its cleared coefficient and added.  Returns (parts, dx,
-    dy) like ``MultilinearEngine.multilinearization``, plus the per-word
-    bound dx! dy! * sum |c| * max|word| on every partial sum of it and of
-    its symmetrization.
+    Each word tensor (``bigint_word_tensor``) is transposed into the slot
+    order (x leaves, y leaves, out), scaled by its cleared coefficient and
+    added.  Returns (parts, dx, dy, bound) like
+    ``MultilinearEngine.multilinearization``, with the per-word bound dx!
+    dy! * sum |c| * max|word| on every partial sum of it and of its
+    symmetrization.  cache keeps A's word tensors across calls.
     """
-    ml = engine.MultilinearEngine(A.tensor())
+    t = A.tensor()
     (dx, dy), = poly.bidegrees()
     denom = math.lcm(*(c.denominator for c in poly.terms.values()))
-    width = len(ml.t.parts)
+    width = len(t.parts)
+    cache = {} if cache is None else cache
     U = None
     bound = 0
     for term, coeff in poly.terms.items():
-        *T, mx = ml.word_tensor(term)
+        T, mx = bigint_word_tensor(t, term, cache)
         labels = engine._leaf_labels(term)
         perm = [i for i, s in enumerate(labels) if s == "x"] + \
             [i for i, s in enumerate(labels) if s == "y"] + [len(labels)]
         c = int(coeff * denom)
         bound += abs(c) * mx
-        T = [engine._to_kind(np.transpose(p, perm), "o") * c
-             for p in engine._padded(T, width)]
+        T = tuple(T) + tuple(np.zeros_like(T[0])
+                             for _ in range(width - len(T)))
+        T = [np.transpose(p, perm) * c for p in T]
         U = T if U is None else [u + p for u, p in zip(U, T)]
     return tuple(U), dx, dy, bound * math.factorial(dx) * math.factorial(dy)
 
 
-def assert_same_tensor(got, expect):
-    """got and expect are equal entry for entry (values, not dtypes)."""
-    (G, gx, gy), (E, ex, ey, _) = got, expect
+def assert_same_tensor(ml, poly, expect):
+    """ml's multilinearization of poly equals the oracle's expect entry for
+    entry: exactly while its bound is below 2^62, and mod each prime that
+    check uses beyond.  Returns the tier it ran in: its dtype's kind, or
+    "o" for residues."""
+    G, gx, gy, bound = ml.multilinearization(poly)
+    E, ex, ey, _ = expect
     assert (gx, gy) == (ex, ey)
     assert len(G) == len(E)
-    for g, e in zip(G, E):
-        assert g.shape == e.shape
-        assert (engine._to_kind(g, "o") == e).all()
+    if bound < 2 ** 62:
+        for g, e in zip(G, E):
+            assert g.shape == e.shape
+            assert (bigint(g) == e).all()
+        return KINDS[G[0].dtype]
+    for p in engine._primes(bound):
+        G = ml.multilinearization(poly, p)[0]
+        for g, e in zip(G, E):
+            assert g.shape == e.shape and g.dtype == np.float64
+            assert (bigint(g) == e % p).all(), p
+    return "o"
 
 
 def triple_polys(p, q, r):
@@ -562,26 +559,25 @@ class TestGroupedMultilinearization:
     @settings(max_examples=30, deadline=None)
     def test_matches_per_word_oracle(self, dim, seed, field, span, triple):
         A = random_algebra(dim, seed, span=span, field=field)
+        cache = {}
         for key, poly in triple_polys(*triple):
-            assert_same_tensor(A.ml_engine().multilinearization(poly),
-                               per_word_multilinearization(A, poly))
+            assert_same_tensor(A.ml_engine(), poly,
+                               per_word_multilinearization(A, poly, cache))
 
     @pytest.mark.parametrize("field", (FIELD_Q, FIELD_QSQRT3))
     def test_every_component_on_every_tier(self, field):
-        dtypes = set()
+        kinds = set()
         for span in SPANS:
             A = random_algebra(2, seed=5, span=span, field=field)
+            cache = {}
             for triple in LOW_TRIPLES:
                 for key, poly in triple_polys(*triple):
-                    got = A.ml_engine().multilinearization(poly)
-                    expect = per_word_multilinearization(A, poly)
-                    assert_same_tensor(got, expect)
+                    expect = per_word_multilinearization(A, poly, cache)
+                    kind = assert_same_tensor(A.ml_engine(), poly, expect)
                     # never wider than the per-word bound asks for
-                    assert KINDS[got[0][0].dtype] <= \
-                        engine._tier(expect[3]), (span, key)
-                    dtypes.add(got[0][0].dtype)
-        assert dtypes == {np.dtype(np.float64), np.dtype(np.int64),
-                          np.dtype(object)}
+                    assert kind <= engine._tier(expect[3]), (span, key)
+                    kinds.add(kind)
+        assert kinds == {"f", "i", "o"}
 
     @pytest.mark.parametrize("k", range(8, 16))
     def test_accumulator_tier_on_loose_bounds(self, k):
@@ -594,10 +590,9 @@ class TestGroupedMultilinearization:
             [[c * 2 ** k for c in row] for row in plane]
             for plane in H.constants])
         for key, poly in triple_polys(1, 2, 2):
-            got = A.ml_engine().multilinearization(poly)
             expect = per_word_multilinearization(A, poly)
-            assert_same_tensor(got, expect)
-            assert KINDS[got[0][0].dtype] <= engine._tier(expect[3]), key
+            kind = assert_same_tensor(A.ml_engine(), poly, expect)
+            assert kind <= engine._tier(expect[3]), key
 
     @pytest.mark.parametrize("poly, groups", [
         (polarize(2, 2, 2).f(1), 8),
@@ -621,7 +616,7 @@ class TestGroupedMultilinearization:
             return contract(self, *args)
 
         monkeypatch.setattr(engine.MultilinearEngine, "_contract", counting)
-        assert_same_tensor(ml.multilinearization(poly), expect)
+        assert_same_tensor(ml, poly, expect)
         assert len(calls) == groups
 
     @pytest.mark.parametrize("coeff", (1, 2))
@@ -630,7 +625,7 @@ class TestGroupedMultilinearization:
         # a bare variable has no left factor; c*x = 0 fails on both backends
         H = catalog_algebra("H")
         poly = FreePoly.var(var).scale(coeff)
-        S, dx, dy = H.ml_engine().multilinearization(poly)
+        S, dx, dy, _ = H.ml_engine().multilinearization(poly)
         assert (dx, dy) == ((1, 0) if var == "x" else (0, 1))
         assert (S[0] == coeff * np.eye(4)).all()
         for backend in ("symbolic", "multilinear"):
@@ -708,17 +703,24 @@ def line_algebra(c):
 
 
 def product_kinds(monkeypatch, u, v, t):
-    """sym_product(u, v, t) and the dtype kinds its products ran in."""
-    kinds = []
-    cast = engine._cast
+    """sym_product(u, v, t), the tiers its products ran in ("o" for
+    residues mod primes) and the primes it used."""
+    kinds, used = [], []
+    cast, primes = engine._cast, engine._primes
 
     def recording(parts, kind):
         kinds.append(kind)
         return cast(parts, kind)
 
+    def residues(bound):
+        kinds.append("o")
+        used.extend(primes(bound))
+        return used
+
     monkeypatch.setattr(engine, "_cast", recording)
+    monkeypatch.setattr(engine, "_primes", residues)
     got = engine.sym_product(u, v, t)
-    return got, set(kinds)
+    return got, set(kinds), used
 
 
 class TestSymbolicTiers:
@@ -741,17 +743,20 @@ class TestSymbolicTiers:
         t = A.tensor()
         x, y = (engine.SymVec.generic(1, 2, 4, g) for g in (0, 1))
         s = engine.sym_combine([(1, x), (1, y)], 1)
-        got, kinds = product_kinds(monkeypatch, s, s, t)
+        got, kinds, primes = product_kinds(monkeypatch, s, s, t)
         assert kinds == {kind}
         for p in got.parts:
             assert p.dtype == (object if kind == "o" else np.int64)
         # the same product with every step in big ints
-        monkeypatch.setattr(engine, "_tier", lambda bound: "o")
-        exact = engine.sym_product(s, s, t)
+        exact = bigint_sym_product(s, s, t)
         assert list(got.keys) == list(exact.keys)
         assert len(got.parts) == len(exact.parts)
+        assert got.max_abs == exact.max_abs
         for g, e in zip(got.parts, exact.parts):
-            assert (engine._to_kind(g, "o") == e).all()
+            assert (bigint(g) == e).all()
+        # the residue route used enough primes to rebuild every sign
+        if kind == "o":
+            assert math.prod(primes) > 2 * exact.max_abs
         # and through MultiPoly arithmetic
         X, Y = FreePoly.var("x"), FreePoly.var("y")
         expect = eval_free_poly(A, (X + Y) * (X + Y), {
@@ -778,10 +783,10 @@ def sparse_algebra(dim, seed, span, field, density):
         for _ in range(dim)])
 
 
-def full_scan_check(A, poly):
+def full_scan_check(A, poly, cache=None):
     """Oracle: (holds, witness) from the first nonzero tuple, in argwhere
     order, of the full symmetrization of the per-word accumulation."""
-    S, dx, dy = symmetrized(per_word_multilinearization(A, poly))
+    S, dx, dy = symmetrized(per_word_multilinearization(A, poly, cache))
     nz = np.any([np.any(p != 0, axis=-1) for p in S], axis=0)
     if not nz.any():
         return True, None
@@ -816,7 +821,7 @@ class TestSortedSlotCheck:
 
     def test_matches_full_scan_on_every_tier(self):
         # O scaled by 2^16 and 2^30 moves the degree-4 accumulators to
-        # int64 and to big ints; P has sqrt 3 parts
+        # int64 and to residues mod primes; P has sqrt 3 parts
         O = catalog_algebra("O")
         algebras = [catalog_algebra(name) for name in ("H", "*H", "P")] + \
             [O, scaled(O, 2 ** 16), scaled(O, 2 ** 30)]
@@ -824,12 +829,13 @@ class TestSortedSlotCheck:
         kinds, verdicts, shapes = set(), set(), set()
         for A in algebras:
             ml = A.ml_engine()
+            cache = {}
             for key, poly in polys:
-                U, dx, dy = ml.multilinearization(poly)
-                kinds.add(KINDS[U[0].dtype])
+                U, dx, dy, bound = ml.multilinearization(poly)
+                kinds.add("o" if bound >= 2 ** 62 else KINDS[U[0].dtype])
                 shapes.add((dx == 1, dy == 0))
                 got = ml.check(poly)
-                assert got == full_scan_check(A, poly), (A.name, key)
+                assert got == full_scan_check(A, poly, cache), (A.name, key)
                 verdicts.add(got[0])
         assert kinds == {"f", "i", "o"}
         assert verdicts == {True, False}
@@ -844,5 +850,125 @@ class TestSortedSlotCheck:
     def test_matches_full_scan_on_random_algebras(self, dim, seed, field,
                                                   span, density, triple):
         A = sparse_algebra(dim, seed, span, field, density)
+        cache = {}
         for key, poly in triple_polys(*triple):
-            assert A.ml_engine().check(poly) == full_scan_check(A, poly), key
+            assert A.ml_engine().check(poly) == \
+                full_scan_check(A, poly, cache), key
+
+
+#: constant spans at the residue tier's edges: products of words cross 2^52
+#: (2^10) and 2^62 (2^20, 2^26), and the constants themselves pass 2^62
+#: (2^70, so the structure tensor is held in Python ints)
+EDGE_SPANS = (2 ** 10, 2 ** 20, 2 ** 26, 2 ** 70)
+
+
+def holds_by_bigint_oracle(A, poly):
+    """identity_holds(A, poly, "symbolic") with every symbolic product and
+    every point value of the witness search taken by the big-int oracle."""
+    with mock.patch.object(engine, "sym_product", bigint_sym_product), \
+            mock.patch.object(engine, "sym_nonzero_at", bigint_nonzero_at):
+        return identity_holds(A, poly, "symbolic")
+
+
+class TestResidueTier:
+    """Past 2^62 the identity kernels compute mod primes below 2^22: the
+    symbolic product rebuilds its rows by CRT, the multilinear check and the
+    witness search only test residues for zero.  Both backends must give
+    the big-int oracle's verdict and witness."""
+
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           span=st.sampled_from(EDGE_SPANS),
+           density=st.sampled_from((0.3, 1.0)),
+           triple=st.sampled_from(LOW_TRIPLES), short=st.booleans(),
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_both_backends_match_bigint_oracle(self, dim, seed, field, span,
+                                               density, triple, short, data):
+        A = sparse_algebra(dim, seed, span, field, density)
+        key, poly = data.draw(st.sampled_from(triple_polys(*triple)))
+        # a two-prime table makes large bounds generate primes on demand
+        table = engine._PRIMES[:2] if short else list(engine._PRIMES)
+        with mock.patch.object(engine, "_PRIMES", table):
+            got_ml = engine.MultilinearEngine(A.tensor()).check(poly)
+            got = identity_holds(A, poly, "symbolic")
+        assert got_ml == full_scan_check(A, poly), key
+        assert got == holds_by_bigint_oracle(A, poly), key
+        assert got.holds == got_ml[0], key
+
+    def test_needs_every_prime(self):
+        # e0 e0 = c e0 with c the product of the first three primes: x x
+        # (and its multilinearization, 2c) vanishes mod those three, so
+        # only the fourth prime, which every bound here asks for, refutes it
+        c = math.prod(engine._PRIMES[:3])
+        A = line_algebra(c)
+        x = FreePoly.var("x")
+        assert engine._primes(2 * c)[3:] == [engine._PRIMES[3]]
+        for backend in ("symbolic", "multilinear"):
+            res = identity_holds(A, x * x, backend)
+            assert not res.holds and res.witness, backend
+
+    def test_primes_extend_past_a_short_table(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PRIMES", engine._PRIMES[:2])
+        primes = engine._primes(2 ** 200)
+        assert primes[:2] == engine._PRIMES[:2] and len(primes) > 2
+        assert math.prod(primes[:-1]) <= 2 ** 200 < math.prod(primes)
+        assert len(set(primes)) == len(primes)
+        assert all(q < 2 ** 22 and
+                   all(q % d for d in range(2, math.isqrt(q) + 1))
+                   for q in primes)
+        # a check whose bound needs more primes than the table held
+        A = big_algebra(FIELD_QSQRT3)
+        poly = pqr_associator(1, 2, 2)
+        monkeypatch.setattr(engine, "_PRIMES", engine._PRIMES[:2])
+        ml = engine.MultilinearEngine(A.tensor())
+        assert len(engine._primes(ml.multilinearization(poly)[3])) > 2
+        assert ml.check(poly) == full_scan_check(A, poly)
+        assert identity_holds(A, poly, "symbolic") == \
+            holds_by_bigint_oracle(A, poly)
+
+    def test_inner_dimension_too_wide_raises(self):
+        p = engine._PRIMES[0]
+        width = engine._residue_width(p)
+        assert width == 512
+        # the widest sum of largest residues is still exact
+        top = np.full((1, width), p - 1.0)
+        got = engine._field_product((top,), (top.T,), p)[0]
+        assert int(got[0, 0]) == width * (p - 1) ** 2 % p
+        with pytest.raises(ValueError, match="too wide"):
+            engine._field_product((np.ones((1, width + 1)),),
+                                  (np.ones((width + 1, 1)),), p)
+        # the sqrt 3 block product sums over 2k
+        half = np.ones((1, width // 2 + 1))
+        with pytest.raises(ValueError, match="too wide"):
+            engine._field_product((half, half), (half.T, half.T), p)
+
+    @pytest.mark.parametrize("backend", ("symbolic", "multilinear"))
+    def test_prime_too_large_raises(self, backend, monkeypatch):
+        # with a 31-bit prime no product of residues is exact in float64
+        monkeypatch.setattr(engine, "_PRIMES", [2 ** 31 - 1])
+        A = big_algebra(FIELD_Q)
+        with pytest.raises(ValueError, match="too wide"):
+            identity_holds(A, pqr_associator(1, 2, 2), backend)
+
+    def test_no_object_product_on_dense_algebra(self, files_algebras,
+                                                monkeypatch):
+        A = files_algebras["dense6"]
+        seen = []
+        matmul = engine._matmul
+
+        def recording(P, Q, p):
+            seen.append((p, P.dtype, Q.dtype))
+            return matmul(P, Q, p)
+
+        monkeypatch.setattr(engine, "_matmul", recording)
+        for poly in (pqr_associator(2, 2, 2), polarize(1, 1, 2).f(1)):
+            verdicts = {identity_holds(A, poly, b).holds
+                        for b in ("symbolic", "multilinear")}
+            assert verdicts == {False}
+        assert {np.dtype(object)}.isdisjoint(
+            dt for _, *dts in seen for dt in dts)
+        # the residue tier ran, and only on float64 residues
+        assert any(p is not None for p, *_ in seen)
+        assert all(dts == [np.dtype(np.float64)] * 2
+                   for p, *dts in seen if p is not None)
