@@ -23,8 +23,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from . import engine
-from .exactmath import (Echelon, QuadExt, scalar_is_zero, scalar_sign,
-                        solve_affine, det)
+from .exactmath import (SQRT_RADICAND, Echelon, QuadExt, scalar_is_zero,
+                        scalar_sign, solve_affine, det)
 from .freealg import FreePoly, FreeTerm, UNIT, X, term_bidegree
 
 FIELD_Q = "Q"
@@ -101,7 +101,7 @@ class StructureAlgebra:
 
     def tensor(self) -> engine.ScaledTensor:
         if self._tensor is None:
-            self._tensor = engine.ScaledTensor(self.constants)
+            self._tensor = engine.ScaledTensor(self.dim, self._sparse)
         return self._tensor
 
     def ml_engine(self) -> engine.MultilinearEngine:
@@ -539,14 +539,18 @@ def _composition_form(A: StructureAlgebra, side: str):
 
     M_x is L_x (side "left") or R_x.  M_x^T M_x = sum_ij x_i x_j M_i^T M_j
     with M_i = M_{b_i}, so it is q(x)*I for all x exactly when every block
-    M_i^T M_j + M_j^T M_i equals 2*q_ij*I.
+    M_i^T M_j + M_j^T M_i equals 2*q_ij*I.  Each entry of a block sums 2n
+    products of two constants (times 1 + 3 with a sqrt 3 part), which
+    bounds every partial sum and picks the tier of the products.
     """
     t = A.tensor()
     n = t.n
+    fold = 1 + SQRT_RADICAND if len(t.parts) > 1 else 1
+    kind = engine._tier(2 * n * t.max_abs ** 2 * fold)
     # (L_{b_i})_{kj} = c[i][j][k] and (R_{b_i})_{kj} = c[j][i][k]; the rows
     # of M are (i, a) with M[(i, a), k] = (M_{b_i})_{ka}
     M = [(c if side == "left" else c.transpose(1, 0, 2)).reshape(n * n, n)
-         for c in engine._cast(t.parts, "o")]
+         for c in engine._cast(t.parts, kind)]
     # G[i, j, a, b] = (M_i^T M_j)_{ab} = sum_k M[(i, a), k] M[(j, b), k]
     G = [g.reshape(n, n, n, n).transpose(0, 2, 1, 3)
          for g in engine._field_product(M, [m.T for m in M])]

@@ -10,14 +10,14 @@ parts: one integer array for a rational value, or two (rational part, sqrt 3
 part) for a value in Q(sqrt 3).
 One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
 operation.  Everything is exact: each product runs in float64 (BLAS) while
-a rigorous magnitude bound stays below 2^52, in int64 below 2^62, and
-beyond that on float64 residues modulo primes below 2^22 (``_primes``),
-enough of them that their product exceeds the bound.  The symbolic product
-rebuilds the rows left after aggregation from their residues by CRT; the
-multilinear check and the witness search only test for zero, so they run
-one prime at a time and rebuild nothing.  Symbolic values are stored as
-int64 or object arrays; a float64 product is converted back after its
-reduction.
+a rigorous magnitude bound stays below 2^52, and beyond that on float64
+residues modulo primes below 2^22 (``_primes``), enough of them that their
+product exceeds the bound.  The symbolic product rebuilds the rows left
+after aggregation from their residues by CRT; the multilinear check and the
+witness search only test for zero, so they run one prime at a time and
+rebuild nothing.  Symbolic values are stored as float64 arrays, or as
+object arrays of Python ints when rebuilt by CRT or formed past 2^52 by
+``sym_scale`` and ``sym_combine``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from .exactmath import SQRT_RADICAND, QuadExt
 from .freealg import FreePoly, FreeTerm, UNIT, X, Y, term_bidegree
 
-_INT64_LIMIT = 1 << 62
 _FLOAT_EXACT = 1 << 52
 
 #: primes below 2^22, in the order they are used: a product of two residues
@@ -61,29 +60,29 @@ def _primes(bound: int) -> List[int]:
 
 def _residue_width(p: int) -> int:
     """The widest inner dimension K of an exact float64 product of residues
-    mod p: K (p - 1)^2 < 2^53."""
-    return ((1 << 53) - 1) // (p - 1) ** 2
+    mod p, with the margin _fmod needs: K (p - 1)^2 <= 2^53 - p."""
+    return ((1 << 53) - p) // (p - 1) ** 2
 
 
 def _fmod(x, p: int):
-    """x mod p in [0, p), for float64 x holding exact integers of magnitude
-    below 2^53.
+    """A residue of x mod p: the float64 integers r = x - q p with |r| < p,
+    q the nearest integer to one rounded x / p.  x holds exact integers of
+    magnitude at most 2^53 - p, for a prime 5 <= p < 2^22.
 
-    floor(x / p) taken from one rounded product is off by at most one, and
-    x - floor(x / p) p is exact, so one correction each way lands in
-    [0, p); np.fmod gives the same values some forty times slower.
+    The rounded quotient is within 2 / p of x / p, so |r| <= p / 2 + 2 < p,
+    and |q p| <= |x| + p / 2 + 2 < 2^53 keeps q p and x - q p exact.  A
+    residue is zero exactly when x is divisible by p.
     """
     r = x * (1.0 / p)
-    np.floor(r, out=r)
+    np.rint(r, out=r)
     r *= -p
     r += x
-    np.add(r, p, out=r, where=r < 0)
-    np.subtract(r, p, out=r, where=r >= p)
     return r
 
 
 def _residues(arr, p: int):
-    """The exact integers arr (any dtype) mod p, as float64 in [0, p)."""
+    """The exact integers arr (any dtype) mod p, as float64 residues (see
+    _fmod)."""
     if arr.dtype == np.float64:
         return _fmod(arr, p)
     return (arr % p).astype(np.float64)
@@ -96,8 +95,8 @@ def _reduce(parts, p: int) -> Tuple:
 
 def _mod(parts, m: int, p: int) -> Tuple:
     """A multilinear tensor's parts as residues mod p.  m is its entry
-    bound, and m >= 2^62 marks parts that are residues already."""
-    return tuple(parts) if m >= _INT64_LIMIT else _reduce(parts, p)
+    bound, and m >= 2^52 marks parts that are residues already."""
+    return tuple(parts) if m >= _FLOAT_EXACT else _reduce(parts, p)
 
 
 def _crt(residues: Sequence[np.ndarray], primes: Sequence[int]) -> np.ndarray:
@@ -126,8 +125,8 @@ def _crt(residues: Sequence[np.ndarray], primes: Sequence[int]) -> np.ndarray:
 
 def _matmul(P, Q, p: Optional[int]):
     """P @ Q; with p, a product of residues mod p, reduced mod p.  It is
-    exact while the inner dimension K keeps K (p - 1)^2 below 2^53, and
-    raises ValueError beyond."""
+    exact while the inner dimension K keeps K (p - 1)^2 <= 2^53 - p (see
+    _residue_width), and raises ValueError beyond."""
     if p is None:
         return P @ Q
     if P.shape[-1] > _residue_width(p):
@@ -150,7 +149,8 @@ def _field_product(A: Tuple, B: Tuple, p: Optional[int] = None) -> Tuple:
     """
     if len(A) == 2 and len(B) == 2:
         a, b = A
-        b3 = b * SQRT_RADICAND if p is None else b * SQRT_RADICAND % p
+        b3 = b * SQRT_RADICAND if p is None else \
+            _fmod(b * SQRT_RADICAND, p)
         out = _matmul(np.block([[a, b3], [b, a]]), np.concatenate(B), p)
         return out[:len(a)], out[len(a):]
     return tuple(_matmul(P, Q, p) for P in A for Q in B)
@@ -163,13 +163,12 @@ def _max_abs(parts) -> int:
 
 
 def _tier(bound: int) -> str:
-    """The dtype kind that holds exact integers of magnitude below bound:
-    "f" (float64) below 2^52, "i" (int64) below 2^62, "o" beyond.  The
-    identity kernels hold "o" values as residues mod primes (``_primes``);
-    sym_scale and sym_combine hold them in object dtype (big ints).  The
-    kinds order as strings: "f" < "i" < "o"."""
-    return "f" if bound < _FLOAT_EXACT else \
-        "i" if bound < _INT64_LIMIT else "o"
+    """The tier of a product whose entries and partial sums are below
+    bound: "f" (float64, exact) below 2^52, "o" beyond.  The identity
+    kernels hold "o" values as residues mod primes (``_primes``);
+    sym_scale, sym_combine and the composition form hold them in object
+    dtype (Python ints).  The tiers order as strings: "f" < "o"."""
+    return "f" if bound < _FLOAT_EXACT else "o"
 
 
 def _padded(parts, width: int) -> Tuple:
@@ -179,14 +178,13 @@ def _padded(parts, width: int) -> Tuple:
 
 
 def _to_kind(arr, kind: str):
-    """Convert an exact integer-valued array between float64/int64/object.
-
-    The caller's bound guarantees that the entries fit the target kind.
+    """Convert an exact integer-valued array between float64 ("f") and
+    object ("o").  The caller's bound guarantees that the entries fit the
+    target kind.
     """
-    if kind != "o":
-        dtype = np.float64 if kind == "f" else np.int64
-        return arr if arr.dtype == dtype else arr.astype(dtype)
-    # object: floats hold exact ints < 2^52, so the round trip is exact
+    if kind == "f":
+        return arr if arr.dtype == np.float64 else arr.astype(np.float64)
+    # floats hold exact ints below 2^53, so the round trip is exact
     if arr.dtype == np.float64:
         return arr.astype(np.int64).astype(object)
     return arr.astype(object) if arr.dtype != object else arr
@@ -200,22 +198,17 @@ def _cast(parts, kind: str) -> Tuple:
 class ScaledTensor:
     """Structure constants as integer arrays: c = (parts[0] + parts[1]*sqrt 3)
     / scale, with parts[1] present only when some constant has a sqrt 3
-    part."""
+    part.  Built from the nonzero constants: sparse[i][j] lists the (k, c)
+    pairs with c = c[i][j][k] nonzero, c a Fraction or a QuadExt."""
 
     __slots__ = ("n", "scale", "parts", "max_abs", "_mod")
 
-    def __init__(self, constants):
-        n = len(constants)
+    def __init__(self, n: int, sparse):
         # (flat index, rational part, sqrt 3 part) of every nonzero constant
-        nonzero = []
-        for pos, c in enumerate(c for plane in constants for row in plane
-                                for c in row):
-            if isinstance(c, QuadExt):
-                if c.a or c.b:
-                    nonzero.append((pos, c.a, c.b))
-            elif c:
-                nonzero.append(
-                    (pos, c if isinstance(c, Fraction) else Fraction(c), 0))
+        nonzero = [((i * n + j) * n + k,) + ((c.a, c.b) if isinstance(
+                       c, QuadExt) else (c, 0))
+                   for i, row in enumerate(sparse)
+                   for j, cell in enumerate(row) for k, c in cell]
         scale = math.lcm(*(x.denominator for _, a, b in nonzero
                            for x in (a, b)))
         values = [[x.numerator * (scale // x.denominator) for x in (a, b)]
@@ -224,9 +217,9 @@ class ScaledTensor:
         self.n = n
         self.scale = scale
         self.max_abs = max([1] + [abs(x) for v in values for x in v])
-        # constants too wide for int64 stay Python ints: max_abs then sends
-        # every product to the object tier
-        dtype = np.int64 if self.max_abs < _INT64_LIMIT else object
+        # constants from 2^52 on stay Python ints: max_abs then sends every
+        # product to the residue tier
+        dtype = np.float64 if self.max_abs < _FLOAT_EXACT else object
         where = np.array([pos for pos, _, _ in nonzero], dtype=np.intp)
         parts = []
         for h in range(width):
@@ -259,9 +252,10 @@ class SymVec:
     which one could reach 2**bits, so packed keys never carry into each
     other.  parts holds the integer coordinate rows, one per key, as a part
     tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
-    scale**denom_power.  A value rebuilt from residues keeps them, by
-    prime, in ``residues`` (None otherwise), so later products need not
-    reduce its big ints again.
+    scale**denom_power.  The rows are float64 (exact below 2^52), or object
+    (Python ints) when formed past 2^52 or by constant_like.  A value rebuilt
+    from residues keeps them, by prime, in ``residues`` (None otherwise),
+    so later products need not reduce its big ints again.
     """
 
     __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
@@ -288,7 +282,7 @@ class SymVec:
                         dtype=object if wide else np.uint64)
         degrees = tuple(int(g == offset // n) for g in range(nvars // n))
         return cls(nvars, bits, degrees, 0, keys,
-                   (np.eye(n, dtype=np.int64),), 1)
+                   (np.eye(n),), 1)
 
     def constant_like(self, coords) -> "SymVec":
         """The constant vector coords (rational or QuadExt entries) times
@@ -307,7 +301,7 @@ class SymVec:
     def zero_like(self, degrees, denom_power, n) -> "SymVec":
         """The zero element over the same variables and key width."""
         return SymVec(self.nvars, self.bits, degrees, denom_power,
-                      self.keys[:0], (np.zeros((0, n), dtype=np.int64),), 1)
+                      self.keys[:0], (np.zeros((0, n)),), 1)
 
 
 #: rows gathered at once in _aggregate (a key's rows are never split): a
@@ -328,11 +322,10 @@ def _runs(keys):
 def _run_sums(parts, order, bounds) -> List[np.ndarray]:
     """The rows of every part summed over each run of _runs, by
     np.add.reduceat over blocks of whole runs of about _AGGREGATE_ROWS rows.
-    float64 parts (exact integers below 2^52) are summed in float64 and
-    stored as int64; int64 and object parts keep their dtype."""
+    Each part keeps its dtype: float64 sums are exact while the caller's
+    bound holds every partial sum below 2^53."""
     runs = len(bounds) - 1
-    sums = [np.empty((runs, p.shape[1]), dtype=object if p.dtype == object
-                     else np.int64) for p in parts]
+    sums = [np.empty((runs, p.shape[1]), dtype=p.dtype) for p in parts]
     lo = 0
     while lo < runs:
         hi = int(np.searchsorted(bounds, bounds[lo] + _AGGREGATE_ROWS,
@@ -409,31 +402,30 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
     fold = (1 + SQRT_RADICAND) ** 2 \
         if max(map(len, (u.parts, v.parts, t.parts))) > 1 else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
-    kind = _tier(bound)
-    if kind != "o":
-        out = _product_rows(*(_cast(x.parts, kind) for x in (u, v, t)), n)
+    if bound < _FLOAT_EXACT:
+        out = _product_rows(*(_cast(x.parts, "f") for x in (u, v, t)), n)
         keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
         return SymVec(u.nvars, u.bits, degrees, dp,
                       *_aggregate(keys, out, n))
     # residues mod primes whose product exceeds 2 * bound, one prime at a
-    # time, summed by key in int64; a row is zero when all its residues are,
-    # and the others are rebuilt, signs included, by CRT
+    # time, summed by key (at most min(P, Q) < 2^31 residues a key, within
+    # _fmod's margin); a row is zero when all its residues are, and the
+    # others are rebuilt, signs included, by CRT
     order, bounds, uk = _runs((v.keys[:, None] + u.keys[None, :]).reshape(-1))
     primes = _primes(2 * bound)
     sums = []
     for p in primes:
         out = _product_rows(_sym_residues(u, p), _sym_residues(v, p),
                             t.mod(p), n, p)
-        sums.append([s % p for s in _run_sums(out, order, bounds)])
+        sums.append([_fmod(s, p) for s in _run_sums(out, order, bounds)])
         del out
     live = _live([s for per_prime in sums for s in per_prime])
     sums = [[s[live] for s in per_prime] for per_prime in sums]
-    parts = tuple(_crt([per_prime[h] for per_prime in sums], primes)
+    parts = tuple(_crt([(per_prime[h] % p).astype(np.int64)
+                        for per_prime, p in zip(sums, primes)], primes)
                   for h in range(len(sums[0])))
     return SymVec(u.nvars, u.bits, degrees, dp, uk[live], parts,
-                  _max_abs(parts),
-                  {p: tuple(s.astype(np.float64) for s in per_prime)
-                   for p, per_prime in zip(primes, sums)})
+                  _max_abs(parts), dict(zip(primes, map(tuple, sums))))
 
 
 def sym_scale(s: SymVec, v: SymVec) -> SymVec:
@@ -476,8 +468,7 @@ def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
     dp = live[0][1].denom_power
     if any(s.denom_power != dp for _, s in live):
         raise ValueError("mixed denominator powers in combination")
-    kind = "o" if any(s.parts[0].dtype == object for _, s in live) or \
-        sum(abs(c) * s.max_abs for c, s in live) >= _INT64_LIMIT else "i"
+    kind = _tier(sum(abs(c) * s.max_abs for c, s in live))
     width = max(len(s.parts) for _, s in live)
     keys = np.concatenate([s.keys for _, s in live])
     scaled = [[p * c for p in _cast(_padded(s.parts, width), kind)]
@@ -618,7 +609,7 @@ def monomial_values(E: np.ndarray, points) -> np.ndarray:
     while max|point| ** degree stays below 2^62, Python ints beyond."""
     P = np.asarray(points, dtype=np.int64)
     top = int(np.abs(P).max(initial=0)) ** int(E.sum(axis=1).max(initial=0))
-    dtype = np.int64 if top < _INT64_LIMIT else object
+    dtype = np.int64 if top < 1 << 62 else object
     P, E = P.astype(dtype), E.astype(dtype)
     step = max(1, _POWER_CHUNK // max(1, E.size))
     return np.concatenate([np.prod(P[lo:lo + step, None, :] ** E[None], axis=2)
@@ -637,18 +628,18 @@ def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(w)
     M, w = M[:, live], w[live]
     bound = len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs
-    kind = _tier(bound)
-    if kind != "o":
-        w = _to_kind(w, kind)[:, None]
-        out = _field_product((_to_kind(M, kind),),
-                             [_to_kind(p[live], kind) * w for p in v.parts])
+    if bound < _FLOAT_EXACT:
+        w = _to_kind(w, "f")[:, None]
+        out = _field_product((_to_kind(M, "f"),),
+                             [_to_kind(p[live], "f") * w for p in v.parts])
         return np.any([np.any(o != 0, axis=1) for o in out], axis=0)
     nonzero = np.zeros(len(M), dtype=bool)
     for p in _primes(bound):
         Mp, wp = _residues(M, p), _residues(w, p)[:, None]
         width = _residue_width(p)
         for part in v.parts:
-            # products of two residues are below 2^44: exact in float64
+            # products of two residues are at most (p - 1)^2 < 2^44, and
+            # the blocks' residues sum below K p: within _fmod's margin
             x = _fmod(_residues(part[live], p) * wp, p)
             acc = sum(_matmul(Mp[:, lo:lo + width], x[lo:lo + width], p)
                       for lo in range(0, len(live), width))
@@ -724,13 +715,13 @@ class MultilinearEngine:
     equal-variable leaves, realized as axis-permuted sums.  The product is
     bilinear, so the words of a polynomial that share a left factor L cost
     one contraction L * (sum of c * R), and top-level words are never built.
-    Every tensor comes with an entry bound m.  Below 2^62 its arrays hold
-    the exact integers, m is their measured maximum, and they are float64
-    while a rigorous bound stays below 2^52 (so BLAS paths stay exact) and
-    int64 beyond.  From 2^62 on they hold float64 residues mod the engine's
-    current prime (``multilinearization`` sets it) and m is a rigorous
-    bound: ``check`` only tests for zero, so it runs once per prime of a
-    set whose product exceeds its bound and never rebuilds an integer.
+    Every tensor comes with an entry bound m.  While a rigorous bound stays
+    below 2^52 its arrays hold the exact integers in float64 (so BLAS paths
+    stay exact) and m is their measured maximum.  From 2^52 on they hold
+    float64 residues mod the engine's current prime (``multilinearization``
+    sets it) and m is that rigorous bound: ``check`` only tests for zero,
+    so it runs once per prime of a set whose product exceeds its bound and
+    never rebuilds an integer.
     """
 
     #: cache word tensors only up to this many variable leaves; larger ones
@@ -754,8 +745,9 @@ class MultilinearEngine:
         lmax and rmax bound the entries of L and R.  bound = n^2 * lmax *
         rmax * max|C|, times (1 + 3)^2 when a sqrt 3 part is present, is a
         rigorous bound on every entry and every intermediate partial sum;
-        the tier comes from it, so float64 is used only where it is exact,
-        and from 2^62 on the product is taken mod the current prime.
+        the exact float64 product is used only below 2^52, and from there on
+        the product is taken mod the current prime.  Below 2^52, L, R and
+        the constants are exact float64 arrays already.
         """
         t = self.t
         n = t.n
@@ -763,12 +755,10 @@ class MultilinearEngine:
         fold = (1 + SQRT_RADICAND) ** 2 \
             if max(map(len, (L, R, t.parts))) > 1 else 1
         bound = n * n * lmax * rmax * t.max_abs * fold
-        kind = _tier(bound)
-        if kind == "o":
+        if bound >= _FLOAT_EXACT:
             L, R, C = _mod(L, lmax, p), _mod(R, rmax, p), t.mod(p)
         else:
-            L, R, C = (_cast(x, kind) for x in (L, R, t.parts))
-            p = None
+            C, p = t.parts, None
         nl, nr = L[0].ndim - 1, R[0].ndim - 1
         # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's leaf axes
         V = _field_product([x.reshape(-1, n) for x in R],
@@ -785,7 +775,7 @@ class MultilinearEngine:
         """(*parts, m) with axes = leaves in left-to-right order + out.
 
         m is the measured magnitude maximum of the exact result, or its
-        rigorous bound when that reaches 2^62 and the parts are residues
+        rigorous bound when that reaches 2^52 and the parts are residues
         mod the current prime; the tier for each node is chosen from a
         rigorous bound derived from the children's m (see _contract).
         """
@@ -796,15 +786,15 @@ class MultilinearEngine:
             if term == UNIT:
                 raise ValueError(
                     "unit leaves are not supported by the multilinear backend")
-            res = (np.eye(self.t.n, dtype=np.float64), 1)
+            res = (np.eye(self.t.n), 1)
         else:
             *L, lmax = self.word_tensor(term[0])
             *R, rmax = self.word_tensor(term[1])
             parts, bound = self._contract(L, lmax, R, rmax)
-            res = (*parts, bound if bound >= _INT64_LIMIT
+            res = (*parts, bound if bound >= _FLOAT_EXACT
                    else _max_abs(parts))
         if isinstance(term, str) or res[0].ndim - 1 <= self._CACHE_LEAVES:
-            cache = self._residue_cache if res[-1] >= _INT64_LIMIT \
+            cache = self._residue_cache if res[-1] >= _FLOAT_EXACT \
                 else self.cache
             cache[term] = res
         return res
@@ -813,9 +803,9 @@ class MultilinearEngine:
         """(parts, m) of the sum of c * R over the (c, R) members, each R's
         axes aligned as (x leaves, y leaves, out).
 
-        The sum is exact in the tier of its bound sum |c| * max R, and its
-        maximum is then measured; from 2^62 on it is taken mod the current
-        prime, and m is that bound.
+        The sum is exact in float64 while its bound sum |c| * max R stays
+        below 2^52, and its maximum is then measured; from 2^52 on it is
+        taken mod the current prime, and m is that bound.
         """
         p = self._prime
         terms = []
@@ -826,9 +816,8 @@ class MultilinearEngine:
             terms.append((c, [np.transpose(x, perm) for x in R], rmax))
         bound = sum(abs(c) * rmax for c, _, rmax in terms)
         width = max(len(R) for _, R, _ in terms)
-        kind = _tier(bound)
-        if kind != "o":
-            S = [sum(c * _to_kind(x, kind) for (c, _, _), x in zip(terms, col))
+        if bound < _FLOAT_EXACT:
+            S = [sum(c * x for (c, _, _), x in zip(terms, col))
                  for col in zip(*(_padded(R, width) for _, R, _ in terms))]
             return S, _max_abs(S)
         S = []
@@ -836,7 +825,7 @@ class MultilinearEngine:
                          for _, R, rmax in terms)):
             acc = np.zeros_like(col[0])
             for (c, _, _), x in zip(terms, col):
-                # below p + (p - 1)^2 < 2^45: exact in float64
+                # below p + (p - 1)^2 < 2^45: within _fmod's margin
                 acc = _fmod(acc + (c % p) * x, p)
             S.append(acc)
         return S, bound
@@ -850,9 +839,9 @@ class MultilinearEngine:
         full multilinearization is the sum of parts over all permutations of
         the x slots and of the y slots; check forms that sum where it needs
         it.  bound bounds every entry of it and every partial sum on the way.
-        While bound < 2^62, parts hold the exact integers; beyond, their
-        residues mod p (float64, in [0, p)), which becomes the engine's
-        current prime (by default the first prime of _PRIMES).
+        While bound < 2^52, parts hold the exact integers in float64;
+        beyond, their residues mod p (float64, see _fmod), which becomes the
+        engine's current prime (by default the first prime of _PRIMES).
 
         The words are grouped by their left factor L.  Per group the right
         factors are summed with their coefficients, slots aligned, into one
@@ -860,12 +849,13 @@ class MultilinearEngine:
         transposed into the slot order (x leaves of L, then of R, y leaves
         of L, then of R, out) and added in place into the accumulator.  A
         bare-leaf word has no left factor: its R is added as it is.  The
-        accumulator's tier comes from the same rule as the word tensors,
-        applied to running * dx! * dy!.  running sums the groups'
-        contraction bounds; where that sum would raise an exact tier, it is
-        replaced by the measured maxima of the accumulator and of the new
-        group.  Either way it bounds every partial sum of the accumulation
-        and of the permutation sums in check.
+        accumulator is exact float64 while running * dx! * dy! stays below
+        2^52, and residues from there on.  running sums the groups'
+        contraction bounds; where that sum would leave float64 while the
+        new group is exact, it is replaced by the measured maxima of the
+        accumulator and of the new group.  Either way it bounds every
+        partial sum of the accumulation and of the permutation sums in
+        check.
         """
         bdegs = poly.bidegrees()
         if len(bdegs) != 1:
@@ -883,7 +873,7 @@ class MultilinearEngine:
         slots = math.factorial(dx) * math.factorial(dy)
         U = tuple(np.zeros((self.t.n,) * (dx + dy + 1))
                   for _ in self.t.parts)
-        kind = "f"
+        residues = False
         running = 0  # exact bound on the accumulated entries
         for left, members in groups.items():
             R, rmax = self._summed_right(members)
@@ -895,24 +885,21 @@ class MultilinearEngine:
                 xs, ys = _leaf_slots(left)
                 right = list(range(len(xs) + len(ys), G[0].ndim))
                 perm = xs + right[:dx - len(xs)] + ys + right[dx - len(xs):]
-            if _tier((running + bound) * slots) > kind and \
-                    bound < _INT64_LIMIT:
-                # the bounds would raise an exact tier: measure what they
-                # bound
+            if not residues and bound < _FLOAT_EXACT <= \
+                    (running + bound) * slots:
+                # the bounds would leave float64: measure what they bound
                 running = _max_abs(U) + _max_abs(G)
             else:
                 running += bound
-            if _tier(running * slots) > kind:
-                kind = _tier(running * slots)
-                U = _cast(U, kind) if kind != "o" else _reduce(U, p)
+            if not residues and running * slots >= _FLOAT_EXACT:
+                residues = True
+                U = _reduce(U, p)
             for u, g in zip(U, G):
                 g = np.transpose(g, perm)
-                if kind != "o":
-                    u += _to_kind(g, kind)
-                else:
-                    u += g if bound >= _INT64_LIMIT else _residues(g, p)
-        if kind == "o":
-            # a sum of fewer than 2^31 residues below 2^22 is exact
+                u += _residues(g, p) if residues and bound < _FLOAT_EXACT \
+                    else g
+        if residues:
+            # fewer than 2^31 groups of residues: within _fmod's margin
             U = tuple(_fmod(u, p) for u in U)
         return U, dx, dy, running * slots
 
@@ -925,7 +912,7 @@ class MultilinearEngine:
         for u in U:
             Sx, X = _sorted_sums(u.reshape(1, n ** dx, -1), n, dx)
             Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, n), n, dy)
-            # sums of dx! dy! < 2^31 residues below 2^22 are exact
+            # sums of dx! dy! < 2^31 residues: within _fmod's margin
             S.append(Sxy if p is None else _fmod(Sxy, p))
         return np.any([np.any(s != 0, axis=-1) for s in S], axis=0), X, Y
 
@@ -939,12 +926,12 @@ class MultilinearEngine:
         sorting is no later in lexicographic order: the first failing tuple
         has sorted x slots and sorted y slots.  So the sum over the dx! dy!
         slot permutations of the accumulator is formed at those tuples only
-        (see _sorted_sums).  When the accumulator's bound reaches 2^62, that
+        (see _sorted_sums).  When the accumulator's bound reaches 2^52, that
         is done once per prime of _primes(bound), one prime at a time, and
         a tuple fails when its sum is nonzero mod any of them.
         """
         U, dx, dy, bound = self.multilinearization(poly)
-        residues = bound >= _INT64_LIMIT
+        residues = bound >= _FLOAT_EXACT
         nz, X, Y = self._nonzero(U, dx, dy, _PRIMES[0] if residues else None)
         if residues:
             for q in _primes(bound)[1:]:

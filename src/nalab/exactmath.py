@@ -9,6 +9,7 @@ compare the packed symbolic kernels against; no analysis path uses them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -164,14 +165,13 @@ def format_scalar(x: Scalar) -> str:
     return str(x)
 
 
+_SCALAR = re.compile(
+    rf"(-?\d+(?:/\d+)?)(?:([+-])(-?\d+(?:/\d+)?)\*sqrt{SQRT_RADICAND})?")
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar grammar R | R+R*sqrt3 | R-R*sqrt3, R = [-]digits[/digits]."""
-    import re
-
-    t = text.strip().replace(" ", "")
-    m = re.fullmatch(
-        rf"(-?\d+(?:/\d+)?)(?:([+-])(-?\d+(?:/\d+)?)\*sqrt{SQRT_RADICAND})?", t
-    )
+    m = _SCALAR.fullmatch(text.strip().replace(" ", ""))
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
     try:

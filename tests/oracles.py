@@ -7,9 +7,11 @@ multilinearization through ordinary algebra multiplication.
 
 The big-int oracle carries out the products of the identity kernels in exact
 Python integers (object dtype), with no magnitude tier and no residues: the
-symbolic product (``bigint_sym_product``), the value of a symbolic element
-at integer points (``bigint_nonzero_at``) and multilinear word tensors
-(``bigint_word_tensor``).  The sqrt 3 rule (a + b s)(a' + b' s) = aa' + 3bb'
+symbolic product (``bigint_sym_product``), linear combinations and scalar
+multiples of symbolic elements (``bigint_sym_combine``,
+``bigint_sym_scale``, both as ``dict_sum`` dicts), the value of a symbolic
+element at integer points (``bigint_nonzero_at``) and multilinear word
+tensors (``bigint_word_tensor``).  The sqrt 3 rule (a + b s)(a' + b' s) = aa' + 3bb'
 + (ab' + ba') s is written out part by part (``field_op``), not by the
 kernels' block product.
 """
@@ -35,6 +37,19 @@ def bigint(arr):
     if arr.dtype == np.float64:
         arr = arr.astype(np.int64)
     return arr.astype(object)
+
+
+def dict_sum(keys, parts):
+    """{key: per-part row sums} of the rows whose sums are not all zero, in
+    Python integers."""
+    sums = {}
+    for r, key in enumerate(keys):
+        acc = sums.setdefault(int(key), [[0] * p.shape[1] for p in parts])
+        for a, p in zip(acc, parts):
+            for k in range(p.shape[1]):
+                a[k] += int(p[r, k])
+    return {key: acc for key, acc in sums.items()
+            if any(x for row in acc for x in row)}
 
 
 def field_op(X, Y, op):
@@ -85,6 +100,27 @@ def bigint_sym_product(u, v, t):
                          u.denom_power + v.denom_power + 1,
                          np.array(keys, dtype=u.keys.dtype), parts,
                          _max_abs(parts))
+
+
+def bigint_sym_combine(terms):
+    """``engine.sym_combine`` in Python ints, as a ``dict_sum`` dict: the
+    rows of each (c, s) term times c, a missing sqrt 3 part zero."""
+    width = max(len(s.parts) for _, s in terms)
+    keys = np.concatenate([s.keys for _, s in terms])
+    parts = [np.concatenate([
+        c * bigint(s.parts[h]) if h < len(s.parts)
+        else np.zeros(s.parts[0].shape, dtype=object) for c, s in terms])
+        for h in range(width)]
+    return dict_sum(keys, parts)
+
+
+def bigint_sym_scale(s, v):
+    """``engine.sym_scale`` in Python ints, as a ``dict_sum`` dict: every
+    row of the scalar s times every row of v, keys added."""
+    m = v.parts[0].shape[1]
+    out = field_op([bigint(p) for p in s.parts], [bigint(p) for p in v.parts],
+                   lambda a, b: (a[:, None, :] * b[None]).reshape(-1, m))
+    return dict_sum((s.keys[:, None] + v.keys[None, :]).reshape(-1), out)
 
 
 def bigint_nonzero_at(v, M, w):

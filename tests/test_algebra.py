@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nalab import algebra
+from nalab import algebra, engine
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            StructureAlgebra, degree, division_sampled,
                            eval_free_poly, find_units, generic_closure,
@@ -67,6 +67,24 @@ UNCERTIFIED = {
                            (2 if i == 0 else 1) * H.constants[i][j][k]),
     "g(x)y": g_isotope_H(),
 }
+
+
+def composition_form_oracle(A, side):
+    """Oracle: q with M_i^T M_j + M_j^T M_i = 2 q_ij I for all i, j, from
+    the operators of the basis elements in exact scalars, or None."""
+    n = A.dim
+    M = [mult_operator(A, A.basis_element(i), side) for i in range(n)]
+    q = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            block = [[sum((M[i][k][a] * M[j][k][b] + M[j][k][a] * M[i][k][b]
+                           for k in range(n)), Fraction(0))
+                      for b in range(n)] for a in range(n)]
+            if any(block[a][b] != (block[0][0] if a == b else 0)
+                   for a in range(n) for b in range(n)):
+                return None
+            q[i][j] = block[0][0] / 2
+    return q
 
 
 def degree_sampled(A, trials=20, seed=0):
@@ -749,6 +767,30 @@ class TestDivisionCertificate:
         for trials, seed in ((1, 0), (50, 0), (50, 3)):
             assert division_sampled(A, trials, seed) == \
                 algebra._sample_division(A, trials, seed)
+
+    @pytest.mark.parametrize("name, k, tier", [
+        ("H", 24, "f"), ("H", 25, "o"), ("P", 22, "f"), ("P", 23, "o"),
+        ("g(x)y", 24, "o")])
+    def test_composition_form_on_both_tiers(self, name, k, tier, monkeypatch):
+        """Constants scaled by 2^k put the products of the blocks just
+        under or past 2^52, over Q and over Q(sqrt 3); q matches the
+        blocks built from ``mult_operator`` in Fractions."""
+        base = UNCERTIFIED.get(name) or catalog_algebra(name)
+        A = StructureAlgebra(name, base.dim, base.field, [
+            [[c * 2 ** k for c in row] for row in plane]
+            for plane in base.constants])
+        kinds = []
+        cast = engine._cast
+
+        def recording(parts, kind):
+            kinds.append(kind)
+            return cast(parts, kind)
+
+        monkeypatch.setattr(engine, "_cast", recording)
+        for side in ("left", "right"):
+            assert algebra._composition_form(A, side) == \
+                composition_form_oracle(A, side), side
+        assert kinds == [tier, tier]
 
     @pytest.mark.parametrize("name", ["f(x)y", "g(x)y"])
     def test_one_sided_composition_is_not_a_proof(self, name):

@@ -6,9 +6,9 @@ through ordinary algebra multiplication.  Both oracles share no code with the
 kernels they check.  The grouped multilinearization is also compared, entry
 for entry, with a per-word accumulation of full word tensors built in Python
 ints (``oracles.bigint_word_tensor``), and the multilinear check with a scan
-of the fully symmetrized tensor.  Past 2^62 the kernels keep residues mod
-primes: those are compared with the big-int oracles mod each prime used,
-and by verdict and witness.
+of the fully symmetrized tensor.  From 2^52 on the kernels keep residues
+mod primes: those are compared with the big-int oracles mod each prime
+used, and by verdict and witness.
 """
 
 import itertools
@@ -28,8 +28,9 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
 from nalab.catalog import catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import FreePoly, polarize, pqr_associator
-from oracles import bigint, bigint_nonzero_at, bigint_sym_product, \
-    bigint_word_tensor, generic_element, inclusion_exclusion_multilin
+from oracles import bigint, bigint_nonzero_at, bigint_sym_combine, \
+    bigint_sym_product, bigint_sym_scale, bigint_word_tensor, dict_sum, \
+    generic_element, inclusion_exclusion_multilin
 
 
 def random_algebra(dim, seed, span=3, field=FIELD_Q):
@@ -77,7 +78,7 @@ def sym_to_poly_vector(sv: engine.SymVec, A: StructureAlgebra):
 
 def big_algebra(field):
     """A dim-2 algebra whose constants reach 10^12 (in both parts over
-    Q(sqrt 3)): products of three of them leave int64."""
+    Q(sqrt 3)): products of three of them pass 2^62."""
     rng = random.Random(0)
     big = 10 ** 12
 
@@ -326,8 +327,8 @@ class TestSymSpan:
     @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2),
            st.booleans(), st.data())
     def test_scale_matches_multipoly(self, nvars, m, width, big, data):
-        """Products on every tier: entries near 10^15 leave float64 and,
-        multiplied, int64."""
+        """Products on both tiers: entries near 10^15 multiply past 2^52,
+        into Python ints."""
         s, v = data.draw(sym_rows(nvars, 8, 1, width, big)), \
             data.draw(sym_rows(nvars, 8, m, width, big))
         got = engine.sym_scale(s[0], v[0])
@@ -403,7 +404,7 @@ class TestMultilinearKernel:
             assert got == list(oracle.coords)
 
     def test_object_tier_matches_finite_differences(self):
-        # past 2^62 the tensor is kept mod each prime the check uses: its
+        # from 2^52 on the tensor is kept mod each prime the check uses: its
         # residues match the oracle's exact values mod that prime, and the
         # check's verdict and witness match the big-int full scan
         A = big_algebra(FIELD_QSQRT3)
@@ -513,23 +514,24 @@ def per_word_multilinearization(A, poly, cache=None):
 
 def assert_same_tensor(ml, poly, expect):
     """ml's multilinearization of poly equals the oracle's expect entry for
-    entry: exactly while its bound is below 2^62, and mod each prime that
-    check uses beyond.  Returns the tier it ran in: its dtype's kind, or
-    "o" for residues."""
+    entry: exactly while its bound is below 2^52, and mod each prime that
+    check uses beyond, where every entry is a residue r with |r| < p.
+    Returns the tier it ran in: "f" for exact float64, "o" for residues."""
     G, gx, gy, bound = ml.multilinearization(poly)
     E, ex, ey, _ = expect
     assert (gx, gy) == (ex, ey)
     assert len(G) == len(E)
-    if bound < 2 ** 62:
+    if bound < 2 ** 52:
         for g, e in zip(G, E):
-            assert g.shape == e.shape
+            assert g.shape == e.shape and g.dtype == np.float64
             assert (bigint(g) == e).all()
-        return KINDS[G[0].dtype]
+        return "f"
     for p in engine._primes(bound):
         G = ml.multilinearization(poly, p)[0]
         for g, e in zip(G, E):
             assert g.shape == e.shape and g.dtype == np.float64
-            assert (bigint(g) == e % p).all(), p
+            assert (np.abs(g) < p).all()
+            assert ((bigint(g) - e) % p == 0).all(), p
     return "o"
 
 
@@ -543,12 +545,8 @@ def triple_polys(p, q, r):
 #: every triple of degree <= 5 (all but (2,2,2))
 LOW_TRIPLES = [t for t in itertools.product((1, 2), repeat=3) if sum(t) <= 5]
 
-#: the kind letter of each dtype, as ``engine._tier`` names it
-KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i",
-         np.dtype(object): "o"}
-
-#: constant spans reaching every accumulator tier on random algebras:
-#: float64, int64 (from 2^10 on) and object (from 2^20 on)
+#: constant spans reaching both accumulator tiers on random algebras:
+#: float64 and, from 2^10 on, residues (past 2^62 from 2^20 on)
 SPANS = (3, 2 ** 10, 2 ** 20, 10 ** 12)
 
 
@@ -577,14 +575,14 @@ class TestGroupedMultilinearization:
                     # never wider than the per-word bound asks for
                     assert kind <= engine._tier(expect[3]), (span, key)
                     kinds.add(kind)
-        assert kinds == {"f", "i", "o"}
+        assert kinds == {"f", "o"}
 
     @pytest.mark.parametrize("k", range(8, 16))
     def test_accumulator_tier_on_loose_bounds(self, k):
         # H scaled by 2^k: every product of basis elements is one basis
         # element, so a contraction bound overstates the entries n^2 = 16
         # times, and summed bounds alone would move the accumulator past
-        # the tier the per-word bound asks for at k = 11 and k = 13
+        # the tier the per-word bound asks for (to residues) at k = 11
         H = catalog_algebra("H")
         A = StructureAlgebra("sH", 4, FIELD_Q, [
             [[c * 2 ** k for c in row] for row in plane]
@@ -633,22 +631,11 @@ class TestGroupedMultilinearization:
             assert not res.holds and res.witness, backend
 
 
-def dict_sum(keys, parts):
-    """Oracle: {key: per-part row sums} of the rows whose sums are not all
-    zero, in Python integers."""
-    sums = {}
-    for r, key in enumerate(keys):
-        acc = sums.setdefault(int(key), [[0] * p.shape[1] for p in parts])
-        for a, p in zip(acc, parts):
-            for k in range(p.shape[1]):
-                a[k] += int(p[r, k])
-    return {key: acc for key, acc in sums.items()
-            if any(x for row in acc for x in row)}
-
-
 #: (dtype, largest entry magnitude): every sum of 80 rows stays exact in the
-#: dtype (below 2^52 for float64, 2^62 for int64)
-AGGREGATE_PARTS = {"f": (np.float64, 2 ** 40), "i": (np.int64, 2 ** 54),
+#: dtype (below 2^52 for float64); "r" holds residues mod the first prime,
+#: as sym_product sums them by key before reducing
+AGGREGATE_PARTS = {"f": (np.float64, 2 ** 40),
+                   "r": (np.float64, 2 * (engine._PRIMES[0] - 1)),
                    "o": (object, 2 ** 100)}
 
 
@@ -686,11 +673,17 @@ class TestAggregate:
         assert uk.dtype == keys.dtype
         assert [int(k) for k in uk] == sorted(expect)
         assert len(sums) == width
+        p = engine._PRIMES[0]
         for h, s in enumerate(sums):
-            assert s.dtype == (object if kind == "o" else np.int64)
+            assert s.dtype == dtype
             assert s.shape == (len(expect), n)
             assert [[int(x) for x in row] for row in s] == \
                 [expect[k][h] for k in sorted(expect)]
+            if kind == "r":
+                r = engine._fmod(s, p)
+                assert (np.abs(r) < p).all()
+                assert all((int(x) - y) % p == 0 for x, y in
+                           zip(r.ravel(), s.ravel()))
         assert max_abs == max([1] + [abs(x) for acc in expect.values()
                                      for row in acc for x in row])
 
@@ -728,14 +721,14 @@ class TestSymbolicTiers:
     bound is 2 * max|c|, times (1 + 3)^2 = 16 with a sqrt 3 part, and the xy
     coefficient reaches 2c.  The constants put the bound just under and
     just over 2^52, and past 2^53 and 2^62 where float64 and int64 would
-    round."""
+    round: from 2^52 on the product runs on residues."""
 
     @pytest.mark.parametrize("c, kind", [
-        (2 ** 51 - 1, "f"), (2 ** 51, "i"),
-        (QuadExt(2 ** 47 - 1, 2 ** 47 - 1), "f"), (QuadExt(2 ** 47, 1), "i"),
-        (QuadExt(-3, 2 ** 47), "i"),
-        (2 ** 60 + 1, "i"), (2 ** 61 + 1, "o"),
-        (QuadExt(2 ** 55 + 1, 2 ** 54 - 1), "i"),
+        (2 ** 51 - 1, "f"), (2 ** 51, "o"),
+        (QuadExt(2 ** 47 - 1, 2 ** 47 - 1), "f"), (QuadExt(2 ** 47, 1), "o"),
+        (QuadExt(-3, 2 ** 47), "o"),
+        (2 ** 60 + 1, "o"), (2 ** 61 + 1, "o"),
+        (QuadExt(2 ** 55 + 1, 2 ** 54 - 1), "o"),
         (QuadExt(1, 2 ** 58 + 1), "o"),
     ], ids=str)
     def test_matches_object_and_multipoly_routes(self, c, kind, monkeypatch):
@@ -746,7 +739,7 @@ class TestSymbolicTiers:
         got, kinds, primes = product_kinds(monkeypatch, s, s, t)
         assert kinds == {kind}
         for p in got.parts:
-            assert p.dtype == (object if kind == "o" else np.int64)
+            assert p.dtype == (object if kind == "o" else np.float64)
         # the same product with every step in big ints
         exact = bigint_sym_product(s, s, t)
         assert list(got.keys) == list(exact.keys)
@@ -821,7 +814,7 @@ class TestSortedSlotCheck:
 
     def test_matches_full_scan_on_every_tier(self):
         # O scaled by 2^16 and 2^30 moves the degree-4 accumulators to
-        # int64 and to residues mod primes; P has sqrt 3 parts
+        # residues mod primes, past 2^52 and past 2^62; P has sqrt 3 parts
         O = catalog_algebra("O")
         algebras = [catalog_algebra(name) for name in ("H", "*H", "P")] + \
             [O, scaled(O, 2 ** 16), scaled(O, 2 ** 30)]
@@ -832,12 +825,13 @@ class TestSortedSlotCheck:
             cache = {}
             for key, poly in polys:
                 U, dx, dy, bound = ml.multilinearization(poly)
-                kinds.add("o" if bound >= 2 ** 62 else KINDS[U[0].dtype])
+                assert all(u.dtype == np.float64 for u in U)
+                kinds.add(engine._tier(bound))
                 shapes.add((dx == 1, dy == 0))
                 got = ml.check(poly)
                 assert got == full_scan_check(A, poly, cache), (A.name, key)
                 verdicts.add(got[0])
-        assert kinds == {"f", "i", "o"}
+        assert kinds == {"f", "o"}
         assert verdicts == {True, False}
         assert {(True, False), (False, True)} <= shapes
 
@@ -857,7 +851,7 @@ class TestSortedSlotCheck:
 
 
 #: constant spans at the residue tier's edges: products of words cross 2^52
-#: (2^10) and 2^62 (2^20, 2^26), and the constants themselves pass 2^62
+#: (2^10) and 2^62 (2^20, 2^26), and the constants themselves pass 2^52
 #: (2^70, so the structure tensor is held in Python ints)
 EDGE_SPANS = (2 ** 10, 2 ** 20, 2 ** 26, 2 ** 70)
 
@@ -871,7 +865,7 @@ def holds_by_bigint_oracle(A, poly):
 
 
 class TestResidueTier:
-    """Past 2^62 the identity kernels compute mod primes below 2^22: the
+    """From 2^52 on the identity kernels compute mod primes below 2^22: the
     symbolic product rebuilds its rows by CRT, the multilinear check and the
     witness search only test residues for zero.  Both backends must give
     the big-int oracle's verdict and witness."""
@@ -933,8 +927,8 @@ class TestResidueTier:
         assert width == 512
         # the widest sum of largest residues is still exact
         top = np.full((1, width), p - 1.0)
-        got = engine._field_product((top,), (top.T,), p)[0]
-        assert int(got[0, 0]) == width * (p - 1) ** 2 % p
+        got = int(engine._field_product((top,), (top.T,), p)[0][0, 0])
+        assert abs(got) < p and (got - width * (p - 1) ** 2) % p == 0
         with pytest.raises(ValueError, match="too wide"):
             engine._field_product((np.ones((1, width + 1)),),
                                   (np.ones((width + 1, 1)),), p)
@@ -972,3 +966,139 @@ class TestResidueTier:
         assert any(p is not None for p, *_ in seen)
         assert all(dts == [np.dtype(np.float64)] * 2
                    for p, *dts in seen if p is not None)
+
+
+def recording_primes(monkeypatch):
+    """The bounds that engine._primes is asked for from now on: a call means
+    the residue tier ran."""
+    asked, primes = [], engine._primes
+
+    def recording(bound):
+        asked.append(bound)
+        return primes(bound)
+
+    monkeypatch.setattr(engine, "_primes", recording)
+    return asked
+
+
+def line_word(a, b):
+    """The SymVec a x0 + b x1 of one column: rows at two keys."""
+    return symvec({(1, 0): [(a, 0)], (0, 1): [(b, 0)]}, 2, 4, 1, 1)
+
+
+class TestFloatEdge:
+    """Each kernel at the bounds 2^52 - 1 (exact float64) and 2^52
+    (residues, or Python ints for sym_scale and sym_combine), against the
+    big-int oracle."""
+
+    @given(p=st.sampled_from(engine._PRIMES[:4] + [5, 7, 65537]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fmod_is_a_residue_within_its_margin(self, p, data):
+        top = 2 ** 53 - p
+        xs = data.draw(st.lists(st.one_of(
+            st.integers(-top, top),
+            st.sampled_from((top, -top, top - p // 2, p, -p, p // 2, 0))),
+            min_size=1, max_size=20))
+        got = engine._fmod(np.array(xs, dtype=np.float64), p)
+        for x, r in zip(xs, got.tolist()):
+            assert r == int(r) and abs(r) < p and (int(r) - x) % p == 0, x
+
+    @pytest.mark.parametrize("top", (2 ** 52 - 1, 2 ** 52))
+    def test_sym_combine(self, top):
+        # x0 rows 2^51 and top - 2^51 on one key sum to top; x1 cancels
+        u, v = line_word(2 ** 51, 5), line_word(top - 2 ** 51, -5)
+        got = engine.sym_combine([(1, u), (1, v)], 1)
+        assert got.parts[0].dtype == (np.float64 if top < 2 ** 52 else object)
+        assert dict_sum(got.keys, got.parts) == \
+            bigint_sym_combine([(1, u), (1, v)]) == {1: [[top]]}
+        assert got.max_abs == top
+
+    @pytest.mark.parametrize("a, b", [(2 ** 26 - 1, 2 ** 26 + 1),
+                                      (2 ** 26, 2 ** 26)])
+    def test_sym_scale(self, a, b):
+        s = symvec({(1, 0): [(a, 0)]}, 2, 4, 1, 1)
+        v = line_word(b, -b)
+        got = engine.sym_scale(s, v)
+        assert got.parts[0].dtype == \
+            (np.float64 if a * b < 2 ** 52 else object)
+        assert dict_sum(got.keys, got.parts) == bigint_sym_scale(s, v)
+        assert got.max_abs == a * b
+
+    @pytest.mark.parametrize("M, w, rows, top, expect", [
+        ([[1], [0], [-1]], [2 ** 26 - 1], [2 ** 26 + 1], 2 ** 52 - 1,
+         [True, False, True]),
+        ([[1], [0], [-1]], [2 ** 26], [2 ** 26], 2 ** 52,
+         [True, False, True]),
+        # the first point cancels exactly, the second does not
+        ([[1, 1], [1, -1]], [2 ** 25, 2 ** 25], [2 ** 26, 2 ** 26],
+         2 ** 52, [True, False]),
+        ([[1, 1], [1, -1]], [2 ** 25, 2 ** 25], [2 ** 26, -2 ** 26],
+         2 ** 52, [False, True]),
+    ])
+    def test_sym_nonzero_at(self, M, w, rows, top, expect, monkeypatch):
+        v = symvec({(i,): [(r, 0), (0, 0)] for i, r in enumerate(rows)},
+                   1, 4, 1, 2)
+        M, w = np.array(M, dtype=np.int64), np.array(w, dtype=np.int64)
+        asked = recording_primes(monkeypatch)
+        got = engine.sym_nonzero_at(v, M, w).tolist()
+        assert asked == ([] if top < 2 ** 52 else [top])
+        assert got == bigint_nonzero_at(v, M, w).tolist() == expect
+
+    @pytest.mark.parametrize("c", (2 ** 52 - 1, 2 ** 52))
+    def test_contraction(self, c):
+        # e0 e0 = c e0: the word x x has the contraction bound c
+        A = line_algebra(c)
+        ml = A.ml_engine()
+        g, m = ml.word_tensor(("x", "x"))
+        (e,), _ = bigint_word_tensor(A.tensor(), ("x", "x"))
+        assert g.dtype == np.float64 and m == c
+        if c < 2 ** 52:
+            assert (bigint(g) == e).all()
+        else:
+            p = engine._PRIMES[0]
+            assert (np.abs(g) < p).all() and ((bigint(g) - e) % p == 0).all()
+
+    @pytest.mark.parametrize("a, b, tier", [
+        (2 ** 51, 2 ** 51 - 1, "f"), (2 ** 51, 2 ** 51, "o"),
+        (2 ** 51, -2 ** 51, "o")])
+    def test_accumulator(self, a, b, tier):
+        # on e0 e0 = e0, a xy + b yx has two groups of contraction bounds |a|
+        # and |b|: their sum reaches the accumulator's bound |a| + |b|
+        A = line_algebra(1)
+        X, Y = FreePoly.var("x"), FreePoly.var("y")
+        poly = (X * Y).scale(a) + (Y * X).scale(b)
+        ml = A.ml_engine()
+        assert ml.multilinearization(poly)[3] == abs(a) + abs(b)
+        assert assert_same_tensor(
+            ml, poly, per_word_multilinearization(A, poly)) == tier
+        assert ml.check(poly) == full_scan_check(A, poly) == \
+            ((True, None) if a + b == 0 else (False, ((0,), (0,))))
+
+
+def test_no_int64_product_operand(files_algebras, monkeypatch):
+    # every product of the identity kernels, the closure and the
+    # composition form runs on float64 (exact or residues) or on Python
+    # ints, over the catalog and the files algebras, on both backends
+    from nalab.algebra import division_sampled
+    from nalab.catalog import CATALOG_NAMES
+    from nalab.identities import predicate
+    seen = set()
+    matmul = engine._matmul
+
+    def recording(P, Q, p):
+        seen.update((P.dtype, Q.dtype))
+        return matmul(P, Q, p)
+
+    monkeypatch.setattr(engine, "_matmul", recording)
+    algebras = [catalog_algebra(name) for name in CATALOG_NAMES] + \
+        list(files_algebras.values())
+    for A in algebras:
+        for poly in (pqr_associator(1, 1, 2), polarize(1, 1, 2).f(1)):
+            for backend in ("symbolic", "multilinear"):
+                identity_holds(A, poly, backend)
+        for name in ("power_associative", "power_commutative"):
+            predicate(A, name, bound=4)
+        division_sampled(A, trials=1)
+    assert np.dtype(np.float64) in seen
+    assert np.dtype(np.int64) not in seen, seen
