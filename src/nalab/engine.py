@@ -25,6 +25,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -706,6 +707,94 @@ def _sorted_sums(T, n: int, k: int):
     return V, tuples
 
 
+def _vertex_cover(edges) -> Tuple[set, set]:
+    """(lefts, rights): a minimum vertex cover of the bipartite graph with
+    the given (left, right) edges, left and right vertices kept apart.
+
+    A maximum matching is grown by augmenting paths; by König's theorem the
+    cover is then the left vertices not reachable from an unmatched left
+    vertex by an alternating path, and the right vertices that are.
+    """
+    adj: Dict = {}
+    for left, right in edges:
+        adj.setdefault(left, []).append(right)
+    match: Dict = {}  # right vertex -> its matched left vertex
+
+    def augment(left, seen) -> bool:
+        for right in adj[left]:
+            if right not in seen:
+                seen.add(right)
+                if right not in match or augment(match[right], seen):
+                    match[right] = left
+                    return True
+        return False
+
+    for left in adj:
+        augment(left, set())
+    reached = [left for left in adj if left not in match.values()]
+    zl, zr = set(reached), set()
+    while reached:
+        for right in adj[reached.pop()]:
+            if right not in zr:
+                # matched, or the matching would not be maximum
+                zr.add(right)
+                if match[right] not in zl:
+                    zl.add(match[right])
+                    reached.append(match[right])
+    return set(adj) - zl, zr
+
+
+def _cover_groups(poly: FreePoly):
+    """(dx, dy, groups) of a bidegree-homogeneous poly: groups maps a key
+    (side, shared factor) to the members (c, other factor) of its words, c
+    the word's coefficient times the lcm of poly's denominators.
+
+    The keys are the vertices of a minimum vertex cover of the bipartite
+    graph whose edges are the words' (left factor, right factor) pairs
+    (``_vertex_cover``).  A word L R goes to ("L", L) with member (c, R)
+    when L is in the cover, and to ("R", R) with member (c, L) otherwise.
+    No vertex of a minimum cover has all its edges covered by others, so
+    every key holds a word.  A bare leaf c v has no factors: it goes to
+    ("L", None) with member (c, v).
+    """
+    bdegs = poly.bidegrees()
+    if len(bdegs) != 1:
+        raise ValueError("polynomial is not bidegree-homogeneous")
+    (dx, dy), = bdegs
+    denom = math.lcm(*(c.denominator for c in poly.terms.values()))
+    words = sorted(poly.terms.items(), key=lambda kv: str(kv[0]))
+    lefts, _ = _vertex_cover([t for t, _ in words if not isinstance(t, str)])
+    groups: Dict[Tuple[str, Optional[FreeTerm]], List] = {}
+    for term, coeff in words:
+        if isinstance(term, str):
+            key, member = ("L", None), term
+        elif term[0] in lefts:
+            key, member = ("L", term[0]), term[1]
+        else:
+            key, member = ("R", term[1]), term[0]
+        groups.setdefault(key, []).append((int(coeff * denom), member))
+    return dx, dy, groups
+
+
+#: entries per part of an accumulator block: check builds the accumulator
+#: for as many out indices at a time as fit, and at least one
+_BLOCK_ENTRIES = 1 << 18
+
+#: arrays of a block's size alive at once while a block is built and
+#: scanned: the accumulator, a contraction, and intermediates of the
+#: contraction or of the sorted sums (a (2,2,2) check at n = 8 to 12 peaked
+#: at 3.1 to 4.2 blocks of memory with its caches filled)
+_LIVE_ARRAYS = 4
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 class MultilinearEngine:
     """Builds and tests fully multilinearized identity tensors.
 
@@ -713,8 +802,12 @@ class MultilinearEngine:
     (leaf_1 .. leaf_k, out); the full multilinearization of a homogeneous
     polynomial is the sum over all assignments of distinct slot labels to
     equal-variable leaves, realized as axis-permuted sums.  The product is
-    bilinear, so the words of a polynomial that share a left factor L cost
-    one contraction L * (sum of c * R), and top-level words are never built.
+    bilinear, so the words that share a left factor L cost one contraction
+    L * (sum of c * R), those that share a right factor R one contraction
+    (sum of c * L) * R, and top-level words are never built; the words are
+    split between the two kinds by a minimum vertex cover of their (L, R)
+    pairs (``_cover_groups``).  The out slot is never symmetrized, so check
+    builds and scans the accumulator one block of out indices at a time.
     Every tensor comes with an entry bound m.  While a rigorous bound stays
     below 2^52 its arrays hold the exact integers in float64 (so BLAS paths
     stay exact) and m is their measured maximum.  From 2^52 on they hold
@@ -737,10 +830,11 @@ class MultilinearEngine:
         self._prime = _PRIMES[0]
         self._residue_cache: Dict[FreeTerm, Tuple] = {}
 
-    def _contract(self, L, lmax: int, R, rmax: int) -> Tuple:
+    def _contract(self, L, lmax: int, R, rmax: int,
+                  out: slice = slice(None)) -> Tuple:
         """(parts, bound): the product tensor of the part tuples L and R,
         each with its output axis last, with axes (L's leaf axes..., R's
-        leaf axes..., out).
+        leaf axes..., out), at the out indices out only.
 
         lmax and rmax bound the entries of L and R.  bound = n^2 * lmax *
         rmax * max|C|, times (1 + 3)^2 when a sqrt 3 part is present, is a
@@ -759,17 +853,19 @@ class MultilinearEngine:
             L, R, C = _mod(L, lmax, p), _mod(R, rmax, p), t.mod(p)
         else:
             C, p = t.parts, None
+        C = [c[:, :, out] for c in C]
+        b = C[0].shape[2]
         nl, nr = L[0].ndim - 1, R[0].ndim - 1
         # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's leaf axes
         V = _field_product([x.reshape(-1, n) for x in R],
-                           [c.transpose(1, 0, 2).reshape(n, n * n)
+                           [c.transpose(1, 0, 2).reshape(n, n * b)
                             for c in C], p)
-        # out[l, (r, k)] = sum_i L[l, i] V[r, i, k]
-        out = _field_product(
+        # prod[l, (r, k)] = sum_i L[l, i] V[r, i, k]
+        prod = _field_product(
             [x.reshape(-1, n) for x in L],
-            [np.moveaxis(v.reshape(-1, n, n), 1, 0).reshape(n, -1)
+            [np.moveaxis(v.reshape(-1, n, b), 1, 0).reshape(n, -1)
              for v in V], p)
-        return tuple(o.reshape((n,) * (nl + nr + 1)) for o in out), bound
+        return tuple(x.reshape((n,) * (nl + nr) + (b,)) for x in prod), bound
 
     def word_tensor(self, term: FreeTerm):
         """(*parts, m) with axes = leaves in left-to-right order + out.
@@ -799,30 +895,30 @@ class MultilinearEngine:
             cache[term] = res
         return res
 
-    def _summed_right(self, members) -> Tuple:
-        """(parts, m) of the sum of c * R over the (c, R) members, each R's
+    def _summed(self, members) -> Tuple:
+        """(parts, m) of the sum of c * F over the (c, F) members, each F's
         axes aligned as (x leaves, y leaves, out).
 
-        The sum is exact in float64 while its bound sum |c| * max R stays
+        The sum is exact in float64 while its bound sum |c| * max F stays
         below 2^52, and its maximum is then measured; from 2^52 on it is
         taken mod the current prime, and m is that bound.
         """
         p = self._prime
         terms = []
-        for c, right in members:
-            *R, rmax = self.word_tensor(right)
-            xs, ys = _leaf_slots(right)
+        for c, factor in members:
+            *F, fmax = self.word_tensor(factor)
+            xs, ys = _leaf_slots(factor)
             perm = xs + ys + [len(xs) + len(ys)]
-            terms.append((c, [np.transpose(x, perm) for x in R], rmax))
-        bound = sum(abs(c) * rmax for c, _, rmax in terms)
-        width = max(len(R) for _, R, _ in terms)
+            terms.append((c, [np.transpose(x, perm) for x in F], fmax))
+        bound = sum(abs(c) * fmax for c, _, fmax in terms)
+        width = max(len(F) for _, F, _ in terms)
         if bound < _FLOAT_EXACT:
             S = [sum(c * x for (c, _, _), x in zip(terms, col))
-                 for col in zip(*(_padded(R, width) for _, R, _ in terms))]
+                 for col in zip(*(_padded(F, width) for _, F, _ in terms))]
             return S, _max_abs(S)
         S = []
-        for col in zip(*(_padded(_mod(R, rmax, p), width)
-                         for _, R, rmax in terms)):
+        for col in zip(*(_padded(_mod(F, fmax, p), width)
+                         for _, F, fmax in terms)):
             acc = np.zeros_like(col[0])
             for (c, _, _), x in zip(terms, col):
                 # below p + (p - 1)^2 < 2^45: within _fmod's margin
@@ -830,9 +926,53 @@ class MultilinearEngine:
             S.append(acc)
         return S, bound
 
-    def multilinearization(self, poly: FreePoly, p: Optional[int] = None):
+    def _group(self, key, members, dx: int, dy: int, out: slice, factors):
+        """(parts, bound, perm) of one group of _cover_groups at the out
+        indices out: its contraction, a bound on its entries, and the axis
+        permutation that takes it to the slot order (x leaves of the left
+        factor, then of the right, y leaves of the left, then of the right,
+        out), which is each word's leaf order with y leaves after x leaves.
+
+        The shared factor's word tensor and the sum of the others
+        (_summed) are taken whole, and kept in factors under key.
+        """
+        side, shared = key
+        if key not in factors:
+            factors[key] = (self._summed(members), None if shared is None
+                            else self.word_tensor(shared))
+        (S, smax), word = factors[key]
+        if shared is None:
+            return [s[..., out] for s in S], smax, list(range(dx + dy + 1))
+        *F, fmax = word
+        xs, ys = _leaf_slots(shared)
+        sx, sy = dx - len(xs), dy - len(ys)
+        aligned = (list(range(sx)), list(range(sx, sx + sy)))
+        if side == "L":
+            G, bound = self._contract(F, fmax, S, smax, out)
+            (lx, ly), (rx, ry) = (xs, ys), aligned
+        else:
+            G, bound = self._contract(S, smax, F, fmax, out)
+            (lx, ly), (rx, ry) = aligned, (xs, ys)
+        a = len(lx) + len(ly)
+        perm = lx + [a + i for i in rx] + ly + [a + j for j in ry] + [dx + dy]
+        return G, bound, perm
+
+    def _refuse_beyond_memory(self, entries: int) -> None:
+        """Raise MemoryError, before anything is allocated, when blocks of
+        entries entries per part would not fit in physical memory."""
+        need = entries * len(self.t.parts) * 8 * _LIVE_ARRAYS
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise MemoryError(
+                f"the multilinear check needs about {need / 2 ** 30:.1f} GiB "
+                f"at one out index, more than the {have / 2 ** 30:.1f} GiB "
+                "of physical memory")
+
+    def multilinearization(self, poly: FreePoly, p: Optional[int] = None,
+                           out: slice = slice(None),
+                           factors: Optional[Dict] = None):
         """Unsymmetrized multilinearization tensor of a bidegree-homogeneous
-        poly.
+        poly, at the out indices out (by default all of them).
 
         Axes: dx slots for the x-copies, then dy slots for the y-copies,
         then the output coordinate.  Returns (parts, dx, dy, bound).  The
@@ -842,49 +982,42 @@ class MultilinearEngine:
         While bound < 2^52, parts hold the exact integers in float64;
         beyond, their residues mod p (float64, see _fmod), which becomes the
         engine's current prime (by default the first prime of _PRIMES).
+        factors, a dict, keeps the groups' whole factors for further calls
+        on the same poly and prime.
 
-        The words are grouped by their left factor L.  Per group the right
-        factors are summed with their coefficients, slots aligned, into one
-        small tensor R (see _summed_right); L * R is contracted once,
-        transposed into the slot order (x leaves of L, then of R, y leaves
-        of L, then of R, out) and added in place into the accumulator.  A
-        bare-leaf word has no left factor: its R is added as it is.  The
-        accumulator is exact float64 while running * dx! * dy! stays below
-        2^52, and residues from there on.  running sums the groups'
-        contraction bounds; where that sum would leave float64 while the
-        new group is exact, it is replaced by the measured maxima of the
-        accumulator and of the new group.  Either way it bounds every
-        partial sum of the accumulation and of the permutation sums in
-        check.
+        The words are grouped by a minimum vertex cover of their (left
+        factor, right factor) pairs (see _cover_groups).  Per group the
+        factors on the unshared side are summed with their coefficients,
+        slots aligned, into one tensor (see _summed); it is contracted once
+        with the shared factor, only the out indices out of the constants
+        taken, transposed into the slot order (x leaves of the left factor,
+        then of the right, y leaves of the left, then of the right, out) and
+        added in place into the accumulator.  A bare-leaf word has no
+        factors: its sum is added as it is.  The accumulator is exact
+        float64 while running * dx! * dy! stays below 2^52, and residues
+        from there on.  running sums the groups' contraction bounds; where
+        that sum would leave float64 while the new group is exact, it is
+        replaced by the measured maxima of the accumulator and of the new
+        group.  Either way it bounds every partial sum of the accumulation
+        and of the permutation sums in check.  MemoryError is raised before
+        anything is allocated when the out indices would not fit in
+        physical memory.
         """
-        bdegs = poly.bidegrees()
-        if len(bdegs) != 1:
-            raise ValueError("polynomial is not bidegree-homogeneous")
-        dx, dy = next(iter(bdegs))
+        dx, dy, groups = _cover_groups(poly)
+        n = self.t.n
+        width = len(range(n)[out])
+        self._refuse_beyond_memory(n ** (dx + dy) * width)
         p = _PRIMES[0] if p is None else p
         if p != self._prime:
             self._prime, self._residue_cache = p, {}
-        denom = math.lcm(*(c.denominator for c in poly.terms.values()))
-        groups: Dict[Optional[FreeTerm], List] = {}
-        for term, coeff in sorted(poly.terms.items(),
-                                  key=lambda kv: str(kv[0])):
-            left, right = (None, term) if isinstance(term, str) else term
-            groups.setdefault(left, []).append((int(coeff * denom), right))
+        factors = {} if factors is None else factors
         slots = math.factorial(dx) * math.factorial(dy)
-        U = tuple(np.zeros((self.t.n,) * (dx + dy + 1))
+        U = tuple(np.zeros((n,) * (dx + dy) + (width,))
                   for _ in self.t.parts)
         residues = False
         running = 0  # exact bound on the accumulated entries
-        for left, members in groups.items():
-            R, rmax = self._summed_right(members)
-            if left is None:
-                G, bound, perm = R, rmax, list(range(R[0].ndim))
-            else:
-                *L, lmax = self.word_tensor(left)
-                G, bound = self._contract(L, lmax, R, rmax)
-                xs, ys = _leaf_slots(left)
-                right = list(range(len(xs) + len(ys), G[0].ndim))
-                perm = xs + right[:dx - len(xs)] + ys + right[dx - len(xs):]
+        for key, members in groups.items():
+            G, bound, perm = self._group(key, members, dx, dy, out, factors)
             if not residues and bound < _FLOAT_EXACT <= \
                     (running + bound) * slots:
                 # the bounds would leave float64: measure what they bound
@@ -905,13 +1038,14 @@ class MultilinearEngine:
 
     def _nonzero(self, U, dx: int, dy: int, p: Optional[int]):
         """(mask, X, Y): mask[i, j] tells whether the sum of U (residues mod
-        p when p is given) over the dx! dy! slot permutations is nonzero at
-        the sorted x tuple X[i] and the sorted y tuple Y[j]; see check."""
+        p when p is given) over the dx! dy! slot permutations is nonzero, at
+        some out index of U, at the sorted x tuple X[i] and the sorted y
+        tuple Y[j]; see check."""
         n = self.t.n
         S = []
         for u in U:
             Sx, X = _sorted_sums(u.reshape(1, n ** dx, -1), n, dx)
-            Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, n), n, dy)
+            Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, -1), n, dy)
             # sums of dx! dy! < 2^31 residues: within _fmod's margin
             S.append(Sxy if p is None else _fmod(Sxy, p))
         return np.any([np.any(s != 0, axis=-1) for s in S], axis=0), X, Y
@@ -926,18 +1060,35 @@ class MultilinearEngine:
         sorting is no later in lexicographic order: the first failing tuple
         has sorted x slots and sorted y slots.  So the sum over the dx! dy!
         slot permutations of the accumulator is formed at those tuples only
-        (see _sorted_sums).  When the accumulator's bound reaches 2^52, that
-        is done once per prime of _primes(bound), one prime at a time, and
-        a tuple fails when its sum is nonzero mod any of them.
+        (see _sorted_sums).  The out slot is not permuted, so the
+        accumulator is built and scanned one block of out indices at a time,
+        _BLOCK_ENTRIES entries per part or one out index, and a tuple fails
+        when it is nonzero in any block.  A block whose bound reaches 2^52
+        is scanned once per prime of _primes(bound), bound the largest such
+        block bound, with the primes outer and the blocks inner so that each
+        prime's residue word tensors and summed factors are built once.
         """
-        U, dx, dy, bound = self.multilinearization(poly)
-        residues = bound >= _FLOAT_EXACT
-        nz, X, Y = self._nonzero(U, dx, dy, _PRIMES[0] if residues else None)
-        if residues:
-            for q in _primes(bound)[1:]:
-                del U
-                U = self.multilinearization(poly, q)[0]
+        dx, dy, _ = _cover_groups(poly)
+        n = self.t.n
+        width = min(n, max(1, _BLOCK_ENTRIES // n ** (dx + dy)))
+        blocks = [slice(lo, lo + width) for lo in range(0, n, width)]
+        p = _PRIMES[0]
+        nz, residue, top, factors = None, [], 0, {}
+        for block in blocks:
+            U, _, _, bound = self.multilinearization(poly, p, block, factors)
+            exact = bound < _FLOAT_EXACT
+            mask, X, Y = self._nonzero(U, dx, dy, None if exact else p)
+            del U
+            nz = mask if nz is None else nz | mask
+            if not exact:
+                residue.append(block)
+                top = max(top, bound)
+        for q in _primes(top)[1:]:
+            factors = {}
+            for block in residue:
+                U = self.multilinearization(poly, q, block, factors)[0]
                 nz |= self._nonzero(U, dx, dy, q)[0]
+                del U
         if not nz.any():
             return True, None
         i, j = divmod(int(np.argmax(nz)), len(Y))

@@ -2,6 +2,8 @@
 
 import io
 import json
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -123,7 +125,7 @@ class TestErrors:
         assert "must be at least 1" in capsys.readouterr().err
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
-        def exhausted(self, poly):
+        def exhausted(self, *args):
             raise MemoryError("Unable to allocate 32.0 TiB for an array")
 
         monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
@@ -134,6 +136,30 @@ class TestErrors:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "32.0 TiB" in lines[0] and "--backend symbolic" in lines[0]
+
+    def test_refused_before_allocating_exits_2(self, tmp_path, capsys):
+        # one out index of f_1 of (2,2,2) at dim 64 is 64^6 entries: the
+        # estimate exceeds physical memory and nothing is allocated
+        path = tmp_path / "sparse64.json"
+        path.write_text(json.dumps({
+            "name": "sparse64", "dim": 64, "field": "Q",
+            "basis": [f"e{i}" for i in range(64)],
+            "constants": [[0, 0, 0, "1"], [1, 2, 3, "-1/2"]]}))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out = run("check", str(path), "--identity", "2,2,2",
+                            "--backend", "multilinear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "physical memory" in lines[0]
+        assert "--backend symbolic" in lines[0]
+        assert peak < 2 ** 26
+        assert time.perf_counter() - start < 30
 
     @pytest.mark.parametrize("backend", ("symbolic", "multilinear"))
     def test_prime_too_large_for_residue_products_exits_2(

@@ -14,6 +14,7 @@ used, and by verdict and witness.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -542,8 +543,34 @@ def triple_polys(p, q, r):
         [(f"({p}.{q}.{r}.{m})", pol.f(m)) for m in range(1, p + q + r)]
 
 
+#: every triple (p, q, r) with p, q, r <= 2
+ALL_TRIPLES = list(itertools.product((1, 2), repeat=3))
+
 #: every triple of degree <= 5 (all but (2,2,2))
-LOW_TRIPLES = [t for t in itertools.product((1, 2), repeat=3) if sum(t) <= 5]
+LOW_TRIPLES = [t for t in ALL_TRIPLES if sum(t) <= 5]
+
+
+def word_edges(poly):
+    """The (left factor, right factor) pairs of poly's words."""
+    return [term for term in poly.terms if not isinstance(term, str)]
+
+
+def min_cover_size(edges):
+    """Oracle: the size of a minimum vertex cover of the bipartite graph
+    with the given (left, right) edges, over every set T of left vertices
+    left out of the cover (the cover then holds every right neighbour of
+    T)."""
+    lefts = sorted({L for L, _ in edges}, key=str)
+    rights = sorted({R for _, R in edges}, key=str)
+    nbrs = [sum(1 << rights.index(R) for L2, R in edges if L2 == L)
+            for L in lefts]
+    needed = [0] * (1 << len(lefts))  # needed[T]: the right neighbours of T
+    best = len(lefts)
+    for T in range(1, 1 << len(lefts)):
+        low = T & -T
+        needed[T] = needed[T ^ low] | nbrs[low.bit_length() - 1]
+        best = min(best, len(lefts) - T.bit_count() + needed[T].bit_count())
+    return best
 
 #: constant spans reaching both accumulator tiers on random algebras:
 #: float64 and, from 2^10 on, residues (past 2^62 from 2^20 on)
@@ -593,15 +620,17 @@ class TestGroupedMultilinearization:
             assert kind <= engine._tier(expect[3]), key
 
     @pytest.mark.parametrize("poly, groups", [
-        (polarize(2, 2, 2).f(1), 8),
-        (polarize(2, 2, 2).f(3), 18),
+        (polarize(2, 2, 2).f(1), 4),
+        (polarize(2, 2, 2).f(2), 8),
+        (polarize(2, 2, 2).f(3), 8),
+        (polarize(2, 1, 2).f(2), 8),
         (pqr_associator(2, 2, 2), 2),
-    ], ids=["2.2.2.1", "2.2.2.3", "2,2,2"])
-    def test_one_contraction_per_left_factor(self, poly, groups,
-                                             monkeypatch):
+    ], ids=["2.2.2.1", "2.2.2.2", "2.2.2.3", "2.1.2.2", "2,2,2"])
+    def test_one_contraction_per_cover_vertex(self, poly, groups,
+                                              monkeypatch):
         # every factor of these words has at most 4 leaves, so a first pass
         # caches them all and a second contracts only the groups
-        assert groups == len({term[0] for term in poly.terms})
+        assert groups == min_cover_size(word_edges(poly))
         H = catalog_algebra("H")
         expect = per_word_multilinearization(H, poly)
         ml = H.ml_engine()
@@ -616,6 +645,22 @@ class TestGroupedMultilinearization:
         monkeypatch.setattr(engine.MultilinearEngine, "_contract", counting)
         assert_same_tensor(ml, poly, expect)
         assert len(calls) == groups
+
+    @pytest.mark.parametrize("triple", ALL_TRIPLES, ids=str)
+    def test_cover_is_minimum(self, triple):
+        for key, poly in triple_polys(*triple):
+            edges = word_edges(poly)
+            lefts, rights = engine._vertex_cover(edges)
+            assert all(L in lefts or R in rights for L, R in edges), key
+            assert len(lefts) + len(rights) == min_cover_size(edges), key
+            # one group per vertex of the cover, each word in one group
+            _, _, groups = engine._cover_groups(poly)
+            assert set(groups) == {("L", L) for L in lefts} | \
+                {("R", R) for R in rights}, key
+            assert sorted(map(str, poly.terms)) == sorted(
+                str((F, other) if side == "L" else (other, F))
+                for (side, F), members in groups.items()
+                for _, other in members), key
 
     @pytest.mark.parametrize("coeff", (1, 2))
     @pytest.mark.parametrize("var", ("x", "y"))
@@ -790,8 +835,10 @@ def full_scan_check(A, poly, cache=None):
 
 def scaled(A, factor):
     """A with every constant times factor: isomorphic to A (x -> x/factor),
-    so it satisfies the same homogeneous identities."""
-    return StructureAlgebra(f"{factor}{A.name}", A.dim, A.field, [
+    so it satisfies the same homogeneous identities.  A QuadExt factor puts
+    it over Q(sqrt 3)."""
+    field = FIELD_QSQRT3 if isinstance(factor, QuadExt) else A.field
+    return StructureAlgebra(f"{factor}{A.name}", A.dim, field, [
         [[c * factor for c in row] for row in plane]
         for plane in A.constants])
 
@@ -848,6 +895,87 @@ class TestSortedSlotCheck:
         for key, poly in triple_polys(*triple):
             assert A.ml_engine().check(poly) == \
                 full_scan_check(A, poly, cache), key
+
+
+def into_one(A, k):
+    """A with every product projected onto its k-th basis vector."""
+    return StructureAlgebra(f"{A.name}>{k}", A.dim, A.field, [
+        [[c if m == k else 0 * c for m, c in enumerate(row)] for row in plane]
+        for plane in A.constants])
+
+
+class TestOutBlocks:
+    """check builds and scans the accumulator one block of out indices at
+    a time, _BLOCK_ENTRIES entries per part wide or one out index."""
+
+    @pytest.mark.parametrize("field", (FIELD_Q, FIELD_QSQRT3))
+    def test_every_width_matches_full_scan(self, field, monkeypatch):
+        # spans 3, 2^10 and 2^20 on sparse algebras, and H scaled past
+        # 2^20, put blocks in float64 and in residues (with Q(sqrt 3) at
+        # 2^10 in both within one check); H satisfies both identities.
+        # Products that land in the first or the last basis vector only
+        # fail in the first or the last block only.
+        H = catalog_algebra("H")
+        scales = (1, 2 ** 20) if field == FIELD_Q else \
+            (QuadExt(1, 1), QuadExt(2 ** 20, 2 ** 19))
+        algebras = [sparse_algebra(3, 1, span, field, 0.5)
+                    for span in (3, 2 ** 10, 2 ** 20)] + \
+            [scaled(H, c) for c in scales] + \
+            [into_one(sparse_algebra(3, 2, 3, field, 1.0), k) for k in (0, 2)]
+        calls = []
+        build = engine.MultilinearEngine.multilinearization
+
+        def recording(self, poly, p=None, out=slice(None), factors=None):
+            got = build(self, poly, p, out, factors)
+            calls.append((p, out, engine._tier(got[3])))
+            return got
+
+        monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
+                            recording)
+        tiers, verdicts, rescans = set(), set(), 0
+        for A in algebras:
+            n = A.dim
+            for key, poly in triple_polys(1, 1, 2) + triple_polys(1, 2, 2):
+                expect = full_scan_check(A, poly)
+                (dx, dy), = poly.bidegrees()
+                for width in range(1, n + 1):
+                    monkeypatch.setattr(engine, "_BLOCK_ENTRIES",
+                                        width * n ** (dx + dy))
+                    calls.clear()
+                    assert A.ml_engine().check(poly) == expect, \
+                        (A.name, key, width)
+                    first = [(out, tier) for p, out, tier in calls
+                             if p == engine._PRIMES[0]]
+                    assert [out for out, _ in first] == [
+                        slice(lo, lo + width) for lo in range(0, n, width)]
+                    # later primes rescan the residue blocks only
+                    residue = [out for out, tier in first if tier == "o"]
+                    later = [out for p, out, _ in calls
+                             if p != engine._PRIMES[0]]
+                    assert later == residue * (len(later) // max(
+                        1, len(residue)))
+                    tiers.add(tuple(sorted({t for _, t in first})))
+                    rescans += len(later)
+                verdicts.add(expect[0])
+        assert {("f",), ("o",)} <= tiers and rescans
+        assert verdicts == {True, False}
+        if field == FIELD_QSQRT3:
+            assert ("f", "o") in tiers
+
+    def test_peak_memory_of_a_degree_6_check(self):
+        # the whole accumulator of f_1 of (2,2,2) on P is 8^7 entries in
+        # each of two parts (32 MB); one out index at a time is 8^6
+        P = catalog_algebra("P")
+        fresh = StructureAlgebra("P", P.dim, P.field, P.constants)
+        tracemalloc.start()
+        try:
+            holds = identity_holds(fresh, polarize(2, 2, 2).f(1),
+                                   "multilinear").holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds
+        assert peak < 40 * 2 ** 20
 
 
 #: constant spans at the residue tier's edges: products of words cross 2^52
