@@ -15,16 +15,18 @@ certificate where one exists, seeded sampling otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import engine
-from .exactmath import (SQRT_RADICAND, Echelon, QuadExt, scalar_is_zero,
-                        scalar_sign, solve_affine, det)
+from .exactmath import (SQRT_RADICAND, Echelon, QuadExt, clear_denominators,
+                        det, from_parts, scalar_is_zero, scalar_sign,
+                        solve_affine)
 from .freealg import FreePoly, FreeTerm, UNIT, X, term_bidegree
 
 FIELD_Q = "Q"
@@ -51,11 +53,9 @@ class StructureAlgebra:
         self.name = name
         self.dim = dim
         self.field = field
-        # the constants, and for each (i, j) the sparse product: the
-        # nonzero (k, c) pairs
-        rows, sparse = [], []
+        rows = []
         for i in range(dim):
-            row, sparse_row = [], []
+            row = []
             for j in range(dim):
                 cell = []
                 for k in range(dim):
@@ -68,16 +68,13 @@ class StructureAlgebra:
                         c = Fraction(c)
                     cell.append(c)
                 row.append(tuple(cell))
-                sparse_row.append(tuple((k, c) for k, c in enumerate(cell)
-                                        if c))
             rows.append(tuple(row))
-            sparse.append(tuple(sparse_row))
         self.constants = tuple(rows)
-        self._sparse = tuple(sparse)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i}" for i in range(dim))
         if len(self.basis_names) != dim:
             raise ValueError("basis name count mismatch")
+        self._table: Optional[Tuple] = None
         self._tensor: Optional[engine.ScaledTensor] = None
         self._ml: Optional[engine.MultilinearEngine] = None
         self._units: Optional[UnitReport] = None
@@ -99,9 +96,33 @@ class StructureAlgebra:
             raise ValueError("coordinate length mismatch")
         return Element(coords)
 
+    def integer_table(self) -> Tuple:
+        """(scale, width, table), built once: every constant is c[i][j][k] =
+        (a + b*sqrt 3) / scale, scale the least common denominator of their
+        rational and sqrt 3 parts, and table[i][j] lists the (k, a, b) of
+        the nonzero constants of b_i b_j.  width is 2 when some b is
+        nonzero, 1 otherwise."""
+        if self._table is None:
+            nonzero = [(i, j, k) + ((c.a, c.b) if isinstance(c, QuadExt)
+                                    else (c, 0))
+                       for i, row in enumerate(self.constants)
+                       for j, cell in enumerate(row)
+                       for k, c in enumerate(cell) if c]
+            scale = math.lcm(*(x.denominator for *_, a, b in nonzero
+                               for x in (a, b)))
+            table = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+            for i, j, k, a, b in nonzero:
+                table[i][j].append((k, a.numerator * (scale // a.denominator),
+                                    b.numerator * (scale // b.denominator)))
+            width = 2 if any(b for *_, b in nonzero) else 1
+            self._table = (scale, width,
+                           tuple(tuple(map(tuple, row)) for row in table))
+        return self._table
+
     def tensor(self) -> engine.ScaledTensor:
         if self._tensor is None:
-            self._tensor = engine.ScaledTensor(self.dim, self._sparse)
+            scale, _, table = self.integer_table()
+            self._tensor = engine.ScaledTensor(self.dim, scale, table)
         return self._tensor
 
     def ml_engine(self) -> engine.MultilinearEngine:
@@ -193,23 +214,55 @@ class GenericClosure:
     words: tuple  # FreeTerms in x; see generic_closure
 
 
+def product_parts(A: StructureAlgebra, u: Sequence[List[int]],
+                  v: Sequence[List[int]]) -> tuple:
+    """The integer parts of scale * (u v), for u and v given by integer
+    parts (see ``exactmath.clear_denominators``), by A's integer table: a
+    loop over plain Python ints, with a sqrt 3 part when u, v or the table
+    has one, multiplied by (a, b)(a', b') = (aa' + 3bb', ab' + ba')."""
+    _, width, table = A.integer_table()
+    n = A.dim
+    if width == len(u) == len(v) == 1:
+        out = [0] * n
+        for i, x in enumerate(u[0]):
+            if x:
+                row = table[i]
+                for j, y in enumerate(v[0]):
+                    if y:
+                        p = x * y
+                        for k, c, _ in row[j]:
+                            out[k] += p * c
+        return (out,)
+    zero = [0] * n
+    ua, ub = u if len(u) == 2 else (u[0], zero)
+    va, vb = v if len(v) == 2 else (v[0], zero)
+    oa, ob = [0] * n, [0] * n
+    for i in range(n):
+        xa, xb = ua[i], ub[i]
+        if xa or xb:
+            row = table[i]
+            for j in range(n):
+                ya, yb = va[j], vb[j]
+                if ya or yb:
+                    pa = xa * ya + SQRT_RADICAND * xb * yb
+                    pb = xa * yb + xb * ya
+                    pb3 = SQRT_RADICAND * pb
+                    for k, a, b in row[j]:
+                        oa[k] += pa * a + pb3 * b
+                        ob[k] += pa * b + pb * a
+    return oa, ob
+
+
 def multiply(A: StructureAlgebra, u: Element, v: Element) -> Element:
-    """Bilinear product (u*v)_k = sum u_i v_j c[i][j][k], exact."""
+    """Bilinear product (u*v)_k = sum u_i v_j c[i][j][k], exact: the integer
+    product ``product_parts`` of the cleared coordinates, with one Fraction
+    (or QuadExt) formed per output coordinate."""
     if len(u.coords) != A.dim or len(v.coords) != A.dim:
         raise ValueError("dimension mismatch")
-    out = [Fraction(0)] * A.dim
-    sparse = A._sparse
-    for i, ui in enumerate(u.coords):
-        if not ui:
-            continue
-        row = sparse[i]
-        for j, vj in enumerate(v.coords):
-            if not vj:
-                continue
-            p = ui * vj
-            for k, c in row[j]:
-                out[k] = out[k] + p * c
-    return Element(tuple(out))
+    pu, du = clear_denominators(u.coords)
+    pv, dv = clear_denominators(v.coords)
+    return Element(from_parts(product_parts(A, pu, pv),
+                              du * dv * A.integer_table()[0]))
 
 
 def mult_operator(A: StructureAlgebra, x: Element, side: str):
@@ -233,17 +286,19 @@ def find_units(A: StructureAlgebra) -> UnitReport:
     if A._units is not None:
         return A._units
     n = A.dim
+    scale, width, table = A.integer_table()
 
     def system(left: bool):
-        rows, rhs = [], []
-        for j in range(n):
-            for k in range(n):
-                if left:
-                    rows.append([A.constants[i][j][k] for i in range(n)])
-                else:
-                    rows.append([A.constants[j][i][k] for i in range(n)])
-                rhs.append(Fraction(1) if j == k else Fraction(0))
-        return rows, rhs
+        # row (j, k): coordinate k of e b_j = b_j (left) or b_j e = b_j,
+        # sum_i e_i c[i][j][k] = [j == k] or sum_i e_i c[j][i][k] = [j == k],
+        # times scale: integer rows over Q, QuadExt entries over Q(sqrt 3)
+        rows = [[0] * n for _ in range(n * n)]
+        for i in range(n):
+            for j in range(n):
+                for k, a, b in table[i][j]:
+                    row, col = (j, i) if left else (i, j)
+                    rows[row * n + k][col] = a if width == 1 else QuadExt(a, b)
+        return rows, [scale * (j == k) for j in range(n) for k in range(n)]
 
     lsol = solve_affine(*system(True))
     rsol = solve_affine(*system(False))
@@ -276,7 +331,12 @@ def find_units(A: StructureAlgebra) -> UnitReport:
 
 def eval_free_poly(A: StructureAlgebra, poly: FreePoly,
                    assignment: Dict[str, Element]) -> Element:
-    """Homomorphic evaluation of a free polynomial at algebra elements."""
+    """Homomorphic evaluation of a free polynomial at algebra elements.
+
+    Every product is ``product_parts`` on integer parts, each term's value
+    kept over its own denominator; the sum is formed over their least
+    common multiple, with one Fraction (or QuadExt) per coordinate at the
+    end."""
     missing = poly.variables() - set(assignment)
     if missing:
         raise ValueError(f"assignment misses variables {sorted(missing)}")
@@ -286,23 +346,34 @@ def eval_free_poly(A: StructureAlgebra, poly: FreePoly,
         if units.two_sided is None:
             raise ValueError("unit leaf requires a two-sided unit")
         unit_elt = units.two_sided
-    cache: Dict[FreeTerm, Element] = {}
+    scale = A.integer_table()[0]
+    leaves = {v: clear_denominators(e.coords) for v, e in assignment.items()}
+    if unit_elt is not None:
+        leaves[UNIT] = clear_denominators(unit_elt.coords)
+    # a term's value as (integer parts, denominator)
+    cache: Dict[FreeTerm, Tuple] = {}
 
-    def walk(t: FreeTerm) -> Element:
+    def walk(t: FreeTerm) -> Tuple:
         if isinstance(t, str):
-            if t == UNIT:
-                return unit_elt
-            return assignment[t]
+            return leaves[t]
         got = cache.get(t)
         if got is None:
-            got = multiply(A, walk(t[0]), walk(t[1]))
-            cache[t] = got
+            (pu, du), (pv, dv) = walk(t[0]), walk(t[1])
+            got = cache[t] = (product_parts(A, pu, pv), du * dv * scale)
         return got
 
-    out = A.zero()
-    for t, c in poly.terms.items():
-        out = out + walk(t).scale(c)
-    return out
+    values = [(walk(t), c) for t, c in poly.terms.items()]
+    # one denominator for the sum, and the integer parts over it
+    d = math.lcm(*(den * c.denominator for (_, den), c in values))
+    width = max([1] + [len(parts) for (parts, _), _ in values])
+    out = [[0] * A.dim for _ in range(width)]
+    for (parts, den), c in values:
+        f = c.numerator * (d // (den * c.denominator))
+        for acc, part in zip(out, parts):
+            for k, a in enumerate(part):
+                if a:
+                    acc[k] += f * a
+    return Element(from_parts(out, d))
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +505,25 @@ def _pair_closure(A: StructureAlgebra, x: Element):
     taken row by row, skipping those an earlier round took; the closure
     stops when a round adds nothing or the basis reaches dim A.  Returns the
     basis and, for each element after x, the pair (i, j) whose product it is.
+
+    The basis is held as integer parts (``product_parts``), each divided by
+    the gcd of its entries.  Each element is then a nonzero rational
+    multiple of the true product, and scaling a vector changes no span, so
+    every test, and so every pair, is the same as on the true elements.
     """
-    basis, pairs = [x], []
+    parts, _ = clear_denominators(x.coords)
+    basis, pairs = [parts], []
     span = Echelon()
-    span.add(x.coords)
+    span.add_parts(parts)
     seen = 0
     while seen < len(basis) < A.dim:
         k = len(basis)
         for i in range(k):
             for j in range(0 if i >= seen else seen, k):
-                v = multiply(A, basis[i], basis[j])
-                if span.add(v.coords):
-                    basis.append(v)
+                v = product_parts(A, basis[i], basis[j])
+                if span.add_parts(v):
+                    g = math.gcd(*(a for part in v for a in part))
+                    basis.append(tuple([a // g for a in part] for part in v))
                     pairs.append((i, j))
                     if len(basis) == A.dim:
                         return basis, pairs
@@ -455,10 +533,14 @@ def _pair_closure(A: StructureAlgebra, x: Element):
 
 def subalgebra_generated(A: StructureAlgebra, x: Element) -> SubalgebraResult:
     """Basis and dimension of the subalgebra A(x) generated by a concrete x,
-    closed exactly by ``_pair_closure``."""
+    closed exactly by ``_pair_closure``: the basis is x and the products of
+    its pairs, in order."""
     if x.is_zero():
         return SubalgebraResult((), 0)
-    basis, _ = _pair_closure(A, x)
+    _, pairs = _pair_closure(A, x)
+    basis = [x]
+    for i, j in pairs:
+        basis.append(multiply(A, basis[i], basis[j]))
     return SubalgebraResult(tuple(basis), len(basis))
 
 

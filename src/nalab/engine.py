@@ -144,16 +144,23 @@ def _field_product(A: Tuple, B: Tuple, p: Optional[int] = None) -> Tuple:
     factor has one.  When both factors have one, the rule is a single
     product of blocks, [[a, 3b], [b, a]] @ [a'; b'], whose rows sum the
     same terms as the rule (so every bound on the rule bounds its partial
-    sums) with no pass over the result to combine parts.  With p, the parts
-    are float64 residues mod p and so is the result (see _matmul); the
-    block's inner dimension is 2k.
+    sums) with no pass over the result to combine parts.  The left block is
+    filled quadrant by quadrant into one new array.  With p, the parts are
+    float64 residues mod p and so is the result (see _matmul); the block's
+    inner dimension is 2k.
     """
     if len(A) == 2 and len(B) == 2:
         a, b = A
-        b3 = b * SQRT_RADICAND if p is None else \
-            _fmod(b * SQRT_RADICAND, p)
-        out = _matmul(np.block([[a, b3], [b, a]]), np.concatenate(B), p)
-        return out[:len(a)], out[len(a):]
+        m, k = a.shape
+        block = np.empty((2 * m, 2 * k), dtype=np.result_type(a, b))
+        block[:m, :k] = block[m:, k:] = a
+        block[m:, :k] = b
+        b3 = block[:m, k:]
+        np.multiply(b, SQRT_RADICAND, out=b3)
+        if p is not None:
+            b3[...] = _fmod(b3, p)
+        out = _matmul(block, np.concatenate(B), p)
+        return out[:m], out[m:]
     return tuple(_matmul(P, Q, p) for P in A for Q in B)
 
 
@@ -199,25 +206,22 @@ def _cast(parts, kind: str) -> Tuple:
 class ScaledTensor:
     """Structure constants as integer arrays: c = (parts[0] + parts[1]*sqrt 3)
     / scale, with parts[1] present only when some constant has a sqrt 3
-    part.  Built from the nonzero constants: sparse[i][j] lists the (k, c)
-    pairs with c = c[i][j][k] nonzero, c a Fraction or a QuadExt."""
+    part.  Built from an integer table (see
+    ``StructureAlgebra.integer_table``): table[i][j] lists the (k, a, b)
+    with c[i][j][k] = (a + b*sqrt 3) / scale nonzero."""
 
     __slots__ = ("n", "scale", "parts", "max_abs", "_mod")
 
-    def __init__(self, n: int, sparse):
+    def __init__(self, n: int, scale: int, table):
         # (flat index, rational part, sqrt 3 part) of every nonzero constant
-        nonzero = [((i * n + j) * n + k,) + ((c.a, c.b) if isinstance(
-                       c, QuadExt) else (c, 0))
-                   for i, row in enumerate(sparse)
-                   for j, cell in enumerate(row) for k, c in cell]
-        scale = math.lcm(*(x.denominator for _, a, b in nonzero
-                           for x in (a, b)))
-        values = [[x.numerator * (scale // x.denominator) for x in (a, b)]
-                  for _, a, b in nonzero]
-        width = 2 if any(b for _, b in values) else 1
+        nonzero = [((i * n + j) * n + k, a, b)
+                   for i, row in enumerate(table)
+                   for j, cell in enumerate(row) for k, a, b in cell]
+        width = 2 if any(b for _, _, b in nonzero) else 1
         self.n = n
         self.scale = scale
-        self.max_abs = max([1] + [abs(x) for v in values for x in v])
+        self.max_abs = max([1] + [abs(x) for _, a, b in nonzero
+                                  for x in (a, b)])
         # constants from 2^52 on stay Python ints: max_abs then sends every
         # product to the residue tier
         dtype = np.float64 if self.max_abs < _FLOAT_EXACT else object
@@ -225,7 +229,7 @@ class ScaledTensor:
         parts = []
         for h in range(width):
             flat = np.zeros(n ** 3, dtype=dtype)
-            flat[where] = np.array([v[h] for v in values], dtype=dtype)
+            flat[where] = np.array([v[1 + h] for v in nonzero], dtype=dtype)
             parts.append(flat.reshape(n, n, n))
         self.parts = tuple(parts)
         self._mod: Dict[int, Tuple] = {}

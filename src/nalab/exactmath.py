@@ -9,9 +9,10 @@ compare the packed symbolic kernels against; no analysis path uses them.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 #: the radicand of the one quadratic field, Q(sqrt 3)
 SQRT_RADICAND = 3
@@ -395,46 +396,173 @@ def poly_rank(matrix: Sequence[Sequence]) -> int:
     return rank
 
 
-class Echelon:
-    """Row echelon form over an exact field, built one row at a time.
+# ---------------------------------------------------------------------------
+# Exact elimination on integers
+# ---------------------------------------------------------------------------
+#
+# A vector over Q or Q(sqrt 3) is held as integer parts and one denominator:
+# (parts, d) stands for (parts[0] + sqrt 3 parts[1]) / d, with parts[1]
+# present only over Q(sqrt 3).  An element of Z[sqrt 3] is a pair (a, b) of
+# ints, multiplied by the rule (a, b)(a', b') = (aa' + 3bb', ab' + ba').
 
-    The one row-reduction routine for scalar matrices.  Kept rows are scaled
-    to a leading 1 and ordered by leading column (``leads``).  A new row is
-    reduced only until its own leading column is found, and only the entries
-    right of each pivot are updated: entries above a pivot are never cleared.
+
+def clear_denominators(vector: Sequence) -> Tuple[tuple, int]:
+    """(parts, d) with vector = (parts[0] + sqrt 3 parts[1]) / d, d > 0 the
+    least common denominator of the entries (ints, Fractions or QuadExts);
+    parts[1] is present exactly when some entry is a QuadExt."""
+    if all(type(x) is int for x in vector):
+        return (list(vector),), 1
+    if any(isinstance(x, QuadExt) for x in vector):
+        cols = ([x.a if isinstance(x, QuadExt) else x for x in vector],
+                [x.b if isinstance(x, QuadExt) else 0 for x in vector])
+    else:
+        cols = (vector,)
+    d = math.lcm(*(x.denominator for col in cols for x in col))
+    return tuple([x.numerator * (d // x.denominator) for x in col]
+                 for col in cols), d
+
+
+def from_parts(parts: Sequence[Sequence[int]], d: int) -> tuple:
+    """The scalars (parts[0] + sqrt 3 parts[1]) / d, for a nonzero int d:
+    Fractions, or QuadExts when there is a sqrt 3 part."""
+    if len(parts) == 1:
+        return tuple(Fraction(a, d) for a in parts[0])
+    return tuple(QuadExt(Fraction(a, d), Fraction(b, d))
+                 for a, b in zip(*parts))
+
+
+def _qmul(x, y):
+    """The product of two elements of Z[sqrt 3]."""
+    return (x[0] * y[0] + SQRT_RADICAND * x[1] * y[1],
+            x[0] * y[1] + x[1] * y[0])
+
+
+def _ratio(num, den) -> Scalar:
+    """num / den for ints (a Fraction) or elements of Z[sqrt 3] (a QuadExt,
+    by the conjugate of den)."""
+    if isinstance(num, int):
+        return Fraction(num, den)
+    norm = den[0] * den[0] - SQRT_RADICAND * den[1] * den[1]
+    a, b = _qmul(num, (den[0], -den[1]))
+    return QuadExt(Fraction(a, norm), Fraction(b, norm))
+
+
+class Echelon:
+    """Row echelon form over Q or Q(sqrt 3), built one row at a time with
+    no fractions.
+
+    The one row-reduction routine for scalar matrices.  A row enters cleared
+    to integers (``clear_denominators``): its entries lie in Z, or in
+    Z[sqrt 3] as rational and sqrt 3 parts once some row has a sqrt 3 part.
+    It is reduced only until its own leading column is found: at the lead c
+    of each kept row where its entry x is nonzero, the row becomes
+    t * row - x * kept, t the kept row's lead, and only the entries right of
+    c are updated, so entries above a pivot are never cleared.  A kept row
+    is divided by the gcd of its integer entries (its content).  Each kept
+    row is a nonzero multiple of the row a field elimination to leading ones
+    keeps, so ``leads``, the kept rows' leading columns in increasing order,
+    are the same as there.  ``minor`` is exact.
     """
 
     def __init__(self):
+        #: the kept rows, ordered by lead, as tuples of int lists: one part,
+        #: or rational and sqrt 3 parts when width is 2
         self.rows: list = []
         self.leads: list = []
-        #: determinant of the kept rows, as added, on their lead columns
-        self.minor: Scalar = Fraction(1)
+        self.width = 1
+        # (lead, factor, sign) of each row added since minor was last read:
+        # the row's lead in the field elimination is lead / factor
+        self._pivots: list = []
+        self._minor: Scalar = Fraction(1)
+
+    @property
+    def minor(self) -> Scalar:
+        """Determinant of the kept rows, as added, on their lead columns."""
+        for lead, factor, sign in self._pivots:
+            m = self._minor * _ratio(lead, factor)
+            self._minor = m if sign > 0 else -m
+        self._pivots.clear()
+        return self._minor
 
     def add(self, row: Sequence[Scalar]) -> bool:
         """Reduce row and keep it; False when it reduces to zero."""
-        row = list(row)
+        return self.add_parts(*clear_denominators(row))
+
+    def add_parts(self, parts: Sequence[Sequence[int]], d: int = 1) -> bool:
+        """``add`` for the row (parts[0] + sqrt 3 parts[1]) / d given by its
+        integer parts, which are left as they are."""
+        if len(parts) > self.width:
+            self.width = 2
+            self.rows = [(r[0], [0] * len(r[0])) for r in self.rows]
+        if self.width == 1:
+            found = self._reduce(list(parts[0]), d)
+        else:
+            found = self._reduce_quadratic(
+                list(parts[0]),
+                list(parts[1]) if len(parts) > 1 else [0] * len(parts[0]), d)
+        if found is None:
+            return False
+        c, k, kept, lead, factor = found
+        # sorting the rows by lead moves the new row past the kept rows of
+        # larger lead; each such exchange flips the sign of the minor
+        self._pivots.append((lead, factor, -1 if (len(self.leads) - k) % 2
+                             else 1))
+        self.rows.insert(k, kept)
+        self.leads.insert(k, c)
+        return True
+
+    def _reduce(self, row: list, factor: int):
+        """(lead column, position, kept row, lead, factor) of an integer row,
+        or None when it reduces to zero; row / factor is the row in the
+        field elimination, in every column right of each pivot."""
         leads, rows = self.leads, self.rows
         k = 0
         for c in range(len(row)):
             x = row[c]
             if k < len(leads) and leads[k] == c:
-                if not scalar_is_zero(x):
-                    row[c + 1:] = [a - x * b for a, b in
-                                   zip(row[c + 1:], rows[k][c + 1:])]
+                if x:
+                    kept = rows[k][0]
+                    t = kept[c]
+                    row[c + 1:] = [t * a - x * b for a, b in
+                                   zip(row[c + 1:], kept[c + 1:])]
+                    factor *= t
                 k += 1
-            elif not scalar_is_zero(x):
+            elif x:
                 break
         else:
-            return False
-        # sorting the rows by lead moves the new row past the kept rows of
-        # larger lead; each such exchange flips the sign of the minor
-        self.minor = self.minor * x if (len(leads) - k) % 2 == 0 else \
-            -(self.minor * x)
-        inv = x.inverse() if isinstance(x, QuadExt) else 1 / x
-        rows.insert(k, [Fraction(0)] * c + [Fraction(1)]
-                    + [a * inv for a in row[c + 1:]])
-        leads.insert(k, c)
-        return True
+            return None
+        g = math.gcd(*row[c:])
+        return c, k, ([0] * c + [a // g for a in row[c:]],), x, factor
+
+    def _reduce_quadratic(self, ra: list, rb: list, d: int):
+        """``_reduce`` on Z[sqrt 3] rows, held as rational parts ra and
+        sqrt 3 parts rb."""
+        leads, rows = self.leads, self.rows
+        factor = (d, 0)
+        k = 0
+        for c in range(len(ra)):
+            xa, xb = ra[c], rb[c]
+            if k < len(leads) and leads[k] == c:
+                if xa or xb:
+                    ka, kb = rows[k]
+                    ta, tb = ka[c], kb[c]
+                    t3, x3 = SQRT_RADICAND * tb, SQRT_RADICAND * xb
+                    tail = list(zip(ra[c + 1:], rb[c + 1:],
+                                    ka[c + 1:], kb[c + 1:]))
+                    ra[c + 1:] = [ta * a + t3 * b - xa * p - x3 * q
+                                  for a, b, p, q in tail]
+                    rb[c + 1:] = [ta * b + tb * a - xa * q - xb * p
+                                  for a, b, p, q in tail]
+                    factor = _qmul(factor, (ta, tb))
+                k += 1
+            elif xa or xb:
+                break
+        else:
+            return None
+        g = math.gcd(*ra[c:], *rb[c:])
+        kept = ([0] * c + [a // g for a in ra[c:]],
+                [0] * c + [b // g for b in rb[c:]])
+        return c, k, kept, (xa, xb), factor
 
 
 def span_membership(target: Sequence[Scalar],
@@ -463,6 +591,9 @@ def solve_affine(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     space of the augmented matrix (the particular solution sets the free
     variables to 0), so zero and repeated augmented rows are skipped, and
     the system is inconsistent as soon as a row's lead is the rhs column.
+    Back substitution runs on the integer rows of ``Echelon``: a solution is
+    held as integer parts V over one denominator D, and solving for a lead
+    column multiplies both by that row's lead.
     """
     if not matrix:
         return [], []
@@ -476,23 +607,43 @@ def solve_affine(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
         seen.add(aug)
         if ech.add(aug) and ech.leads[-1] == n:
             return None
-    rows, leads = ech.rows, ech.leads
+    steps = list(zip(reversed(ech.leads), reversed(ech.rows)))
 
-    def back_substitute(v):
-        # v[n] is -1 for the particular solution, 0 for a homogeneous one
-        for c, row in zip(reversed(leads), reversed(rows)):
-            v[c] = -sum((a * b for a, b in zip(row[c + 1:], v[c + 1:])),
-                        Fraction(0))
-        return v[:n]
+    def back_substitute(V):
+        # V[n] is -1 for the particular solution, 0 for a homogeneous one
+        D = 1
+        for c, (row,) in steps:
+            s = sum(a * v for a, v in zip(row[c + 1:], V[c + 1:]))
+            t = row[c]
+            if t != 1:
+                V = [t * v for v in V]
+                D *= t
+            V[c] = -s
+        return [Fraction(v, D) for v in V[:n]]
 
-    particular = back_substitute([Fraction(0)] * n + [Fraction(-1)])
-    basis = [back_substitute([Fraction(int(c == free)) for c in range(n + 1)])
-             for free in range(n) if free not in leads]
+    def back_substitute_quadratic(V):
+        Va, Vb, D = V, [0] * len(V), (1, 0)
+        for c, (ra, rb) in steps:
+            tail = list(zip(ra[c + 1:], rb[c + 1:], Va[c + 1:], Vb[c + 1:]))
+            sa = sum(a * v + SQRT_RADICAND * b * w for a, b, v, w in tail)
+            sb = sum(a * w + b * v for a, b, v, w in tail)
+            ta, tb = ra[c], rb[c]
+            Va, Vb = ([ta * v + SQRT_RADICAND * tb * w
+                       for v, w in zip(Va, Vb)],
+                      [ta * w + tb * v for v, w in zip(Va, Vb)])
+            D = _qmul(D, (ta, tb))
+            Va[c], Vb[c] = -sa, -sb
+        return [_ratio(v, D) for v in zip(Va[:n], Vb[:n])]
+
+    solve = back_substitute if ech.width == 1 else back_substitute_quadratic
+    particular = solve([0] * n + [-1])
+    basis = [solve([int(c == free) for c in range(n + 1)])
+             for free in range(n) if free not in ech.leads]
     return particular, basis
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Exact determinant by Gaussian elimination over the field."""
+    """Exact determinant: the minor of ``Echelon`` once every row is kept."""
     if any(len(r) != len(matrix) for r in matrix):
         raise ValueError("determinant of non-square matrix")
     ech = Echelon()
@@ -503,6 +654,6 @@ def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
 
 
 def scalar_rank(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a scalar matrix by Gaussian elimination (field arithmetic)."""
+    """Rank of a scalar matrix: the number of rows ``Echelon`` keeps."""
     ech = Echelon()
     return sum(ech.add(row) for row in matrix)

@@ -27,8 +27,9 @@ from . import engine
 from .algebra import (Element, HoldsResult, StructureAlgebra,
                       _find_witness, _symbolic_groups, _witness_points,
                       check_backend, degree, division_sampled, find_units,
-                      generic_closure, identity_holds, multiply)
-from .exactmath import scalar_rank, span_membership
+                      generic_closure, identity_holds, multiply,
+                      product_parts)
+from .exactmath import clear_denominators, scalar_rank, span_membership
 from .freealg import (DEGREE4_WORDS, FreePoly, X, Y, associator,
                       degree4_consequences, enumerate_trees, polarize,
                       poly_to_word_vector, pqr_associator, substitute,
@@ -111,20 +112,24 @@ def _nonassociative_triple(A: StructureAlgebra, elements: Sequence[Element]
     (w_a w_b) w_c != w_a (w_b w_c) for w = elements; None when every triple
     associates.
 
-    Only exact ``multiply`` is used, so the check shares no code with either
-    identity backend.  Each pair product w_a w_b is formed at most once, when
-    first needed: a triple costs two more products.
+    Only the integer product ``product_parts`` is used, so the check shares
+    no code with either identity backend.  Each element is cleared to
+    integers first: both sides of a triple are trilinear, so clearing scales
+    them by the same nonzero factor, and both carry the factor scale^2 of
+    two integer products.  Each pair product w_a w_b is formed at most once,
+    when first needed: a triple costs two more products.
     """
-    w = list(elements)
-    pairs: Dict[Tuple[int, int], Element] = {}
+    w = [clear_denominators(e.coords)[0] for e in elements]
+    pairs: Dict[Tuple[int, int], tuple] = {}
 
-    def pair(a: int, b: int) -> Element:
+    def pair(a: int, b: int) -> tuple:
         if (a, b) not in pairs:
-            pairs[a, b] = multiply(A, w[a], w[b])
+            pairs[a, b] = product_parts(A, w[a], w[b])
         return pairs[a, b]
 
     for a, b, c in itertools.product(range(len(w)), repeat=3):
-        if multiply(A, pair(a, b), w[c]) != multiply(A, w[a], pair(b, c)):
+        if product_parts(A, pair(a, b), w[c]) != \
+                product_parts(A, w[a], pair(b, c)):
             return a, b, c
     return None
 

@@ -1,8 +1,9 @@
-"""Independent oracles for the integer kernels of ``nalab.engine``.
+"""Independent oracles for the integer kernels of ``nalab.engine``,
+``nalab.algebra`` and ``nalab.exactmath``.
 
 Generic elements on MultiPoly coordinates check the packed symbolic kernels:
-``multiply`` and ``eval_free_poly`` are duck-typed, so they run unchanged on
-these coordinates.  ``inclusion_exclusion_multilin`` evaluates a full
+``fraction_multiply`` and ``fraction_eval_free_poly`` (below) run on these
+coordinates.  ``inclusion_exclusion_multilin`` evaluates a full
 multilinearization through ordinary algebra multiplication.
 
 The big-int oracle carries out the products of the identity kernels in exact
@@ -14,13 +15,25 @@ element at integer points (``bigint_nonzero_at``) and multilinear word
 tensors (``bigint_word_tensor``).  The sqrt 3 rule (a + b s)(a' + b' s) = aa' + 3bb'
 + (ab' + ba') s is written out part by part (``field_op``), not by the
 kernels' block product.
+
+The field oracles run the concrete kernels of ``nalab.algebra`` and
+``nalab.exactmath`` on ``Fraction`` and ``QuadExt`` scalars, with no
+integer clearing: row reduction to leading ones (``FractionEchelon``, with
+``fraction_solve_affine``, ``fraction_det``, ``fraction_scalar_rank`` and
+``fraction_span_membership`` on it), the product over the constants
+(``fraction_multiply``) and free-polynomial evaluation on it
+(``fraction_eval_free_poly``).  The last two are duck-typed, so they also
+run on MultiPoly coordinates (``generic_element``).
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from nalab import engine
 from nalab.algebra import Element, eval_free_poly
-from nalab.exactmath import MultiPoly
+from nalab.exactmath import MultiPoly, QuadExt, scalar_is_zero
+from nalab.freealg import UNIT
 
 
 def generic_element(A, nvars=None, offset=0):
@@ -184,3 +197,130 @@ def inclusion_exclusion_multilin(A, poly, x_tuple, y_tuple):
             val = eval_free_poly(A, poly, assignment)
             total = total + val.scale(sign)
     return total
+
+
+class FractionEchelon:
+    """Row echelon form over the field, built one row at a time: kept rows
+    are scaled to a leading 1 and ordered by leading column (``leads``).  A
+    new row is reduced only until its own leading column is found, and only
+    the entries right of each pivot are updated.  ``minor`` is the
+    determinant of the kept rows, as added, on their lead columns."""
+
+    def __init__(self):
+        self.rows: list = []
+        self.leads: list = []
+        self.minor = Fraction(1)
+
+    def add(self, row) -> bool:
+        """Reduce row and keep it; False when it reduces to zero."""
+        row = list(row)
+        leads, rows = self.leads, self.rows
+        k = 0
+        for c in range(len(row)):
+            x = row[c]
+            if k < len(leads) and leads[k] == c:
+                if not scalar_is_zero(x):
+                    row[c + 1:] = [a - x * b for a, b in
+                                   zip(row[c + 1:], rows[k][c + 1:])]
+                k += 1
+            elif not scalar_is_zero(x):
+                break
+        else:
+            return False
+        # sorting the rows by lead moves the new row past the kept rows of
+        # larger lead; each such exchange flips the sign of the minor
+        self.minor = self.minor * x if (len(leads) - k) % 2 == 0 else \
+            -(self.minor * x)
+        inv = x.inverse() if isinstance(x, QuadExt) else 1 / x
+        rows.insert(k, [Fraction(0)] * c + [Fraction(1)]
+                    + [a * inv for a in row[c + 1:]])
+        leads.insert(k, c)
+        return True
+
+
+def fraction_solve_affine(matrix, rhs):
+    """M v = rhs over the field: (particular, nullspace_basis) or None, the
+    free variables of the particular solution set to 0."""
+    if not matrix:
+        return [], []
+    n = len(matrix[0])
+    ech = FractionEchelon()
+    seen = set()
+    for row, b in zip(matrix, rhs):
+        aug = (*row, b)
+        if aug in seen or not any(aug):
+            continue
+        seen.add(aug)
+        if ech.add(aug) and ech.leads[-1] == n:
+            return None
+    rows, leads = ech.rows, ech.leads
+
+    def back_substitute(v):
+        # v[n] is -1 for the particular solution, 0 for a homogeneous one
+        for c, row in zip(reversed(leads), reversed(rows)):
+            v[c] = -sum((a * b for a, b in zip(row[c + 1:], v[c + 1:])),
+                        Fraction(0))
+        return v[:n]
+
+    particular = back_substitute([Fraction(0)] * n + [Fraction(-1)])
+    basis = [back_substitute([Fraction(int(c == free)) for c in range(n + 1)])
+             for free in range(n) if free not in leads]
+    return particular, basis
+
+
+def fraction_det(matrix):
+    ech = FractionEchelon()
+    for row in matrix:
+        if not ech.add(row):
+            return Fraction(0)
+    return ech.minor
+
+
+def fraction_scalar_rank(matrix):
+    ech = FractionEchelon()
+    return sum(ech.add(row) for row in matrix)
+
+
+def fraction_span_membership(target, generators):
+    """(inside, coefficients) of target in the span of the generators."""
+    if not target:
+        return True, [Fraction(0)] * len(generators)
+    sol = fraction_solve_affine(
+        [[g[i] for g in generators] for i in range(len(target))], target)
+    return (False, None) if sol is None else (True, sol[0])
+
+
+def fraction_multiply(A, u, v):
+    """(u v)_k = sum u_i v_j c[i][j][k] over A's constants, summed in the
+    coordinates' own arithmetic."""
+    n = A.dim
+    out = [Fraction(0)] * n
+    for i, ui in enumerate(u.coords):
+        if not ui:
+            continue
+        for j, vj in enumerate(v.coords):
+            if not vj:
+                continue
+            p = ui * vj
+            for k, c in enumerate(A.constants[i][j]):
+                if c:
+                    out[k] = out[k] + p * c
+    return Element(tuple(out))
+
+
+def fraction_eval_free_poly(A, poly, assignment, unit=None):
+    """poly at the assignment, every product by ``fraction_multiply``; unit
+    stands for the unit leaf."""
+    cache = {}
+
+    def walk(t):
+        if isinstance(t, str):
+            return unit if t == UNIT else assignment[t]
+        if t not in cache:
+            cache[t] = fraction_multiply(A, walk(t[0]), walk(t[1]))
+        return cache[t]
+
+    out = A.zero()
+    for t, c in poly.terms.items():
+        out = out + walk(t).scale(c)
+    return out

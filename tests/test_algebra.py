@@ -18,7 +18,8 @@ from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
 from nalab.exactmath import MultiPoly, QuadExt, det, poly_rank, solve_affine
 from nalab.freealg import X, FreePoly, associator, polarize, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
-from oracles import generic_element, inclusion_exclusion_multilin
+from oracles import (fraction_eval_free_poly, fraction_multiply,
+                     generic_element, inclusion_exclusion_multilin)
 
 H = classical("H").algebra
 C = classical("C").algebra
@@ -113,7 +114,7 @@ def closure_oracle(A, x):
         grew = False
         for u in list(basis):
             for v in list(basis):
-                cand = multiply(A, u, v)
+                cand = fraction_multiply(A, u, v)
                 rows = [list(b.coords) for b in basis + [cand]]
                 if poly_rank(rows) == len(rows):
                     basis.append(cand)
@@ -133,7 +134,7 @@ def generic_basis(A):
     if not res.words:
         return [A.basis_element(i) for i in range(res.dim)]
     x = generic_element(A)
-    return [eval_free_poly(A, FreePoly.term(w), {X: x}) for w in res.words]
+    return [fraction_eval_free_poly(A, FreePoly.term(w), {X: x}) for w in res.words]
 
 
 def degenerate_algebra():
@@ -396,7 +397,7 @@ class TestSubalgebra:
         assert base_rank == generic_closure(A).dim
         for u in basis:
             for v in basis:
-                prod = multiply(A, u, v)
+                prod = fraction_multiply(A, u, v)
                 assert poly_rank(rows + [list(prod.coords)]) == base_rank
 
     def test_concrete_basis_matches_oracle(self):
@@ -537,14 +538,14 @@ def poly_rank_closure(A):
         return [A.basis_element(i) for i in range(A.dim)], []
     basis, words = [x], [X]
     for i, j in pairs:
-        basis.append(multiply(A, basis[i], basis[j]))
+        basis.append(fraction_multiply(A, basis[i], basis[j]))
         words.append((words[i], words[j]))
     queue = [(i, j) for i in range(len(basis)) for j in range(len(basis))
              if (i, j) not in pairs]
     for i, j in queue:
         if len(basis) == A.dim:
             break
-        cand = multiply(A, basis[i], basis[j])
+        cand = fraction_multiply(A, basis[i], basis[j])
         if poly_rank([b.coords for b in basis + [cand]]) > len(basis):
             k = len(basis)
             basis.append(cand)
@@ -562,7 +563,7 @@ def quadratic_oracle(A):
         return False
     x = generic_element(A)
     rows = [[MultiPoly.const(A.dim, c) for c in e.coords], list(x.coords),
-            list(multiply(A, x, x).coords)]
+            list(fraction_multiply(A, x, x).coords)]
     return poly_rank(rows) < 3
 
 

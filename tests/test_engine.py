@@ -31,7 +31,7 @@ from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import FreePoly, polarize, pqr_associator
 from oracles import bigint, bigint_nonzero_at, bigint_sym_combine, \
     bigint_sym_product, bigint_sym_scale, bigint_word_tensor, dict_sum, \
-    generic_element, inclusion_exclusion_multilin
+    fraction_eval_free_poly, generic_element, inclusion_exclusion_multilin
 
 
 def random_algebra(dim, seed, span=3, field=FIELD_Q):
@@ -135,7 +135,7 @@ class TestSymbolicKernel:
         got = sym_to_poly_vector(ctx.eval_term(word), A)
         assignment = {"x": generic_element(A, nvars=2 * n, offset=0),
                       "y": generic_element(A, nvars=2 * n, offset=n)}
-        expect = eval_free_poly(A, FreePoly.term(word), assignment)
+        expect = fraction_eval_free_poly(A, FreePoly.term(word), assignment)
         assert got == list(expect.coords)
 
     # bits 2 packs 32 variables into exactly 64 bits; 4 and 11 go past it
@@ -155,7 +155,7 @@ class TestSymbolicKernel:
             engine.SymContext(A.tensor(), groups).eval_term(word), A)
         assignment = {"x": generic_element(A, nvars=2 * n, offset=0),
                       "y": generic_element(A, nvars=2 * n, offset=n)}
-        expect = eval_free_poly(A, FreePoly.term(word), assignment)
+        expect = fraction_eval_free_poly(A, FreePoly.term(word), assignment)
         assert got == list(expect.coords)
 
     def test_matches_on_quadext_algebra(self):
@@ -165,7 +165,7 @@ class TestSymbolicKernel:
         ctx = engine.SymContext(A.tensor(), groups)
         word = (("x", "x"), "x")
         got = sym_to_poly_vector(ctx.eval_term(word), A)
-        expect = eval_free_poly(A, FreePoly.term(word),
+        expect = fraction_eval_free_poly(A, FreePoly.term(word),
                                 {"x": generic_element(A)})
         assert got == list(expect.coords)
 
@@ -179,7 +179,7 @@ class TestSymbolicKernel:
             sv = ctx.eval_term(word)
             assert sv.parts[0].dtype == object
             got = sym_to_poly_vector(sv, A)
-            expect = eval_free_poly(A, FreePoly.term(word),
+            expect = fraction_eval_free_poly(A, FreePoly.term(word),
                                     {"x": generic_element(A)})
             assert got == list(expect.coords), field
 
@@ -190,7 +190,7 @@ class TestSymbolicKernel:
         groups = {"x": engine.SymVec.generic(2, 2, 5, 0)}
         got = sym_to_poly_vector(
             engine.SymContext(A.tensor(), groups).eval_term(word), A)
-        expect = eval_free_poly(A, FreePoly.term(word),
+        expect = fraction_eval_free_poly(A, FreePoly.term(word),
                                 {"x": generic_element(A)})
         assert got == list(expect.coords)
 
@@ -797,7 +797,7 @@ class TestSymbolicTiers:
             assert math.prod(primes) > 2 * exact.max_abs
         # and through MultiPoly arithmetic
         X, Y = FreePoly.var("x"), FreePoly.var("y")
-        expect = eval_free_poly(A, (X + Y) * (X + Y), {
+        expect = fraction_eval_free_poly(A, (X + Y) * (X + Y), {
             "x": generic_element(A, nvars=2, offset=0),
             "y": generic_element(A, nvars=2, offset=1)})
         assert sym_to_poly_vector(got, A) == list(expect.coords)

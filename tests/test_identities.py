@@ -25,6 +25,7 @@ from nalab.identities import (ALL_TRIPLES, HIERARCHY_EDGES, PROPERTY_NAMES,
                               _power_commutative_scan, check_pqr,
                               hierarchy_report, predicate, verify_instances,
                               verify_prop1, verify_prop2)
+from oracles import fraction_eval_free_poly, fraction_multiply
 
 H = catalog_algebra("H")
 O = catalog_algebra("O")
@@ -123,8 +124,8 @@ def associativity_oracle(A, elements):
     triple associates."""
     w = list(elements)
     for i, j, k in itertools.product(range(len(w)), repeat=3):
-        ij = multiply(A, w[i], w[j])
-        if multiply(A, ij, w[k]) != multiply(A, w[i], multiply(A, w[j], w[k])):
+        ij = fraction_multiply(A, w[i], w[j])
+        if fraction_multiply(A, ij, w[k]) != fraction_multiply(A, w[i], fraction_multiply(A, w[j], w[k])):
             return i, j, k
     return None
 
@@ -366,7 +367,7 @@ def witness_oracle(A, poly):
         itertools.product(list(cands), repeat=len(vars_))
     for combo in combos:
         assignment = dict(zip(vars_, combo))
-        if not eval_free_poly(A, poly, assignment).is_zero():
+        if not fraction_eval_free_poly(A, poly, assignment).is_zero():
             return assignment
     return None
 
