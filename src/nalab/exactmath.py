@@ -2,9 +2,13 @@
 
 Scalars are either ``fractions.Fraction`` (the rational field) or ``QuadExt``
 (a + b*sqrt 3 with rational a, b, in the one quadratic field Q(sqrt 3)).  All
-arithmetic is exact: there is no floating point anywhere in this package.
-``MultiPoly`` and ``poly_rank`` are reference implementations that the tests
-compare the packed symbolic kernels against; no analysis path uses them.
+arithmetic is exact.  The linear algebra runs on integers: a vector is
+cleared to integer parts over one denominator (``clear_denominators``) and
+``Echelon`` eliminates without fractions.  No scalar of this module is a
+float; ``nalab.engine`` carries exact integers in float64 arrays, below 2^52
+or as residues modulo primes.  ``MultiPoly`` and ``poly_rank`` are reference
+implementations that the tests compare the packed symbolic kernels against;
+no analysis path uses them.
 """
 
 from __future__ import annotations

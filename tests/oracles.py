@@ -324,3 +324,39 @@ def fraction_eval_free_poly(A, poly, assignment, unit=None):
     for t, c in poly.terms.items():
         out = out + walk(t).scale(c)
     return out
+
+
+def fraction_pair_closure(A, x):
+    """The pair closure of ``nalab.algebra._pair_closure`` on field
+    elements: (basis, pairs), the basis the true products."""
+    basis, pairs = [x], []
+    span = FractionEchelon()
+    span.add(x.coords)
+    seen = 0
+    while seen < len(basis) < A.dim:
+        k = len(basis)
+        for i in range(k):
+            for j in range(0 if i >= seen else seen, k):
+                v = fraction_multiply(A, basis[i], basis[j])
+                if span.add(v.coords):
+                    basis.append(v)
+                    pairs.append((i, j))
+                    if len(basis) == A.dim:
+                        return basis, pairs
+        seen = k
+    return basis, pairs
+
+
+def fraction_nonassociative_triple(A, elements):
+    """The first (a, b, c) in lexicographic order with (w_a w_b) w_c !=
+    w_a (w_b w_c), by ``fraction_multiply``; None when all associate."""
+    w = list(elements)
+    n = len(w)
+    for a in range(n):
+        for b in range(n):
+            ab = fraction_multiply(A, w[a], w[b])
+            for c in range(n):
+                if fraction_multiply(A, ab, w[c]) != fraction_multiply(
+                        A, w[a], fraction_multiply(A, w[b], w[c])):
+                    return a, b, c
+    return None
