@@ -414,24 +414,32 @@ def clear_denominators(vector: Sequence) -> Tuple[tuple, int]:
     """(parts, d) with vector = (parts[0] + sqrt 3 parts[1]) / d, d > 0 the
     least common denominator of the entries (ints, Fractions or QuadExts);
     parts[1] is present exactly when some entry is a QuadExt."""
-    if all(type(x) is int for x in vector):
+    n = len(vector)
+    types = set(map(type, vector))
+    if types <= {int}:
         return (list(vector),), 1
-    if any(isinstance(x, QuadExt) for x in vector):
-        cols = ([x.a if isinstance(x, QuadExt) else x for x in vector],
-                [x.b if isinstance(x, QuadExt) else 0 for x in vector])
+    if QuadExt in types:
+        flat = [x.a if type(x) is QuadExt else x for x in vector] + \
+            [x.b if type(x) is QuadExt else 0 for x in vector]
     else:
-        cols = (vector,)
-    d = math.lcm(*(x.denominator for col in cols for x in col))
-    return tuple([x.numerator * (d // x.denominator) for x in col]
-                 for col in cols), d
+        flat = vector
+    ratios = [x.as_integer_ratio() for x in flat]
+    d = math.lcm(*[q for _, q in ratios])
+    nums = [a for a, _ in ratios] if d == 1 else \
+        [a * (d // q) for a, q in ratios]
+    return ((nums,) if len(nums) == n else (nums[:n], nums[n:])), d
+
+
+_ZERO = Fraction(0)
 
 
 def from_parts(parts: Sequence[Sequence[int]], d: int) -> tuple:
     """The scalars (parts[0] + sqrt 3 parts[1]) / d, for a nonzero int d:
     Fractions, or QuadExts when there is a sqrt 3 part."""
     if len(parts) == 1:
-        return tuple(Fraction(a, d) for a in parts[0])
-    return tuple(QuadExt(Fraction(a, d), Fraction(b, d))
+        return tuple(Fraction(a, d) if a else _ZERO for a in parts[0])
+    return tuple(QuadExt(Fraction(a, d) if a else _ZERO,
+                         Fraction(b, d) if b else _ZERO)
                  for a, b in zip(*parts))
 
 
