@@ -346,17 +346,3 @@ def fraction_pair_closure(A, x):
         seen = k
     return basis, pairs
 
-
-def fraction_nonassociative_triple(A, elements):
-    """The first (a, b, c) in lexicographic order with (w_a w_b) w_c !=
-    w_a (w_b w_c), by ``fraction_multiply``; None when all associate."""
-    w = list(elements)
-    n = len(w)
-    for a in range(n):
-        for b in range(n):
-            ab = fraction_multiply(A, w[a], w[b])
-            for c in range(n):
-                if fraction_multiply(A, ab, w[c]) != fraction_multiply(
-                        A, w[a], fraction_multiply(A, w[b], w[c])):
-                    return a, b, c
-    return None

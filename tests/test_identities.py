@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nalab import algebra, engine, exactmath, identities
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, HoldsResult,
                            StructureAlgebra, _symbolic_groups, degree,
-                           division_sampled, eval_free_poly, generic_closure,
+                           division_sampled, generic_closure,
                            identity_holds, mult_operator, multiply)
 from nalab.catalog import CATALOG_NAMES, _cd_mul, catalog_algebra
 from nalab.exactmath import Echelon, QuadExt, det
@@ -360,7 +360,7 @@ def candidate_oracle(A):
 def witness_oracle(A, poly):
     """The candidate loop: the first of 80 candidates (one variable) or
     tuple of them (more, in ``itertools.product`` order) at which
-    ``eval_free_poly`` is nonzero, or None."""
+    ``fraction_eval_free_poly`` is nonzero, or None."""
     vars_ = sorted(poly.variables())
     cands = itertools.islice(candidate_oracle(A), 0, 80)
     combos = ((c,) for c in cands) if len(vars_) == 1 else \

@@ -1,9 +1,9 @@
 """The integer kernels of the concrete side against the field oracles of
 ``oracles.py``: the fraction-free ``Echelon`` and the linear algebra on it,
 the integer table of an algebra, and the products behind ``multiply``,
-``eval_free_poly``, the pair closure and the associativity triples.  Last,
-the cross-checks that must share no code with either identity backend run
-with both backends' products disabled."""
+``eval_free_poly`` and the pair closure (``test_identities`` compares the
+associativity triples).  Last, the cross-checks that must share no code
+with either identity backend run with both backends' products disabled."""
 
 import random
 from fractions import Fraction
@@ -22,9 +22,9 @@ from nalab.exactmath import (Echelon, QuadExt, clear_denominators, det,
 from nalab.freealg import FreePoly, associator, pqr_associator
 from nalab.identities import _nonassociative_triple
 from oracles import (FractionEchelon, fraction_det, fraction_eval_free_poly,
-                     fraction_multiply, fraction_nonassociative_triple,
-                     fraction_pair_closure, fraction_scalar_rank,
-                     fraction_solve_affine, fraction_span_membership)
+                     fraction_multiply, fraction_pair_closure,
+                     fraction_scalar_rank, fraction_solve_affine,
+                     fraction_span_membership)
 
 SQRT3 = QuadExt(0, 1)
 
@@ -229,23 +229,10 @@ class TestProductsMatchFractionOracles:
         assert _pair_closure(A, x)[1] == pairs
         assert list(subalgebra_generated(A, x).basis) == basis
 
-    @given(algebras, st.integers(0, 10 ** 6))
-    @settings(max_examples=60, deadline=None)
-    def test_nonassociative_triple(self, A, seed):
-        rng = random.Random(seed)
-        basis = [A.basis_element(i) for i in range(A.dim)]
-        elements = [random_element(A, rng) for _ in range(3)]
-        for w in (basis, elements):
-            assert _nonassociative_triple(A, w) == \
-                fraction_nonassociative_triple(A, w)
-
     def test_catalog(self):
         rng = random.Random(5)
         for name in CATALOG_NAMES:
             A = catalog_algebra(name)
-            basis = [A.basis_element(i) for i in range(A.dim)]
-            assert _nonassociative_triple(A, basis) == \
-                fraction_nonassociative_triple(A, basis), name
             x = random_element(A, rng, sparse=0.0)
             assert _pair_closure(A, x)[1] == fraction_pair_closure(A, x)[1]
             assert multiply(A, x, x) == fraction_multiply(A, x, x)
@@ -259,10 +246,13 @@ class TestProductsMatchFractionOracles:
 def test_cross_checks_share_no_code_with_the_identity_backends(monkeypatch):
     """The associativity triples and the witness confirmation answer with
     the products of both identity backends disabled."""
-    expected = {name: fraction_nonassociative_triple(
-        catalog_algebra(name), [catalog_algebra(name).basis_element(i)
-                                for i in range(catalog_algebra(name).dim)])
-        for name in CATALOG_NAMES}
+    def triple(name):
+        C = catalog_algebra(name)
+        A = StructureAlgebra(C.name, C.dim, C.field, C.constants)
+        return _nonassociative_triple(
+            A, [A.basis_element(i) for i in range(A.dim)])
+
+    expected = {name: triple(name) for name in CATALOG_NAMES}
     failing = catalog_algebra("*H")
     poly = pqr_associator(1, 1, 1)
     witness = identity_holds(failing, poly, "symbolic").witness
@@ -274,10 +264,7 @@ def test_cross_checks_share_no_code_with_the_identity_backends(monkeypatch):
     monkeypatch.setattr(engine, "_field_product", disabled)
     monkeypatch.setattr(engine, "sym_product", disabled)
     for name in CATALOG_NAMES:
-        C = catalog_algebra(name)
-        A = StructureAlgebra(C.name, C.dim, C.field, C.constants)
-        basis = [A.basis_element(i) for i in range(A.dim)]
-        assert _nonassociative_triple(A, basis) == expected[name], name
+        assert triple(name) == expected[name], name
     A = StructureAlgebra(failing.name, failing.dim, failing.field,
                          failing.constants)
     assert not algebra.eval_free_poly(A, poly, witness).is_zero()
