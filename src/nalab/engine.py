@@ -144,23 +144,16 @@ def _field_product(A: Tuple, B: Tuple, p: Optional[int] = None) -> Tuple:
     factor has one.  When both factors have one, the rule is a single
     product of blocks, [[a, 3b], [b, a]] @ [a'; b'], whose rows sum the
     same terms as the rule (so every bound on the rule bounds its partial
-    sums) with no pass over the result to combine parts.  The left block is
-    filled quadrant by quadrant into one new array.  With p, the parts are
-    float64 residues mod p and so is the result (see _matmul); the block's
-    inner dimension is 2k.
+    sums) with no pass over the result to combine parts.  With p, the parts
+    are float64 residues mod p and so is the result (see _matmul); the
+    block's inner dimension is 2k.
     """
     if len(A) == 2 and len(B) == 2:
         a, b = A
-        m, k = a.shape
-        block = np.empty((2 * m, 2 * k), dtype=np.result_type(a, b))
-        block[:m, :k] = block[m:, k:] = a
-        block[m:, :k] = b
-        b3 = block[:m, k:]
-        np.multiply(b, SQRT_RADICAND, out=b3)
-        if p is not None:
-            b3[...] = _fmod(b3, p)
-        out = _matmul(block, np.concatenate(B), p)
-        return out[:m], out[m:]
+        b3 = b * SQRT_RADICAND if p is None else \
+            _fmod(b * SQRT_RADICAND, p)
+        out = _matmul(np.block([[a, b3], [b, a]]), np.concatenate(B), p)
+        return out[:len(a)], out[len(a):]
     return tuple(_matmul(P, Q, p) for P in A for Q in B)
 
 
