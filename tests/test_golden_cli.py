@@ -1,5 +1,7 @@
-"""Golden CLI output: the stdout and exit code of the analysis commands on
-the catalog algebras and D8, pinned byte for byte.
+"""Golden CLI output: the stdout and exit code of the analysis commands, and
+of the symbolic commands (``check`` on every (p, q, r) triple and the
+power-commutativity scan), on the catalog algebras and D8, pinned byte for
+byte.
 
 ``golden_cli.json`` maps each command line (D8 as the file ``D8.json``) to
 the sha256 of its stdout and its exit code.  The runs are replayed in
@@ -11,6 +13,7 @@ from the root of a checkout.
 """
 
 import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -33,6 +36,10 @@ COMMANDS = (
     ("predicate", "--name", "power_associative"),
     ("predicate", "--name", "quadratic"),
     ("report",),
+    ("predicate", "--name", "power_commutative", "--bound", "4"),
+    *(("check", "--identity", ",".join(map(str, triple)),
+       "--backend", "symbolic")
+      for triple in itertools.product((1, 2), repeat=3)),
 )
 
 D8_FILE = "D8.json"
