@@ -17,7 +17,10 @@ after aggregation from their residues by CRT; the multilinear check and the
 witness search only test for zero, so they run one prime at a time and
 rebuild nothing.  Symbolic values are stored as float64 arrays, or as
 object arrays of Python ints when rebuilt by CRT or formed past 2^52 by
-``sym_scale`` and ``sym_combine``.
+``sym_sum``.  Each symbolic operation sums its rows by key in one pass,
+``_aggregate``: a product, a linear combination (``sym_combine``), a scalar
+multiple (``sym_scale``), and each bordered minor of ``SymSpan``, whose
+scaled terms ``sym_sum`` gathers and aggregates once.
 """
 
 from __future__ import annotations
@@ -166,9 +169,8 @@ def _max_abs(parts) -> int:
 def _tier(bound: int) -> str:
     """The tier of a product whose entries and partial sums are below
     bound: "f" (float64, exact) below 2^52, "o" beyond.  The identity
-    kernels hold "o" values as residues mod primes (``_primes``);
-    sym_scale, sym_combine and the composition form hold them in object
-    dtype (Python ints).  The tiers order as strings: "f" < "o"."""
+    kernels hold "o" values as residues mod primes (``_primes``); sym_sum
+    and the composition form hold them in object dtype (Python ints).  The tiers order as strings: "f" < "o"."""
     return "f" if bound < _FLOAT_EXACT else "o"
 
 
@@ -312,16 +314,21 @@ def _runs(keys):
     the rows order[bounds[r]:bounds[r + 1]] hold the r-th unique key."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], sorted_keys[1:] != sorted_keys[:-1])))
-    return order, np.append(starts, len(keys)), sorted_keys[starts]
+    # a run starts at 0 and at each change of key; the last bound is the end
+    flags = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=flags[1:-1])
+    bounds = np.flatnonzero(flags)
+    return order, bounds, sorted_keys[bounds[:-1]]
 
 
 def _run_sums(parts, order, bounds) -> List[np.ndarray]:
-    """The rows of every part summed over each run of _runs, by
-    np.add.reduceat over blocks of whole runs of about _AGGREGATE_ROWS rows.
-    Each part keeps its dtype: float64 sums are exact while the caller's
-    bound holds every partial sum below 2^53."""
+    """The rows of every part summed over each run of _runs, by one
+    np.add.reduceat per part up to _AGGREGATE_ROWS rows, and beyond over
+    blocks of whole runs of about _AGGREGATE_ROWS rows.  Each part keeps
+    its dtype: float64 sums are exact while the caller's bound holds every
+    partial sum below 2^53."""
+    if bounds[-1] <= _AGGREGATE_ROWS:
+        return [np.add.reduceat(p[order], bounds[:-1], axis=0) for p in parts]
     runs = len(bounds) - 1
     sums = [np.empty((runs, p.shape[1]), dtype=p.dtype) for p in parts]
     lo = 0
@@ -339,7 +346,10 @@ def _run_sums(parts, order, bounds) -> List[np.ndarray]:
 
 def _live(sums) -> np.ndarray:
     """The rows that are nonzero in some part."""
-    return np.any([np.any(s != 0, axis=1) for s in sums], axis=0)
+    live = (sums[0] != 0).any(axis=1)
+    for s in sums[1:]:
+        live |= (s != 0).any(axis=1)
+    return live
 
 
 def _aggregate(keys, parts, n):
@@ -426,25 +436,57 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
                   _max_abs(parts), dict(zip(primes, map(tuple, sums))))
 
 
+def sym_sum(terms: Sequence[Tuple[int, Optional[SymVec], SymVec]],
+            m: int) -> SymVec:
+    """The sum of c s v over the terms (c, s, v): s a scalar (one coordinate
+    column), or None for the constant 1, and v a vector of m columns.  Keys
+    add, every row of c s multiplies every row of v, and the rows of all
+    the terms are summed by key in one _aggregate.  The terms with c, s
+    and v nonzero must share one denom_power."""
+    degrees = tuple(map(max, zip(*(v.degrees if s is None
+                                   else _product_degrees(s, v)
+                                   for _, s, v in terms))))
+    live = [(c, s, v) for c, s, v in terms
+            if c != 0 and len(v.keys) and (s is None or len(s.keys))]
+    dps = {v.denom_power + (0 if s is None else s.denom_power)
+           for _, s, v in live or terms[:1]}
+    if len(dps) > 1:
+        raise ValueError("mixed denominator powers in combination")
+    (dp,), first = dps, terms[0][2]
+    if not live:
+        return first.zero_like(degrees, dp, m)
+    # a key sums at most min(P, Q) products of a row of s and one of v (P,
+    # Q their key counts), each entry one product, or two under the sqrt 3
+    # rule when both have a sqrt 3 part: the tier bounds every entry and
+    # every partial sum of the aggregation
+    kind = _tier(sum(
+        abs(c) * v.max_abs if s is None else
+        abs(c) * min(len(s.keys), len(v.keys)) * s.max_abs * v.max_abs
+        * (1 + SQRT_RADICAND if min(len(s.parts), len(v.parts)) > 1 else 1)
+        for c, s, v in live))
+    keys, rows = [], []
+    for c, s, v in live:
+        V = _cast(v.parts, kind)
+        if s is None:
+            keys.append(v.keys)
+            rows.append([p * c for p in V])
+        else:
+            keys.append((s.keys[:, None] + v.keys[None, :]).reshape(-1))
+            rows.append([o.reshape(-1, m) for o in _field_product(
+                [p * c for p in _cast(s.parts, kind)],
+                [p.reshape(1, -1) for p in V])])
+    width = max(map(len, rows))
+    parts = [np.concatenate(col)
+             for col in zip(*(_padded(r, width) for r in rows))]
+    return SymVec(first.nvars, first.bits, degrees, dp,
+                  *_aggregate(np.concatenate(keys), parts, m))
+
+
 def sym_scale(s: SymVec, v: SymVec) -> SymVec:
     """The product of the scalar s (one coordinate column) and the vector v:
     keys add, every row of s's parts multiplies every row of v's, and equal
     keys are summed."""
-    m = v.parts[0].shape[1]
-    degrees = _product_degrees(s, v)
-    P, Q = len(s.keys), len(v.keys)
-    dp = s.denom_power + v.denom_power
-    if P == 0 or Q == 0:
-        return v.zero_like(degrees, dp, m)
-    # each entry is one product (two under the sqrt 3 rule) and a key sums
-    # at most min(P, Q) of them
-    fold = 1 + SQRT_RADICAND if max(len(s.parts), len(v.parts)) > 1 else 1
-    kind = _tier(min(P, Q) * s.max_abs * v.max_abs * fold)
-    out = _field_product(_cast(s.parts, kind),
-                         [p.reshape(1, Q * m) for p in _cast(v.parts, kind)])
-    keys = (s.keys[:, None] + v.keys[None, :]).reshape(-1)
-    return SymVec(v.nvars, v.bits, degrees, dp,
-                  *_aggregate(keys, [o.reshape(P * Q, m) for o in out], m))
+    return sym_sum([(1, s, v)], v.parts[0].shape[1])
 
 
 def sym_coordinate(v: SymVec, k: int) -> SymVec:
@@ -458,22 +500,7 @@ def sym_coordinate(v: SymVec, k: int) -> SymVec:
 
 def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
     """Integer linear combination of symbolic elements (same denom_power)."""
-    first = terms[0][1]
-    degrees = tuple(map(max, zip(*(s.degrees for _, s in terms))))
-    live = [(c, s) for c, s in terms if c != 0 and len(s.keys)]
-    if not live:
-        return first.zero_like(degrees, first.denom_power, n)
-    dp = live[0][1].denom_power
-    if any(s.denom_power != dp for _, s in live):
-        raise ValueError("mixed denominator powers in combination")
-    kind = _tier(sum(abs(c) * s.max_abs for c, s in live))
-    width = max(len(s.parts) for _, s in live)
-    keys = np.concatenate([s.keys for _, s in live])
-    scaled = [[p * c for p in _cast(_padded(s.parts, width), kind)]
-              for c, s in live]
-    return SymVec(first.nvars, first.bits, degrees, dp,
-                  *_aggregate(keys, [np.concatenate(col)
-                                     for col in zip(*scaled)], n))
+    return sym_sum([(c, None, v) for c, v in terms], n)
 
 
 def sym_is_zero(s: SymVec) -> bool:
@@ -492,9 +519,10 @@ class SymSpan:
     nonzero d-minor is bordered only by zero (d+1)-minors exactly when the
     rank is d.  A row found independent is kept, and R gains the first
     column k with w_k != 0, the new minor being (-1)^d w_k.  The minors are
-    Laplace expansions over row subsets; those of kept rows only are kept
-    for later rows.  Scaling a row by a nonzero constant changes no rank, so
-    the rows' denom_power is dropped.
+    Laplace expansions over row subsets, each one sym_sum of its terms, as
+    is w; those of kept rows only are kept for later rows.  Scaling a row by
+    a nonzero constant changes no rank, so the rows' denom_power is
+    dropped.
     """
 
     def __init__(self):
@@ -516,20 +544,20 @@ class SymSpan:
             col = self.cols[size - 1]
             for rest in itertools.combinations(range(d), size - 1):
                 S = rest + (d,)
-                minors[S] = sym_combine(
-                    [((-1) ** (i + size - 1),
-                      sym_scale(sym_coordinate(rows[s], col),
-                                minors[S[:i] + S[i + 1:]]))
+                minors[S] = sym_sum(
+                    [((-1) ** (i + size - 1), sym_coordinate(rows[s], col),
+                      minors[S[:i] + S[i + 1:]])
                      for i, s in enumerate(S)], 1)
         full = tuple(range(d + 1))
-        w = sym_combine([((-1) ** r, sym_scale(minors[full[:r] + full[r + 1:]],
-                                               rows[r]))
-                         for r in full], v.parts[0].shape[1])
+        w = sym_sum([((-1) ** r, minors[full[:r] + full[r + 1:]], rows[r])
+                     for r in full], v.parts[0].shape[1])
         if sym_is_zero(w):
             return False
         k = int(np.flatnonzero(np.any([p != 0 for p in w.parts],
                                       axis=(0, 1)))[0])
-        minors[full] = sym_combine([((-1) ** d, sym_coordinate(w, k))], 1)
+        minor = minors[full] = sym_coordinate(w, k)
+        if d % 2:
+            minor.parts = tuple(-p for p in minor.parts)
         self._minors.update(minors.maps[0])
         self.rows.append(v)
         self.cols.append(k)
@@ -620,9 +648,9 @@ def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     monomial values are M[c, k] w[k]; it is zero exactly when its rational
     part and its sqrt 3 part are.  Only the keys with w != 0 are used, and
     the tier comes from the bound K' max|M| max|w| max|v| over those K'
-    keys, so the test is exact.  Past 2^62 the sums are taken mod primes
-    whose product exceeds the bound, K' keys a block at a time, with no
-    rebuild: a sum is nonzero exactly when one of its residues is."""
+    keys, so the test is exact.  From 2^52 on the sums are taken mod
+    primes whose product exceeds the bound, K' keys a block at a time, with
+    no rebuild: a sum is nonzero exactly when one of its residues is."""
     live = np.flatnonzero(w)
     M, w = M[:, live], w[live]
     bound = len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs

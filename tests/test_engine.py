@@ -25,10 +25,11 @@ from hypothesis import strategies as st
 
 from nalab import engine
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
-    eval_free_poly, identity_holds
+    degree, eval_free_poly, identity_holds
 from nalab.catalog import catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import FreePoly, polarize, pqr_associator
+from nalab.identities import predicate
 from oracles import bigint, bigint_nonzero_at, bigint_sym_combine, \
     bigint_sym_product, bigint_sym_scale, bigint_word_tensor, dict_sum, \
     fraction_eval_free_poly, generic_element, inclusion_exclusion_multilin
@@ -342,6 +343,209 @@ class TestSymSpan:
         assert x3.degrees == (3,)
         with pytest.raises(ValueError, match="does not fit in 2 bits"):
             engine.sym_scale(x3, x)
+
+
+def scaled_oracle(s, v):
+    """s v as a SymVec of Python ints, by ``bigint_sym_scale``; v itself
+    when s is None (the constant 1)."""
+    if s is None:
+        return v
+    got = bigint_sym_scale(s, v)
+    m = v.parts[0].shape[1]
+    keys = sorted(got)
+    parts = tuple(np.array([got[k][h] for k in keys],
+                           dtype=object).reshape(len(keys), m)
+                  for h in range(max(len(s.parts), len(v.parts))))
+    return engine.SymVec(v.nvars, v.bits, v.degrees, 0,
+                         np.array(keys, dtype=v.keys.dtype), parts, 1)
+
+
+def sum_oracle(terms):
+    """sym_sum(terms) as a ``dict_sum`` dict: each product s v by
+    ``bigint_sym_scale``, their combination by ``bigint_sym_combine``."""
+    return bigint_sym_combine([(c, scaled_oracle(s, v)) for c, s, v in terms])
+
+
+def in_q_sqrt3(sums, m):
+    """A ``dict_sum`` dict with a zero sqrt 3 row added where it has none:
+    the same values whatever the width of the parts."""
+    return {k: rows + [[0] * m] * (2 - len(rows)) for k, rows in sums.items()}
+
+
+@st.composite
+def sum_terms(draw, wide):
+    """(m, terms) for sym_sum: one to four (c, s, v) with c in -2..2, s a
+    scalar or None and v of m columns, each with zero to three keys over
+    two variables and one or two parts (so a rational scalar meets a
+    sqrt 3 row).  A term may repeat an earlier s and v, so that keys
+    collide across terms and may cancel.  Entries reach 3, 2^26 or 2^40,
+    so that products stay below 2^52 or pass it."""
+    bits = 40 if wide else 4
+    m = draw(st.integers(1, 3))
+    top = draw(st.sampled_from((3, 2 ** 26, 2 ** 40)))
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from((top, -top)))
+    exps = st.tuples(*[st.integers(0, 1)] * 2)
+
+    def vec(columns):
+        width = draw(st.integers(1, 2))
+        terms = draw(st.dictionaries(exps, st.lists(
+            st.tuples(coeff, coeff), min_size=columns, max_size=columns),
+            max_size=3))
+        return symvec(terms, 2, bits, width, columns)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.integers(-2, 2))
+        if terms and draw(st.booleans()):
+            _, s, v = draw(st.sampled_from(terms))
+        else:
+            s = None if draw(st.booleans()) else vec(1)
+            v = vec(m)
+        terms.append((c, s, v))
+    return m, terms
+
+
+class TestSymSum:
+    """The sum of c s v over terms, aggregated once, against
+    ``bigint_sym_scale`` plus ``bigint_sym_combine``: values are compared,
+    not dtypes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_matches_bigint_oracle(self, wide, data):
+        m, terms = data.draw(sum_terms(wide))
+        got = engine.sym_sum(terms, m)
+        expect = sum_oracle(terms)
+        assert in_q_sqrt3(dict_sum(got.keys, got.parts), m) == \
+            in_q_sqrt3(expect, m)
+        assert [int(k) for k in got.keys] == sorted(expect)
+        assert got.parts[0].shape == (len(expect), m)
+        assert got.max_abs == max([1] + [abs(x) for rows in expect.values()
+                                         for row in rows for x in row])
+        assert got.degrees == tuple(map(max, zip(*(
+            v.degrees if s is None else engine._product_degrees(s, v)
+            for _, s, v in terms))))
+
+    @pytest.mark.parametrize("top", (2 ** 52 - 1, 2 ** 52))
+    def test_bound_at_2_52(self, top):
+        # 2^25 2^26 + 1 (top - 2^51) on one key: the bound is the value
+        terms = [(1, symvec({(1, 0): [(2 ** 25, 0)]}, 2, 4, 1, 1),
+                  symvec({(0, 0): [(2 ** 26, 0)]}, 2, 4, 1, 1)),
+                 (1, symvec({(1, 0): [(1, 0)]}, 2, 4, 1, 1),
+                  symvec({(0, 0): [(top - 2 ** 51, 0)]}, 2, 4, 1, 1))]
+        got = engine.sym_sum(terms, 1)
+        assert got.parts[0].dtype == \
+            (np.float64 if top < 2 ** 52 else object)
+        assert dict_sum(got.keys, got.parts) == sum_oracle(terms) == \
+            {1: [[top]]}
+        assert got.max_abs == top
+
+    @pytest.mark.parametrize("a", (2 ** 26 - 1, 2 ** 26))
+    def test_rational_scalar_times_sqrt3_row(self, a):
+        # one product per entry when only v has a sqrt 3 part: the bound
+        # is 2^26 a, and 2^26 (2^26 - 1) stays in float64
+        s = symvec({(1, 0): [(2 ** 26, 0)]}, 2, 4, 1, 1)
+        v = symvec({(0, 1): [(a, -a), (1, 3)]}, 2, 4, 2, 2)
+        got = engine.sym_sum([(1, s, v)], 2)
+        assert len(got.parts) == 2
+        assert got.parts[0].dtype == (np.float64 if a < 2 ** 26 else object)
+        assert dict_sum(got.keys, got.parts) == sum_oracle([(1, s, v)]) == \
+            {(1 << 4) + 1: [[2 ** 26 * a, 2 ** 26], [-2 ** 26 * a, 3 * 2 ** 26]]}
+
+    def test_a_key_sums_min_p_q_products(self):
+        # three products of 2^52 - 1 land on x0 x1: 3 2^52 - 3 is odd and
+        # past 2^53, so one product's bound would lose it in float64
+        a, b = 2 ** 26 - 1, 2 ** 26 + 1
+        s = symvec({(1, 0): [(a, 0)], (0, 1): [(a, 0)], (0, 0): [(a, 0)]},
+                   2, 4, 1, 1)
+        v = symvec({(0, 1): [(b, 0)], (1, 0): [(b, 0)], (1, 1): [(b, 0)]},
+                   2, 4, 1, 1)
+        got = engine.sym_sum([(1, s, v)], 1)
+        assert dict_sum(got.keys, got.parts)[(1 << 4) + 1] == \
+            [[3 * 2 ** 52 - 3]]
+        assert dict_sum(got.keys, got.parts) == sum_oracle([(1, s, v)])
+
+    def test_sqrt3_products_fold(self):
+        # both factors have a sqrt 3 part: the rational part a a' + 3 b b'
+        # is 2^53 + 2^25 - 7, odd, while max|s| max|v| is below 2^52
+        s = symvec({(1, 0): [(2 ** 25 + 1, 2 ** 25 + 1)]}, 2, 4, 2, 1)
+        v = symvec({(0, 1): [(2 ** 26 - 1, 2 ** 26 - 2)]}, 2, 4, 2, 1)
+        got = engine.sym_sum([(1, s, v)], 1)
+        assert dict_sum(got.keys, got.parts) == sum_oracle([(1, s, v)])
+        assert dict_sum(got.keys, got.parts)[(1 << 4) + 1][0] == \
+            [2 ** 53 + 2 ** 25 - 7]
+
+    def test_zero_coefficients_and_empty_terms(self):
+        s = symvec({(1, 0): [(2, 1)]}, 2, 4, 2, 1)
+        v = symvec({(0, 1): [(3, 0)], (1, 1): [(-1, 1)]}, 2, 4, 2, 1)
+        empty = symvec({}, 2, 4, 1, 1)
+        dead = [(0, s, v), (2, empty, v), (-1, s, empty), (5, None, empty)]
+        got = engine.sym_sum(dead, 1)
+        assert len(got.keys) == 0 and got.parts[0].shape == (0, 1)
+        assert got.degrees == (3,) and got.denom_power == 0
+        live = engine.sym_sum(dead + [(2, s, v)], 1)
+        assert dict_sum(live.keys, live.parts) == \
+            sum_oracle(dead + [(2, s, v)]) == sum_oracle([(2, s, v)])
+
+    def test_colliding_keys_cancel(self):
+        s = symvec({(1, 0): [(2, 1)], (0, 1): [(1, 0)]}, 2, 4, 2, 1)
+        v = symvec({(0, 0): [(3, 0), (1, 1)], (1, 0): [(-1, 1), (0, 2)]},
+                   2, 4, 1, 2)
+        gone = engine.sym_sum([(2, s, v), (-1, s, v), (-1, s, v)], 2)
+        assert len(gone.keys) == 0 and gone.max_abs == 1
+        # s v - x0 v: the key x0 cancels, the others stay
+        x0 = symvec({(1, 0): [(2, 1)]}, 2, 4, 2, 1)
+        terms = [(1, s, v), (-1, x0, v)]
+        got = engine.sym_sum(terms, 2)
+        assert dict_sum(got.keys, got.parts) == sum_oracle(terms)
+        assert sorted(int(k) for k in got.keys) == [1 << 4, (1 << 4) + 1]
+
+    def test_mixed_denom_power_raises(self):
+        s = symvec({(1, 0): [(1, 0)]}, 2, 4, 1, 1)
+        v = symvec({(0, 1): [(1, 0)]}, 2, 4, 1, 1)
+        w = engine.SymVec(v.nvars, v.bits, v.degrees, 1, v.keys, v.parts,
+                          v.max_abs)
+        with pytest.raises(ValueError, match="mixed denominator powers"):
+            engine.sym_sum([(1, s, v), (1, s, w)], 1)
+        with pytest.raises(ValueError, match="mixed denominator powers"):
+            engine.sym_sum([(1, None, v), (1, s, w)], 1)
+
+
+def count_aggregates(monkeypatch):
+    calls = []
+    aggregate = engine._aggregate
+
+    def counting(*args):
+        calls.append(None)
+        return aggregate(*args)
+
+    monkeypatch.setattr(engine, "_aggregate", counting)
+    return calls
+
+
+def fresh_catalog_algebra(name):
+    A = catalog_algebra(name)
+    return StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                            A.basis_names)
+
+
+class TestOneAggregationPerMinor:
+    """A SymSpan.add with d kept rows aggregates 2^d times: once for each
+    of its 2^d - 1 new minors and once for the bordered sum w.  The other
+    aggregations are sym_product's, one per product."""
+
+    @pytest.mark.parametrize("name", ["P", "O"])
+    def test_degree(self, monkeypatch, name):
+        # 4 word products, and adds with 0, 1, 2, 2 and 2 kept rows
+        calls = count_aggregates(monkeypatch)
+        assert degree(fresh_catalog_algebra(name)) == 2
+        assert len(calls) == 4 + 1 + 2 + 3 * 4
+
+    def test_quadratic(self, monkeypatch):
+        # the product x x, and adds of e, x and x^2 with 0, 1 and 2 kept
+        calls = count_aggregates(monkeypatch)
+        assert predicate(fresh_catalog_algebra("H"), "quadratic").value
+        assert len(calls) == 1 + 1 + 2 + 4
 
 
 def symmetrize_axes(arr, start: int, count: int):
@@ -731,6 +935,44 @@ class TestAggregate:
                            zip(r.ravel(), s.ravel()))
         assert max_abs == max([1] + [abs(x) for acc in expect.values()
                                      for row in acc for x in row])
+
+
+    @pytest.mark.parametrize("extra", (0, 1))
+    @pytest.mark.parametrize("width", (1, 2))
+    @pytest.mark.parametrize("kind", ("f", "o"))
+    def test_at_the_aggregate_rows_boundary(self, kind, width, extra):
+        """_AGGREGATE_ROWS rows take one reduceat per part, one more row the
+        chunked path: both match dict_sum and blocks of 3 rows."""
+        rng = np.random.default_rng(extra + 2 * width)
+        dtype, top = AGGREGATE_PARTS[kind]
+        # 500 keys, so runs are long; the second half of the rows repeats
+        # the first, negated on the keys below 100, which sum to zero
+        half = engine._AGGREGATE_ROWS // 2
+        first = rng.integers(0, 500, half)
+        keys = np.concatenate([first, first, rng.integers(100, 500, extra)])
+        rows = len(keys)
+        keys = keys.astype(object) << 64 if kind == "o" else \
+            keys.astype(np.uint64)
+        parts = []
+        for _ in range(width):
+            vals = rng.integers(-2, 3, (rows, 2))
+            vals[half:2 * half] = np.where(first[:, None] < 100,
+                                           -vals[:half], vals[half:2 * half])
+            parts.append(np.array(vals.tolist(), dtype=dtype) * (top // 4))
+        expect = dict_sum(keys, parts)
+        uk, sums, max_abs = engine._aggregate(keys, parts, 2)
+        with mock.patch.object(engine, "_AGGREGATE_ROWS", 3):
+            chunked = engine._aggregate(keys, parts, 2)
+        assert [int(k) for k in uk] == sorted(expect) == \
+            [int(k) for k in chunked[0]]
+        assert min(expect) >= (100 << 64 if kind == "o" else 100)
+        for h, (s, c) in enumerate(zip(sums, chunked[1])):
+            assert s.dtype == c.dtype == dtype
+            assert [[int(x) for x in row] for row in s] == \
+                [[int(x) for x in row] for row in c] == \
+                [expect[k][h] for k in sorted(expect)]
+        assert max_abs == chunked[2] == max(
+            abs(x) for acc in expect.values() for row in acc for x in row)
 
 
 def line_algebra(c):
