@@ -170,7 +170,8 @@ def _tier(bound: int) -> str:
     """The tier of a product whose entries and partial sums are below
     bound: "f" (float64, exact) below 2^52, "o" beyond.  The identity
     kernels hold "o" values as residues mod primes (``_primes``); sym_sum
-    and the composition form hold them in object dtype (Python ints).  The tiers order as strings: "f" < "o"."""
+    and the composition form hold them in object dtype (Python ints).  The
+    tiers order as strings: "f" < "o"."""
     return "f" if bound < _FLOAT_EXACT else "o"
 
 
@@ -305,7 +306,7 @@ class SymVec:
 
 
 #: rows gathered at once in _aggregate (a key's rows are never split): a
-#: product is never copied whole into key order
+#: larger product is never copied whole into key order
 _AGGREGATE_ROWS = 1 << 13
 
 

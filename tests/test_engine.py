@@ -450,7 +450,8 @@ class TestSymSum:
         assert len(got.parts) == 2
         assert got.parts[0].dtype == (np.float64 if a < 2 ** 26 else object)
         assert dict_sum(got.keys, got.parts) == sum_oracle([(1, s, v)]) == \
-            {(1 << 4) + 1: [[2 ** 26 * a, 2 ** 26], [-2 ** 26 * a, 3 * 2 ** 26]]}
+            {(1 << 4) + 1: [[2 ** 26 * a, 2 ** 26],
+                            [-2 ** 26 * a, 3 * 2 ** 26]]}
 
     def test_a_key_sums_min_p_q_products(self):
         # three products of 2^52 - 1 land on x0 x1: 3 2^52 - 3 is odd and
