@@ -1,11 +1,17 @@
-"""Golden CLI output: the stdout and exit code of the analysis commands, and
-of the symbolic commands (``check`` on every (p, q, r) triple and the
-power-commutativity scan), on the catalog algebras and D8, pinned byte for
-byte.
+"""Golden CLI output: the stdout and exit code of the analysis commands, of
+the symbolic commands (``check`` on every (p, q, r) triple and the
+power-commutativity scan) and of ``show``, on the catalog algebras and D8,
+pinned byte for byte.  The load and save paths are pinned on algebra files:
+``show``, ``units``, ``degree``, one symbolic ``check`` and the
+power-commutativity scan on the ``files`` algebras of the benchmark at seed
+1, and on one hand-written Q(sqrt 3) file whose entries come out of k order,
+with unreduced fractions, written zeros (``-0``, ``0/7``, ``0+0*sqrt3``),
+spaces inside scalars and rational constants beside sqrt 3 ones.
 
-``golden_cli.json`` maps each command line (D8 as the file ``D8.json``) to
-the sha256 of its stdout and its exit code.  The runs are replayed in
-process.  To record the file again after an intended output change, run
+``golden_cli.json`` maps each command line (a file algebra by its file
+name, such as ``D8.json``) to the sha256 of its stdout and its exit code.
+The runs are replayed in process.  To record the file again after an
+intended output change, run
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -27,6 +33,7 @@ from nalab.algebra import FIELD_Q, StructureAlgebra
 from nalab.cli_io import run_capture
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 COMMANDS = (
     ("units",),
@@ -40,38 +47,95 @@ COMMANDS = (
     *(("check", "--identity", ",".join(map(str, triple)),
        "--backend", "symbolic")
       for triple in itertools.product((1, 2), repeat=3)),
+    ("show",),
+)
+
+#: the commands run on the algebra files below
+FILE_COMMANDS = (
+    ("show",),
+    ("units",),
+    ("degree",),
+    ("check", "--identity", "1,1,2", "--backend", "symbolic"),
+    ("predicate", "--name", "power_commutative", "--bound", "4"),
 )
 
 D8_FILE = "D8.json"
 
+#: the seed-1 ``files`` algebras of the benchmark, by file name
+FILES_SEED = 1
+FILES_NAMES = ("S16", "sparse9", "sparse10", "dense4", "dense6")
 
-def _write_d8(directory: pathlib.Path) -> None:
+#: a hand-written file over Q(sqrt 3) with a two-sided unit u
+HAND_FILE = "hand3.json"
+HAND_SPEC = {
+    "name": "hand3",
+    "dim": 3,
+    "field": "Q(sqrt 3)",
+    "basis": ["u", "v", "w"],
+    "constants": [
+        [0, 0, 0, "1"],
+        [0, 1, 1, "2/2"],
+        [1, 0, 1, "1"],
+        [0, 2, 2, " 3 / 3 "],
+        [2, 0, 2, "1+0*sqrt3"],
+        [1, 1, 2, "6/4"],
+        [1, 1, 0, "-1/2+1/2*sqrt3"],
+        [1, 2, 2, "0/7"],
+        [1, 2, 0, "0+0*sqrt3"],
+        [1, 2, 1, "-0"],
+        [2, 1, 2, "1/3"],
+        [2, 1, 0, "1 - 2 * sqrt3"],
+        [2, 2, 1, "0-3/6*sqrt3"],
+        [2, 2, 0, "-4/6"],
+    ],
+}
+
+
+def _files_specs() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    return workloads.files_algebras(FILES_SEED)
+
+
+def _write_files(directory: pathlib.Path) -> None:
+    """D8, the seed-1 ``files`` algebras and the hand-written file, each
+    in ``directory`` under its file name."""
     n = 8
     consts = [[[Fraction(int(i == j == k)) for k in range(n)]
                for j in range(n)] for i in range(n)]
     catalog.save_file(StructureAlgebra("D8", n, FIELD_Q, consts),
                       str(directory / D8_FILE))
+    specs = {f"{name}.json": spec for name, spec in _files_specs().items()}
+    specs[HAND_FILE] = HAND_SPEC
+    for file_name, spec in specs.items():
+        with open(directory / file_name, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh, indent=1, sort_keys=True)
+
+
+FILE_ALGEBRAS = (*(f"{name}.json" for name in FILES_NAMES), HAND_FILE)
 
 
 def golden_cases():
-    """The command lines, each as a tuple of arguments with D8 named by
-    its file name."""
+    """The command lines, each as a tuple of arguments with a file algebra
+    named by its file name."""
     return [(cmd[0], alg, *cmd[1:], "--format", fmt)
-            for alg in (*catalog.CATALOG_NAMES, D8_FILE)
-            for cmd in COMMANDS for fmt in ("text", "structured")]
+            for algs, cmds in (((*catalog.CATALOG_NAMES, D8_FILE), COMMANDS),
+                               (FILE_ALGEBRAS, FILE_COMMANDS))
+            for alg in algs
+            for cmd in cmds for fmt in ("text", "structured")]
 
 
 def replay(case, directory: pathlib.Path) -> dict:
-    argv = [str(directory / a) if a == D8_FILE else a for a in case]
+    argv = [str(directory / a) if a.endswith(".json") else a for a in case]
     code, out = run_capture(argv)
     return {"sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
             "exit": code}
 
 
 @pytest.fixture(scope="module")
-def d8_dir(tmp_path_factory):
+def files_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
-    _write_d8(directory)
+    _write_files(directory)
     return directory
 
 
@@ -86,14 +150,14 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("case", golden_cases(), ids=" ".join)
-def test_cli_output_matches_golden(case, golden, d8_dir):
-    assert replay(case, d8_dir) == golden[" ".join(case)]
+def test_cli_output_matches_golden(case, golden, files_dir):
+    assert replay(case, files_dir) == golden[" ".join(case)]
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         directory = pathlib.Path(tmp)
-        _write_d8(directory)
+        _write_files(directory)
         data = {" ".join(c): replay(c, directory) for c in golden_cases()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
