@@ -1,7 +1,9 @@
 """Finite-dimensional algebras given by structure constants.
 
-An algebra is a dim x dim x dim array of exact scalars c[i][j][k] (the
-coefficient of basis vector k in b_i * b_j) over Q or Q(sqrt 3).  Elements are
+An algebra is given by its structure constants c[i][j][k] (the coefficient
+of basis vector k in b_i * b_j) over Q or Q(sqrt 3), stored only as an
+integer table: one common denominator and the integer parts of the nonzero
+constants (``StructureAlgebra.integer_table``).  Elements are
 coordinate vectors over the scalar field; a generic element is a packed-key
 ``engine.SymVec``.  The module provides multiplication, the left/right
 multiplication operators, exact unit detection, evaluation of free
@@ -41,8 +43,28 @@ def check_backend(backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
+def _integer_table(dim: int, entries) -> Tuple:
+    """(scale, width, table) of the nonzero constants given as entries
+    (i, j, k, p, q, r, s), c[i][j][k] = p/q + (r/s)*sqrt 3 with each pair
+    reduced and q, s > 0: see ``StructureAlgebra.integer_table``.  Each
+    cell lists its constants in ascending k, whatever the entries' order."""
+    scale = math.lcm(*[e[4] for e in entries], *[e[6] for e in entries])
+    table = [[[] for _ in range(dim)] for _ in range(dim)]
+    width = 1
+    for i, j, k, p, q, r, s in entries:
+        table[i][j].append((k, p * (scale // q), r * (scale // s)))
+        if r:
+            width = 2
+    for row in table:
+        for cell in row:
+            cell.sort()
+    return scale, width, tuple(tuple(map(tuple, row)) for row in table)
+
+
 class StructureAlgebra:
-    """Immutable finite-dimensional algebra over Q or Q(sqrt 3)."""
+    """Immutable finite-dimensional algebra over Q or Q(sqrt 3), stored as
+    its integer table; ``constants`` is a view derived from the table on
+    first read and then kept."""
 
     def __init__(self, name: str, dim: int, field: str, constants,
                  basis_names: Optional[Sequence[str]] = None):
@@ -50,35 +72,75 @@ class StructureAlgebra:
             raise ValueError("dim must be >= 1")
         if field not in (FIELD_Q, FIELD_QSQRT3):
             raise ValueError(f"unknown field tag {field!r}")
-        self.name = name
-        self.dim = dim
-        self.field = field
-        rows = []
+        entries = []
         for i in range(dim):
-            row = []
+            plane = constants[i]
             for j in range(dim):
-                cell = []
+                cell = plane[j]
                 for k in range(dim):
-                    c = constants[i][j][k]
+                    c = cell[k]
                     if isinstance(c, QuadExt):
                         if field != FIELD_QSQRT3:
                             raise ValueError(
                                 "quadratic scalar in a rational algebra")
-                    elif not isinstance(c, Fraction):
-                        c = Fraction(c)
-                    cell.append(c)
-                row.append(tuple(cell))
-            rows.append(tuple(row))
-        self.constants = tuple(rows)
+                        a, b = c.a, c.b
+                    else:
+                        if not isinstance(c, (Fraction, int)):
+                            c = Fraction(c)
+                        a, b = c, 0
+                    if a or b:
+                        entries.append((i, j, k, a.numerator, a.denominator,
+                                        b.numerator, b.denominator))
+        self._store(name, dim, field, entries, basis_names)
+
+    @classmethod
+    def from_entries(cls, name: str, dim: int, field: str, entries,
+                     basis_names: Optional[Sequence[str]] = None
+                     ) -> "StructureAlgebra":
+        """The algebra of the nonzero constants in entries, as
+        ``_integer_table`` takes them.  Nothing is checked: the caller
+        gives distinct in-range indices, reduced pairs and a valid field."""
+        A = cls.__new__(cls)
+        A._store(name, dim, field, entries, basis_names)
+        return A
+
+    def _store(self, name, dim, field, entries, basis_names) -> None:
+        self.name = name
+        self.dim = dim
+        self.field = field
+        self._table: Tuple = _integer_table(dim, entries)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i}" for i in range(dim))
         if len(self.basis_names) != dim:
             raise ValueError("basis name count mismatch")
-        self._table: Optional[Tuple] = None
+        self._constants: Optional[tuple] = None
         self._tensor: Optional[engine.ScaledTensor] = None
         self._ml: Optional[engine.MultilinearEngine] = None
         self._units: Optional[UnitReport] = None
         self._generic: Optional[GenericClosure] = None
+
+    @property
+    def constants(self) -> tuple:
+        """c[i][j][k] as nested tuples of exact scalars, derived from the
+        integer table on first read and then kept: Fractions, or QuadExts
+        when the table has a sqrt 3 part.  It is a function of the table
+        alone, so two threads reading it first only derive it twice."""
+        if self._constants is None:
+            scale, width, table = self._table
+            n = self.dim
+            planes = []
+            for row in table:
+                cells = []
+                for cell in row:
+                    parts = [[0] * n for _ in range(width)]
+                    for k, a, b in cell:
+                        parts[0][k] = a
+                        if width == 2:
+                            parts[1][k] = b
+                    cells.append(from_parts(parts, scale))
+                planes.append(tuple(cells))
+            self._constants = tuple(planes)
+        return self._constants
 
     # -- helpers ----------------------------------------------------------
 
@@ -97,26 +159,11 @@ class StructureAlgebra:
         return Element(coords)
 
     def integer_table(self) -> Tuple:
-        """(scale, width, table), built once: every constant is c[i][j][k] =
-        (a + b*sqrt 3) / scale, scale the least common denominator of their
-        rational and sqrt 3 parts, and table[i][j] lists the (k, a, b) of
-        the nonzero constants of b_i b_j.  width is 2 when some b is
-        nonzero, 1 otherwise."""
-        if self._table is None:
-            nonzero = [(i, j, k) + ((c.a, c.b) if isinstance(c, QuadExt)
-                                    else (c, 0))
-                       for i, row in enumerate(self.constants)
-                       for j, cell in enumerate(row)
-                       for k, c in enumerate(cell) if c]
-            scale = math.lcm(*(x.denominator for *_, a, b in nonzero
-                               for x in (a, b)))
-            table = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-            for i, j, k, a, b in nonzero:
-                table[i][j].append((k, a.numerator * (scale // a.denominator),
-                                    b.numerator * (scale // b.denominator)))
-            width = 2 if any(b for *_, b in nonzero) else 1
-            self._table = (scale, width,
-                           tuple(tuple(map(tuple, row)) for row in table))
+        """(scale, width, table), the algebra's stored form: every constant
+        is c[i][j][k] = (a + b*sqrt 3) / scale, scale the least common
+        denominator of their rational and sqrt 3 parts, and table[i][j]
+        lists the (k, a, b) of the nonzero constants of b_i b_j in
+        ascending k.  width is 2 when some b is nonzero, 1 otherwise."""
         return self._table
 
     def tensor(self) -> engine.ScaledTensor:
@@ -266,15 +313,39 @@ def multiply(A: StructureAlgebra, u: Element, v: Element) -> Element:
 
 
 def mult_operator(A: StructureAlgebra, x: Element, side: str):
-    """Matrix of L_x (columns x*b_j) or R_x (columns b_j*x)."""
+    """Matrix of L_x (columns x*b_j) or R_x (columns b_j*x), in one pass
+    over the integer table: entry (k, j) is sum_i x_i c[i][j][k] (left) or
+    sum_i x_i c[j][i][k] (right), summed on the integer parts of x and
+    formed by one ``from_parts`` over the one denominator."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    cols = []
-    for j in range(A.dim):
-        bj = A.basis_element(j)
-        prod = multiply(A, x, bj) if side == "left" else multiply(A, bj, x)
-        cols.append(prod.coords)
-    return [[cols[j][k] for j in range(A.dim)] for k in range(A.dim)]
+    n = A.dim
+    if len(x.coords) != n:
+        raise ValueError("dimension mismatch")
+    scale, width, table = A.integer_table()
+    parts, d = clear_denominators(x.coords)
+    left = side == "left"
+    if width == len(parts) == 1:
+        out = [0] * (n * n)
+        for i, y in enumerate(parts[0]):
+            if y:
+                for j in range(n):
+                    for k, c, _ in table[i][j] if left else table[j][i]:
+                        out[k * n + j] += y * c
+        flat = from_parts((out,), d * scale)
+    else:
+        xa, xb = parts if len(parts) == 2 else (parts[0], [0] * n)
+        oa, ob = [0] * (n * n), [0] * (n * n)
+        for i in range(n):
+            ya, yb = xa[i], xb[i]
+            if ya or yb:
+                yb3 = SQRT_RADICAND * yb
+                for j in range(n):
+                    for k, a, b in table[i][j] if left else table[j][i]:
+                        oa[k * n + j] += ya * a + yb3 * b
+                        ob[k * n + j] += ya * b + yb * a
+        flat = from_parts((oa, ob), d * scale)
+    return [list(flat[k * n:(k + 1) * n]) for k in range(n)]
 
 
 def find_units(A: StructureAlgebra) -> UnitReport:

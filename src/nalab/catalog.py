@@ -20,7 +20,8 @@ from typing import List, Optional, Tuple
 
 from .algebra import (FIELD_Q, FIELD_QSQRT3, Element, StructureAlgebra,
                       multiply)
-from .exactmath import QuadExt, format_scalar, parse_scalar, scalar_is_zero
+from .exactmath import (QuadExt, format_scalar, from_parts, scalar_is_zero,
+                        scalar_parts)
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,8 @@ class SpecFormatError(ValueError):
     """Malformed algebra file, with a location hint."""
 
 
-#: Largest dim a spec may declare; load allocates a dense dim^3 table.
+#: Largest dim a spec may declare; the kernels (``engine.ScaledTensor``,
+#: the multilinear word tensors) allocate dense arrays of dim^3 and more.
 MAX_DIM = 64
 
 
@@ -265,20 +267,25 @@ def _check_field(field_tag: str) -> None:
         raise SpecFormatError(f"unknown field tag {field_tag!r}")
 
 
-def _field_scalar(text: str, field_tag: str, what: str):
-    """A scalar of the file's field, parsed; anything else is malformed."""
+def _field_parts(text: str, rational: bool, what: str) -> tuple:
+    """The ``scalar_parts`` of a scalar of the file's field, rational or
+    not; anything else is malformed."""
     try:
-        _check_field(field_tag)
-        val = parse_scalar(text)
+        parts = scalar_parts(text)
     except ValueError as exc:
         raise SpecFormatError(f"{what}: {exc}") from exc
-    if isinstance(val, QuadExt) and field_tag == FIELD_Q:
+    if rational and len(parts) > 2:
         raise SpecFormatError(f"{what}: sqrt scalar in a rational algebra")
-    return val
+    return parts
 
 
 def load(spec) -> StructureAlgebra:
-    """Build an algebra from an AlgebraSpec or its JSON dictionary."""
+    """Build an algebra from an AlgebraSpec or its JSON dictionary.
+
+    Each constant string is parsed straight to reduced integer pairs
+    (``exactmath.scalar_parts``) and the zeros are dropped, so the integer
+    table is built with no Fraction per constant.  The entries may come in
+    any order."""
     if isinstance(spec, dict):
         spec = spec_from_dict(spec)
     _check_field(spec.field)
@@ -289,32 +296,43 @@ def load(spec) -> StructureAlgebra:
         raise SpecFormatError(f"dim {n} is above the limit of {MAX_DIM}")
     if len(spec.basis) != n:
         raise SpecFormatError("basis length does not match dim")
-    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    rational = spec.field == FIELD_Q
+    entries = []
     first_pos = {}
     for pos, (i, j, k, s) in enumerate(spec.constants):
-        for idx in (i, j, k):
-            if not (isinstance(idx, int) and 0 <= idx < n):
-                raise SpecFormatError(
-                    f"constants[{pos}]: index {idx} out of range 0..{n - 1}")
-        if (i, j, k) in first_pos:
+        if not (type(i) is type(j) is type(k) is int
+                and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+            for idx in (i, j, k):
+                if not (isinstance(idx, int) and 0 <= idx < n):
+                    raise SpecFormatError(f"constants[{pos}]: index {idx} "
+                                          f"out of range 0..{n - 1}")
+        first = first_pos.setdefault((i, j, k), pos)
+        if first != pos:
             raise SpecFormatError(
                 f"constants[{pos}]: [{i}, {j}, {k}] already given at "
-                f"constants[{first_pos[i, j, k]}]")
-        first_pos[i, j, k] = pos
-        constants[i][j][k] = _field_scalar(s, spec.field, f"constants[{pos}]")
-    return StructureAlgebra(spec.name, n, spec.field, constants, spec.basis)
+                f"constants[{first}]")
+        parts = _field_parts(s, rational, f"constants[{pos}]")
+        if len(parts) == 2:
+            if parts[0]:
+                entries.append((i, j, k, *parts, 0, 1))
+        elif parts[0] or parts[2]:
+            entries.append((i, j, k, *parts))
+    return StructureAlgebra.from_entries(spec.name, n, spec.field, entries,
+                                         spec.basis)
 
 
 def save(A: StructureAlgebra, conjugation=None,
          properties: Optional[dict] = None) -> AlgebraSpec:
-    """Serialize an algebra to its sparse file form (canonical ordering)."""
+    """Serialize an algebra to its sparse file form (canonical ordering):
+    the nonzero constants of its integer table, in ascending (i, j, k)."""
+    scale, width, table = A.integer_table()
     consts = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                c = A.constants[i][j][k]
-                if not scalar_is_zero(c):
-                    consts.append((i, j, k, format_scalar(c)))
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            if cell:
+                parts = ([a for _, a, _ in cell], [b for _, _, b in cell])
+                consts += [(i, j, k, format_scalar(c)) for (k, _, _), c in
+                           zip(cell, from_parts(parts[:width], scale))]
     conj = None
     if conjugation is not None:
         conj = [[format_scalar(conjugation[r][c]) for c in range(A.dim)]
@@ -345,8 +363,13 @@ def spec_from_dict(data: dict) -> AlgebraSpec:
         dim = _json_int(data["dim"], "dim")
         field_tag = data["field"]
         basis = data["basis"]
-        consts = [tuple(_json_int(e[h], f"constants[{pos}] index")
-                        for h in range(3)) + (str(e[3]),)
+        # entries of three plain ints and a scalar take the short path;
+        # anything else is checked index by index
+        consts = [(e[0], e[1], e[2], str(e[3]))
+                  if type(e) is list and len(e) >= 4 and type(e[0]) is int
+                  and type(e[1]) is int and type(e[2]) is int
+                  else tuple(_json_int(e[h], f"constants[{pos}] index")
+                             for h in range(3)) + (str(e[3]),)
                   for pos, e in enumerate(data["constants"])]
     except (KeyError, TypeError, IndexError) as exc:
         raise SpecFormatError(f"missing or malformed key: {exc}") from exc
@@ -368,7 +391,11 @@ def spec_from_dict(data: dict) -> AlgebraSpec:
         conj = [[str(x) for x in row] for row in conj]
         for r, row in enumerate(conj):
             for c, x in enumerate(row):
-                _field_scalar(x, field_tag, f"conjugation[{r}][{c}]")
+                what = f"conjugation[{r}][{c}]"
+                if field_tag not in (FIELD_Q, FIELD_QSQRT3):
+                    raise SpecFormatError(
+                        f"{what}: unknown field tag {field_tag!r}")
+                _field_parts(x, field_tag == FIELD_Q, what)
     return AlgebraSpec(_text(str(name), "name"), dim, str(field_tag), basis,
                        consts, conj, data.get("properties"))
 

@@ -171,24 +171,44 @@ def format_scalar(x: Scalar) -> str:
 
 
 _SCALAR = re.compile(
-    rf"(-?\d+(?:/\d+)?)(?:([+-])(-?\d+(?:/\d+)?)\*sqrt{SQRT_RADICAND})?")
+    rf"(-?\d+)(?:/(\d+))?(?:([+-])(-?\d+)(?:/(\d+))?\*sqrt{SQRT_RADICAND})?")
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar grammar R | R+R*sqrt3 | R-R*sqrt3, R = [-]digits[/digits]."""
+def _reduced(num: str, den: Optional[str]) -> Tuple[int, int]:
+    if den is None:
+        return int(num), 1
+    p, q = int(num), int(den)
+    if q == 0:
+        raise ZeroDivisionError
+    g = math.gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
+
+
+def scalar_parts(text: str) -> tuple:
+    """Parse the scalar grammar R | R+R*sqrt3 | R-R*sqrt3, R =
+    [-]digits[/digits], to reduced integer pairs: (p, q) for p/q, or
+    (p, q, r, s) for p/q + (r/s)*sqrt 3 when the sqrt 3 part is written,
+    even as zero; q, s > 0 and each pair is coprime."""
     m = _SCALAR.fullmatch(text.strip().replace(" ", ""))
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
+    a_num, a_den, sign, b_num, b_den = m.groups()
     try:
-        a = Fraction(m.group(1))
-        b = None if m.group(2) is None else Fraction(m.group(3))
+        a = _reduced(a_num, a_den)
+        if sign is None:
+            return a
+        r, s = _reduced(b_num, b_den)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
-    if b is None:
-        return a
-    if m.group(2) == "-":
-        b = -b
-    return QuadExt(a, b)
+    return a + ((-r if sign == "-" else r), s)
+
+
+def parse_scalar(text: str) -> Scalar:
+    """The scalar of ``scalar_parts``: a Fraction, or a QuadExt when the
+    sqrt 3 part is written."""
+    parts = scalar_parts(text)
+    a = Fraction(parts[0], parts[1])
+    return a if len(parts) == 2 else QuadExt(a, Fraction(parts[2], parts[3]))
 
 
 # ---------------------------------------------------------------------------

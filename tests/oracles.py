@@ -21,18 +21,31 @@ The field oracles run the concrete kernels of ``nalab.algebra`` and
 integer clearing: row reduction to leading ones (``FractionEchelon``, with
 ``fraction_solve_affine``, ``fraction_det``, ``fraction_scalar_rank`` and
 ``fraction_span_membership`` on it), the product over the constants
-(``fraction_multiply``) and free-polynomial evaluation on it
-(``fraction_eval_free_poly``).  The last two are duck-typed, so they also
-run on MultiPoly coordinates (``generic_element``).
+(``fraction_multiply``), the multiplication operators built column by
+column from it (``fraction_mult_operator``) and free-polynomial evaluation
+on it (``fraction_eval_free_poly``).  ``fraction_multiply`` and
+``fraction_eval_free_poly`` are duck-typed, so they also run on MultiPoly
+coordinates (``generic_element``).
+
+The file loader as it was before algebras were stored as integer tables
+parses every constant to a Fraction or QuadExt into a dense table
+(``fraction_load``); the integer table is derived from that table
+(``fraction_integer_table``) and the file form written back by walking all
+of its cells (``fraction_save``).
 """
 
+import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from nalab import engine
-from nalab.algebra import Element, eval_free_poly
-from nalab.exactmath import MultiPoly, QuadExt, scalar_is_zero
+from nalab.algebra import FIELD_Q, FIELD_QSQRT3, Element, eval_free_poly
+from nalab.catalog import (MAX_DIM, AlgebraSpec, SpecFormatError,
+                           spec_from_dict)
+from nalab.exactmath import MultiPoly, QuadExt, format_scalar, scalar_is_zero
 from nalab.freealg import UNIT
 
 
@@ -346,3 +359,138 @@ def fraction_pair_closure(A, x):
         seen = k
     return basis, pairs
 
+
+def fraction_mult_operator(A, x, side):
+    """L_x (columns x b_j) or R_x (columns b_j x), one
+    ``fraction_multiply`` per column."""
+    n = A.dim
+    basis = [A.basis_element(j) for j in range(n)]
+    cols = [(fraction_multiply(A, x, b) if side == "left"
+             else fraction_multiply(A, b, x)).coords for b in basis]
+    return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# The Fraction loader
+# ---------------------------------------------------------------------------
+
+
+_FRACTION_SCALAR = re.compile(
+    r"(-?\d+(?:/\d+)?)(?:([+-])(-?\d+(?:/\d+)?)\*sqrt3)?")
+
+
+def fraction_parse_scalar(text):
+    """A scalar string as a Fraction, or a QuadExt when its sqrt 3 part is
+    written, each part parsed by ``Fraction``."""
+    m = _FRACTION_SCALAR.fullmatch(text.strip().replace(" ", ""))
+    if m is None:
+        raise ValueError(f"malformed scalar {text!r}")
+    try:
+        a = Fraction(m.group(1))
+        b = None if m.group(2) is None else Fraction(m.group(3))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+    if b is None:
+        return a
+    return QuadExt(a, -b if m.group(2) == "-" else b)
+
+
+@dataclass
+class FractionAlgebra:
+    """What ``fraction_load`` builds: the dense table of parsed scalars."""
+
+    name: str
+    dim: int
+    field: str
+    constants: tuple
+    basis_names: tuple
+
+
+def _fraction_spec_constants(entries):
+    """The constants of a JSON spec, each index checked to be a JSON
+    integer."""
+    def index(value, what):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SpecFormatError(f"{what} must be an integer, not {value!r}")
+        return value
+
+    try:
+        return [tuple(index(e[h], f"constants[{pos}] index")
+                      for h in range(3)) + (str(e[3]),)
+                for pos, e in enumerate(entries)]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise SpecFormatError(f"missing or malformed key: {exc}") from exc
+
+
+def fraction_load(spec):
+    """``catalog.load`` on a dense Fraction table, with the same checks and
+    messages.  A JSON spec's constants are read by
+    ``_fraction_spec_constants``; its other keys, assumed well formed, by
+    ``spec_from_dict``."""
+    if isinstance(spec, dict):
+        consts = _fraction_spec_constants(spec["constants"])
+        spec = spec_from_dict({**spec, "constants": []})
+        spec.constants = consts
+    if spec.field not in (FIELD_Q, FIELD_QSQRT3):
+        raise SpecFormatError(f"unknown field tag {spec.field!r}")
+    n = spec.dim
+    if n < 1:
+        raise SpecFormatError("dim must be >= 1")
+    if n > MAX_DIM:
+        raise SpecFormatError(f"dim {n} is above the limit of {MAX_DIM}")
+    if len(spec.basis) != n:
+        raise SpecFormatError("basis length does not match dim")
+    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    first_pos = {}
+    for pos, (i, j, k, s) in enumerate(spec.constants):
+        for idx in (i, j, k):
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                raise SpecFormatError(
+                    f"constants[{pos}]: index {idx} out of range 0..{n - 1}")
+        if (i, j, k) in first_pos:
+            raise SpecFormatError(
+                f"constants[{pos}]: [{i}, {j}, {k}] already given at "
+                f"constants[{first_pos[i, j, k]}]")
+        first_pos[i, j, k] = pos
+        try:
+            val = fraction_parse_scalar(s)
+        except ValueError as exc:
+            raise SpecFormatError(f"constants[{pos}]: {exc}") from exc
+        if isinstance(val, QuadExt) and spec.field == FIELD_Q:
+            raise SpecFormatError(
+                f"constants[{pos}]: sqrt scalar in a rational algebra")
+        constants[i][j][k] = val
+    return FractionAlgebra(
+        spec.name, n, spec.field,
+        tuple(tuple(map(tuple, row)) for row in constants), tuple(spec.basis))
+
+
+def fraction_integer_table(constants):
+    """(scale, width, table) derived from a dense table of scalars: scale
+    the least common denominator of every rational and sqrt 3 part, and
+    table[i][j] the (k, a, b) of the nonzero c[i][j][k] = (a + b sqrt 3) /
+    scale in ascending k."""
+    n = len(constants)
+    nonzero = [(i, j, k) + ((c.a, c.b) if isinstance(c, QuadExt)
+                            else (Fraction(c), Fraction(0)))
+               for i, row in enumerate(constants)
+               for j, cell in enumerate(row)
+               for k, c in enumerate(cell) if c]
+    scale = math.lcm(*(x.denominator for *_, a, b in nonzero
+                       for x in (a, b)))
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, k, a, b in nonzero:
+        table[i][j].append((k, a.numerator * (scale // a.denominator),
+                            b.numerator * (scale // b.denominator)))
+    width = 2 if any(b for *_, b in nonzero) else 1
+    return scale, width, tuple(tuple(map(tuple, row)) for row in table)
+
+
+def fraction_save(A):
+    """The file form of A, one entry per nonzero cell of its dense table in
+    ascending (i, j, k)."""
+    consts = [(i, j, k, format_scalar(c))
+              for i, row in enumerate(A.constants)
+              for j, cell in enumerate(row)
+              for k, c in enumerate(cell) if not scalar_is_zero(c)]
+    return AlgebraSpec(A.name, A.dim, A.field, list(A.basis_names), consts)

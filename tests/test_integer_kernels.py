@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from nalab import algebra, engine
 from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, StructureAlgebra,
                            _pair_closure, eval_free_poly, identity_holds,
-                           multiply, subalgebra_generated)
+                           mult_operator, multiply, subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import (Echelon, QuadExt, clear_denominators, det,
                              scalar_rank, solve_affine, span_membership)
 from nalab.freealg import FreePoly, associator, pqr_associator
 from nalab.identities import _nonassociative_triple
 from oracles import (FractionEchelon, fraction_det, fraction_eval_free_poly,
-                     fraction_multiply, fraction_pair_closure,
+                     fraction_mult_operator, fraction_multiply,
+                     fraction_pair_closure,
                      fraction_scalar_rank, fraction_solve_affine,
                      fraction_span_membership)
 
@@ -236,6 +237,40 @@ class TestProductsMatchFractionOracles:
             x = random_element(A, rng, sparse=0.0)
             assert _pair_closure(A, x)[1] == fraction_pair_closure(A, x)[1]
             assert multiply(A, x, x) == fraction_multiply(A, x, x)
+
+
+def assert_mult_operator(A, x):
+    """mult_operator equals the oracle built column by column from
+    fraction_multiply, with the scalar types of n multiply calls."""
+    basis = [A.basis_element(j) for j in range(A.dim)]
+    for side in ("left", "right"):
+        got = mult_operator(A, x, side)
+        assert got == fraction_mult_operator(A, x, side)
+        cols = [(multiply(A, x, b) if side == "left"
+                 else multiply(A, b, x)).coords for b in basis]
+        assert [list(map(type, row)) for row in got] == \
+            [[type(c[k]) for c in cols] for k in range(A.dim)]
+
+
+class TestMultOperator:
+    @given(algebras, st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_algebras(self, A, seed):
+        assert_mult_operator(A, random_element(A, random.Random(seed)))
+
+    def test_catalog_d8_and_files(self, files_algebras):
+        n = 8
+        d8 = StructureAlgebra("D8", n, FIELD_Q, [
+            [[Fraction(int(i == j == k)) for k in range(n)]
+             for j in range(n)] for i in range(n)])
+        rng = random.Random(11)
+        for A in (*map(catalog_algebra, CATALOG_NAMES), d8,
+                  *files_algebras.values()):
+            assert_mult_operator(A, random_element(A, rng))
+            assert_mult_operator(A, A.basis_element(A.dim - 1))
+        # a sqrt 3 element of a rational algebra
+        H = catalog_algebra("H")
+        assert_mult_operator(H, H.element([SQRT3, Fraction(1, 2), 0, 0]))
 
 
 # ---------------------------------------------------------------------------
