@@ -324,27 +324,19 @@ def mult_operator(A: StructureAlgebra, x: Element, side: str):
         raise ValueError("dimension mismatch")
     scale, width, table = A.integer_table()
     parts, d = clear_denominators(x.coords)
+    xa, xb = parts if len(parts) == 2 else (parts[0], [0] * n)
     left = side == "left"
-    if width == len(parts) == 1:
-        out = [0] * (n * n)
-        for i, y in enumerate(parts[0]):
-            if y:
-                for j in range(n):
-                    for k, c, _ in table[i][j] if left else table[j][i]:
-                        out[k * n + j] += y * c
-        flat = from_parts((out,), d * scale)
-    else:
-        xa, xb = parts if len(parts) == 2 else (parts[0], [0] * n)
-        oa, ob = [0] * (n * n), [0] * (n * n)
-        for i in range(n):
-            ya, yb = xa[i], xb[i]
-            if ya or yb:
-                yb3 = SQRT_RADICAND * yb
-                for j in range(n):
-                    for k, a, b in table[i][j] if left else table[j][i]:
-                        oa[k * n + j] += ya * a + yb3 * b
-                        ob[k * n + j] += ya * b + yb * a
-        flat = from_parts((oa, ob), d * scale)
+    oa, ob = [0] * (n * n), [0] * (n * n)
+    for i in range(n):
+        ya, yb = xa[i], xb[i]
+        if ya or yb:
+            yb3 = SQRT_RADICAND * yb
+            for j in range(n):
+                for k, a, b in table[i][j] if left else table[j][i]:
+                    oa[k * n + j] += ya * a + yb3 * b
+                    ob[k * n + j] += ya * b + yb * a
+    flat = from_parts((oa, ob) if width == 2 or len(parts) == 2 else (oa,),
+                      d * scale)
     return [list(flat[k * n:(k + 1) * n]) for k in range(n)]
 
 
