@@ -300,17 +300,20 @@ def load(spec) -> StructureAlgebra:
     entries = []
     first_pos = {}
     for pos, (i, j, k, s) in enumerate(spec.constants):
+        key = (i, j, k)
         if not (type(i) is type(j) is type(k) is int
                 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-            for idx in (i, j, k):
+            for idx in key:
                 if not (isinstance(idx, int) and 0 <= idx < n):
                     raise SpecFormatError(f"constants[{pos}]: index {idx} "
                                           f"out of range 0..{n - 1}")
-        first = first_pos.setdefault((i, j, k), pos)
+            # a bool from a Python caller indexes as the int it equals
+            i, j, k = map(int, key)
+        first = first_pos.setdefault(key, pos)
         if first != pos:
             raise SpecFormatError(
-                f"constants[{pos}]: [{i}, {j}, {k}] already given at "
-                f"constants[{first}]")
+                f"constants[{pos}]: [{key[0]}, {key[1]}, {key[2]}] already "
+                f"given at constants[{first}]")
         parts = _field_parts(s, rational, f"constants[{pos}]")
         if len(parts) == 2:
             if parts[0]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nalab import algebra, catalog, exactmath
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, find_units
-from nalab.catalog import SpecFormatError, load, save
+from nalab.catalog import AlgebraSpec, SpecFormatError, load, save
 from nalab.exactmath import parse_scalar, scalar_parts
 from oracles import (fraction_integer_table, fraction_load,
                      fraction_parse_scalar, fraction_save)
@@ -145,6 +145,21 @@ class TestLoadMatchesFractionLoad:
             return
         got = parse_scalar(text)
         assert got == expected and type(got) is type(expected)
+
+    def test_python_caller_spec(self):
+        # an AlgebraSpec built in Python may index by bools, as the ints
+        # they equal, and a repeated cell is named as it was given
+        spec = AlgebraSpec("b", 2, FIELD_Q, ["e0", "e1"],
+                           [(True, 0, True, "2"), (0, False, 0, "-1/3")])
+        A, oracle = load(spec), fraction_load(spec)
+        assert A.integer_table() == fraction_integer_table(oracle.constants)
+        assert save(A).to_json_dict() == fraction_save(oracle).to_json_dict()
+        spec.constants.append((1, 0, 1, "5"))
+        with pytest.raises(SpecFormatError) as oracle:
+            fraction_load(spec)
+        with pytest.raises(SpecFormatError) as got:
+            load(spec)
+        assert str(got.value) == str(oracle.value)
 
     def test_digit_limit_message(self):
         # int() refuses more than 4300 digits; the message is Fraction's
