@@ -6,7 +6,11 @@ pinned byte for byte.  The load and save paths are pinned on algebra files:
 power-commutativity scan on the ``files`` algebras of the benchmark at seed
 1, and on one hand-written Q(sqrt 3) file whose entries come out of k order,
 with unreduced fractions, written zeros (``-0``, ``0/7``, ``0+0*sqrt3``),
-spaces inside scalars and rational constants beside sqrt 3 ones.
+spaces inside scalars and rational constants beside sqrt 3 ones.  The
+seed-1 ``files`` algebras also run every other symbolic ``check``, and six
+catalog algebras with their constants scaled by 2^12 to 2^25 (saved as
+files) run every catalog command: their symbolic sums and the products of
+the division certificate pass 2^52 and float64.
 
 ``golden_cli.json`` maps each command line (a file algebra by its file
 name, such as ``D8.json``) to the sha256 of its stdout and its exit code.
@@ -35,6 +39,11 @@ from nalab.cli_io import run_capture
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+#: the symbolic check of every (p, q, r) triple with p, q, r <= 2
+CHECKS = tuple(("check", "--identity", ",".join(map(str, triple)),
+                "--backend", "symbolic")
+               for triple in itertools.product((1, 2), repeat=3))
+
 COMMANDS = (
     ("units",),
     ("degree",),
@@ -44,9 +53,7 @@ COMMANDS = (
     ("predicate", "--name", "quadratic"),
     ("report",),
     ("predicate", "--name", "power_commutative", "--bound", "4"),
-    *(("check", "--identity", ",".join(map(str, triple)),
-       "--backend", "symbolic")
-      for triple in itertools.product((1, 2), repeat=3)),
+    *CHECKS,
     ("show",),
 )
 
@@ -64,6 +71,11 @@ D8_FILE = "D8.json"
 #: the seed-1 ``files`` algebras of the benchmark, by file name
 FILES_SEED = 1
 FILES_NAMES = ("S16", "sparse9", "sparse10", "dense4", "dense6")
+
+#: catalog algebras with every constant times 2^k, as (name, k): each runs
+#: COMMANDS from a file named by ``_scaled_file``
+SCALED = (("H", 20), ("**H", 20), ("O", 12), ("P", 12), ("H", 25),
+          ("P", 23))
 
 #: a hand-written file over Q(sqrt 3) with a two-sided unit u
 HAND_FILE = "hand3.json"
@@ -97,14 +109,25 @@ def _files_specs() -> dict:
     return workloads.files_algebras(FILES_SEED)
 
 
+def _scaled_file(name: str, k: int) -> str:
+    return f"{name.replace('*', 'star')}_x2^{k}.json"
+
+
 def _write_files(directory: pathlib.Path) -> None:
-    """D8, the seed-1 ``files`` algebras and the hand-written file, each
-    in ``directory`` under its file name."""
+    """D8, the scaled catalog algebras, the seed-1 ``files`` algebras and
+    the hand-written file, each in ``directory`` under its file name."""
     n = 8
     consts = [[[Fraction(int(i == j == k)) for k in range(n)]
                for j in range(n)] for i in range(n)]
     catalog.save_file(StructureAlgebra("D8", n, FIELD_Q, consts),
                       str(directory / D8_FILE))
+    for name, k in SCALED:
+        A = catalog.catalog_algebra(name)
+        catalog.save_file(
+            StructureAlgebra(f"{name}*2^{k}", A.dim, A.field,
+                             [[[c * 2 ** k for c in row] for row in plane]
+                              for plane in A.constants]),
+            str(directory / _scaled_file(name, k)))
     specs = {f"{name}.json": spec for name, spec in _files_specs().items()}
     specs[HAND_FILE] = HAND_SPEC
     for file_name, spec in specs.items():
@@ -112,15 +135,20 @@ def _write_files(directory: pathlib.Path) -> None:
             json.dump(spec, fh, indent=1, sort_keys=True)
 
 
-FILE_ALGEBRAS = (*(f"{name}.json" for name in FILES_NAMES), HAND_FILE)
+SEED_FILES = tuple(f"{name}.json" for name in FILES_NAMES)
+FILE_ALGEBRAS = (*SEED_FILES, HAND_FILE)
 
 
 def golden_cases():
     """The command lines, each as a tuple of arguments with a file algebra
     named by its file name."""
+    files_checks = [c for c in CHECKS if c not in FILE_COMMANDS]
     return [(cmd[0], alg, *cmd[1:], "--format", fmt)
-            for algs, cmds in (((*catalog.CATALOG_NAMES, D8_FILE), COMMANDS),
-                               (FILE_ALGEBRAS, FILE_COMMANDS))
+            for algs, cmds in (((*catalog.CATALOG_NAMES, D8_FILE,
+                                 *(_scaled_file(*s) for s in SCALED)),
+                                COMMANDS),
+                               (FILE_ALGEBRAS, FILE_COMMANDS),
+                               (SEED_FILES, files_checks))
             for alg in algs
             for cmd in cmds for fmt in ("text", "structured")]
 
