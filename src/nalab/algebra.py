@@ -680,48 +680,52 @@ _COMPOSITION_DIMS = (1, 2, 4, 8)
 
 
 def _composition_form(A: StructureAlgebra, side: str):
-    """The Gram matrix of q with M_x^T M_x = q(x)*I for every x, or None.
+    """The Gram matrix of q with M_x^T M_x = q(x)*I for every x, or None:
+    (parts, d), q = (parts[0] + parts[1]*sqrt 3) / d with d = 2*scale^2 and
+    parts one or two n x n lists of ints.
 
     M_x is L_x (side "left") or R_x.  M_x^T M_x = sum_ij x_i x_j M_i^T M_j
     with M_i = M_{b_i}, so it is q(x)*I for all x exactly when every block
     M_i^T M_j + M_j^T M_i equals 2*q_ij*I.  Each entry of a block sums 2n
     products of two constants (times 1 + 3 with a sqrt 3 part), which
-    bounds every partial sum and picks the tier of the products.
+    bounds every partial sum: from 2^52 on, the product of the blocks runs
+    on Python ints.
     """
     t = A.tensor()
     n = t.n
     fold = 1 + SQRT_RADICAND if len(t.parts) > 1 else 1
-    kind = engine._tier(2 * n * t.max_abs ** 2 * fold)
+    C = t.parts
+    if 2 * n * t.max_abs ** 2 * fold >= engine._FLOAT_EXACT:
+        # float64 constants are exact ints below 2^52
+        C = [c.astype(np.int64).astype(object) if c.dtype == np.float64
+             else c for c in C]
     # (L_{b_i})_{kj} = c[i][j][k] and (R_{b_i})_{kj} = c[j][i][k]; the rows
     # of M are (i, a) with M[(i, a), k] = (M_{b_i})_{ka}
     M = [(c if side == "left" else c.transpose(1, 0, 2)).reshape(n * n, n)
-         for c in engine._cast(t.parts, kind)]
+         for c in C]
     # G[i, j, a, b] = (M_i^T M_j)_{ab} = sum_k M[(i, a), k] M[(j, b), k]
     G = [g.reshape(n, n, n, n).transpose(0, 2, 1, 3)
          for g in engine._field_product(M, [m.T for m in M])]
     S = [g + g.transpose(1, 0, 2, 3) for g in G]
-    eye = np.eye(t.n, dtype=int)
+    eye = np.eye(n, dtype=int)
     if any(not np.array_equal(s, s[:, :, :1, :1] * eye) for s in S):
         return None
-    denom = 2 * t.scale ** 2
-
-    def entry(i, j):
-        a = Fraction(int(S[0][i, j, 0, 0]), denom)
-        return a if len(S) == 1 else \
-            QuadExt(a, Fraction(int(S[1][i, j, 0, 0]), denom))
-
-    return [[entry(i, j) for j in range(t.n)] for i in range(t.n)]
+    return (tuple([[int(x) for x in row] for row in s[:, :, 0, 0]]
+                  for s in S), 2 * t.scale ** 2)
 
 
-def _positive_definite(q) -> bool:
-    """Sylvester's criterion: every leading principal minor of q is > 0.
+def _positive_definite(form) -> bool:
+    """Sylvester's criterion: every leading principal minor of the form
+    (parts, d) of _composition_form is > 0.
 
-    While row k of q keeps lead column k, the rows kept by Echelon stay in
-    the order added and its minor is the k-th leading principal minor.
+    A positive d keeps the sign of every minor of the integer parts.  While
+    row k keeps lead column k, the rows kept by Echelon stay in the order
+    added and its minor is the k-th leading principal minor.
     """
+    parts, _ = form
     ech = Echelon()
-    return all(ech.add(row) and ech.leads[k] == k and
-               scalar_sign(ech.minor) > 0 for k, row in enumerate(q))
+    return all(ech.add_parts([p[k] for p in parts]) and ech.leads[k] == k
+               and scalar_sign(ech.minor) > 0 for k in range(len(parts[0])))
 
 
 def _division_certified(A: StructureAlgebra) -> bool:

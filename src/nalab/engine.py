@@ -12,15 +12,15 @@ One rule, ``_field_product``, multiplies part tuples under any bilinear numpy
 operation.  Everything is exact: each product runs in float64 (BLAS) while
 a rigorous magnitude bound stays below 2^52, and beyond that on float64
 residues modulo primes below 2^22 (``_primes``), enough of them that their
-product exceeds the bound.  The symbolic product rebuilds the rows left
-after aggregation from their residues by CRT; the multilinear check and the
+product exceeds the bound.  Each symbolic operation, a product
+(``sym_product``) or a sum of scaled terms (``sym_sum``: a linear
+combination, and each bordered minor of ``SymSpan``), sums its rows by key
+once, in one routine for both tiers (``_sum_by_key``), and rebuilds the
+rows left from their residues by CRT; the multilinear check and the
 witness search only test for zero, so they run one prime at a time and
-rebuild nothing.  Symbolic values are stored as float64 arrays, or as
-object arrays of Python ints when rebuilt by CRT or formed past 2^52 by
-``sym_sum``.  Each symbolic operation sums its rows by key in one pass,
-``_aggregate``: a product, a linear combination (``sym_combine``), a scalar
-multiple (``sym_scale``), and each bordered minor of ``SymSpan``, whose
-scaled terms ``sym_sum`` gathers and aggregates once.
+rebuild nothing.  Every aggregation runs on float64: symbolic values are
+stored as float64 arrays, or as object arrays of Python ints when rebuilt
+by CRT, which keep their residues.
 """
 
 from __future__ import annotations
@@ -166,37 +166,16 @@ def _max_abs(parts) -> int:
                       for p in parts if p.size])
 
 
-def _tier(bound: int) -> str:
-    """The tier of a product whose entries and partial sums are below
-    bound: "f" (float64, exact) below 2^52, "o" beyond.  The identity
-    kernels hold "o" values as residues mod primes (``_primes``); sym_sum
-    and the composition form hold them in object dtype (Python ints).  The
-    tiers order as strings: "f" < "o"."""
-    return "f" if bound < _FLOAT_EXACT else "o"
-
-
 def _padded(parts, width: int) -> Tuple:
     """parts with zero sqrt 3 parts appended up to width."""
     return tuple(parts) + tuple(np.zeros_like(parts[0])
                                 for _ in range(width - len(parts)))
 
 
-def _to_kind(arr, kind: str):
-    """Convert an exact integer-valued array between float64 ("f") and
-    object ("o").  The caller's bound guarantees that the entries fit the
-    target kind.
-    """
-    if kind == "f":
-        return arr if arr.dtype == np.float64 else arr.astype(np.float64)
-    # floats hold exact ints below 2^53, so the round trip is exact
-    if arr.dtype == np.float64:
-        return arr.astype(np.int64).astype(object)
-    return arr.astype(object) if arr.dtype != object else arr
-
-
-def _cast(parts, kind: str) -> Tuple:
-    """_to_kind on every part."""
-    return tuple(_to_kind(p, kind) for p in parts)
+def _float(arr):
+    """An exact integer-valued array as float64; the caller's bound keeps
+    its entries below 2^53."""
+    return arr if arr.dtype == np.float64 else arr.astype(np.float64)
 
 
 class ScaledTensor:
@@ -218,8 +197,8 @@ class ScaledTensor:
         self.scale = scale
         self.max_abs = max([1] + [abs(x) for _, a, b in nonzero
                                   for x in (a, b)])
-        # constants from 2^52 on stay Python ints: max_abs then sends every
-        # product to the residue tier
+        # constants from 2^52 on stay Python ints, read through mod: max_abs
+        # then sends every product to the residue tier
         dtype = np.float64 if self.max_abs < _FLOAT_EXACT else object
         where = np.array([pos for pos, _, _ in nonzero], dtype=np.intp)
         parts = []
@@ -254,9 +233,9 @@ class SymVec:
     other.  parts holds the integer coordinate rows, one per key, as a part
     tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
     scale**denom_power.  The rows are float64 (exact below 2^52), or object
-    (Python ints) when formed past 2^52 or by constant_like.  A value rebuilt
-    from residues keeps them, by prime, in ``residues`` (None otherwise),
-    so later products need not reduce its big ints again.
+    (Python ints) when rebuilt by CRT or made by constant_like.  A value
+    rebuilt from residues keeps them, by prime, in ``residues`` (None
+    otherwise), so later operations need not reduce its big ints again.
     """
 
     __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
@@ -353,7 +332,7 @@ def _live(sums) -> np.ndarray:
     return live
 
 
-def _aggregate(keys, parts, n):
+def _aggregate(keys, parts):
     """Sum the rows of every part by key and drop rows zero in all parts.
     Returns (sorted unique keys, summed parts, max_abs); see _run_sums."""
     order, bounds, uk = _runs(keys)
@@ -374,11 +353,49 @@ def _product_degrees(u: SymVec, v: SymVec) -> Tuple[int, ...]:
     return degrees
 
 
-def _sym_residues(x: SymVec, p: int) -> Tuple:
-    """x's parts mod p: kept from the product that built x, or reduced."""
+def _sym_parts(x: SymVec, p: Optional[int]) -> Tuple:
+    """x's parts as exact float64, or with p as residues mod p: kept from
+    the operation that built x, or reduced."""
+    if p is None:
+        return tuple(map(_float, x.parts))
     if x.residues and p in x.residues:
         return x.residues[p]
     return _reduce(x.parts, p)
+
+
+def _times(parts, c: int, p: Optional[int]) -> List[np.ndarray]:
+    """c times every part: exact float64, or with p residues mod p."""
+    if p is None:
+        return [x * c for x in parts]
+    return [_fmod(x * (c % p), p) for x in parts]
+
+
+def _sum_by_key(keys, rows, bound: int):
+    """(unique keys, parts, max_abs, residues): the rows of rows(p) summed
+    by key, rows zero in every part dropped.  bound bounds every entry and
+    every partial sum of the sums.
+
+    Below 2^52, rows(None) are exact float64 and one _aggregate sums them.
+    From there on rows(p) are their residues mod p, for primes whose
+    product exceeds 2 * bound, one prime at a time, summed by key (fewer
+    than 2^31 residues a key, within _fmod's margin); a row is zero when
+    all its residues are, the others are rebuilt, signs included, by CRT,
+    and their residues are kept by prime.
+    """
+    if bound < _FLOAT_EXACT:
+        return (*_aggregate(keys, rows(None)), None)
+    order, bounds, uk = _runs(keys)
+    primes = _primes(2 * bound)
+    sums = []
+    for p in primes:
+        sums.append([_fmod(s, p) for s in _run_sums(rows(p), order, bounds)])
+    live = _live([s for per_prime in sums for s in per_prime])
+    sums = [[s[live] for s in per_prime] for per_prime in sums]
+    parts = tuple(_crt([(per_prime[h] % p).astype(np.int64)
+                        for per_prime, p in zip(sums, primes)], primes)
+                  for h in range(len(sums[0])))
+    return uk[live], parts, _max_abs(parts), dict(zip(primes,
+                                                      map(tuple, sums)))
 
 
 def _product_rows(U: Tuple, V: Tuple, C: Tuple, n: int,
@@ -411,30 +428,11 @@ def sym_product(u: SymVec, v: SymVec, t: ScaledTensor) -> SymVec:
     fold = (1 + SQRT_RADICAND) ** 2 \
         if max(map(len, (u.parts, v.parts, t.parts))) > 1 else 1
     bound = min(P, Q) * n * n * u.max_abs * v.max_abs * t.max_abs * fold
-    if bound < _FLOAT_EXACT:
-        out = _product_rows(*(_cast(x.parts, "f") for x in (u, v, t)), n)
-        keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
-        return SymVec(u.nvars, u.bits, degrees, dp,
-                      *_aggregate(keys, out, n))
-    # residues mod primes whose product exceeds 2 * bound, one prime at a
-    # time, summed by key (at most min(P, Q) < 2^31 residues a key, within
-    # _fmod's margin); a row is zero when all its residues are, and the
-    # others are rebuilt, signs included, by CRT
-    order, bounds, uk = _runs((v.keys[:, None] + u.keys[None, :]).reshape(-1))
-    primes = _primes(2 * bound)
-    sums = []
-    for p in primes:
-        out = _product_rows(_sym_residues(u, p), _sym_residues(v, p),
-                            t.mod(p), n, p)
-        sums.append([_fmod(s, p) for s in _run_sums(out, order, bounds)])
-        del out
-    live = _live([s for per_prime in sums for s in per_prime])
-    sums = [[s[live] for s in per_prime] for per_prime in sums]
-    parts = tuple(_crt([(per_prime[h] % p).astype(np.int64)
-                        for per_prime, p in zip(sums, primes)], primes)
-                  for h in range(len(sums[0])))
-    return SymVec(u.nvars, u.bits, degrees, dp, uk[live], parts,
-                  _max_abs(parts), dict(zip(primes, map(tuple, sums))))
+    keys = (v.keys[:, None] + u.keys[None, :]).reshape(-1)
+    return SymVec(u.nvars, u.bits, degrees, dp, *_sum_by_key(
+        keys, lambda p: _product_rows(
+            _sym_parts(u, p), _sym_parts(v, p),
+            t.parts if p is None else t.mod(p), n, p), bound))
 
 
 def sym_sum(terms: Sequence[Tuple[int, Optional[SymVec], SymVec]],
@@ -442,7 +440,7 @@ def sym_sum(terms: Sequence[Tuple[int, Optional[SymVec], SymVec]],
     """The sum of c s v over the terms (c, s, v): s a scalar (one coordinate
     column), or None for the constant 1, and v a vector of m columns.  Keys
     add, every row of c s multiplies every row of v, and the rows of all
-    the terms are summed by key in one _aggregate.  The terms with c, s
+    the terms are summed by key once (_sum_by_key).  The terms with c, s
     and v nonzero must share one denom_power."""
     degrees = tuple(map(max, zip(*(v.degrees if s is None
                                    else _product_degrees(s, v)
@@ -458,36 +456,31 @@ def sym_sum(terms: Sequence[Tuple[int, Optional[SymVec], SymVec]],
         return first.zero_like(degrees, dp, m)
     # a key sums at most min(P, Q) products of a row of s and one of v (P,
     # Q their key counts), each entry one product, or two under the sqrt 3
-    # rule when both have a sqrt 3 part: the tier bounds every entry and
-    # every partial sum of the aggregation
-    kind = _tier(sum(
+    # rule when both have a sqrt 3 part: this bounds every entry and every
+    # partial sum of the aggregation
+    bound = sum(
         abs(c) * v.max_abs if s is None else
         abs(c) * min(len(s.keys), len(v.keys)) * s.max_abs * v.max_abs
         * (1 + SQRT_RADICAND if min(len(s.parts), len(v.parts)) > 1 else 1)
-        for c, s, v in live))
-    keys, rows = [], []
-    for c, s, v in live:
-        V = _cast(v.parts, kind)
-        if s is None:
-            keys.append(v.keys)
-            rows.append([p * c for p in V])
-        else:
-            keys.append((s.keys[:, None] + v.keys[None, :]).reshape(-1))
-            rows.append([o.reshape(-1, m) for o in _field_product(
-                [p * c for p in _cast(s.parts, kind)],
-                [p.reshape(1, -1) for p in V])])
-    width = max(map(len, rows))
-    parts = [np.concatenate(col)
-             for col in zip(*(_padded(r, width) for r in rows))]
+        for c, s, v in live)
+    keys = np.concatenate([v.keys if s is None else
+                           (s.keys[:, None] + v.keys[None, :]).reshape(-1)
+                           for _, s, v in live])
+
+    def rows(p):
+        out = []
+        for c, s, v in live:
+            V = _sym_parts(v, p)
+            out.append(_times(V, c, p) if s is None else [
+                o.reshape(-1, m) for o in _field_product(
+                    _times(_sym_parts(s, p), c, p),
+                    [x.reshape(1, -1) for x in V], p)])
+        width = max(map(len, out))
+        return [np.concatenate(col)
+                for col in zip(*(_padded(r, width) for r in out))]
+
     return SymVec(first.nvars, first.bits, degrees, dp,
-                  *_aggregate(np.concatenate(keys), parts, m))
-
-
-def sym_scale(s: SymVec, v: SymVec) -> SymVec:
-    """The product of the scalar s (one coordinate column) and the vector v:
-    keys add, every row of s's parts multiplies every row of v's, and equal
-    keys are summed."""
-    return sym_sum([(1, s, v)], v.parts[0].shape[1])
+                  *_sum_by_key(keys, rows, bound))
 
 
 def sym_coordinate(v: SymVec, k: int) -> SymVec:
@@ -534,7 +527,8 @@ class SymSpan:
 
     def add(self, v: SymVec) -> bool:
         """Keep v when it is independent of the kept rows; False when not."""
-        v = SymVec(v.nvars, v.bits, v.degrees, 0, v.keys, v.parts, v.max_abs)
+        v = SymVec(v.nvars, v.bits, v.degrees, 0, v.keys, v.parts, v.max_abs,
+                   v.residues)
         d = len(self.rows)
         rows = self.rows + [v]
         minors = collections.ChainMap({}, self._minors)
@@ -656,9 +650,9 @@ def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     M, w = M[:, live], w[live]
     bound = len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs
     if bound < _FLOAT_EXACT:
-        w = _to_kind(w, "f")[:, None]
-        out = _field_product((_to_kind(M, "f"),),
-                             [_to_kind(p[live], "f") * w for p in v.parts])
+        w = _float(w)[:, None]
+        out = _field_product((_float(M),),
+                             [_float(p[live]) * w for p in v.parts])
         return np.any([np.any(o != 0, axis=1) for o in out], axis=0)
     nonzero = np.zeros(len(M), dtype=bool)
     for p in _primes(bound):

@@ -141,12 +141,19 @@ def bigint_sym_combine(terms):
 
 
 def bigint_sym_scale(s, v):
-    """``engine.sym_scale`` in Python ints, as a ``dict_sum`` dict: every
-    row of the scalar s times every row of v, keys added."""
+    """``engine.sym_sum([(1, s, v)], m)`` in Python ints, as a ``dict_sum``
+    dict: every row of the scalar s times every row of v, keys added."""
     m = v.parts[0].shape[1]
     out = field_op([bigint(p) for p in s.parts], [bigint(p) for p in v.parts],
                    lambda a, b: (a[:, None, :] * b[None]).reshape(-1, m))
     return dict_sum((s.keys[:, None] + v.keys[None, :]).reshape(-1), out)
+
+
+def tier(bound):
+    """The tier a kernel step runs in when bound bounds its entries and
+    partial sums: "f" (exact float64) below 2^52, "o" (residues mod
+    primes) from there on.  The tiers order as strings: "f" < "o"."""
+    return "f" if bound < 2 ** 52 else "o"
 
 
 def bigint_nonzero_at(v, M, w):

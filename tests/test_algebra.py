@@ -4,6 +4,7 @@ subalgebras, degree and division (certificate and sampling)."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from nalab.algebra import (FIELD_Q, FIELD_QSQRT3, DivisionReport, Element,
                            identity_holds, mult_operator, multiply,
                            subalgebra_generated)
 from nalab.catalog import CATALOG_NAMES, catalog_algebra, classical
-from nalab.exactmath import MultiPoly, QuadExt, det, poly_rank, solve_affine
+from nalab.exactmath import MultiPoly, QuadExt, det, from_parts, poly_rank, \
+    solve_affine
 from nalab.freealg import X, FreePoly, associator, polarize, pqr_associator
 from nalab.identities import PROPERTY_NAMES, check_pqr, predicate
 from oracles import (fraction_eval_free_poly, fraction_multiply,
@@ -86,6 +88,16 @@ def composition_form_oracle(A, side):
                 return None
             q[i][j] = block[0][0] / 2
     return q
+
+
+def form_scalars(form):
+    """The Gram matrix of a form (parts, d) of ``_composition_form`` in
+    scalars, through ``from_parts``; None for None."""
+    if form is None:
+        return None
+    parts, d = form
+    return [list(from_parts([p[i] for p in parts], d))
+            for i in range(len(parts[0]))]
 
 
 def degree_sampled(A, trials=20, seed=0):
@@ -742,24 +754,26 @@ class TestDivisionCertificate:
         x = data.draw(st.lists(fracs, min_size=A.dim, max_size=A.dim)
                       .filter(any))
         for side in ("left", "right"):
-            q = algebra._composition_form(A, side)
+            q = form_scalars(algebra._composition_form(A, side))
             qx = sum((q[i][j] * x[i] * x[j] for i in range(A.dim)
                       for j in range(A.dim)), Fraction(0))
             d = det(mult_operator(A, A.element(x), side))
             assert d * d == power(qx, A.dim), side
 
-    @given(data=st.data(), n=st.integers(1, 4))
+    @given(data=st.data(), n=st.integers(1, 4), d=st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
-    def test_positive_definite_matches_leading_minors(self, data, n):
-        """Oracle: Sylvester's criterion with one det per leading block."""
-        entries = st.sampled_from([Fraction(v) for v in (-1, 0, 1, 2)])
-        q = [[None] * n for _ in range(n)]
+    def test_positive_definite_matches_leading_minors(self, data, n, d):
+        """Oracle: Sylvester's criterion with one det per leading block of
+        the form in Fractions."""
+        entries = st.sampled_from((-1, 0, 1, 2))
+        a = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                q[i][j] = q[j][i] = data.draw(entries)
+                a[i][j] = a[j][i] = data.draw(entries)
+        q = form_scalars(((a,), d))
         expect = all(det([row[:k] for row in q[:k]]) > 0
                      for k in range(1, n + 1))
-        assert algebra._positive_definite(q) == expect
+        assert algebra._positive_definite(((a,), d)) == expect
 
     @pytest.mark.parametrize("name", UNCERTIFIED)
     def test_rejects_and_falls_back_to_sampler(self, name):
@@ -774,24 +788,26 @@ class TestDivisionCertificate:
         ("g(x)y", 24, "o")])
     def test_composition_form_on_both_tiers(self, name, k, tier, monkeypatch):
         """Constants scaled by 2^k put the products of the blocks just
-        under or past 2^52, over Q and over Q(sqrt 3); q matches the
-        blocks built from ``mult_operator`` in Fractions."""
+        under or past 2^52, over Q and over Q(sqrt 3): the one product of
+        the blocks runs in float64 below and on Python ints past it.  q
+        matches the blocks built from ``mult_operator`` in Fractions."""
         base = UNCERTIFIED.get(name) or catalog_algebra(name)
         A = StructureAlgebra(name, base.dim, base.field, [
             [[c * 2 ** k for c in row] for row in plane]
             for plane in base.constants])
-        kinds = []
-        cast = engine._cast
+        dtypes = []
+        field_product = engine._field_product
 
-        def recording(parts, kind):
-            kinds.append(kind)
-            return cast(parts, kind)
+        def recording(P, Q, p=None):
+            dtypes.append(P[0].dtype)
+            return field_product(P, Q, p)
 
-        monkeypatch.setattr(engine, "_cast", recording)
+        monkeypatch.setattr(engine, "_field_product", recording)
         for side in ("left", "right"):
-            assert algebra._composition_form(A, side) == \
+            assert form_scalars(algebra._composition_form(A, side)) == \
                 composition_form_oracle(A, side), side
-        assert kinds == [tier, tier]
+        dtype = np.dtype(np.float64 if tier == "f" else object)
+        assert dtypes == [dtype, dtype]
 
     @pytest.mark.parametrize("name", ["f(x)y", "g(x)y"])
     def test_one_sided_composition_is_not_a_proof(self, name):

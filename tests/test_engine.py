@@ -25,14 +25,15 @@ from hypothesis import strategies as st
 
 from nalab import engine
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
-    degree, eval_free_poly, identity_holds
-from nalab.catalog import catalog_algebra
+    _symbolic_groups, degree, eval_free_poly, generic_closure, identity_holds
+from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
-from nalab.freealg import FreePoly, polarize, pqr_associator
-from nalab.identities import predicate
+from nalab.freealg import X, FreePoly, polarize, pqr_associator
+from nalab.identities import check_pqr, predicate
 from oracles import bigint, bigint_nonzero_at, bigint_sym_combine, \
     bigint_sym_product, bigint_sym_scale, bigint_word_tensor, dict_sum, \
-    fraction_eval_free_poly, generic_element, inclusion_exclusion_multilin
+    fraction_eval_free_poly, generic_element, inclusion_exclusion_multilin, \
+    tier
 
 
 def random_algebra(dim, seed, span=3, field=FIELD_Q):
@@ -299,8 +300,7 @@ def sym_rows(draw, nvars, bits, m, width, big=False):
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         if rows and draw(st.booleans()):
-            terms = [(1, engine.sym_scale(poly(1), r)) for r in rows]
-            rows.append(engine.sym_combine(terms, m))
+            rows.append(engine.sym_sum([(1, poly(1), r) for r in rows], m))
         else:
             rows.append(poly(m))
     return rows
@@ -333,16 +333,17 @@ class TestSymSpan:
         into Python ints."""
         s, v = data.draw(sym_rows(nvars, 8, 1, width, big)), \
             data.draw(sym_rows(nvars, 8, m, width, big))
-        got = engine.sym_scale(s[0], v[0])
+        got = engine.sym_sum([(1, s[0], v[0])], m)
         (c,) = poly_row(s[0])
         assert poly_row(got) == [c * p for p in poly_row(v[0])]
 
     def test_scale_exponent_overflow_raises(self):
         x = engine.SymVec.generic(1, 1, 2, 0)
-        x3 = engine.sym_scale(engine.sym_scale(x, x), x)
+        x2 = engine.sym_sum([(1, x, x)], 1)
+        x3 = engine.sym_sum([(1, x2, x)], 1)
         assert x3.degrees == (3,)
         with pytest.raises(ValueError, match="does not fit in 2 bits"):
-            engine.sym_scale(x3, x)
+            engine.sym_sum([(1, x3, x)], 1)
 
 
 def scaled_oracle(s, v):
@@ -805,7 +806,7 @@ class TestGroupedMultilinearization:
                     expect = per_word_multilinearization(A, poly, cache)
                     kind = assert_same_tensor(A.ml_engine(), poly, expect)
                     # never wider than the per-word bound asks for
-                    assert kind <= engine._tier(expect[3]), (span, key)
+                    assert kind <= tier(expect[3]), (span, key)
                     kinds.add(kind)
         assert kinds == {"f", "o"}
 
@@ -822,7 +823,7 @@ class TestGroupedMultilinearization:
         for key, poly in triple_polys(1, 2, 2):
             expect = per_word_multilinearization(A, poly)
             kind = assert_same_tensor(A.ml_engine(), poly, expect)
-            assert kind <= engine._tier(expect[3]), key
+            assert kind <= tier(expect[3]), key
 
     @pytest.mark.parametrize("poly, groups", [
         (polarize(2, 2, 2).f(1), 4),
@@ -919,7 +920,7 @@ class TestAggregate:
                  for part in rows]
         expect = dict_sum(keys, parts)
         with mock.patch.object(engine, "_AGGREGATE_ROWS", block):
-            uk, sums, max_abs = engine._aggregate(keys, parts, n)
+            uk, sums, max_abs = engine._aggregate(keys, parts)
         assert uk.dtype == keys.dtype
         assert [int(k) for k in uk] == sorted(expect)
         assert len(sums) == width
@@ -961,9 +962,9 @@ class TestAggregate:
                                            -vals[:half], vals[half:2 * half])
             parts.append(np.array(vals.tolist(), dtype=dtype) * (top // 4))
         expect = dict_sum(keys, parts)
-        uk, sums, max_abs = engine._aggregate(keys, parts, 2)
+        uk, sums, max_abs = engine._aggregate(keys, parts)
         with mock.patch.object(engine, "_AGGREGATE_ROWS", 3):
-            chunked = engine._aggregate(keys, parts, 2)
+            chunked = engine._aggregate(keys, parts)
         assert [int(k) for k in uk] == sorted(expect) == \
             [int(k) for k in chunked[0]]
         assert min(expect) >= (100 << 64 if kind == "o" else 100)
@@ -984,21 +985,21 @@ def line_algebra(c):
 
 
 def product_kinds(monkeypatch, u, v, t):
-    """sym_product(u, v, t), the tiers its products ran in ("o" for
-    residues mod primes) and the primes it used."""
+    """sym_product(u, v, t), the tiers its products ran in ("f" for exact
+    float64, "o" for residues mod primes) and the primes it used."""
     kinds, used = [], []
-    cast, primes = engine._cast, engine._primes
+    field_product, primes = engine._field_product, engine._primes
 
-    def recording(parts, kind):
-        kinds.append(kind)
-        return cast(parts, kind)
+    def recording(A, B, p=None):
+        kinds.append("f" if p is None else "o")
+        return field_product(A, B, p)
 
     def residues(bound):
         kinds.append("o")
         used.extend(primes(bound))
         return used
 
-    monkeypatch.setattr(engine, "_cast", recording)
+    monkeypatch.setattr(engine, "_field_product", recording)
     monkeypatch.setattr(engine, "_primes", residues)
     got = engine.sym_product(u, v, t)
     return got, set(kinds), used
@@ -1116,7 +1117,7 @@ class TestSortedSlotCheck:
             for key, poly in polys:
                 U, dx, dy, bound = ml.multilinearization(poly)
                 assert all(u.dtype == np.float64 for u in U)
-                kinds.add(engine._tier(bound))
+                kinds.add(tier(bound))
                 shapes.add((dx == 1, dy == 0))
                 got = ml.check(poly)
                 assert got == full_scan_check(A, poly, cache), (A.name, key)
@@ -1170,7 +1171,7 @@ class TestOutBlocks:
 
         def recording(self, poly, p=None, out=slice(None), factors=None):
             got = build(self, poly, p, out, factors)
-            calls.append((p, out, engine._tier(got[3])))
+            calls.append((p, out, tier(got[3])))
             return got
 
         monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
@@ -1359,8 +1360,8 @@ def line_word(a, b):
 
 class TestFloatEdge:
     """Each kernel at the bounds 2^52 - 1 (exact float64) and 2^52
-    (residues, or Python ints for sym_scale and sym_combine), against the
-    big-int oracle."""
+    (residues, rebuilt as Python ints for sym_sum and sym_combine), against
+    the big-int oracle."""
 
     @given(p=st.sampled_from(engine._PRIMES[:4] + [5, 7, 65537]),
            data=st.data())
@@ -1390,7 +1391,7 @@ class TestFloatEdge:
     def test_sym_scale(self, a, b):
         s = symvec({(1, 0): [(a, 0)]}, 2, 4, 1, 1)
         v = line_word(b, -b)
-        got = engine.sym_scale(s, v)
+        got = engine.sym_sum([(1, s, v)], 1)
         assert got.parts[0].dtype == \
             (np.float64 if a * b < 2 ** 52 else object)
         assert dict_sum(got.keys, got.parts) == bigint_sym_scale(s, v)
@@ -1453,7 +1454,7 @@ def test_no_int64_product_operand(files_algebras, monkeypatch):
     # ints, over the catalog and the files algebras, on both backends
     from nalab.algebra import division_sampled
     from nalab.catalog import CATALOG_NAMES
-    from nalab.identities import predicate
+    from nalab.identities import check_pqr, predicate
     seen = set()
     matmul = engine._matmul
 
@@ -1473,3 +1474,99 @@ def test_no_int64_product_operand(files_algebras, monkeypatch):
         division_sampled(A, trials=1)
     assert np.dtype(np.float64) in seen
     assert np.dtype(np.int64) not in seen, seen
+
+
+def d8():
+    """D8: e_i e_i = e_i, every other product zero."""
+    return StructureAlgebra("D8", 8, FIELD_Q, [
+        [[Fraction(int(i == j == k)) for k in range(8)] for j in range(8)]
+        for i in range(8)])
+
+
+def scaled_past_float64(A, k=None):
+    """A with its constants times 2^k, by default 2^20 up to dim 4 and 2^12
+    beyond: isomorphic to A, with symbolic sums past 2^52."""
+    return scaled(A, 2 ** (k or (20 if A.dim <= 4 else 12)))
+
+
+#: the scaled catalog algebras of the golden CLI file, as (name, k)
+SCALED_CATALOG = (("H", 20), ("**H", 20), ("O", 12), ("P", 12), ("H", 25),
+                  ("P", 23))
+
+#: the predicates decided on generic elements, PA and quadratic by
+#: SymSpan minors
+GENERIC_PREDICATES = ("TPA", "x_x2_x", "flexible", "alternative",
+                      "power_associative", "power_commutative", "quadratic")
+
+
+def symbolic_answers(A):
+    """degree, the closure words, the eight symbolic check_pqr results and
+    the generic predicates (PC with bound 4) of A."""
+    return (degree(A), generic_closure(A).words,
+            [check_pqr(A, *t) for t in ALL_TRIPLES],
+            [predicate(A, name, bound=4) for name in GENERIC_PREDICATES])
+
+
+class TestOneResidueRoute:
+    """Past 2^52 sym_product and sym_sum take one route: float64 residues
+    mod primes summed by key, rebuilt by CRT, with the residues kept."""
+
+    @pytest.mark.parametrize("name", (*CATALOG_NAMES, "D8"))
+    def test_scaling_keeps_every_answer(self, name, monkeypatch):
+        """x -> x / 2^k maps A onto A with its constants times 2^k, so
+        every answer is A's, witnesses included: the scaled side runs past
+        2^52 and the unscaled side in float64."""
+        A = d8() if name == "D8" else fresh_catalog_algebra(name)
+        asked = recording_primes(monkeypatch)
+        expect = symbolic_answers(A)
+        assert asked == []
+        assert symbolic_answers(scaled_past_float64(A)) == expect
+        assert asked
+
+    @pytest.mark.parametrize("name, k", (("H", 20), ("P", 23)))
+    def test_sum_keeps_its_residues(self, name, k):
+        """A sym_sum past 2^52 keeps residues equal to its parts mod each
+        prime, and a product of it equals the big-int product."""
+        A = scaled_past_float64(fresh_catalog_algebra(name), k)
+        t = A.tensor()
+        ctx = engine.SymContext(t, _symbolic_groups(A, (X,), 7))
+        x = FreePoly.var(X)
+        v = ctx.eval_poly((x * x) * (x * x) + x * (x * (x * x)))
+        assert v.max_abs >= 2 ** 52 and v.residues
+        for p, residues in v.residues.items():
+            assert len(residues) == len(v.parts)
+            for r, e in zip(residues, engine._reduce(v.parts, p)):
+                assert r.dtype == np.float64 and (np.abs(r) < p).all()
+                assert ((bigint(r) - bigint(e)) % p == 0).all(), p
+        got = engine.sym_product(v, ctx.groups[X], t)
+        exact = bigint_sym_product(v, ctx.groups[X], t)
+        assert dict_sum(got.keys, got.parts) == \
+            dict_sum(exact.keys, exact.parts)
+
+
+def test_no_object_arrays_in_symbolic_kernels(files_algebras, monkeypatch):
+    """No symbolic aggregation and no product of the symbolic kernels runs
+    on Python ints: past 2^52 they run on float64 residues."""
+    run_sums, field_product = engine._run_sums, engine._field_product
+
+    def float_only(parts):
+        assert all(x.dtype != object for x in parts)
+
+    def checked_run_sums(parts, order, bounds):
+        float_only(parts)
+        return run_sums(parts, order, bounds)
+
+    def checked_field_product(A, B, p=None):
+        float_only((*A, *B))
+        return field_product(A, B, p)
+
+    monkeypatch.setattr(engine, "_run_sums", checked_run_sums)
+    monkeypatch.setattr(engine, "_field_product", checked_field_product)
+    algebras = [scaled_past_float64(catalog_algebra(name), k)
+                for name, k in SCALED_CATALOG] + list(files_algebras.values())
+    for A in algebras:
+        degree(A)
+        for name in ("power_associative", "power_commutative", "quadratic"):
+            predicate(A, name, bound=4)
+        for triple in ALL_TRIPLES:
+            check_pqr(A, *triple)
