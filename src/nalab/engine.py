@@ -197,8 +197,8 @@ class ScaledTensor:
         self.scale = scale
         self.max_abs = max([1] + [abs(x) for _, a, b in nonzero
                                   for x in (a, b)])
-        # constants from 2^52 on stay Python ints, read through mod: max_abs
-        # then sends every product to the residue tier
+        # constants from 2^52 on stay Python ints, read through mod and by
+        # the division certificate: max_abs sends products to residues
         dtype = np.float64 if self.max_abs < _FLOAT_EXACT else object
         where = np.array([pos for pos, _, _ in nonzero], dtype=np.intp)
         parts = []
@@ -365,9 +365,7 @@ def _sym_parts(x: SymVec, p: Optional[int]) -> Tuple:
 
 def _times(parts, c: int, p: Optional[int]) -> List[np.ndarray]:
     """c times every part: exact float64, or with p residues mod p."""
-    if p is None:
-        return [x * c for x in parts]
-    return [_fmod(x * (c % p), p) for x in parts]
+    return [x * c if p is None else _fmod(x * (c % p), p) for x in parts]
 
 
 def _sum_by_key(keys, rows, bound: int):

@@ -1454,7 +1454,7 @@ def test_no_int64_product_operand(files_algebras, monkeypatch):
     # ints, over the catalog and the files algebras, on both backends
     from nalab.algebra import division_sampled
     from nalab.catalog import CATALOG_NAMES
-    from nalab.identities import check_pqr, predicate
+    from nalab.identities import predicate
     seen = set()
     matmul = engine._matmul
 
