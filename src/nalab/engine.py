@@ -384,9 +384,8 @@ def _sum_by_key(keys, rows, bound: int):
         return (*_aggregate(keys, rows(None)), None)
     order, bounds, uk = _runs(keys)
     primes = _primes(2 * bound)
-    sums = []
-    for p in primes:
-        sums.append([_fmod(s, p) for s in _run_sums(rows(p), order, bounds)])
+    sums = [[_fmod(s, p) for s in _run_sums(rows(p), order, bounds)]
+            for p in primes]
     live = _live([s for per_prime in sums for s in per_prime])
     sums = [[s[live] for s in per_prime] for per_prime in sums]
     parts = tuple(_crt([(per_prime[h] % p).astype(np.int64)
