@@ -444,15 +444,10 @@ def eval_free_poly(A: StructureAlgebra, poly: FreePoly,
 # ---------------------------------------------------------------------------
 
 
-#: random elements after the basis sums and differences; callers take at
-#: most 120 candidates in all, so the stream never runs out
-_WITNESS_RANDOM = 400
-
-
 def _witness_points(n: int):
     """The witness candidates as integer coordinate points: the basis
     vectors, then e_i + e_j and e_i - e_j for i < j, then seeded random
-    points with coordinates in -3..3."""
+    points with coordinates in -3..3, without end."""
     for i in range(n):
         yield tuple(int(k == i) for k in range(n))
     for i in range(n):
@@ -460,7 +455,7 @@ def _witness_points(n: int):
             yield tuple(int(k == i) + int(k == j) for k in range(n))
             yield tuple(int(k == i) - int(k == j) for k in range(n))
     rng = random.Random(12345)
-    for _ in range(_WITNESS_RANDOM):
+    while True:
         yield tuple(rng.randint(-3, 3) for _ in range(n))
 
 

@@ -29,12 +29,11 @@ import collections
 import itertools
 import math
 import os
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactmath import SQRT_RADICAND, QuadExt
+from .exactmath import SQRT_RADICAND, clear_denominators
 from .freealg import FreePoly, FreeTerm, UNIT, X, Y, term_bidegree
 
 _FLOAT_EXACT = 1 << 52
@@ -233,9 +232,10 @@ class SymVec:
     other.  parts holds the integer coordinate rows, one per key, as a part
     tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
     scale**denom_power.  The rows are float64 (exact below 2^52), or object
-    (Python ints) when rebuilt by CRT or made by constant_like.  A value
-    rebuilt from residues keeps them, by prime, in ``residues`` (None
-    otherwise), so later operations need not reduce its big ints again.
+    (Python ints) when rebuilt by CRT or made by constant_like from 2^52 on.
+    A value rebuilt from residues keeps them, by prime, in ``residues``
+    (None otherwise), and so do its coordinates (sym_coordinate), so later
+    operations need not reduce its big ints again.
     """
 
     __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
@@ -268,15 +268,13 @@ class SymVec:
         """The constant vector coords (rational or QuadExt entries) times
         the lcm of their denominators, over the same variables and key
         width."""
-        pairs = [(c.a, c.b) if isinstance(c, QuadExt)
-                 else (Fraction(c), Fraction(0)) for c in coords]
-        scale = math.lcm(*(q.denominator for pair in pairs for q in pair))
-        parts = tuple(np.array([[int(pair[h] * scale) for pair in pairs]],
-                               dtype=object)
-                      for h in range(2 if any(b for _, b in pairs) else 1))
+        rows, _ = clear_denominators(coords)
+        rows = rows[:2 if any(rows[-1]) else 1]
+        m = max(1, *(abs(x) for row in rows for x in row))
+        dtype = np.float64 if m < _FLOAT_EXACT else object
         return SymVec(self.nvars, self.bits, (0,) * len(self.degrees), 0,
-                      np.zeros(1, dtype=self.keys.dtype), parts,
-                      _max_abs(parts))
+                      np.zeros(1, dtype=self.keys.dtype),
+                      tuple(np.array([row], dtype=dtype) for row in rows), m)
 
     def zero_like(self, degrees, denom_power, n) -> "SymVec":
         """The zero element over the same variables and key width."""
@@ -485,8 +483,10 @@ def sym_coordinate(v: SymVec, k: int) -> SymVec:
     cols = [p[:, k:k + 1] for p in v.parts]
     live = np.any([c[:, 0] != 0 for c in cols], axis=0)
     cols = [c[live] for c in cols]
+    residues = v.residues and {p: tuple(r[live, k:k + 1] for r in rs)
+                               for p, rs in v.residues.items()}
     return SymVec(v.nvars, v.bits, v.degrees, v.denom_power, v.keys[live],
-                  tuple(cols), _max_abs(cols))
+                  tuple(cols), _max_abs(cols), residues)
 
 
 def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
@@ -550,6 +550,8 @@ class SymSpan:
         minor = minors[full] = sym_coordinate(w, k)
         if d % 2:
             minor.parts = tuple(-p for p in minor.parts)
+            minor.residues = minor.residues and {
+                p: tuple(-r for r in rs) for p, rs in minor.residues.items()}
         self._minors.update(minors.maps[0])
         self.rows.append(v)
         self.cols.append(k)
@@ -725,40 +727,20 @@ def _sorted_sums(T, n: int, k: int):
 
 
 def _vertex_cover(edges) -> Tuple[set, set]:
-    """(lefts, rights): a minimum vertex cover of the bipartite graph with
-    the given (left, right) edges, left and right vertices kept apart.
-
-    A maximum matching is grown by augmenting paths; by König's theorem the
-    cover is then the left vertices not reachable from an unmatched left
-    vertex by an alternating path, and the right vertices that are.
+    """(lefts, rights): a vertex cover of the bipartite graph with the given
+    (left, right) edges, left and right vertices kept apart.  Greedy: the
+    vertex on the most edges not yet covered joins it, ties going to the
+    first met walking the edges, left before right.  The cover is minimum on
+    every polynomial the program multilinearizes; a larger one would cost
+    contractions but change no sum.
     """
-    adj: Dict = {}
-    for left, right in edges:
-        adj.setdefault(left, []).append(right)
-    match: Dict = {}  # right vertex -> its matched left vertex
-
-    def augment(left, seen) -> bool:
-        for right in adj[left]:
-            if right not in seen:
-                seen.add(right)
-                if right not in match or augment(match[right], seen):
-                    match[right] = left
-                    return True
-        return False
-
-    for left in adj:
-        augment(left, set())
-    reached = [left for left in adj if left not in match.values()]
-    zl, zr = set(reached), set()
-    while reached:
-        for right in adj[reached.pop()]:
-            if right not in zr:
-                # matched, or the matching would not be maximum
-                zr.add(right)
-                if match[right] not in zl:
-                    zl.add(match[right])
-                    reached.append(match[right])
-    return set(adj) - zl, zr
+    cover: Tuple[set, set] = (set(), set())
+    while edges:
+        (side, vertex), _ = collections.Counter(
+            v for edge in edges for v in enumerate(edge)).most_common(1)[0]
+        cover[side].add(vertex)
+        edges = [edge for edge in edges if edge[side] != vertex]
+    return cover
 
 
 def _cover_groups(poly: FreePoly):
@@ -766,13 +748,13 @@ def _cover_groups(poly: FreePoly):
     (side, shared factor) to the members (c, other factor) of its words, c
     the word's coefficient times the lcm of poly's denominators.
 
-    The keys are the vertices of a minimum vertex cover of the bipartite
+    The keys are the vertices of a greedy vertex cover of the bipartite
     graph whose edges are the words' (left factor, right factor) pairs
     (``_vertex_cover``).  A word L R goes to ("L", L) with member (c, R)
     when L is in the cover, and to ("R", R) with member (c, L) otherwise.
-    No vertex of a minimum cover has all its edges covered by others, so
-    every key holds a word.  A bare leaf c v has no factors: it goes to
-    ("L", None) with member (c, v).
+    Each pick covers a word no earlier pick covered, so every key holds a
+    word.  A bare leaf c v has no factors: it goes to ("L", None) with
+    member (c, v).
     """
     bdegs = poly.bidegrees()
     if len(bdegs) != 1:
@@ -822,7 +804,7 @@ class MultilinearEngine:
     bilinear, so the words that share a left factor L cost one contraction
     L * (sum of c * R), those that share a right factor R one contraction
     (sum of c * L) * R, and top-level words are never built; the words are
-    split between the two kinds by a minimum vertex cover of their (L, R)
+    split between the two kinds by a greedy vertex cover of their (L, R)
     pairs (``_cover_groups``).  The out slot is never symmetrized, so check
     builds and scans the accumulator one block of out indices at a time.
     Every tensor comes with an entry bound m.  While a rigorous bound stays
@@ -1002,7 +984,7 @@ class MultilinearEngine:
         factors, a dict, keeps the groups' whole factors for further calls
         on the same poly and prime.
 
-        The words are grouped by a minimum vertex cover of their (left
+        The words are grouped by a greedy vertex cover of their (left
         factor, right factor) pairs (see _cover_groups).  Per group the
         factors on the unshared side are summed with their coefficients,
         slots aligned, into one tensor (see _summed); it is contracted once

@@ -5,6 +5,9 @@ Generic elements on MultiPoly coordinates check the packed symbolic kernels:
 ``fraction_multiply`` and ``fraction_eval_free_poly`` (below) run on these
 coordinates.  ``inclusion_exclusion_multilin`` evaluates a full
 multilinearization through ordinary algebra multiplication.
+``konig_cover`` finds a minimum vertex cover of a bipartite graph by maximum
+matching and König's theorem, the reference for the multilinear engine's
+greedy word grouping.
 
 The big-int oracle carries out the products of the identity kernels in exact
 Python integers (object dtype), with no magnitude tier and no residues: the
@@ -187,6 +190,43 @@ def bigint_word_tensor(t, term, cache=None):
         res = parts, _max_abs(parts)
     cache[term] = res
     return res
+
+
+def konig_cover(edges):
+    """(lefts, rights): a minimum vertex cover of the bipartite graph with
+    the given (left, right) edges, left and right vertices kept apart.
+
+    A maximum matching is grown by augmenting paths; by König's theorem the
+    cover is then the left vertices not reachable from an unmatched left
+    vertex by an alternating path, and the right vertices that are.
+    """
+    adj = {}
+    for left, right in edges:
+        adj.setdefault(left, []).append(right)
+    match = {}  # right vertex -> its matched left vertex
+
+    def augment(left, seen) -> bool:
+        for right in adj[left]:
+            if right not in seen:
+                seen.add(right)
+                if right not in match or augment(match[right], seen):
+                    match[right] = left
+                    return True
+        return False
+
+    for left in adj:
+        augment(left, set())
+    reached = [left for left in adj if left not in match.values()]
+    zl, zr = set(reached), set()
+    while reached:
+        for right in adj[reached.pop()]:
+            if right not in zr:
+                # matched, or the matching would not be maximum
+                zr.add(right)
+                if match[right] not in zl:
+                    zl.add(match[right])
+                    reached.append(match[right])
+    return set(adj) - zl, zr
 
 
 def inclusion_exclusion_multilin(A, poly, x_tuple, y_tuple):

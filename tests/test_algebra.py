@@ -1,6 +1,7 @@
 """Structure-constant algebras: products, operators, units, identity checks,
 subalgebras, degree and division (certificate and sampling)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -364,6 +365,16 @@ class TestIdentityHolds:
 
     def test_zero_poly(self):
         assert identity_holds(H, FreePoly.zero()).holds
+
+    def test_witness_points_never_run_out(self):
+        # the basis, 3 sums, 3 differences, then seeded points without end
+        first = list(itertools.islice(algebra._witness_points(3), 1000))
+        assert first[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert first[3:5] == [(1, 1, 0), (1, -1, 0)]
+        assert len(first) == 1000 and all(
+            max(map(abs, point)) <= 3 for point in first)
+        assert first == list(itertools.islice(algebra._witness_points(3),
+                                              1000))
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -28,12 +28,13 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
     _symbolic_groups, degree, eval_free_poly, generic_closure, identity_holds
 from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
-from nalab.freealg import X, FreePoly, polarize, pqr_associator
+from nalab.freealg import X, Y, FreePoly, associator, polarize, \
+    pqr_associator
 from nalab.identities import check_pqr, predicate
 from oracles import bigint, bigint_nonzero_at, bigint_sym_combine, \
     bigint_sym_product, bigint_sym_scale, bigint_word_tensor, dict_sum, \
     fraction_eval_free_poly, generic_element, inclusion_exclusion_multilin, \
-    tier
+    konig_cover, tier
 
 
 def random_algebra(dim, seed, span=3, field=FIELD_Q):
@@ -756,6 +757,21 @@ ALL_TRIPLES = list(itertools.product((1, 2), repeat=3))
 LOW_TRIPLES = [t for t in ALL_TRIPLES if sum(t) <= 5]
 
 
+def program_polys():
+    """The 40 polynomials the program hands to the multilinear backend, as
+    pytest params with their keys as ids: the eight (x^p, x^q, x^r) and
+    their 28 components (check_pqr, paper-verify criterion 6), flexibility
+    and both alternative laws (predicate), and x^2 x^2 - (x^2 x) x
+    (power_associative)."""
+    x, y, xx = FreePoly.var(X), FreePoly.var(Y), FreePoly.term((X, X))
+    polys = [kp for triple in ALL_TRIPLES for kp in triple_polys(*triple)]
+    polys += [("flexible", associator(x, y, x)),
+              ("left alternative", associator(x, x, y)),
+              ("right alternative", associator(y, x, x)),
+              ("x2x2", xx * xx - (xx * x) * x)]
+    return [pytest.param(key, poly, id=key) for key, poly in polys]
+
+
 def word_edges(poly):
     """The (left factor, right factor) pairs of poly's words."""
     return [term for term in poly.terms if not isinstance(term, str)]
@@ -825,18 +841,14 @@ class TestGroupedMultilinearization:
             kind = assert_same_tensor(A.ml_engine(), poly, expect)
             assert kind <= tier(expect[3]), key
 
-    @pytest.mark.parametrize("poly, groups", [
-        (polarize(2, 2, 2).f(1), 4),
-        (polarize(2, 2, 2).f(2), 8),
-        (polarize(2, 2, 2).f(3), 8),
-        (polarize(2, 1, 2).f(2), 8),
-        (pqr_associator(2, 2, 2), 2),
-    ], ids=["2.2.2.1", "2.2.2.2", "2.2.2.3", "2.1.2.2", "2,2,2"])
-    def test_one_contraction_per_cover_vertex(self, poly, groups,
-                                              monkeypatch):
+    @pytest.mark.parametrize("key, poly", program_polys())
+    def test_one_contraction_per_cover_vertex(self, key, poly, monkeypatch):
         # every factor of these words has at most 4 leaves, so a first pass
         # caches them all and a second contracts only the groups
-        assert groups == min_cover_size(word_edges(poly))
+        groups = min_cover_size(word_edges(poly))
+        # the counts README "Identity backends" quotes
+        assert groups == {"(2.2.2.1)": 4, "(2.2.2.2)": 8, "(2.2.2.3)": 8,
+                          "(2.1.2.2)": 8, "(2,2,2)": 2}.get(key, groups)
         H = catalog_algebra("H")
         expect = per_word_multilinearization(H, poly)
         ml = H.ml_engine()
@@ -852,21 +864,22 @@ class TestGroupedMultilinearization:
         assert_same_tensor(ml, poly, expect)
         assert len(calls) == groups
 
-    @pytest.mark.parametrize("triple", ALL_TRIPLES, ids=str)
-    def test_cover_is_minimum(self, triple):
-        for key, poly in triple_polys(*triple):
-            edges = word_edges(poly)
-            lefts, rights = engine._vertex_cover(edges)
-            assert all(L in lefts or R in rights for L, R in edges), key
-            assert len(lefts) + len(rights) == min_cover_size(edges), key
-            # one group per vertex of the cover, each word in one group
-            _, _, groups = engine._cover_groups(poly)
-            assert set(groups) == {("L", L) for L in lefts} | \
-                {("R", R) for R in rights}, key
-            assert sorted(map(str, poly.terms)) == sorted(
-                str((F, other) if side == "L" else (other, F))
-                for (side, F), members in groups.items()
-                for _, other in members), key
+    @pytest.mark.parametrize("key, poly", program_polys())
+    def test_cover_is_minimum(self, key, poly):
+        # the greedy cover is König's, and as small as any cover
+        edges = sorted(word_edges(poly), key=str)
+        lefts, rights = engine._vertex_cover(edges)
+        assert (lefts, rights) == konig_cover(edges)
+        assert all(L in lefts or R in rights for L, R in edges)
+        assert len(lefts) + len(rights) == min_cover_size(edges)
+        # one group per vertex of the cover, each word in one group
+        _, _, groups = engine._cover_groups(poly)
+        assert set(groups) == {("L", L) for L in lefts} | \
+            {("R", R) for R in rights}
+        assert sorted(map(str, poly.terms)) == sorted(
+            str((F, other) if side == "L" else (other, F))
+            for (side, F), members in groups.items()
+            for _, other in members)
 
     @pytest.mark.parametrize("coeff", (1, 2))
     @pytest.mark.parametrize("var", ("x", "y"))
@@ -1542,6 +1555,28 @@ class TestOneResidueRoute:
         exact = bigint_sym_product(v, ctx.groups[X], t)
         assert dict_sum(got.keys, got.parts) == \
             dict_sum(exact.keys, exact.parts)
+
+
+@pytest.mark.parametrize("work, name, k", (("degree", "P", 12),
+                                            ("quadratic", "H", 50)))
+def test_minors_reduce_no_big_ints(work, name, k, monkeypatch):
+    """SymSpan minors past 2^52 take coordinates with their residues, sign
+    flips included, and the first minor and a constant row are float64, so
+    no minor reduces Python ints mod a prime again."""
+    A = scaled_past_float64(fresh_catalog_algebra(name), k)
+    asked = recording_primes(monkeypatch)
+    reduce, big = engine._reduce, []
+
+    def counting(parts, p):
+        big.extend(len(x) for x in parts if x.dtype == object)
+        return reduce(parts, p)
+
+    monkeypatch.setattr(engine, "_reduce", counting)
+    if work == "degree":
+        degree(A)
+    else:
+        assert predicate(A, "quadratic").value
+    assert asked and big == []
 
 
 def test_no_object_arrays_in_symbolic_kernels(files_algebras, monkeypatch):
