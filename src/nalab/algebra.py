@@ -118,6 +118,7 @@ class StructureAlgebra:
         self._ml: Optional[engine.MultilinearEngine] = None
         self._units: Optional[UnitReport] = None
         self._generic: Optional[GenericClosure] = None
+        self._verdicts: dict = {}
 
     @property
     def constants(self) -> tuple:
@@ -526,7 +527,20 @@ def identity_holds(A: StructureAlgebra, poly: FreePoly,
     coordinates; the multilinear backend fully polarizes to multilinearity
     (valid in characteristic zero) and evaluates on all basis tuples.  Both
     report a concrete witness when the identity fails.
+
+    The verdict is kept on A under (poly, backend), so an equal polynomial
+    asked of the same backend again is answered from it; the backends never
+    share an entry.  A call that raises keeps nothing.
     """
+    key = (poly, backend)
+    res = A._verdicts.get(key)
+    if res is None:
+        res = A._verdicts[key] = _decide_identity(A, poly, backend)
+    return res
+
+
+def _decide_identity(A: StructureAlgebra, poly: FreePoly,
+                     backend: str) -> HoldsResult:
     check_backend(backend)
     if poly.is_zero():
         return HoldsResult(True, backend)

@@ -349,8 +349,20 @@ def predicate(A: StructureAlgebra, name: str, backend: str = "symbolic",
     """Evaluate a named structural predicate with proof-mode bookkeeping.
 
     backend must be "symbolic" or "multilinear" for every name, though only
-    the identity predicates use it.
+    the identity predicates use it.  The result is kept on A under (name,
+    backend, bound), beside the verdicts of ``identity_holds``, so each
+    predicate is decided once per algebra; the backends never share an
+    entry, and a call that raises keeps nothing.
     """
+    key = (name, backend, bound)
+    res = A._verdicts.get(key)
+    if res is None:
+        res = A._verdicts[key] = _decide_predicate(A, name, backend, bound)
+    return res
+
+
+def _decide_predicate(A: StructureAlgebra, name: str, backend: str,
+                      bound: int) -> PredicateResult:
     check_backend(backend)
     x, y = FreePoly.var(X), FreePoly.var(Y)
     if name == "associative":

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nalab import cli, engine
+from nalab.catalog import catalog_algebra
 from nalab.cli_io import parse_structured, run_capture
 
 
@@ -130,6 +131,9 @@ class TestErrors:
 
         monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
                             exhausted)
+        # the catalog H is shared across tests: a verdict kept on it would
+        # answer without the patched kernel
+        monkeypatch.setattr(catalog_algebra("H"), "_verdicts", {})
         code, out = run("check", "H", "--identity", "2,2,2",
                         "--backend", "multilinear")
         lines = capsys.readouterr().err.splitlines()

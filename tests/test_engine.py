@@ -526,10 +526,16 @@ def count_aggregates(monkeypatch):
     return calls
 
 
-def fresh_catalog_algebra(name):
-    A = catalog_algebra(name)
+def fresh(A):
+    """A copy of A with nothing kept on it: the catalog algebras and the
+    ``files_algebras`` fixture are shared across tests, and a verdict kept
+    on them would answer in place of a patched kernel."""
     return StructureAlgebra(A.name, A.dim, A.field, A.constants,
                             A.basis_names)
+
+
+def fresh_catalog_algebra(name):
+    return fresh(catalog_algebra(name))
 
 
 class TestOneAggregationPerMinor:
@@ -1243,10 +1249,11 @@ EDGE_SPANS = (2 ** 10, 2 ** 20, 2 ** 26, 2 ** 70)
 
 def holds_by_bigint_oracle(A, poly):
     """identity_holds(A, poly, "symbolic") with every symbolic product and
-    every point value of the witness search taken by the big-int oracle."""
+    every point value of the witness search taken by the big-int oracle,
+    on a fresh copy of A: a verdict kept on A would answer without them."""
     with mock.patch.object(engine, "sym_product", bigint_sym_product), \
             mock.patch.object(engine, "sym_nonzero_at", bigint_nonzero_at):
-        return identity_holds(A, poly, "symbolic")
+        return identity_holds(fresh(A), poly, "symbolic")
 
 
 class TestResidueTier:
@@ -1332,7 +1339,7 @@ class TestResidueTier:
 
     def test_no_object_product_on_dense_algebra(self, files_algebras,
                                                 monkeypatch):
-        A = files_algebras["dense6"]
+        A = fresh(files_algebras["dense6"])
         seen = []
         matmul = engine._matmul
 
@@ -1476,8 +1483,8 @@ def test_no_int64_product_operand(files_algebras, monkeypatch):
         return matmul(P, Q, p)
 
     monkeypatch.setattr(engine, "_matmul", recording)
-    algebras = [catalog_algebra(name) for name in CATALOG_NAMES] + \
-        list(files_algebras.values())
+    algebras = [fresh_catalog_algebra(name) for name in CATALOG_NAMES] + \
+        [fresh(A) for A in files_algebras.values()]
     for A in algebras:
         for poly in (pqr_associator(1, 1, 2), polarize(1, 1, 2).f(1)):
             for backend in ("symbolic", "multilinear"):
@@ -1598,7 +1605,8 @@ def test_no_object_arrays_in_symbolic_kernels(files_algebras, monkeypatch):
     monkeypatch.setattr(engine, "_run_sums", checked_run_sums)
     monkeypatch.setattr(engine, "_field_product", checked_field_product)
     algebras = [scaled_past_float64(catalog_algebra(name), k)
-                for name, k in SCALED_CATALOG] + list(files_algebras.values())
+                for name, k in SCALED_CATALOG] + \
+        [fresh(A) for A in files_algebras.values()]
     for A in algebras:
         degree(A)
         for name in ("power_associative", "power_commutative", "quadratic"):

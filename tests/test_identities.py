@@ -175,6 +175,13 @@ def random_elements(A, seed, count):
             for _ in range(count)]
 
 
+def fresh(A):
+    """A copy of A with nothing kept on it: the catalog algebras and the
+    ``files_algebras`` fixture are shared across tests."""
+    return StructureAlgebra(A.name, A.dim, A.field, A.constants,
+                            A.basis_names)
+
+
 def force_identities(monkeypatch):
     """Make every identity check of ``identities`` hold."""
     monkeypatch.setattr(identities, "identity_holds",
@@ -246,6 +253,8 @@ class TestAssociativityCheck:
         # generic words must contradict the criterion
         assert generic_words(P)
         force_identities(monkeypatch)
+        # a power_associative verdict kept on the shared P would answer
+        monkeypatch.setattr(P, "_verdicts", {})
         with pytest.raises(AssertionError, match="generic A\\(x\\)"):
             predicate(P, "power_associative")
 
@@ -469,8 +478,7 @@ class TestPowerCommutativeScan:
         scan the closure answers.  Below bound 4 only the scan runs.  The
         answer is the full scan's either way."""
         A = catalog_algebra(name)
-        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
-                             A.basis_names)
+        B = fresh(A)
         closed, scanned = [], []
         original_closure = identities.generic_closure
         original_scan = identities._power_commutative_scan
@@ -565,19 +573,14 @@ class TestLazyWitness:
         the seeded random candidates are drawn: with ``random.Random``
         raising, the power-associativity witness is unchanged."""
         A = catalog_algebra(name)
-
-        def fresh():
-            return StructureAlgebra(A.name, A.dim, A.field, A.constants,
-                                    A.basis_names)
-
-        expect = predicate(fresh(), "power_associative").to_dict()
+        expect = predicate(fresh(A), "power_associative").to_dict()
         assert not expect["value"] and "witness" in expect
 
         def refuse(*args, **kwargs):
             raise AssertionError("random candidates drawn")
 
         monkeypatch.setattr(algebra.random, "Random", refuse)
-        assert predicate(fresh(), "power_associative").to_dict() == expect
+        assert predicate(fresh(A), "power_associative").to_dict() == expect
 
 
 def check_polys():
@@ -659,13 +662,17 @@ class TestWitnessFromValue:
 
         monkeypatch.setattr(algebra, "eval_free_poly", counting)
         x, y = FreePoly.var(X), FreePoly.var("y")
+        # SH and P are shared across tests, and each search below must run,
+        # not be answered by a verdict kept on them
         for A, poly in ((SH, pqr_associator(1, 1, 1)),
                         (P, associator(y, x, x))):
             del calls[:]
+            monkeypatch.setattr(A, "_verdicts", {})
             assert not identity_holds(A, poly).holds
             assert len(calls) == 1
         monkeypatch.setattr(algebra, "eval_free_poly",
                             lambda A, poly, assignment: A.zero())
+        monkeypatch.setattr(SH, "_verdicts", {})
         with pytest.raises(AssertionError, match="does not refute"):
             identity_holds(SH, pqr_associator(1, 1, 1))
 
@@ -737,8 +744,7 @@ class TestInstances:
         copy is used, since the catalog algebras are cached across
         tests."""
         A = catalog_algebra(name)
-        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
-                             A.basis_names)
+        B = fresh(A)
         closes = []
         closure = algebra.generic_closure
 
@@ -759,8 +765,7 @@ class TestInstances:
         a fresh P (none) never closes A(x), and its statements are the same
         as with the degree known."""
         A = catalog_algebra(name)
-        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
-                             A.basis_names)
+        B = fresh(A)
         calls = []
         closure = algebra.generic_closure
 
@@ -795,6 +800,116 @@ class TestInstances:
         monkeypatch.setattr(identities, "predicate", counting)
         verify_instances(catalog_algebra(name), 20, 0, 4)
         assert sorted(names) == asked
+
+
+def count_below_memo(monkeypatch):
+    """The (poly, backend) and (name, backend, bound) keys that reach the
+    code below the verdicts kept on an algebra, in call order."""
+    decided = []
+    decide_identity = algebra._decide_identity
+    decide_predicate = identities._decide_predicate
+
+    def identity(A, poly, backend):
+        decided.append((poly, backend))
+        return decide_identity(A, poly, backend)
+
+    def named(A, name, backend, bound):
+        decided.append((name, backend, bound))
+        return decide_predicate(A, name, backend, bound)
+
+    monkeypatch.setattr(algebra, "_decide_identity", identity)
+    monkeypatch.setattr(identities, "_decide_predicate", named)
+    return decided
+
+
+class TestVerdictsKept:
+    """identity_holds and predicate keep each verdict on the algebra, keyed
+    with its backend: a report decides each identity and each predicate
+    once, and a symbolic verdict never answers a multilinear request."""
+
+    @pytest.mark.parametrize("name, identities_decided", [
+        ("P", 11), ("H", 12), ("O", 12)])
+    def test_report_decides_each_once(self, monkeypatch, name,
+                                      identities_decided):
+        # the hierarchy report and the statement checks ask H for 18
+        # identities, (x, x, x) four times, and for PA, PC and quadratic
+        # twice each
+        asked = []
+        ask = identities.identity_holds
+
+        def counting(A, poly, backend="symbolic"):
+            asked.append((poly, backend))
+            return ask(A, poly, backend)
+
+        monkeypatch.setattr(identities, "identity_holds", counting)
+        decided = count_below_memo(monkeypatch)
+        B = fresh(catalog_algebra(name))
+        hierarchy_report(B, bound=5)
+        verify_instances(B, trials=20, bound=5)
+        polys = [k for k in decided if len(k) == 2]
+        names = [k for k in decided if len(k) == 3]
+        assert len(set(decided)) == len(decided)
+        assert set(polys) == set(asked)
+        assert len(polys) == identities_decided
+        assert sorted(n for n, _, _ in names) == sorted(PROPERTY_NAMES)
+
+    def test_backends_never_share(self, monkeypatch):
+        B = fresh(H)
+        poly = pqr_associator(1, 1, 2)
+        assert identity_holds(B, poly, "symbolic").holds
+        checks = []
+        check = engine.MultilinearEngine.check
+
+        def counting(self, poly):
+            checks.append(poly)
+            return check(self, poly)
+
+        monkeypatch.setattr(engine.MultilinearEngine, "check", counting)
+        res = identity_holds(B, poly, "multilinear")
+        assert res.holds and res.backend == "multilinear"
+        assert checks == [poly]
+        assert predicate(B, "TPA").mode == "symbolic-proof"
+        assert predicate(B, "TPA", "multilinear").mode == \
+            "multilinear-proof"
+        assert len(checks) == 2
+        # asked again, each backend answers from its own entry
+        identity_holds(B, poly, "multilinear")
+        predicate(B, "TPA", "multilinear")
+        assert len(checks) == 2
+
+    def test_a_call_that_raises_keeps_nothing(self, monkeypatch):
+        B = fresh(H)
+        poly = pqr_associator(2, 2, 2)
+
+        def exhausted(self, *args):
+            raise MemoryError("no memory")
+
+        monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
+                            exhausted)
+        for _ in range(2):
+            with pytest.raises(MemoryError):
+                identity_holds(B, poly, "multilinear")
+        assert B._verdicts == {}
+        C = fresh(P)
+        force_identities(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="generic A\\(x\\)"):
+                predicate(C, "power_associative")
+        assert C._verdicts == {}
+        monkeypatch.undo()
+        assert identity_holds(B, poly, "multilinear").holds
+        assert not predicate(C, "power_associative").value
+
+    def test_equal_polynomials_share_an_entry(self, monkeypatch):
+        decided = count_below_memo(monkeypatch)
+        B = fresh(SH)
+        first = pqr_associator(1, 1, 1)
+        second = FreePoly(dict(first.terms))
+        assert second is not first and second == first
+        res = identity_holds(B, first)
+        assert identity_holds(B, second) is res and not res.holds
+        assert decided == [(first, "symbolic")]
+        assert list(B._verdicts) == [(first, "symbolic")]
 
 
 class TestHierarchy:
@@ -901,8 +1016,7 @@ def test_analysis_builds_no_multipoly(monkeypatch, ut3, files_algebras):
 
     monkeypatch.setattr(exactmath.MultiPoly, "__init__", refuse)
     for A in algebras:
-        B = StructureAlgebra(A.name, A.dim, A.field, A.constants,
-                             A.basis_names)
+        B = fresh(A)
         degree(B)
         for name in PROPERTY_NAMES:
             predicate(B, name, bound=4)
