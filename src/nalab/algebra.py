@@ -16,6 +16,7 @@ certificate where one exists, seeded sampling otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -461,7 +462,8 @@ def _witness_points(n: int):
 
 
 def _find_witness(A: StructureAlgebra, poly: FreePoly, value: engine.SymVec):
-    """The first candidate assignment at which poly evaluates nonzero.
+    """The first candidate assignment at which poly evaluates nonzero,
+    searched when ``_probe_witness`` has found none.
 
     value is poly at generic elements, one variable group per variable in
     sorted order, as ``identity_holds`` builds it: a nonzero multiple of
@@ -499,11 +501,63 @@ def _find_witness(A: StructureAlgebra, poly: FreePoly, value: engine.SymVec):
                 break
     if combo is None:
         return None
+    return _confirmed(A, poly, vars_, combo)
+
+
+def _confirmed(A: StructureAlgebra, poly: FreePoly, vars_: Sequence[str],
+               combo) -> dict:
+    """The assignment of the points combo to vars_, after one
+    ``eval_free_poly`` has confirmed that it refutes poly."""
     assignment = {v: A.element([Fraction(c) for c in p])
                   for v, p in zip(vars_, combo)}
     if eval_free_poly(A, poly, assignment).is_zero():
         raise AssertionError("the witness does not refute the identity")
     return assignment
+
+
+#: the candidates (one variable), or the pairs of the first candidate with
+#: them (two variables), at which ``_probe_witness`` evaluates an identity
+#: before its generic value is built; never more than the n^2 basis
+#: elements, sums and differences
+_PROBE_POINTS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_points(n: int, k: int) -> Tuple[tuple, np.ndarray]:
+    """The first k points of ``_witness_points(n)``, as tuples and as the
+    rows of one float64 array, read-only since every caller shares it."""
+    cands = tuple(itertools.islice(_witness_points(n), k))
+    rows = np.array(cands, dtype=np.float64)
+    rows.flags.writeable = False
+    return cands, rows
+
+
+def _probe_witness(A: StructureAlgebra, poly: FreePoly,
+                   vars_: Sequence[str]) -> Optional[dict]:
+    """The witness ``_find_witness`` would report, when it is among the
+    first ``_PROBE_POINTS`` candidates or pairs; None otherwise.
+
+    Those are a prefix of its candidate order, and no seeded random
+    candidate is among them: one variable takes the first min(8, n^2)
+    points of ``_witness_points``, two take the pairs of the first point
+    with each of them, the first pairs in ``itertools.product`` order.
+    poly is evaluated exactly at all of them at once
+    (``engine.poly_nonzero_at``), and the first nonzero one is confirmed
+    as ``_find_witness`` confirms its own.
+    """
+    k = min(_PROBE_POINTS, A.dim ** 2)
+    if k == 0:
+        return None
+    cands, ys = _probe_points(A.dim, k)
+    points = {vars_[-1]: ys}
+    if len(vars_) == 2:
+        points[vars_[0]] = np.repeat(ys[:1], k, axis=0)
+    hits = engine.poly_nonzero_at(poly, A.tensor(), points)
+    if not hits.any():
+        return None
+    y = cands[int(np.argmax(hits))]
+    return _confirmed(A, poly, vars_, (y,) if len(vars_) == 1
+                      else (cands[0], y))
 
 
 def _symbolic_groups(A: StructureAlgebra, vars_: Sequence[str],
@@ -548,6 +602,9 @@ def _decide_identity(A: StructureAlgebra, poly: FreePoly,
         raise ValueError("identity polynomials must be unit-free")
     vars_ = sorted(poly.variables())
     if backend == "symbolic":
+        witness = _probe_witness(A, poly, vars_)
+        if witness is not None:
+            return HoldsResult(False, backend, witness)
         max_degree = max(max(term_bidegree(t)) for t in poly.terms)
         groups = _symbolic_groups(A, vars_, max_degree)
         value = engine.SymContext(A.tensor(), groups).eval_poly(poly)

@@ -16,11 +16,14 @@ product exceeds the bound.  Each symbolic operation, a product
 (``sym_product``) or a sum of scaled terms (``sym_sum``: a linear
 combination, and each bordered minor of ``SymSpan``), sums its rows by key
 once, in one routine for both tiers (``_sum_by_key``), and rebuilds the
-rows left from their residues by CRT; the multilinear check and the
-witness search only test for zero, so they run one prime at a time and
-rebuild nothing.  Every aggregation runs on float64: symbolic values are
-stored as float64 arrays, or as object arrays of Python ints when rebuilt
-by CRT, which keep their residues.
+rows left from their residues by CRT.  Three kernels only test for zero,
+so they run one prime at a time and rebuild nothing: the multilinear
+check, the witness search on a generic value (``sym_nonzero_at``), and the
+probe that evaluates an identity exactly at a few integer points before
+any generic value is built (``poly_nonzero_at``, a batched pointwise
+product, ``point_product``).  Every aggregation runs on float64: symbolic
+values are stored as float64 arrays, or as object arrays of Python ints
+when rebuilt by CRT, which keep their residues.
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ def _matmul(P, Q, p: Optional[int]):
 
 def _field_product(A: Tuple, B: Tuple, p: Optional[int] = None) -> Tuple:
     """Matrix product of part tuples by the rule (a, b)(a', b') =
-    (aa' + 3bb', ab' + ba'): A's parts are (m, k) and B's (k, p) matrices.
+    (aa' + 3bb', ab' + ba'): A's parts are (m, k) and B's (k, p) matrices,
+    or stacks of them, (..., m, k) and (..., k, p), multiplied pairwise.
 
     A missing sqrt 3 part is zero, so the result has one exactly when a
     factor has one.  When both factors have one, the rule is a single
@@ -154,8 +158,11 @@ def _field_product(A: Tuple, B: Tuple, p: Optional[int] = None) -> Tuple:
         a, b = A
         b3 = b * SQRT_RADICAND if p is None else \
             _fmod(b * SQRT_RADICAND, p)
-        out = _matmul(np.block([[a, b3], [b, a]]), np.concatenate(B), p)
-        return out[:len(a)], out[len(a):]
+        block = np.concatenate([np.concatenate([a, b3], axis=-1),
+                                np.concatenate([b, a], axis=-1)], axis=-2)
+        out = _matmul(block, np.concatenate(B, axis=-2), p)
+        m = a.shape[-2]
+        return out[..., :m, :], out[..., m:, :]
     return tuple(_matmul(P, Q, p) for P in A for Q in B)
 
 
@@ -665,6 +672,131 @@ def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
                       for lo in range(0, len(live), width))
             nonzero |= np.any(_fmod(acc, p) != 0, axis=1)
     return nonzero
+
+
+def point_product(U: Tuple, V: Tuple, t: ScaledTensor,
+                  p: Optional[int] = None) -> Tuple:
+    """Row k is the product of the rows U[k] and V[k] through the structure
+    tensor, out[k, c] = sum_{i, j} U[k, i] V[k, j] C[i, j, c]: one (K, n)
+    array per part, by two _field_product calls, the second a stack of K
+    (1, n) @ (n, n) products.  With p, every part is a residue mod p."""
+    n = t.n
+    C = t.parts if p is None else t.mod(p)
+    # uC[k, (j, c)] = sum_i U[k, i] C[i, j, c]
+    uC = _field_product(U, [c.reshape(n, n * n) for c in C], p)
+    out = _field_product([v[:, None, :] for v in V],
+                         [w.reshape(-1, n, n) for w in uC], p)
+    return tuple(o[:, 0] for o in out)
+
+
+def poly_nonzero_at(poly: FreePoly, t: ScaledTensor,
+                    points: Dict[str, np.ndarray]) -> np.ndarray:
+    """For each row k of the points, one (K, n) integer array per variable
+    of poly, is poly nonzero there?
+
+    Each subterm is evaluated once at all K points (point_product), and
+    the terms are summed with poly's coefficients cleared to integers.
+    The integer constants are scale times the true ones and every term has
+    one leaf-degree, so the sum is a nonzero multiple of poly's value.
+    The points are rational, so every product has the tensor's parts.
+
+    Every product is bounded before it is formed.  Let s be the sum of a
+    value's entry magnitudes over all parts at a point.  A product of
+    values with s and s' has every entry and every partial sum within
+    fold max(s, 1) max(s', 1) max|C|, fold 9 when the tensor has a sqrt 3
+    part (two steps of the rule, each at most 3 times the magnitudes),
+    else 1.  The product is formed in exact float64 when that is below
+    2^52 at every point, and the sum when the sum of |c| s over the terms
+    is.  s is measured on the exact values in float64, which is exact
+    below 2^53 and stays at least 2^53 beyond, so both comparisons are
+    exact.  Otherwise s is bounded again in Python ints, n w times the
+    product's bound for a product left unformed (w the tensor's parts),
+    and the test runs on residues mod primes whose product exceeds the
+    bound of the sum: a point is nonzero when any residue is.  Nothing is
+    rebuilt.
+    """
+    n, width = t.n, len(t.parts)
+    fold = 1 if width == 1 else SQRT_RADICAND ** 2
+    # fold max|C| as a float; at 2^52 it leaves every product unformed
+    top = float(min(fold * t.max_abs, _FLOAT_EXACT))
+    denom = math.lcm(*(c.denominator for c in poly.terms.values()))
+    coeffs = [(c.numerator * (denom // c.denominator), term)
+              for term, c in poly.terms.items()]
+    # each subterm's exact float64 parts, or None when left unformed, and
+    # max(s, 1) of those formed
+    values: Dict[FreeTerm, Optional[Tuple]] = {}
+    mags: Dict[FreeTerm, np.ndarray] = {}
+
+    def value(term: FreeTerm) -> Optional[Tuple]:
+        if term in values:
+            return values[term]
+        if isinstance(term, str):
+            W = (_float(points[term]),)
+        else:
+            U, V = value(term[0]), value(term[1])
+            W = None
+            if U is not None and V is not None and (
+                    top * mags[term[0]] * mags[term[1]]).max() < _FLOAT_EXACT:
+                W = point_product(U, V, t)
+        values[term] = W
+        if W is not None:
+            s = np.abs(W[0]).sum(axis=1)
+            for x in W[1:]:
+                s += np.abs(x).sum(axis=1)
+            mags[term] = np.maximum(s, 1, out=s)
+        return W
+
+    def nonzero(parts_of, p: Optional[int]) -> np.ndarray:
+        acc: List[np.ndarray] = []
+        for c, term in coeffs:
+            for h, x in enumerate(_times(parts_of(term), c, p)):
+                if h < len(acc):
+                    acc[h] += x
+                else:
+                    acc.append(x)
+        hits = np.zeros(len(acc[0]), dtype=bool)
+        for a in acc:
+            hits |= (a if p is None else _fmod(a, p)).any(axis=1)
+        return hits
+
+    formed = [value(term) is not None for _, term in coeffs]
+    if all(formed) and sum(abs(c) * mags[term]
+                           for c, term in coeffs).max() < _FLOAT_EXACT:
+        return nonzero(values.__getitem__, None)
+    bounds: Dict[FreeTerm, List[int]] = {}
+
+    def bound(term: FreeTerm) -> List[int]:
+        got = bounds.get(term)
+        if got is None:
+            W = values[term]
+            if W is not None:
+                got = sum(np.abs(x).astype(np.int64).sum(axis=1)
+                          for x in W).tolist()
+            else:
+                got = [width * n * fold * t.max_abs * max(a, 1) * max(b, 1)
+                       for a, b in zip(bound(term[0]), bound(term[1]))]
+            bounds[term] = got
+        return got
+
+    hits = np.zeros(len(next(iter(points.values()))), dtype=bool)
+    for p in _primes(max(map(sum, zip(*([abs(c) * x for x in bound(term)]
+                                         for c, term in coeffs))))):
+        residues: Dict[FreeTerm, Tuple] = {}
+
+        def residue(term: FreeTerm) -> Tuple:
+            got = residues.get(term)
+            if got is None:
+                W = values[term]
+                if W is not None:
+                    got = _reduce(W, p)
+                else:
+                    got = point_product(residue(term[0]), residue(term[1]),
+                                        t, p)
+                residues[term] = got
+            return got
+
+        hits |= nonzero(residue, p)
+    return hits
 
 
 # ---------------------------------------------------------------------------

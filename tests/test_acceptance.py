@@ -70,6 +70,22 @@ def test_criterion_9_round_trips():
     _run(9)
 
 
+def test_criterion_9_decides_each_run(monkeypatch):
+    """Both runs of ``check H --identity 1,1,2`` decide the identity: the
+    second is not answered from a verdict kept on H by the first."""
+    from nalab import algebra
+    from nalab.freealg import pqr_associator
+    decide, decided = algebra._decide_identity, []
+
+    def recording(A, poly, backend):
+        decided.append((A.name, poly, backend))
+        return decide(A, poly, backend)
+
+    monkeypatch.setattr(algebra, "_decide_identity", recording)
+    assert all(r.passed for r in paperverify.criterion_9())
+    assert decided.count(("H", pqr_associator(1, 1, 2), "symbolic")) == 2
+
+
 def test_paper_verify_cli_entry():
     """The CLI entry point reports the same verdicts (fast criteria)."""
     from nalab.cli_io import parse_structured, run_capture

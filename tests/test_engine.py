@@ -1613,3 +1613,98 @@ def test_no_object_arrays_in_symbolic_kernels(files_algebras, monkeypatch):
             predicate(A, name, bound=4)
         for triple in ALL_TRIPLES:
             check_pqr(A, *triple)
+
+
+# ---------------------------------------------------------------------------
+# The exact probe at a few integer points
+# ---------------------------------------------------------------------------
+
+
+#: each (x^p, x^q, x^r) and its first linearization component
+PROBE_POLYS = [poly for triple in ALL_TRIPLES
+               for poly in (pqr_associator(*triple), polarize(*triple).f(1))]
+
+
+class TestPolyNonzeroAt:
+    """engine.poly_nonzero_at against fraction_eval_free_poly, which shares
+    no code with it: the nonzero pattern is the same at every point."""
+
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+           field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
+           density=st.sampled_from((0.1, 0.3, 1.0)),
+           k=st.sampled_from((0, 26, 60)),
+           which=st.lists(st.integers(0, len(PROBE_POLYS) - 1),
+                          min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_oracle(self, dim, seed, field, density, k,
+                                     which):
+        # a sparse algebra has zeros among its values at integer points,
+        # and its products run past 2^52 from k = 26 on
+        A = scaled(sparse_algebra(dim, seed, 3, field, density), 2 ** k)
+        rng = random.Random(seed)
+        for i in which:
+            poly = PROBE_POLYS[i]
+            points = {v: [[rng.randint(-3, 3) for _ in range(dim)]
+                          for _ in range(8)]
+                      for v in sorted(poly.variables())}
+            got = engine.poly_nonzero_at(
+                poly, A.tensor(),
+                {v: np.array(p, dtype=np.float64) for v, p in points.items()})
+            expect = [not fraction_eval_free_poly(A, poly, {
+                v: A.element([Fraction(c) for c in p[row]])
+                for v, p in points.items()}).is_zero() for row in range(8)]
+            assert got.tolist() == expect, (i, points)
+
+    @pytest.mark.parametrize("c", (2 ** 52 - 1, 2 ** 52))
+    def test_tier_bound(self, c, monkeypatch):
+        """e0 e0 = c e0: x x at x = e0 reaches its bound c exactly, so
+        the residues run from c = 2^52 on; x (x x) - (x x) x cancels."""
+        t = line_algebra(c).tensor()
+        x = FreePoly.var(X)
+        points = {X: np.array([[1.0], [0.0]])}
+        asked = recording_primes(monkeypatch)
+        assert engine.poly_nonzero_at(x * x, t, points).tolist() == \
+            [True, False]
+        assert bool(asked) == (c >= 2 ** 52)
+        assert not engine.poly_nonzero_at(x * (x * x) - (x * x) * x, t,
+                                          points).any()
+
+    def test_sqrt3_part_alone(self):
+        """e0 e0 = sqrt 3 e0: x x at e0 has a zero rational part."""
+        t = line_algebra(QuadExt(0, 1)).tensor()
+        x = FreePoly.var(X)
+        assert engine.poly_nonzero_at(x * x, t, {X: np.ones((1, 1))})[0]
+
+    def test_every_prime_counts(self):
+        """e0 e0 = c e0 with c past 2^52 and divisible by the first prime:
+        x x at e0 is nonzero only modulo the second."""
+        c = engine._PRIMES[0] * 2 ** 31
+        assert c >= 2 ** 52
+        x = FreePoly.var(X)
+        assert engine.poly_nonzero_at(x * x, line_algebra(c).tensor(),
+                                      {X: np.ones((1, 1))})[0]
+
+    def test_factor_order(self):
+        """e0 e1 = e1 is the only nonzero product: x y is nonzero at
+        (e0, e1) and zero at (e1, e0)."""
+        consts = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+        consts[0][1][1] = Fraction(1)
+        t = StructureAlgebra("e0e1", 2, FIELD_Q, consts).tensor()
+        x, y = FreePoly.var(X), FreePoly.var(Y)
+        eye = np.eye(2)
+        assert engine.poly_nonzero_at(
+            x * y, t, {X: eye, Y: eye[::-1]}).tolist() == [True, False]
+
+    def test_sqrt3_fold(self):
+        """e0 e0 = (a + b sqrt 3) e0 is commutative and associative, so
+        (x x)(x x) - ((x x) x) x is zero.  The rational part of (x x)(x x)
+        at e0 is a^3 + 9 a b^2, odd and past 2^53, while (a + b)^2 a, the
+        bound without the fold of 9, is below 2^52: without the fold it
+        would be formed in float64 and rounded."""
+        a, b = 100001, 100000
+        assert (a + b) ** 2 * a < 2 ** 52 < 2 ** 53 < a ** 3 + 9 * a * b ** 2
+        t = line_algebra(QuadExt(a, b)).tensor()
+        x = FreePoly.var(X)
+        x2 = x * x
+        assert not engine.poly_nonzero_at(
+            x2 * x2 - (x2 * x) * x, t, {X: np.ones((1, 1))})[0]

@@ -677,6 +677,61 @@ class TestWitnessFromValue:
             identity_holds(SH, pqr_associator(1, 1, 1))
 
 
+def files_polys(A):
+    """The identities of the benchmark's ``files`` workload on A."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                           / "perfbench"))
+    import workloads
+    return [poly for _, _, poly in workloads._files_identities(A)]
+
+
+class TestProbe:
+    """Before it builds a generic value, the symbolic backend evaluates the
+    identity exactly at the first few witness candidates (pairs, for two
+    variables): a nonzero value there is the witness, and only when all of
+    them are zero is the generic value built."""
+
+    def test_generic_route_gives_equal_results(self, monkeypatch, ut3,
+                                               files_by_seed):
+        """With no candidate probed, every failing search reads its witness
+        off the generic value, and every result equals the probed one."""
+        cases = [(A, poly) for A in [*map(catalog_algebra, CATALOG_NAMES),
+                                     diagonal(8), ut3]
+                 for poly in check_polys()]
+        # S16 is the same at every seed
+        cases += [(A, poly) for seed, algebras in files_by_seed.items()
+                  for name, A in algebras.items()
+                  if seed == 1 or name != "S16" for poly in files_polys(A)]
+        probed = [identity_holds(fresh(A), poly) for A, poly in cases]
+        searches = []
+        find = algebra._find_witness
+
+        def counting(*args):
+            searches.append(None)
+            return find(*args)
+
+        monkeypatch.setattr(algebra, "_PROBE_POINTS", 0)
+        monkeypatch.setattr(algebra, "_find_witness", counting)
+        generic = [identity_holds(fresh(A), poly) for A, poly in cases]
+        assert generic == probed
+        assert len(searches) == sum(not r.holds for r in probed) > 0
+
+    def test_refuted_identity_builds_no_generic_value(self, monkeypatch):
+        """*H fails (x, x, x) at its second basis element, which the probe
+        finds with sym_product disabled; (x^2, x, x) holds on *H, so only
+        the generic value decides it."""
+        def disabled(*args):
+            raise AssertionError("a generic value was built")
+
+        monkeypatch.setattr(engine, "sym_product", disabled)
+        A = fresh(SH)
+        res = identity_holds(A, pqr_associator(1, 1, 1))
+        assert res == HoldsResult(False, "symbolic",
+                                  {"x": A.basis_element(1)})
+        with pytest.raises(AssertionError, match="generic value"):
+            identity_holds(A, pqr_associator(2, 1, 1))
+
+
 class TestInstances:
     def test_quaternions_all_consistent(self):
         checks = verify_instances(H, trials=50)
