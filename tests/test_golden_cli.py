@@ -2,7 +2,8 @@
 the symbolic commands (``check`` on every (p, q, r) triple and the
 power-commutativity scan) and of ``show``, on the catalog algebras and D8,
 pinned byte for byte.  The load and save paths are pinned on algebra files:
-``show``, ``units``, ``degree``, one symbolic ``check`` and the
+``show``, ``units``, ``degree``, one symbolic ``check``, the identity
+predicates (alternative, flexible, TPA, x_x2_x) and the
 power-commutativity scan on the ``files`` algebras of the benchmark at seed
 1, and on one hand-written Q(sqrt 3) file whose entries come out of k order,
 with unreduced fractions, written zeros (``-0``, ``0/7``, ``0+0*sqrt3``),
@@ -44,11 +45,17 @@ CHECKS = tuple(("check", "--identity", ",".join(map(str, triple)),
                 "--backend", "symbolic")
                for triple in itertools.product((1, 2), repeat=3))
 
+#: the identity predicates whose failing witnesses can lie past the first
+#: few candidates that are probed before a generic value is built
+PREDICATES = tuple(("predicate", "--name", name)
+                   for name in ("alternative", "flexible", "TPA", "x_x2_x"))
+
 COMMANDS = (
     ("units",),
     ("degree",),
     ("division", "--trials", "20"),
     ("predicate", "--name", "associative"),
+    *PREDICATES,
     ("predicate", "--name", "power_associative"),
     ("predicate", "--name", "quadratic"),
     ("report",),
@@ -63,6 +70,7 @@ FILE_COMMANDS = (
     ("units",),
     ("degree",),
     ("check", "--identity", "1,1,2", "--backend", "symbolic"),
+    *PREDICATES,
     ("predicate", "--name", "power_commutative", "--bound", "4"),
 )
 
