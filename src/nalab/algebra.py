@@ -461,53 +461,11 @@ def _witness_points(n: int):
         yield tuple(rng.randint(-3, 3) for _ in range(n))
 
 
-def _find_witness(A: StructureAlgebra, poly: FreePoly, value: engine.SymVec):
-    """The first candidate assignment at which poly evaluates nonzero,
-    searched when ``_probe_witness`` has found none.
-
-    value is poly at generic elements, one variable group per variable in
-    sorted order, as ``identity_holds`` builds it: a nonzero multiple of
-    poly, so at an integer point it is zero exactly when poly is.  The
-    candidates are the first 80 of ``_witness_points``.  One variable walks
-    them lazily, so the random ones are drawn only when no basis element,
-    sum or difference is a witness.  Two variables (x and y) take pairs in
-    ``itertools.product`` order: for each x candidate, all y candidates are
-    tested at once, from y's monomials evaluated once at every candidate.
-    Only the keys of value whose monomial is nonzero at the x candidate
-    enter the test (``engine.sym_nonzero_at``).  One ``eval_free_poly``
-    confirms the witness found.
-    """
-    vars_ = sorted(poly.variables())
-    exps = engine.sym_exponents(value, A.dim)
-    points = itertools.islice(_witness_points(A.dim), 0, 80)
-    combo = None
-    if len(exps) == 1:
-        # one point at a time: its monomial values weigh the keys
-        ones = np.ones((1, len(value.keys)), dtype=np.int64)
-        combo = next(((p,) for p in points if engine.sym_nonzero_at(
-            value, ones, engine.monomial_values(exps[0], [p])[0])[0]), None)
-    else:
-        ex, ey = exps
-        cands = list(points)
-        # y's monomials, once per run of equal exponent rows: y's exponents
-        # are the top bits of the sorted keys, so equal rows are adjacent
-        start = np.r_[True, np.any(ey[1:] != ey[:-1], axis=1)]
-        M = engine.monomial_values(ey[start], cands)[:, np.cumsum(start) - 1]
-        for p in cands:
-            hits = engine.sym_nonzero_at(
-                value, M, engine.monomial_values(ex, [p])[0])
-            if hits.any():
-                combo = (p, cands[int(np.argmax(hits))])
-                break
-    if combo is None:
-        return None
-    return _confirmed(A, poly, vars_, combo)
-
-
 def _confirmed(A: StructureAlgebra, poly: FreePoly, vars_: Sequence[str],
                combo) -> dict:
     """The assignment of the points combo to vars_, after one
-    ``eval_free_poly`` has confirmed that it refutes poly."""
+    ``eval_free_poly`` has confirmed that it refutes poly; every witness
+    ``_find_witness`` reports passes through it."""
     assignment = {v: A.element([Fraction(c) for c in p])
                   for v, p in zip(vars_, combo)}
     if eval_free_poly(A, poly, assignment).is_zero():
@@ -516,7 +474,7 @@ def _confirmed(A: StructureAlgebra, poly: FreePoly, vars_: Sequence[str],
 
 
 #: the candidates (one variable), or the pairs of the first candidate with
-#: them (two variables), at which ``_probe_witness`` evaluates an identity
+#: them (two variables), at which ``_decide_identity`` probes an identity
 #: before its generic value is built; never more than the n^2 basis
 #: elements, sums and differences
 _PROBE_POINTS = 8
@@ -525,39 +483,53 @@ _PROBE_POINTS = 8
 @functools.lru_cache(maxsize=None)
 def _probe_points(n: int, k: int) -> Tuple[tuple, np.ndarray]:
     """The first k points of ``_witness_points(n)``, as tuples and as the
-    rows of one float64 array, read-only since every caller shares it."""
+    rows of one float64 array, read-only since every caller shares it: the
+    y candidates of each chunk of ``_find_witness``."""
     cands = tuple(itertools.islice(_witness_points(n), k))
     rows = np.array(cands, dtype=np.float64)
     rows.flags.writeable = False
     return cands, rows
 
 
-def _probe_witness(A: StructureAlgebra, poly: FreePoly,
-                   vars_: Sequence[str]) -> Optional[dict]:
-    """The witness ``_find_witness`` would report, when it is among the
-    first ``_PROBE_POINTS`` candidates or pairs; None otherwise.
+def _find_witness(A: StructureAlgebra, poly: FreePoly, vars_: Sequence[str],
+                  nx: int = 80, ny: int = 80) -> Optional[dict]:
+    """The first assignment of witness candidates at which poly is nonzero,
+    or None when there is none.
 
-    Those are a prefix of its candidate order, and no seeded random
-    candidate is among them: one variable takes the first min(8, n^2)
-    points of ``_witness_points``, two take the pairs of the first point
-    with each of them, the first pairs in ``itertools.product`` order.
-    poly is evaluated exactly at all of them at once
-    (``engine.poly_nonzero_at``), and the first nonzero one is confirmed
-    as ``_find_witness`` confirms its own.
+    vars_ is poly's sorted variables, one or two.  The last takes the
+    first ny points of ``_witness_points``, and x, when there are two, the
+    first nx, in ``itertools.product`` order.  poly is evaluated exactly at
+    a chunk of points at once (``engine.poly_nonzero_at``).  One variable
+    takes the n^2 basis elements, sums and differences as its first chunk
+    and the seeded random points as its second, so those are drawn only
+    when no structured candidate is a witness; two take one chunk per x
+    candidate, with all ny y candidates.  The first nonzero point is
+    confirmed (``_confirmed``).
+
+    ``_decide_identity`` calls it twice: as the probe, at sizes 1 and
+    min(``_PROBE_POINTS``, n^2), before any generic value is built, and
+    at the full sizes once the generic value has proved poly nonzero.
     """
-    k = min(_PROBE_POINTS, A.dim ** 2)
-    if k == 0:
-        return None
-    cands, ys = _probe_points(A.dim, k)
-    points = {vars_[-1]: ys}
-    if len(vars_) == 2:
-        points[vars_[0]] = np.repeat(ys[:1], k, axis=0)
-    hits = engine.poly_nonzero_at(poly, A.tensor(), points)
-    if not hits.any():
-        return None
-    y = cands[int(np.argmax(hits))]
-    return _confirmed(A, poly, vars_, (y,) if len(vars_) == 1
-                      else (cands[0], y))
+    n = A.dim
+    if len(vars_) == 1:
+        head = min(n * n, ny)
+        chunks = [((), 0, head), ((), head, ny)]
+    else:
+        chunks = (((x,), 0, ny)
+                  for x in itertools.islice(_witness_points(n), nx))
+    for prefix, lo, hi in chunks:
+        if lo == hi:
+            continue
+        cands, rows = _probe_points(n, hi)
+        points = {vars_[-1]: rows[lo:hi]}
+        if prefix:
+            points[vars_[0]] = np.repeat(
+                np.array(prefix, dtype=np.float64), hi - lo, axis=0)
+        hits = engine.poly_nonzero_at(poly, A.tensor(), points)
+        if hits.any():
+            y = cands[lo + int(np.argmax(hits))]
+            return _confirmed(A, poly, vars_, (*prefix, y))
+    return None
 
 
 def _symbolic_groups(A: StructureAlgebra, vars_: Sequence[str],
@@ -602,7 +574,8 @@ def _decide_identity(A: StructureAlgebra, poly: FreePoly,
         raise ValueError("identity polynomials must be unit-free")
     vars_ = sorted(poly.variables())
     if backend == "symbolic":
-        witness = _probe_witness(A, poly, vars_)
+        witness = _find_witness(A, poly, vars_, 1,
+                                min(_PROBE_POINTS, A.dim ** 2))
         if witness is not None:
             return HoldsResult(False, backend, witness)
         max_degree = max(max(term_bidegree(t)) for t in poly.terms)
@@ -610,7 +583,7 @@ def _decide_identity(A: StructureAlgebra, poly: FreePoly,
         value = engine.SymContext(A.tensor(), groups).eval_poly(poly)
         if engine.sym_is_zero(value):
             return HoldsResult(True, backend)
-        return HoldsResult(False, backend, _find_witness(A, poly, value))
+        return HoldsResult(False, backend, _find_witness(A, poly, vars_))
     ok, idx = A.ml_engine().check(poly)
     if ok:
         return HoldsResult(True, backend)

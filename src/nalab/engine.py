@@ -16,11 +16,10 @@ product exceeds the bound.  Each symbolic operation, a product
 (``sym_product``) or a sum of scaled terms (``sym_sum``: a linear
 combination, and each bordered minor of ``SymSpan``), sums its rows by key
 once, in one routine for both tiers (``_sum_by_key``), and rebuilds the
-rows left from their residues by CRT.  Three kernels only test for zero,
+rows left from their residues by CRT.  Two kernels only test for zero,
 so they run one prime at a time and rebuild nothing: the multilinear
-check, the witness search on a generic value (``sym_nonzero_at``), and the
-probe that evaluates an identity exactly at a few integer points before
-any generic value is built (``poly_nonzero_at``, a batched pointwise
+check, and the witness search, which evaluates an identity exactly at a
+chunk of integer points at once (``poly_nonzero_at``, a batched pointwise
 product, ``point_product``).  Every aggregation runs on float64: symbolic
 values are stored as float64 arrays, or as object arrays of Python ints
 when rebuilt by CRT, which keep their residues.
@@ -610,68 +609,6 @@ class SymContext:
 # ---------------------------------------------------------------------------
 # Values at integer points
 # ---------------------------------------------------------------------------
-
-
-def sym_exponents(v: SymVec, n: int) -> List[np.ndarray]:
-    """The exponents of v's keys, one (K, n) int64 array per group of n
-    variables."""
-    shifts = np.arange(v.nvars) * v.bits
-    mask = (1 << v.bits) - 1
-    if v.keys.dtype == object:
-        E = (v.keys[:, None] >> shifts.astype(object)) & mask
-    else:
-        E = (v.keys[:, None] >> shifts.astype(np.uint64)) & np.uint64(mask)
-    E = E.astype(np.int64)
-    return [E[:, g * n:(g + 1) * n] for g in range(v.nvars // n)]
-
-
-#: entries of the (points, monomials, variables) array of powers formed at
-#: once in monomial_values
-_POWER_CHUNK = 1 << 20
-
-
-def monomial_values(E: np.ndarray, points) -> np.ndarray:
-    """(C, K): the value at each integer point (row of points, (C, n)) of
-    each monomial whose exponents are a row of E (K, n), exactly: int64
-    while max|point| ** degree stays below 2^62, Python ints beyond."""
-    P = np.asarray(points, dtype=np.int64)
-    top = int(np.abs(P).max(initial=0)) ** int(E.sum(axis=1).max(initial=0))
-    dtype = np.int64 if top < 1 << 62 else object
-    P, E = P.astype(dtype), E.astype(dtype)
-    step = max(1, _POWER_CHUNK // max(1, E.size))
-    return np.concatenate([np.prod(P[lo:lo + step, None, :] ** E[None], axis=2)
-                           for lo in range(0, len(P), step)])
-
-
-def sym_nonzero_at(v: SymVec, M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """For each row c of M (C, K), is sum_k M[c, k] w[k] v_k nonzero, v_k
-    the coordinate row of v's k-th key?  That sum is v at a point whose
-    monomial values are M[c, k] w[k]; it is zero exactly when its rational
-    part and its sqrt 3 part are.  Only the keys with w != 0 are used, and
-    the tier comes from the bound K' max|M| max|w| max|v| over those K'
-    keys, so the test is exact.  From 2^52 on the sums are taken mod
-    primes whose product exceeds the bound, K' keys a block at a time, with
-    no rebuild: a sum is nonzero exactly when one of its residues is."""
-    live = np.flatnonzero(w)
-    M, w = M[:, live], w[live]
-    bound = len(live) * _max_abs([M]) * _max_abs([w]) * v.max_abs
-    if bound < _FLOAT_EXACT:
-        w = _float(w)[:, None]
-        out = _field_product((_float(M),),
-                             [_float(p[live]) * w for p in v.parts])
-        return np.any([np.any(o != 0, axis=1) for o in out], axis=0)
-    nonzero = np.zeros(len(M), dtype=bool)
-    for p in _primes(bound):
-        Mp, wp = _residues(M, p), _residues(w, p)[:, None]
-        width = _residue_width(p)
-        for part in v.parts:
-            # products of two residues are at most (p - 1)^2 < 2^44, and
-            # the blocks' residues sum below K p: within _fmod's margin
-            x = _fmod(_residues(part[live], p) * wp, p)
-            acc = sum(_matmul(Mp[:, lo:lo + width], x[lo:lo + width], p)
-                      for lo in range(0, len(live), width))
-            nonzero |= np.any(_fmod(acc, p) != 0, axis=1)
-    return nonzero
 
 
 def point_product(U: Tuple, V: Tuple, t: ScaledTensor,

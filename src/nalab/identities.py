@@ -259,16 +259,17 @@ def _power_commutative_scan(A: StructureAlgebra, bound: int
     for (w1, s1), (w2, s2) in itertools.combinations(reps, 2):
         comm = _sym_commutator(s1, s2, t)
         if not engine.sym_is_zero(comm):
-            wit = _commutation_witness(A, w1, w2, comm)
+            wit = _commutation_witness(A, w1, w2)
             return PredicateResult("power_commutative", False, mode, wit)
     return PredicateResult("power_commutative", True, mode)
 
 
-def _commutation_witness(A: StructureAlgebra, w1, w2, comm: engine.SymVec):
-    """A witness of [w1, w2] != 0; comm is its value at the generic x."""
+def _commutation_witness(A: StructureAlgebra, w1, w2):
+    """A witness of [w1, w2] != 0, once the generic x has shown that the
+    commutator is nonzero: the first candidate x at which it is."""
     poly = FreePoly.term(w1) * FreePoly.term(w2) - \
         FreePoly.term(w2) * FreePoly.term(w1)
-    wit = _find_witness(A, poly, comm)
+    wit = _find_witness(A, poly, (X,))
     if wit is None:
         return None
     wit = dict(wit)

@@ -13,8 +13,7 @@ The big-int oracle carries out the products of the identity kernels in exact
 Python integers (object dtype), with no magnitude tier and no residues: the
 symbolic product (``bigint_sym_product``), linear combinations and scalar
 multiples of symbolic elements (``bigint_sym_combine``,
-``bigint_sym_scale``, both as ``dict_sum`` dicts), the value of a symbolic
-element at integer points (``bigint_nonzero_at``) and multilinear word
+``bigint_sym_scale``, both as ``dict_sum`` dicts) and multilinear word
 tensors (``bigint_word_tensor``).  The sqrt 3 rule (a + b s)(a' + b' s) = aa' + 3bb'
 + (ab' + ba') s is written out part by part (``field_op``), not by the
 kernels' block product.
@@ -26,7 +25,9 @@ integer clearing: row reduction to leading ones (``FractionEchelon``, with
 ``fraction_span_membership`` on it), the product over the constants
 (``fraction_multiply``), the multiplication operators built column by
 column from it (``fraction_mult_operator``) and free-polynomial evaluation
-on it (``fraction_eval_free_poly``).  ``fraction_multiply`` and
+on it (``fraction_eval_free_poly``), also point by point over a batch of
+integer points as ``engine.poly_nonzero_at`` takes them
+(``fraction_nonzero_at``).  ``fraction_multiply`` and
 ``fraction_eval_free_poly`` are duck-typed, so they also run on MultiPoly
 coordinates (``generic_element``).
 
@@ -157,15 +158,6 @@ def tier(bound):
     partial sums: "f" (exact float64) below 2^52, "o" (residues mod
     primes) from there on.  The tiers order as strings: "f" < "o"."""
     return "f" if bound < 2 ** 52 else "o"
-
-
-def bigint_nonzero_at(v, M, w):
-    """``engine.sym_nonzero_at`` in Python ints: is sum_k M[c, k] w[k] v_k
-    nonzero in some part, for each row c of M?"""
-    W = bigint(np.asarray(w))[:, None]
-    vals = [bigint(np.asarray(M)).dot(bigint(p) * W) for p in v.parts]
-    return np.array([any(x != 0 for val in vals for x in val[c])
-                     for c in range(len(M))], dtype=bool)
 
 
 def bigint_word_tensor(t, term, cache=None):
@@ -384,6 +376,20 @@ def fraction_eval_free_poly(A, poly, assignment, unit=None):
     for t, c in poly.terms.items():
         out = out + walk(t).scale(c)
     return out
+
+
+def fraction_nonzero_at(A):
+    """``engine.poly_nonzero_at`` on A's tensor, one point at a time by
+    ``fraction_eval_free_poly``: for each row k of the points, one integer
+    row per variable, is poly nonzero there?"""
+    def nonzero_at(poly, t, points):
+        assert t.n == A.dim
+        rows = len(next(iter(points.values())))
+        return np.array([not fraction_eval_free_poly(A, poly, {
+            v: A.element([Fraction(int(c)) for c in p[k]])
+            for v, p in points.items()}).is_zero() for k in range(rows)],
+            dtype=bool)
+    return nonzero_at
 
 
 def fraction_pair_closure(A, x):

@@ -25,15 +25,15 @@ from hypothesis import strategies as st
 
 from nalab import engine
 from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
-    _symbolic_groups, degree, eval_free_poly, generic_closure, identity_holds
+    _symbolic_groups, degree, generic_closure, identity_holds
 from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import X, Y, FreePoly, associator, polarize, \
     pqr_associator
 from nalab.identities import check_pqr, predicate
-from oracles import bigint, bigint_nonzero_at, bigint_sym_combine, \
-    bigint_sym_product, bigint_sym_scale, bigint_word_tensor, dict_sum, \
-    fraction_eval_free_poly, generic_element, inclusion_exclusion_multilin, \
+from oracles import bigint, bigint_sym_combine, bigint_sym_product, \
+    bigint_sym_scale, bigint_word_tensor, dict_sum, fraction_eval_free_poly, \
+    fraction_nonzero_at, generic_element, inclusion_exclusion_multilin, \
     konig_cover, tier
 
 
@@ -224,47 +224,6 @@ class TestSymbolicKernel:
                   for gi, v in enumerate(("x", "y"))}
         assert engine.sym_is_zero(
             engine.SymContext(A.tensor(), groups).eval_poly(comm))
-
-
-class TestPointValues:
-    """Values of symbolic elements at integer points, against exponents
-    decoded one key at a time and against ``eval_free_poly``."""
-
-    @pytest.mark.parametrize("max_degree", [2, 1024])
-    @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QSQRT3])
-    def test_match_eval_free_poly(self, max_degree, field):
-        # 2 groups of 3 variables: 2 bits per variable give uint64 keys,
-        # 11 bits (66 > 64) Python-int keys
-        A = random_algebra(3, seed=9, field=field)
-        x, y = FreePoly.var("x"), FreePoly.var("y")
-        poly = (x * x) * y - x * (x * y)
-        groups = {v: engine.SymVec.generic(3, 6, max_degree.bit_length(),
-                                           gi * 3)
-                  for gi, v in enumerate(("x", "y"))}
-        value = engine.SymContext(A.tensor(), groups).eval_poly(poly)
-        assert (value.keys.dtype == object) == (max_degree > 2)
-        E = engine.sym_exponents(value, 3)
-        decoded = [unpack_key(k, 6, value.bits) for k in value.keys]
-        assert np.hstack(E).tolist() == [list(e) for e in decoded]
-        rng = random.Random(3)
-        points = [[rng.randint(-3, 3) * (rng.random() < 0.7)
-                   for _ in range(6)] for _ in range(40)]
-        w = engine.monomial_values(E[0], [p[:3] for p in points])
-        M = engine.monomial_values(E[1], [p[3:] for p in points])
-        for c, p in enumerate(points):
-            nonzero = engine.sym_nonzero_at(value, M[c:c + 1], w[c])[0]
-            assignment = {v: A.element([Fraction(a) for a in part])
-                          for v, part in (("x", p[:3]), ("y", p[3:]))}
-            assert nonzero == \
-                (not eval_free_poly(A, poly, assignment).is_zero()), p
-
-    def test_monomial_tiers(self):
-        E = np.array([[40, 0], [0, 1], [0, 0]])
-        got = engine.monomial_values(E, [[3, 2], [0, -5]])
-        assert got.dtype == object
-        assert got.tolist() == [[3 ** 40, 2, 1], [0, -5, 1]]
-        got = engine.monomial_values(E[1:], [[3, 2], [0, -5]])
-        assert got.dtype == np.int64 and got.tolist() == [[2, 1], [-5, 1]]
 
 
 def symvec(terms, nvars, bits, width, m):
@@ -1248,19 +1207,23 @@ EDGE_SPANS = (2 ** 10, 2 ** 20, 2 ** 26, 2 ** 70)
 
 
 def holds_by_bigint_oracle(A, poly):
-    """identity_holds(A, poly, "symbolic") with every symbolic product and
-    every point value of the witness search taken by the big-int oracle,
-    on a fresh copy of A: a verdict kept on A would answer without them."""
+    """identity_holds(A, poly, "symbolic") with every symbolic product
+    taken by the big-int oracle and every point value of the witness search
+    by ``fraction_eval_free_poly``, on a fresh copy of A: a verdict kept on
+    A would answer without them."""
+    B = fresh(A)
     with mock.patch.object(engine, "sym_product", bigint_sym_product), \
-            mock.patch.object(engine, "sym_nonzero_at", bigint_nonzero_at):
-        return identity_holds(fresh(A), poly, "symbolic")
+            mock.patch.object(engine, "poly_nonzero_at",
+                              fraction_nonzero_at(B)):
+        return identity_holds(B, poly, "symbolic")
 
 
 class TestResidueTier:
     """From 2^52 on the identity kernels compute mod primes below 2^22: the
     symbolic product rebuilds its rows by CRT, the multilinear check and the
     witness search only test residues for zero.  Both backends must give
-    the big-int oracle's verdict and witness."""
+    the oracles' verdict and witness: big-int products, and point values in
+    Fraction arithmetic."""
 
     @given(dim=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
            field=st.sampled_from((FIELD_Q, FIELD_QSQRT3)),
@@ -1416,26 +1379,6 @@ class TestFloatEdge:
             (np.float64 if a * b < 2 ** 52 else object)
         assert dict_sum(got.keys, got.parts) == bigint_sym_scale(s, v)
         assert got.max_abs == a * b
-
-    @pytest.mark.parametrize("M, w, rows, top, expect", [
-        ([[1], [0], [-1]], [2 ** 26 - 1], [2 ** 26 + 1], 2 ** 52 - 1,
-         [True, False, True]),
-        ([[1], [0], [-1]], [2 ** 26], [2 ** 26], 2 ** 52,
-         [True, False, True]),
-        # the first point cancels exactly, the second does not
-        ([[1, 1], [1, -1]], [2 ** 25, 2 ** 25], [2 ** 26, 2 ** 26],
-         2 ** 52, [True, False]),
-        ([[1, 1], [1, -1]], [2 ** 25, 2 ** 25], [2 ** 26, -2 ** 26],
-         2 ** 52, [False, True]),
-    ])
-    def test_sym_nonzero_at(self, M, w, rows, top, expect, monkeypatch):
-        v = symvec({(i,): [(r, 0), (0, 0)] for i, r in enumerate(rows)},
-                   1, 4, 1, 2)
-        M, w = np.array(M, dtype=np.int64), np.array(w, dtype=np.int64)
-        asked = recording_primes(monkeypatch)
-        got = engine.sym_nonzero_at(v, M, w).tolist()
-        assert asked == ([] if top < 2 ** 52 else [top])
-        assert got == bigint_nonzero_at(v, M, w).tolist() == expect
 
     @pytest.mark.parametrize("c", (2 ** 52 - 1, 2 ** 52))
     def test_contraction(self, c):

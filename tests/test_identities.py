@@ -600,9 +600,9 @@ def assert_witness_matches_oracle(A, poly):
 
 
 class TestWitnessFromValue:
-    """The symbolic backend takes its witness from the generic value that
-    refuted the identity; the candidate loop with ``eval_free_poly`` is the
-    oracle."""
+    """The symbolic backend's witness is the first candidate at which the
+    identity is nonzero, whether the probe or the full search finds it;
+    the candidate loop with ``eval_free_poly`` is the oracle."""
 
     def test_catalog(self, ut3):
         algebras = [catalog_algebra(name) for name in CATALOG_NAMES]
@@ -693,8 +693,9 @@ class TestProbe:
 
     def test_generic_route_gives_equal_results(self, monkeypatch, ut3,
                                                files_by_seed):
-        """With no candidate probed, every failing search reads its witness
-        off the generic value, and every result equals the probed one."""
+        """With no candidate probed, every failing identity is decided by
+        its generic value and then searched in full, and every result
+        equals the probed one."""
         cases = [(A, poly) for A in [*map(catalog_algebra, CATALOG_NAMES),
                                      diagonal(8), ut3]
                  for poly in check_polys()]
@@ -706,9 +707,11 @@ class TestProbe:
         searches = []
         find = algebra._find_witness
 
-        def counting(*args):
-            searches.append(None)
-            return find(*args)
+        def counting(A, poly, vars_, nx=80, ny=80):
+            # the probe runs through the same search, at nx = 1
+            if nx == 80:
+                searches.append(None)
+            return find(A, poly, vars_, nx, ny)
 
         monkeypatch.setattr(algebra, "_PROBE_POINTS", 0)
         monkeypatch.setattr(algebra, "_find_witness", counting)
