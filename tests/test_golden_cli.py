@@ -1,7 +1,8 @@
 """Golden CLI output: the stdout and exit code of the analysis commands, of
 the symbolic commands (``check`` on every (p, q, r) triple and the
-power-commutativity scan) and of ``show``, on the catalog algebras and D8,
-pinned byte for byte.  The load and save paths are pinned on algebra files:
+power-commutativity scan), of the multilinear ``check`` on every triple
+and of ``show``, on the catalog algebras and D8, pinned byte for byte.
+The load and save paths are pinned on algebra files:
 ``show``, ``units``, ``degree``, one symbolic ``check``, the identity
 predicates (alternative, flexible, TPA, x_x2_x) and the
 power-commutativity scan on the ``files`` algebras of the benchmark at seed
@@ -45,6 +46,9 @@ CHECKS = tuple(("check", "--identity", ",".join(map(str, triple)),
                 "--backend", "symbolic")
                for triple in itertools.product((1, 2), repeat=3))
 
+#: the same checks through the multilinear backend
+MULTILINEAR_CHECKS = tuple(cmd[:-1] + ("multilinear",) for cmd in CHECKS)
+
 #: the identity predicates whose failing witnesses can lie past the first
 #: few candidates that are probed before a generic value is built
 PREDICATES = tuple(("predicate", "--name", name)
@@ -61,6 +65,7 @@ COMMANDS = (
     ("report",),
     ("predicate", "--name", "power_commutative", "--bound", "4"),
     *CHECKS,
+    *MULTILINEAR_CHECKS,
     ("show",),
 )
 
