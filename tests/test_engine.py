@@ -1627,16 +1627,21 @@ class TestPolyNonzeroAt:
         assert engine.poly_nonzero_at(x * x, line_algebra(c).tensor(),
                                       {X: np.ones((1, 1))})[0]
 
-    def test_factor_order(self):
-        """e0 e1 = e1 is the only nonzero product: x y is nonzero at
-        (e0, e1) and zero at (e1, e0)."""
+    @pytest.mark.parametrize("c", (1, 2 ** 52))
+    def test_factor_order(self, c, monkeypatch):
+        """e0 e1 = c e1 is the only nonzero product: x y is nonzero at
+        (e0, e1) and zero at (e1, e0).  At c = 2^52 the product is left
+        unformed and taken mod primes, so the residue path's factor order
+        is tested too."""
         consts = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-        consts[0][1][1] = Fraction(1)
+        consts[0][1][1] = Fraction(c)
         t = StructureAlgebra("e0e1", 2, FIELD_Q, consts).tensor()
         x, y = FreePoly.var(X), FreePoly.var(Y)
         eye = np.eye(2)
+        asked = recording_primes(monkeypatch)
         assert engine.poly_nonzero_at(
             x * y, t, {X: eye, Y: eye[::-1]}).tolist() == [True, False]
+        assert bool(asked) == (c >= 2 ** 52)
 
     def test_sqrt3_fold(self):
         """e0 e0 = (a + b sqrt 3) e0 is commutative and associative, so

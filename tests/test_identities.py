@@ -62,6 +62,91 @@ class TestCheckPqr:
                 assert check_pqr(A, p, q, r).holds == expected, (base, p, q, r)
 
 
+    def test_multilinear_asks_f1_once(self, monkeypatch):
+        """The multilinear backend makes one identity_holds call, on f_1,
+        and returns its result: on *H some triples hold and some fail."""
+        calls = []
+
+        def recording(A, poly, backend="symbolic"):
+            calls.append((poly, backend))
+            return identity_holds(A, poly, backend)
+
+        monkeypatch.setattr(identities, "identity_holds", recording)
+        for p, q, r in ALL_TRIPLES:
+            calls.clear()
+            A = fresh(SH)
+            res = check_pqr(A, p, q, r, "multilinear")
+            f1 = polarize(p, q, r).f(1)
+            assert calls == [(f1, "multilinear")]
+            assert res == identity_holds(fresh(SH), f1, "multilinear")
+
+
+#: the largest multilinear request run: the guard of the benchmark's
+#: ``workloads.tensor_ok``, on n^(d+1) entries at dimension n and degree d
+MAX_TENSOR_ENTRIES = 2 ** 21
+
+
+def assert_components_decide(A, max_degree=6):
+    """In characteristic zero each linearization component f_m of
+    (x^p, x^q, x^r) = 0 holds exactly when the identity does: f_m vanishes
+    where the identity does, as the y^m coefficient of (x + t y), and
+    f_m(x, x) is C(d, m) times the identity.  Every request runs on a fresh
+    copy of A, so no kept verdict answers it."""
+    for p, q, r in ALL_TRIPLES:
+        d = p + q + r
+        if d > max_degree:
+            continue
+        pol = polarize(p, q, r)
+        for backend in ("symbolic", "multilinear"):
+            if backend == "multilinear" and \
+                    A.dim ** (d + 1) > MAX_TENSOR_ENTRIES:
+                continue
+            want = identity_holds(fresh(A), pqr_associator(p, q, r),
+                                  backend).holds
+            for m in range(1, d):
+                got = identity_holds(fresh(A), pol.f(m), backend).holds
+                assert got == want, (A.name, (p, q, r), m, backend)
+
+
+def integer_algebra(dim, field, entries):
+    """The algebra with constants taken in order from entries, each an
+    integer, or a pair (a, b) for a + b sqrt 3 over Q(sqrt 3)."""
+    it = iter(entries)
+    scalar = (lambda e: QuadExt(*e)) if field == FIELD_QSQRT3 else Fraction
+    return StructureAlgebra("drawn", dim, field, [
+        [[scalar(next(it)) for _ in range(dim)] for _ in range(dim)]
+        for _ in range(dim)])
+
+
+@st.composite
+def integer_algebras(draw):
+    dim = draw(st.integers(1, 4))
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QSQRT3)))
+    small = st.integers(-2, 2)
+    entry = st.tuples(small, small) if field == FIELD_QSQRT3 else small
+    return integer_algebra(dim, field, draw(st.lists(
+        entry, min_size=dim ** 3, max_size=dim ** 3)))
+
+
+class TestComponentsDecideIdentity:
+    """Metamorphic: for every triple, every component f_m and both
+    backends, the verdict on f_m equals the verdict on the identity."""
+
+    @pytest.mark.parametrize("name", (*CATALOG_NAMES, "D8"))
+    def test_catalog(self, name):
+        assert_components_decide(diagonal(8) if name == "D8"
+                                 else catalog_algebra(name))
+
+    def test_files(self, files_algebras):
+        for name, A in files_algebras.items():
+            assert_components_decide(A, 4 if name == "S16" else 6)
+
+    @given(A=integer_algebras())
+    @settings(max_examples=15, deadline=None)
+    def test_drawn(self, A):
+        assert_components_decide(A)
+
+
 class TestPredicates:
     def test_octonions_alternative(self):
         assert predicate(O, "alternative").value
