@@ -2,17 +2,17 @@
 the symbolic commands (``check`` on every (p, q, r) triple and the
 power-commutativity scan), of the multilinear ``check`` on every triple
 and of ``show``, on the catalog algebras and D8, pinned byte for byte.
-The load and save paths are pinned on algebra files:
-``show``, ``units``, ``degree``, one symbolic ``check``, the identity
-predicates (alternative, flexible, TPA, x_x2_x) and the
-power-commutativity scan on the ``files`` algebras of the benchmark at seed
-1, and on one hand-written Q(sqrt 3) file whose entries come out of k order,
-with unreduced fractions, written zeros (``-0``, ``0/7``, ``0+0*sqrt3``),
-spaces inside scalars and rational constants beside sqrt 3 ones.  The
-seed-1 ``files`` algebras also run every other symbolic ``check``, and six
-catalog algebras with their constants scaled by 2^12 to 2^25 (saved as
-files) run every catalog command: their symbolic sums and the products of
-the division certificate pass 2^52 and float64.
+The load and save paths are pinned on algebra files: ``show``, ``units``,
+``degree``, one symbolic ``check``, the identity predicates (alternative,
+flexible, TPA, x_x2_x) and the power-commutativity scan on the ``files``
+algebras of the benchmark at seed 1, and on one hand-written Q(sqrt 3)
+file whose entries come out of k order, with unreduced fractions, written
+zeros (``-0``, ``0/7``, ``0+0*sqrt3``), spaces inside scalars and
+rational constants beside sqrt 3 ones.  The seed-1 ``files`` algebras also
+run every other symbolic ``check``, and six catalog algebras with their
+constants scaled by 2^12 to 2^25 (saved as files) run every catalog
+command: their symbolic sums and the products of the division certificate
+pass 2^52 and float64.
 
 ``golden_cli.json`` maps each command line (a file algebra by its file
 name, such as ``D8.json``) to the sha256 of its stdout and its exit code.

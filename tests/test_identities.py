@@ -61,7 +61,6 @@ class TestCheckPqr:
                 expected = (p == 2)
                 assert check_pqr(A, p, q, r).holds == expected, (base, p, q, r)
 
-
     def test_multilinear_asks_f1_once(self, monkeypatch):
         """The multilinear backend makes one identity_holds call, on f_1,
         and returns its result: on *H some triples hold and some fail."""
@@ -81,25 +80,20 @@ class TestCheckPqr:
             assert res == identity_holds(fresh(SH), f1, "multilinear")
 
 
-#: the largest multilinear request run: the guard of the benchmark's
-#: ``workloads.tensor_ok``, on n^(d+1) entries at dimension n and degree d
-MAX_TENSOR_ENTRIES = 2 ** 21
-
-
 def assert_components_decide(A, max_degree=6):
     """In characteristic zero each linearization component f_m of
     (x^p, x^q, x^r) = 0 holds exactly when the identity does: f_m vanishes
     where the identity does, as the y^m coefficient of (x + t y), and
     f_m(x, x) is C(d, m) times the identity.  Every request runs on a fresh
-    copy of A, so no kept verdict answers it."""
+    copy of A, so no kept verdict answers it.  Multilinear requests stop at
+    n^(d+1) = 2^21 entries, the benchmark's ``workloads.tensor_ok``."""
     for p, q, r in ALL_TRIPLES:
         d = p + q + r
         if d > max_degree:
             continue
         pol = polarize(p, q, r)
         for backend in ("symbolic", "multilinear"):
-            if backend == "multilinear" and \
-                    A.dim ** (d + 1) > MAX_TENSOR_ENTRIES:
+            if backend == "multilinear" and A.dim ** (d + 1) > 2 ** 21:
                 continue
             want = identity_holds(fresh(A), pqr_associator(p, q, r),
                                   backend).holds
@@ -108,24 +102,19 @@ def assert_components_decide(A, max_degree=6):
                 assert got == want, (A.name, (p, q, r), m, backend)
 
 
-def integer_algebra(dim, field, entries):
-    """The algebra with constants taken in order from entries, each an
-    integer, or a pair (a, b) for a + b sqrt 3 over Q(sqrt 3)."""
-    it = iter(entries)
-    scalar = (lambda e: QuadExt(*e)) if field == FIELD_QSQRT3 else Fraction
-    return StructureAlgebra("drawn", dim, field, [
-        [[scalar(next(it)) for _ in range(dim)] for _ in range(dim)]
-        for _ in range(dim)])
-
-
 @st.composite
 def integer_algebras(draw):
+    """Algebras of dimension 1-4 over Q or Q(sqrt 3) whose constants are
+    small integers, a + b sqrt 3 with integer a and b over Q(sqrt 3)."""
     dim = draw(st.integers(1, 4))
     field = draw(st.sampled_from((FIELD_Q, FIELD_QSQRT3)))
     small = st.integers(-2, 2)
-    entry = st.tuples(small, small) if field == FIELD_QSQRT3 else small
-    return integer_algebra(dim, field, draw(st.lists(
-        entry, min_size=dim ** 3, max_size=dim ** 3)))
+    scalar = (st.builds(QuadExt, small, small) if field == FIELD_QSQRT3
+              else st.builds(Fraction, small))
+    row = st.lists(scalar, min_size=dim, max_size=dim)
+    plane = st.lists(row, min_size=dim, max_size=dim)
+    return StructureAlgebra("drawn", dim, field,
+                            draw(st.lists(plane, min_size=dim, max_size=dim)))
 
 
 class TestComponentsDecideIdentity:
