@@ -16,7 +16,9 @@ pass 2^52 and float64.
 
 ``golden_cli.json`` maps each command line (a file algebra by its file
 name, such as ``D8.json``) to the sha256 of its stdout and its exit code.
-The runs are replayed in process.  To record the file again after an
+The runs are replayed in process, each on freshly built catalog algebras:
+a verdict kept on a cached algebra by an earlier run would answer in place
+of the kernels.  To record the file again after an
 intended output change, run
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -37,6 +39,7 @@ import pytest
 from nalab import catalog
 from nalab.algebra import FIELD_Q, StructureAlgebra
 from nalab.cli_io import run_capture
+from nalab.paperverify import _fresh_catalog
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -168,6 +171,7 @@ def golden_cases():
 
 def replay(case, directory: pathlib.Path) -> dict:
     argv = [str(directory / a) if a.endswith(".json") else a for a in case]
+    _fresh_catalog()
     code, out = run_capture(argv)
     return {"sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
             "exit": code}
