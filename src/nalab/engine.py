@@ -28,6 +28,7 @@ when rebuilt by CRT, which keep their residues.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import os
@@ -754,24 +755,18 @@ def _leaf_slots(term: FreeTerm) -> Tuple[List[int], List[int]]:
             [i for i, s in enumerate(labels) if s == Y])
 
 
-def _sorted_sums(T, n: int, k: int):
-    """(S, tuples): the sums of T (shape (B, n^k, m)) over all permutations
-    of its k slot axes, at the nondecreasing k-tuples only.
-
-    tuples (M, k) lists the nondecreasing tuples in lexicographic order and
-    S[b, r] = sum over the k! permutations sigma of T[b, sigma(tuples[r])].
-    The sum is built one slot at a time: with the first j slots summed at
-    sorted tuples and the others free, the sum at a sorted (j+1)-tuple t
-    adds, for each position i, the j-slot sum at t without t_i with t_i in
-    slot j (a coset decomposition of the symmetric group, so j+1 gathers
-    per slot rather than k! in all).  Every partial sum is a sum of some of
-    the k! permuted entries.
-    """
-    B, m = T.shape[0], T.shape[-1]
+@functools.lru_cache(maxsize=None)
+def _sorted_plan(n: int, k: int):
+    """(tuples, steps): the nondecreasing k-tuples over range(n) in
+    lexicographic order, as the rows of an (M, k) array, and the gathers of
+    _sorted_sums, per slot j the (drops, tuples) of the sorted
+    (j+1)-tuples.  drops[i][r] is the row of the sorted j-tuple that is the
+    r-th sorted (j+1)-tuple without slot i.  Kept per (n, k), read-only.
+    There are M = C(n + k - 1, k) sorted k-tuples."""
     tuples = np.zeros((1, 0), dtype=np.intp)
     last = np.zeros(1, dtype=np.intp)
-    drops: List = []  # drops[i][r]: the row of tuples[r] without slot i
-    V = T.reshape(B, 1, -1)
+    drops: List = []
+    steps = []
     for j in range(k):
         # the sorted (j+1)-tuples, in order: each sorted j-tuple extended by
         # every value no smaller than its last
@@ -785,14 +780,74 @@ def _sorted_sums(T, n: int, k: int):
         rows_before, built = len(tuples), (parent, a)
         tuples = np.column_stack([tuples[parent], a])
         last = a
+        for arr in drops + [tuples]:
+            arr.flags.writeable = False
+        steps.append((drops, tuples))
+    return tuples, steps
+
+
+def _sorted_sums(T, n: int, k: int):
+    """(S, tuples): the sums of T (shape (B, n^k, m)) over all permutations
+    of its k slot axes, at the nondecreasing k-tuples only.
+
+    tuples (M, k) lists the nondecreasing tuples in lexicographic order and
+    S[b, r] = sum over the k! permutations sigma of T[b, sigma(tuples[r])].
+    The sum is built one slot at a time: with the first j slots summed at
+    sorted tuples and the others free, the sum at a sorted (j+1)-tuple t
+    adds, for each position i, the j-slot sum at t without t_i with t_i in
+    slot j (a coset decomposition of the symmetric group, so j+1 gathers
+    per slot rather than k! in all; see _sorted_plan).  Every partial sum
+    is a sum of some of the k! permuted entries.
+    """
+    B, m = T.shape[0], T.shape[-1]
+    tuples, steps = _sorted_plan(n, k)
+    V = T.reshape(B, 1, -1)
+    for j, (drops, rows) in enumerate(steps):
         V4 = V.reshape(B, -1, n, n ** (k - j - 1) * m)
         if j == 0:
             V = V4[:, 0]
         else:
-            V = V4[:, drops[0], tuples[:, 0]]
+            V = V4[:, drops[0], rows[:, 0]]
             for i in range(1, j + 1):
-                V += V4[:, drops[i], tuples[:, i]]
+                V += V4[:, drops[i], rows[:, i]]
     return V, tuples
+
+
+def _ranks(T, n: int) -> np.ndarray:
+    """The position of each row of T, a nondecreasing k-tuple over range(n),
+    in the lexicographic order of all of them.
+
+    With c(m, v) = C(n - v + m - 1, m) nondecreasing m-tuples over
+    range(v, n), the tuples that agree with t before slot i and are
+    smaller in slot i number sum over v in [t_{i-1}, t_i) of
+    c(k - i - 1, v) = c(k - i, t_{i-1}) - c(k - i, t_i), with t_{-1} = 0.
+    """
+    k = T.shape[1]
+    rank = np.zeros(len(T), dtype=np.intp)
+    prev = np.zeros(len(T), dtype=np.intp)
+    for i in range(k):
+        c = np.array([math.comb(n - v + k - i - 1, k - i) for v in range(n)],
+                     dtype=np.intp)
+        rank += c[prev] - c[T[:, i]]
+        prev = T[:, i]
+    return rank
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(n: int, k: int, a: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For each set I of a of the k slots, in combinations order: the
+    positions of t_I among the sorted a-tuples and of t without I among the
+    sorted (k - a)-tuples (see _ranks), t over the sorted k-tuples in order.
+    A subsequence of a sorted tuple is sorted.  Kept per (n, k, a),
+    read-only."""
+    T = _sorted_plan(n, k)[0]
+    out = [(_ranks(T[:, list(I)], n),
+            _ranks(T[:, [i for i in range(k) if i not in I]], n))
+           for I in itertools.combinations(range(k), a)]
+    for pair in out:
+        for arr in pair:
+            arr.flags.writeable = False
+    return out
 
 
 def _vertex_cover(edges) -> Tuple[set, set]:
@@ -844,15 +899,17 @@ def _cover_groups(poly: FreePoly):
     return dx, dy, groups
 
 
-#: entries per part of an accumulator block: check builds the accumulator
-#: for as many out indices at a time as fit, and at least one
+#: entries per part of a block: check builds the multilinearization for as
+#: many out indices at a time as keep the accumulator and every contraction
+#: of a group within it, and at least one
 _BLOCK_ENTRIES = 1 << 18
 
-#: arrays of a block's size alive at once while a block is built and
-#: scanned: the accumulator, a contraction, and intermediates of the
-#: contraction or of the sorted sums (a (2,2,2) check at n = 8 to 12 peaked
-#: at 3.1 to 4.2 blocks of memory with its caches filled)
-_LIVE_ARRAYS = 4
+#: copies alive at once of the arrays a block needs, the largest factor
+#: word tensor, the largest contraction and the accumulator: intermediates
+#: of the contractions, of the slot sums and of the gathers, and the tables
+#: of sorted tuples kept across checks (a first (2,2,2) check in a process
+#: peaked at 3.3 to 4.4 times those arrays at n = 8 to 12)
+_LIVE_ARRAYS = 5
 
 
 def _physical_memory() -> Optional[int]:
@@ -874,15 +931,19 @@ class MultilinearEngine:
     L * (sum of c * R), those that share a right factor R one contraction
     (sum of c * L) * R, and top-level words are never built; the words are
     split between the two kinds by a greedy vertex cover of their (L, R)
-    pairs (``_cover_groups``).  The out slot is never symmetrized, so check
-    builds and scans the accumulator one block of out indices at a time.
-    Every tensor comes with an entry bound m.  While a rigorous bound stays
-    below 2^52 its arrays hold the exact integers in float64 (so BLAS paths
-    stay exact) and m is their measured maximum.  From 2^52 on they hold
-    float64 residues mod the engine's current prime (``multilinearization``
-    sets it) and m is that rigorous bound: ``check`` only tests for zero,
-    so it runs once per prime of a set whose product exceeds its bound and
-    never rebuilds an integer.
+    pairs (``_cover_groups``).  The multilinearization is symmetric in its
+    x slots and in its y slots, so it is formed at the sorted slot tuples
+    only, and each group's sum over the slot permutations from the sums of
+    its two factors over their own (``multilinearization``); no
+    unsymmetrized tensor of the whole identity is built.  The out slot is
+    never symmetrized, so check builds and tests it one block of out
+    indices at a time.  Every tensor comes with an entry bound m.  While a
+    rigorous bound stays below 2^52 its arrays hold the exact integers in
+    float64 (so BLAS paths stay exact) and m is their measured maximum.
+    From 2^52 on they hold float64 residues mod the engine's current prime
+    (``multilinearization`` sets it) and m is that rigorous bound:
+    ``check`` only tests for zero, so it runs once per prime of a set whose
+    product exceeds its bound and never rebuilds an integer.
     """
 
     #: cache word tensors only up to this many variable leaves; larger ones
@@ -901,39 +962,45 @@ class MultilinearEngine:
     def _contract(self, L, lmax: int, R, rmax: int,
                   out: slice = slice(None)) -> Tuple:
         """(parts, bound): the product tensor of the part tuples L and R,
-        each with its output axis last, with axes (L's leaf axes..., R's
-        leaf axes..., out), at the out indices out only.
+        each with its output axis last, with axes (L's other axes..., R's
+        other axes..., out), at the out indices out only.
 
-        lmax and rmax bound the entries of L and R.  bound = n^2 * lmax *
-        rmax * max|C|, times (1 + 3)^2 when a sqrt 3 part is present, is a
-        rigorous bound on every entry and every intermediate partial sum;
-        the exact float64 product is used only below 2^52, and from there on
-        the product is taken mod the current prime.  Below 2^52, L, R and
-        the constants are exact float64 arrays already.
+        lmax and rmax bound the entries of L and R.  The product is taken
+        in two steps, V = R * C and then L * V.  n * rmax * max|C|, times
+        1 + 3 when R or C has a sqrt 3 part, rigorously bounds every entry
+        and partial sum of V, and bound = n * lmax * max|V|, times 1 + 3
+        when L or V has one, those of the product, with max|V| measured
+        when V is exact.  Each step is exact in float64 below 2^52, and
+        from there on it is taken mod the current prime.  Below 2^52, L, R
+        and the constants are exact float64 arrays already.
         """
         t = self.t
         n = t.n
         p = self._prime
-        fold = (1 + SQRT_RADICAND) ** 2 \
-            if max(map(len, (L, R, t.parts))) > 1 else 1
-        bound = n * n * lmax * rmax * t.max_abs * fold
-        if bound >= _FLOAT_EXACT:
-            L, R, C = _mod(L, lmax, p), _mod(R, rmax, p), t.mod(p)
-        else:
-            C, p = t.parts, None
-        C = [c[:, :, out] for c in C]
+        fold = 1 + SQRT_RADICAND
+        vbound = n * rmax * t.max_abs * \
+            (fold if max(len(R), len(t.parts)) > 1 else 1)
+        exact = vbound < _FLOAT_EXACT
+        C = [c[:, :, out] for c in (t.parts if exact else t.mod(p))]
         b = C[0].shape[2]
-        nl, nr = L[0].ndim - 1, R[0].ndim - 1
-        # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's leaf axes
-        V = _field_product([x.reshape(-1, n) for x in R],
+        # V[r, (i, k)] = sum_j R[r, j] C[i, j, k], r over R's other axes
+        V = _field_product([x.reshape(-1, n) for x in
+                            (R if exact else _mod(R, rmax, p))],
                            [c.transpose(1, 0, 2).reshape(n, n * b)
-                            for c in C], p)
+                            for c in C], None if exact else p)
+        vmax = _max_abs(V) if exact else vbound
+        bound = n * lmax * vmax * (fold if max(len(L), len(V)) > 1 else 1)
+        if bound >= _FLOAT_EXACT:
+            L, V = _mod(L, lmax, p), _mod(V, vmax, p)
+        else:
+            p = None
         # prod[l, (r, k)] = sum_i L[l, i] V[r, i, k]
         prod = _field_product(
             [x.reshape(-1, n) for x in L],
             [np.moveaxis(v.reshape(-1, n, b), 1, 0).reshape(n, -1)
              for v in V], p)
-        return tuple(x.reshape((n,) * (nl + nr) + (b,)) for x in prod), bound
+        shape = L[0].shape[:-1] + R[0].shape[:-1] + (b,)
+        return tuple(x.reshape(shape) for x in prod), bound
 
     def word_tensor(self, term: FreeTerm):
         """(*parts, m) with axes = leaves in left-to-right order + out.
@@ -994,40 +1061,108 @@ class MultilinearEngine:
             S.append(acc)
         return S, bound
 
+    def _symmetrized(self, parts, m: int, kx: int, ky: int) -> Tuple:
+        """(parts, m) of a factor (axes: kx x slots, ky y slots, out) summed
+        over the kx! ky! permutations of its x slots and of its y slots, at
+        the sorted x tuples and sorted y tuples (see _sorted_sums), with
+        axes (x tuple, y tuple, out).
+
+        The sums are exact in float64 while kx! ky! m stays below 2^52,
+        and their maximum is then measured; from 2^52 on they are taken
+        mod the current prime, and m is that bound.
+        """
+        n, p = self.t.n, self._prime
+        bound = m * math.factorial(kx) * math.factorial(ky)
+        residues = bound >= _FLOAT_EXACT
+        if residues:
+            parts = _mod(parts, m, p)
+        out = []
+        for x in parts:
+            # one slot or none has one permutation, and every tuple sorted
+            S = x.reshape(n ** kx, -1) if kx < 2 else \
+                _sorted_sums(x.reshape(1, n ** kx, -1), n, kx)[0][0]
+            if ky > 1:
+                S = _sorted_sums(S.reshape(len(S), n ** ky, -1), n, ky)[0]
+            S = S.reshape(len(S), -1, n)
+            # sums of kx! ky! < 2^31 residues: within _fmod's margin
+            out.append(_fmod(S, p) if residues else S)
+        return out, bound if residues else _max_abs(out)
+
     def _group(self, key, members, dx: int, dy: int, out: slice, factors):
-        """(parts, bound, perm) of one group of _cover_groups at the out
-        indices out: its contraction, a bound on its entries, and the axis
-        permutation that takes it to the slot order (x leaves of the left
-        factor, then of the right, y leaves of the left, then of the right,
-        out), which is each word's leaf order with y leaves after x leaves.
+        """(parts, bound, xs, ys) of one group of _cover_groups at the out
+        indices out: the contraction G' of its two factors, each summed over
+        its own slot permutations at sorted tuples (_symmetrized), with one
+        row per pair of the factors' tuples and one column per out index; a
+        bound on its entries; and the rows of G' that the sorted tuples
+        read, per split of the x slots and of the y slots between the
+        factors: at the split (I, J), the i-th sorted x tuple and the j-th
+        sorted y tuple read the row xs[I][i] + ys[J][j].  The group's sum
+        over the dx! dy! slot permutations at the sorted tuples is the sum
+        of G' at those rows.  A bare-leaf group has no factors: its sum is
+        symmetrized as it is, and read row for row.
 
         The shared factor's word tensor and the sum of the others
-        (_summed) are taken whole, and kept in factors under key.
+        (_summed) are symmetrized once and kept in factors under key.
         """
         side, shared = key
         if key not in factors:
-            factors[key] = (self._summed(members), None if shared is None
-                            else self.word_tensor(shared))
-        (S, smax), word = factors[key]
+            S, smax = self._summed(members)
+            if shared is None:
+                factors[key] = self._symmetrized(S, smax, dx, dy)
+            else:
+                *F, fmax = self.word_tensor(shared)
+                xs, ys = _leaf_slots(shared)
+                perm = xs + ys + [len(xs) + len(ys)]
+                F = self._symmetrized([np.transpose(f, perm) for f in F],
+                                      fmax, len(xs), len(ys))
+                S = self._symmetrized(S, smax, dx - len(xs), dy - len(ys))
+                factors[key] = (F, S, len(xs), len(ys)) if side == "L" \
+                    else (S, F, dx - len(xs), dy - len(ys))
         if shared is None:
-            return [s[..., out] for s in S], smax, list(range(dx + dy + 1))
-        *F, fmax = word
-        xs, ys = _leaf_slots(shared)
-        sx, sy = dx - len(xs), dy - len(ys)
-        aligned = (list(range(sx)), list(range(sx, sx + sy)))
-        if side == "L":
-            G, bound = self._contract(F, fmax, S, smax, out)
-            (lx, ly), (rx, ry) = (xs, ys), aligned
-        else:
-            G, bound = self._contract(S, smax, F, fmax, out)
-            (lx, ly), (rx, ry) = aligned, (xs, ys)
-        a = len(lx) + len(ly)
-        perm = lx + [a + i for i in rx] + ly + [a + j for j in ry] + [dx + dy]
-        return G, bound, perm
+            S, smax = factors[key]
+            mx, my = S[0].shape[:2]
+            return [s[..., out].reshape(mx * my, -1) for s in S], smax, \
+                [np.arange(mx) * my], [np.arange(my)]
+        (L, lmax), (R, rmax), ax, ay = factors[key]
+        G, bound = self._contract(L, lmax, R, rmax, out)
+        n = self.t.n
+        (mxl, myl), (mxr, myr) = L[0].shape[:2], R[0].shape[:2]
+        # G' row of (l, r): (lx * myl + ly) * mxr * myr + rx * myr + ry
+        xs = [lx * (myl * mxr * myr) + rx * myr
+              for lx, rx in _splits(n, dx, ax)]
+        ys = [ly * (mxr * myr) + ry for ly, ry in _splits(n, dy, ay)]
+        return [g.reshape(mxl * myl * mxr * myr, -1) for g in G], bound, \
+            xs, ys
 
-    def _refuse_beyond_memory(self, entries: int) -> None:
-        """Raise MemoryError, before anything is allocated, when blocks of
-        entries entries per part would not fit in physical memory."""
+    def _sizes(self, dx: int, dy: int, groups) -> Tuple[int, int, int]:
+        """(accumulator, contraction, word): the rows of the accumulator and
+        of the largest contraction G' of _group, per out index, and the
+        entries of the largest factor's word tensor, counted without
+        building anything."""
+        n = self.t.n
+
+        def rows(kx, ky):
+            return math.comb(n + kx - 1, kx) * math.comb(n + ky - 1, ky)
+
+        contraction, leaves = 0, 0
+        for side, shared in groups:
+            if shared is None:
+                leaves = dx + dy
+                continue
+            fx, fy = term_bidegree(shared)
+            contraction = max(contraction,
+                              rows(fx, fy) * rows(dx - fx, dy - fy))
+            leaves = max(leaves, fx + fy, dx + dy - fx - fy)
+        return rows(dx, dy), contraction, n ** (leaves + 1)
+
+    def _refuse_beyond_memory(self, dx: int, dy: int, groups,
+                              width: int) -> None:
+        """Raise MemoryError, before anything is allocated, when the arrays
+        of a block of width out indices would not fit in physical memory:
+        the largest factor word tensor, the largest contraction and the
+        accumulator (see _sizes), _LIVE_ARRAYS of each."""
+        accumulator, contraction, word = self._sizes(dx, dy, groups)
+        entries = word + (accumulator + contraction) * width
         need = entries * len(self.t.parts) * 8 * _LIVE_ARRAYS
         have = _physical_memory()
         if have is not None and need > have:
@@ -1039,84 +1174,105 @@ class MultilinearEngine:
     def multilinearization(self, poly: FreePoly, p: Optional[int] = None,
                            out: slice = slice(None),
                            factors: Optional[Dict] = None):
-        """Unsymmetrized multilinearization tensor of a bidegree-homogeneous
-        poly, at the out indices out (by default all of them).
+        """Full multilinearization of a bidegree-homogeneous poly at the
+        sorted x tuples and sorted y tuples, at the out indices out (by
+        default all of them).
 
-        Axes: dx slots for the x-copies, then dy slots for the y-copies,
-        then the output coordinate.  Returns (parts, dx, dy, bound).  The
-        full multilinearization is the sum of parts over all permutations of
-        the x slots and of the y slots; check forms that sum where it needs
-        it.  bound bounds every entry of it and every partial sum on the way.
-        While bound < 2^52, parts hold the exact integers in float64;
-        beyond, their residues mod p (float64, see _fmod), which becomes the
-        engine's current prime (by default the first prime of _PRIMES).
-        factors, a dict, keeps the groups' whole factors for further calls
-        on the same poly and prime.
+        Returns (parts, dx, dy, bound).  parts[h][i, j, k] is the sum, over
+        all permutations of the dx x slots and of the dy y slots, of the
+        unsymmetrized multilinearization at the i-th sorted x tuple, the
+        j-th sorted y tuple and the k-th index of out (tuples in
+        lexicographic order, see _sorted_plan).  bound bounds every
+        entry of it and every partial sum on the way.  While bound < 2^52,
+        parts hold the exact integers in float64; beyond, their residues
+        mod p (float64, see _fmod), which becomes the engine's current
+        prime (by default the first prime of _PRIMES).  factors, a dict,
+        keeps the groups' symmetrized factors for further calls on the same
+        poly and prime.
 
         The words are grouped by a greedy vertex cover of their (left
         factor, right factor) pairs (see _cover_groups).  Per group the
         factors on the unshared side are summed with their coefficients,
-        slots aligned, into one tensor (see _summed); it is contracted once
-        with the shared factor, only the out indices out of the constants
-        taken, transposed into the slot order (x leaves of the left factor,
-        then of the right, y leaves of the left, then of the right, out) and
-        added in place into the accumulator.  A bare-leaf word has no
-        factors: its sum is added as it is.  The accumulator is exact
-        float64 while running * dx! * dy! stays below 2^52, and residues
-        from there on.  running sums the groups' contraction bounds; where
-        that sum would leave float64 while the new group is exact, it is
-        replaced by the measured maxima of the accumulator and of the new
-        group.  Either way it bounds every partial sum of the accumulation
-        and of the permutation sums in check.  MemoryError is raised before
-        anything is allocated when the out indices would not fit in
-        physical memory.
+        slots aligned, into one tensor (see _summed).  The product is
+        bilinear, so a group's sum over the slot permutations at sorted
+        tuples t, u is the sum, over the sets I of the x slots and J of the
+        y slots that its left factor takes, of G'(t_I, u_J; t_notI,
+        u_notJ): the contraction of the two factors each summed over its
+        own slot permutations (see _group).  Every t_I of a sorted t is
+        sorted, so G' is built at sorted tuples only, once per group, with
+        only the out indices out of the constants taken, and read by a
+        gather per (I, J) that is added in place into the accumulator.
+        The accumulator is exact float64 while running stays below 2^52,
+        and residues from there on.  running sums the groups' contraction
+        bounds times their numbers of gathers; where that sum would leave
+        float64 while the new group is exact, it is replaced by the
+        measured maxima of the accumulator and of the new group.  Either
+        way it bounds every partial sum of the accumulation.  MemoryError
+        is raised before anything is allocated when the out indices would
+        not fit in physical memory.
         """
         dx, dy, groups = _cover_groups(poly)
         n = self.t.n
         width = len(range(n)[out])
-        self._refuse_beyond_memory(n ** (dx + dy) * width)
+        self._refuse_beyond_memory(dx, dy, groups, width)
         p = _PRIMES[0] if p is None else p
         if p != self._prime:
             self._prime, self._residue_cache = p, {}
         factors = {} if factors is None else factors
-        slots = math.factorial(dx) * math.factorial(dy)
-        U = tuple(np.zeros((n,) * (dx + dy) + (width,))
-                  for _ in self.t.parts)
+        shape = (math.comb(n + dx - 1, dx), math.comb(n + dy - 1, dy), width)
+        rows = shape[0] * shape[1]
+        acc = tuple(np.zeros((rows, width)) for _ in self.t.parts)
+        buf = np.empty((rows, width))
         residues = False
         running = 0  # exact bound on the accumulated entries
         for key, members in groups.items():
-            G, bound, perm = self._group(key, members, dx, dy, out, factors)
+            G, bound, xs, ys = self._group(key, members, dx, dy, out,
+                                           factors)
+            gathers = len(xs) * len(ys)
             if not residues and bound < _FLOAT_EXACT <= \
-                    (running + bound) * slots:
+                    running + bound * gathers:
                 # the bounds would leave float64: measure what they bound
-                running = _max_abs(U) + _max_abs(G)
+                running = _max_abs(acc) + _max_abs(G) * gathers
             else:
-                running += bound
-            if not residues and running * slots >= _FLOAT_EXACT:
+                running += bound * gathers
+            if not residues and running >= _FLOAT_EXACT:
                 residues = True
-                U = _reduce(U, p)
-            for u, g in zip(U, G):
-                g = np.transpose(g, perm)
-                u += _residues(g, p) if residues and bound < _FLOAT_EXACT \
-                    else g
+                acc = _reduce(acc, p)
+            if residues and bound < _FLOAT_EXACT:
+                G = _reduce(G, p)
+            for x in xs:
+                for y in ys:
+                    rows = (x[:, None] + y).ravel()
+                    for a, g in zip(acc, G):
+                        a += np.take(g, rows, axis=0, out=buf)
         if residues:
-            # fewer than 2^31 groups of residues: within _fmod's margin
-            U = tuple(_fmod(u, p) for u in U)
-        return U, dx, dy, running * slots
+            # fewer than 2^31 gathers of residues: within _fmod's margin
+            acc = tuple(_fmod(a, p) for a in acc)
+        return tuple(a.reshape(shape) for a in acc), dx, dy, running
 
-    def _nonzero(self, U, dx: int, dy: int, p: Optional[int]):
-        """(mask, X, Y): mask[i, j] tells whether the sum of U (residues mod
-        p when p is given) over the dx! dy! slot permutations is nonzero, at
-        some out index of U, at the sorted x tuple X[i] and the sorted y
-        tuple Y[j]; see check."""
-        n = self.t.n
-        S = []
-        for u in U:
-            Sx, X = _sorted_sums(u.reshape(1, n ** dx, -1), n, dx)
-            Sxy, Y = _sorted_sums(Sx.reshape(len(X), n ** dy, -1), n, dy)
-            # sums of dx! dy! < 2^31 residues: within _fmod's margin
-            S.append(Sxy if p is None else _fmod(Sxy, p))
-        return np.any([np.any(s != 0, axis=-1) for s in S], axis=0), X, Y
+    def _masks(self, poly: FreePoly, blocks):
+        """The masks of check: per block of out indices, whether the
+        multilinearization is nonzero at each (sorted x tuple, sorted y
+        tuple), first for every block at the first prime, then for every
+        residue block at each further prime that the largest residue
+        block's bound asks for (_primes)."""
+        def nonzero(parts):
+            return np.any([np.any(x != 0, axis=-1) for x in parts], axis=0)
+
+        p = _PRIMES[0]
+        residue, top, factors = [], 0, {}
+        for block in blocks:
+            parts, _, _, bound = self.multilinearization(poly, p, block,
+                                                         factors)
+            if bound >= _FLOAT_EXACT:
+                residue.append(block)
+                top = max(top, bound)
+            yield nonzero(parts)
+        for q in _primes(top)[1:]:
+            factors = {}
+            for block in residue:
+                yield nonzero(self.multilinearization(poly, q, block,
+                                                      factors)[0])
 
     def check(self, poly: FreePoly):
         """(holds, witness_basis_tuple or None): tests the multilinearized
@@ -1126,39 +1282,30 @@ class MultilinearEngine:
         The multilinearization is symmetric in its x slots and in its y
         slots, so a tuple is nonzero exactly when its sorting is, and the
         sorting is no later in lexicographic order: the first failing tuple
-        has sorted x slots and sorted y slots.  So the sum over the dx! dy!
-        slot permutations of the accumulator is formed at those tuples only
-        (see _sorted_sums).  The out slot is not permuted, so the
-        accumulator is built and scanned one block of out indices at a time,
-        _BLOCK_ENTRIES entries per part or one out index, and a tuple fails
+        has sorted x slots and sorted y slots, and only those are formed
+        (see multilinearization).  The out slot is not permuted, so the
+        multilinearization is built one block of out indices at a time,
+        as many as keep the accumulator and every contraction within
+        _BLOCK_ENTRIES entries per part, and at least one; a tuple fails
         when it is nonzero in any block.  A block whose bound reaches 2^52
-        is scanned once per prime of _primes(bound), bound the largest such
+        is tested once per prime of _primes(bound), bound the largest such
         block bound, with the primes outer and the blocks inner so that each
-        prime's residue word tensors and summed factors are built once.
+        prime's residue word tensors and symmetrized factors are built
+        once.  A failure at the first sorted tuple is the witness whatever
+        the other blocks and primes hold, so the check stops there.
         """
-        dx, dy, _ = _cover_groups(poly)
+        dx, dy, groups = _cover_groups(poly)
         n = self.t.n
-        width = min(n, max(1, _BLOCK_ENTRIES // n ** (dx + dy)))
+        rows = max(self._sizes(dx, dy, groups)[:2])
+        width = min(n, max(1, _BLOCK_ENTRIES // rows))
         blocks = [slice(lo, lo + width) for lo in range(0, n, width)]
-        p = _PRIMES[0]
-        nz, residue, top, factors = None, [], 0, {}
-        for block in blocks:
-            U, _, _, bound = self.multilinearization(poly, p, block, factors)
-            exact = bound < _FLOAT_EXACT
-            mask, X, Y = self._nonzero(U, dx, dy, None if exact else p)
-            del U
+        nz = None
+        for mask in self._masks(poly, blocks):
             nz = mask if nz is None else nz | mask
-            if not exact:
-                residue.append(block)
-                top = max(top, bound)
-        for q in _primes(top)[1:]:
-            factors = {}
-            for block in residue:
-                U = self.multilinearization(poly, q, block, factors)[0]
-                nz |= self._nonzero(U, dx, dy, q)[0]
-                del U
+            if nz[0, 0]:
+                break
         if not nz.any():
             return True, None
-        i, j = divmod(int(np.argmax(nz)), len(Y))
-        return False, (tuple(int(a) for a in X[i]),
-                       tuple(int(b) for b in Y[j]))
+        i, j = np.unravel_index(np.argmax(nz), nz.shape)
+        return False, (tuple(int(a) for a in _sorted_plan(n, dx)[0][i]),
+                       tuple(int(b) for b in _sorted_plan(n, dy)[0][j]))

@@ -5,8 +5,9 @@ multilinear tensors are compared with an inclusion-exclusion oracle evaluated
 through ordinary algebra multiplication.  Both oracles share no code with the
 kernels they check.  The grouped multilinearization is also compared, entry
 for entry, with a per-word accumulation of full word tensors built in Python
-ints (``oracles.bigint_word_tensor``), and the multilinear check with a scan
-of the fully symmetrized tensor.  From 2^52 on the kernels keep residues
+ints (``oracles.bigint_word_tensor``), symmetrized and read at the sorted
+slot tuples where the kernel forms it, and the multilinear check with a
+scan of the fully symmetrized tensor.  From 2^52 on the kernels keep residues
 mod primes: those are compared with the big-int oracles mod each prime
 used, and by verdict and witness.
 """
@@ -29,7 +30,7 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
 from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import X, Y, FreePoly, associator, polarize, \
-    pqr_associator
+    pqr_associator, term_bidegree
 from nalab.identities import check_pqr, predicate
 from oracles import bigint, bigint_sym_combine, bigint_sym_product, \
     bigint_sym_scale, bigint_word_tensor, dict_sum, fraction_eval_free_poly, \
@@ -541,13 +542,35 @@ def symmetrized(multilinearization):
                  for p in U), dx, dy
 
 
+def at_sorted_tuples(S, dx, dy):
+    """The full multilinearization S (parts with axes (x slots, y slots,
+    out)) read at the sorted x tuples and the sorted y tuples, each in
+    lexicographic order: parts of shape (Mx, My, out), the layout of
+    ``MultilinearEngine.multilinearization``."""
+    n = S[0].shape[-1]
+    xs = list(itertools.combinations_with_replacement(range(n), dx))
+    ys = list(itertools.combinations_with_replacement(range(n), dy))
+    return tuple(np.array([[s[x + y] for y in ys] for x in xs]) for s in S)
+
+
+def at_sorting(parts, n, xt, yt):
+    """The out entries of a block of ``multilinearization`` (parts at the
+    sorted tuples) at the x tuple xt and the y tuple yt, one per part: the
+    multilinearization is symmetric in its x slots and in its y slots, so a
+    tuple reads its sorting."""
+    xs = list(itertools.combinations_with_replacement(range(n), len(xt)))
+    ys = list(itertools.combinations_with_replacement(range(n), len(yt)))
+    i, j = xs.index(tuple(sorted(xt))), ys.index(tuple(sorted(yt)))
+    return tuple(p[i, j] for p in parts)
+
+
 class TestMultilinearKernel:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_tensor_matches_finite_differences(self, seed):
         A = random_algebra(2, seed)
         ml = engine.MultilinearEngine(A.tensor())
         poly = polarize(1, 1, 2).f(2)  # bidegree (2, 2)
-        S, dx, dy = symmetrized(ml.multilinearization(poly))
+        G, dx, dy, _ = ml.multilinearization(poly)
         assert (dx, dy) == (2, 2)
         scale = Fraction(A.tensor().scale) ** 3  # degree-4 words
         rng = random.Random(seed)
@@ -556,23 +579,24 @@ class TestMultilinearKernel:
             xt = [A.basis_element(idx[0]), A.basis_element(idx[1])]
             yt = [A.basis_element(idx[2]), A.basis_element(idx[3])]
             oracle = inclusion_exclusion_multilin(A, poly, xt, yt)
-            got = [Fraction(int(S[0][tuple(idx) + (k,)])) / scale
-                   for k in range(2)]
+            got = [Fraction(int(v)) / scale
+                   for v in at_sorting(G, 2, idx[:2], idx[2:])[0]]
             assert got == list(oracle.coords)
 
     def test_tensor_matches_on_quadext(self):
         A = random_algebra(2, seed=21, span=1, field=FIELD_QSQRT3)
         ml = engine.MultilinearEngine(A.tensor())
         poly = pqr_associator(1, 1, 1)
-        S, dx, dy = symmetrized(ml.multilinearization(poly))
+        G = ml.multilinearization(poly)[0]
         scale = Fraction(A.tensor().scale) ** 2
         for idx in itertools.product(range(2), repeat=3):
             xt = [A.basis_element(i) for i in idx]
             oracle = inclusion_exclusion_multilin(A, poly, xt, [])
+            S = at_sorting(G, 2, idx, ())
             got = []
             for k in range(2):
-                a = Fraction(int(S[0][idx + (k,)])) / scale
-                b = Fraction(int(S[1][idx + (k,)])) / scale
+                a = Fraction(int(S[0][k])) / scale
+                b = Fraction(int(S[1][k])) / scale
                 got.append(QuadExt(a, b) if b else a)
             assert got == list(oracle.coords)
 
@@ -593,13 +617,13 @@ class TestMultilinearKernel:
         for p in primes:
             U, dx, dy, _ = ml.multilinearization(poly, p)
             assert all(u.dtype == np.float64 for u in U)
-            S, dx, dy = symmetrized((U, dx, dy))
             for idx, value in oracle.items():
+                S = at_sorting(U, 2, idx, ())
                 for k, c in enumerate(value.coords):
                     a, b = (c.a, c.b) if isinstance(c, QuadExt) else (c, 0)
                     exact = [a * scale, b * scale]
                     assert all(x.denominator == 1 for x in exact)
-                    assert [S[h][idx + (k,)] % p for h in range(2)] == \
+                    assert [int(S[h][k]) % p for h in range(2)] == \
                         [int(x) % p for x in exact], (p, idx, k)
         assert ml.check(poly) == full_scan_check(A, poly)
 
@@ -686,13 +710,15 @@ def per_word_multilinearization(A, poly, cache=None):
 
 
 def assert_same_tensor(ml, poly, expect):
-    """ml's multilinearization of poly equals the oracle's expect entry for
-    entry: exactly while its bound is below 2^52, and mod each prime that
-    check uses beyond, where every entry is a residue r with |r| < p.
-    Returns the tier it ran in: "f" for exact float64, "o" for residues."""
+    """ml's multilinearization of poly equals the per-word oracle's expect,
+    symmetrized and read at the sorted tuples, entry for entry: exactly
+    while its bound is below 2^52, and mod each prime that check uses
+    beyond, where every entry is a residue r with |r| < p.  Returns the
+    tier it ran in: "f" for exact float64, "o" for residues."""
     G, gx, gy, bound = ml.multilinearization(poly)
-    E, ex, ey, _ = expect
+    _, ex, ey, _ = expect
     assert (gx, gy) == (ex, ey)
+    E = at_sorted_tuples(symmetrized(expect)[0], ex, ey)
     assert len(G) == len(E)
     if bound < 2 ** 52:
         for g, e in zip(G, E):
@@ -854,7 +880,8 @@ class TestGroupedMultilinearization:
         poly = FreePoly.var(var).scale(coeff)
         S, dx, dy, _ = H.ml_engine().multilinearization(poly)
         assert (dx, dy) == ((1, 0) if var == "x" else (0, 1))
-        assert (S[0] == coeff * np.eye(4)).all()
+        assert S[0].shape == ((4, 1, 4) if var == "x" else (1, 4, 4))
+        assert (S[0].reshape(4, 4) == coeff * np.eye(4)).all()
         for backend in ("symbolic", "multilinear"):
             res = identity_holds(H, poly, backend)
             assert not res.holds and res.witness, backend
@@ -1095,6 +1122,9 @@ class TestSortedSlotCheck:
             for key, poly in polys:
                 U, dx, dy, bound = ml.multilinearization(poly)
                 assert all(u.dtype == np.float64 for u in U)
+                assert assert_same_tensor(
+                    ml, poly, per_word_multilinearization(A, poly, cache)) \
+                    == tier(bound)
                 kinds.add(tier(bound))
                 shapes.add((dx == 1, dy == 0))
                 got = ml.check(poly)
@@ -1119,6 +1149,105 @@ class TestSortedSlotCheck:
                 full_scan_check(A, poly, cache), key
 
 
+def leaf_labels(term):
+    """The variable leaves of term, left to right."""
+    if isinstance(term, str):
+        return [term]
+    return leaf_labels(term[0]) + leaf_labels(term[1])
+
+
+def left_normed(labels):
+    """The word ((l0 l1) l2) ... of the leaves labels."""
+    term = labels[0]
+    for leaf in labels[1:]:
+        term = (term, leaf)
+    return term
+
+
+def every_permutation_at_sorted_tuples(A, poly):
+    """Oracle: the full multilinearization of poly at the sorted x and y
+    tuples, as in ``multilinearization``, summing each word's big-int
+    tensor over every assignment of its x leaves to the x slots and of its
+    y leaves to the y slots: dx! dy! transposes per word."""
+    t = A.tensor()
+    (dx, dy), = poly.bidegrees()
+    denom = math.lcm(*(c.denominator for c in poly.terms.values()))
+    total = [np.zeros((t.n,) * (dx + dy + 1), dtype=object)
+             for _ in t.parts]
+    for term, coeff in poly.terms.items():
+        T, _ = bigint_word_tensor(t, term)
+        labels = leaf_labels(term)
+        xs = [i for i, s in enumerate(labels) if s == X]
+        ys = [i for i, s in enumerate(labels) if s == Y]
+        for sx in itertools.permutations(xs):
+            for sy in itertools.permutations(ys):
+                perm = list(sx) + list(sy) + [len(labels)]
+                for h, part in enumerate(T):
+                    total[h] = total[h] + int(coeff * denom) * \
+                        np.transpose(part, perm)
+    return at_sorted_tuples(total, dx, dy)
+
+
+#: every way a word L R with dx + dy <= 4 slots splits them: L takes ax of
+#: the x slots and ay of the y slots, and each factor at least one leaf;
+#: with the factor the group shares, R only where two left factors differ
+SPLITS = [(dx, dy, ax, ay, shared) for dx in range(5) for dy in range(5 - dx)
+          for ax in range(dx + 1) for ay in range(dy + 1)
+          if 0 < ax + ay < dx + dy
+          for shared in ("L", "R")
+          if shared == "L" or ax + ay > 2 or ax == ay == 1]
+
+
+class TestSplitSum:
+    """A group's sum over the dx! dy! slot permutations at the sorted tuples
+    is the sum, over the splits of the slots between its factors, of the
+    contraction of the factors' own permutation sums: checked against every
+    permutation, one word at a time."""
+
+    @pytest.mark.parametrize("dx, dy, ax, ay, shared", SPLITS)
+    def test_matches_every_permutation(self, dx, dy, ax, ay, shared):
+        # L's y leaves come first, R's x leaves: each factor's slots are
+        # aligned before it is summed.  Two left factors with one right
+        # factor make a group that shares R.
+        L = left_normed([Y] * ay + [X] * ax)
+        R = left_normed([X] * (dx - ax) + [Y] * (dy - ay))
+        poly = FreePoly.term((L, R))
+        if shared == "R":
+            other = left_normed([X] * ax + [Y] * ay)
+            other = other if other != L else (L[1], L[0])
+            poly = poly.scale(2) - FreePoly.term((other, R)).scale(3)
+        assert {side for side, _ in engine._cover_groups(poly)[2]} == \
+            {shared}
+        A = random_algebra(3, 10 * dx + dy, field=FIELD_QSQRT3)
+        got, gx, gy, bound = A.ml_engine().multilinearization(poly)
+        assert (gx, gy) == (dx, dy) and bound < 2 ** 52
+        expect = every_permutation_at_sorted_tuples(A, poly)
+        assert len(got) == len(expect) == 2
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape
+            assert (bigint(g) == e).all()
+
+    @pytest.mark.parametrize("var", (X, Y))
+    def test_bare_leaf_group(self, var):
+        # a bare leaf has no factors: its group is its summed members
+        A = random_algebra(3, 7, field=FIELD_QSQRT3)
+        poly = FreePoly.var(var).scale(5)
+        assert set(engine._cover_groups(poly)[2]) == {("L", None)}
+        got = A.ml_engine().multilinearization(poly)[0]
+        expect = every_permutation_at_sorted_tuples(A, poly)
+        assert len(expect) == 2 and len(got) == 2
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape
+            assert (bigint(g) == e).all()
+
+
+def weighted(A, k, c):
+    """A with the k-th coordinate of every product times c."""
+    return StructureAlgebra(f"{A.name}^{k}", A.dim, A.field, [
+        [[x * c if m == k else x for m, x in enumerate(row)] for row in plane]
+        for plane in A.constants])
+
+
 def into_one(A, k):
     """A with every product projected onto its k-th basis vector."""
     return StructureAlgebra(f"{A.name}>{k}", A.dim, A.field, [
@@ -1126,15 +1255,40 @@ def into_one(A, k):
         for plane in A.constants])
 
 
+def block_rows(n, poly):
+    """The rows per out index that check sizes its blocks by: those of the
+    accumulator, one per sorted x tuple and sorted y tuple, or those of the
+    largest contraction of a group, one per pair of its factors' sorted
+    tuples, whichever is more."""
+    (dx, dy), = poly.bidegrees()
+
+    def rows(kx, ky):
+        return math.comb(n + kx - 1, kx) * math.comb(n + ky - 1, ky)
+
+    return max([rows(dx, dy)] + [
+        rows(fx, fy) * rows(dx - fx, dy - fy)
+        for fx, fy in (term_bidegree(F)
+                       for _, F in engine._cover_groups(poly)[2] if F)])
+
+
+def first_tuple(poly):
+    """check's witness when poly fails at the first sorted tuple."""
+    (dx, dy), = poly.bidegrees()
+    return False, ((0,) * dx, (0,) * dy)
+
+
 class TestOutBlocks:
-    """check builds and scans the accumulator one block of out indices at
-    a time, _BLOCK_ENTRIES entries per part wide or one out index."""
+    """check builds and tests the multilinearization one block of out
+    indices at a time, as many as keep the accumulator and every
+    contraction within _BLOCK_ENTRIES entries per part, or one."""
 
     @pytest.mark.parametrize("field", (FIELD_Q, FIELD_QSQRT3))
     def test_every_width_matches_full_scan(self, field, monkeypatch):
         # spans 3, 2^10 and 2^20 on sparse algebras, and H scaled past
-        # 2^20, put blocks in float64 and in residues (with Q(sqrt 3) at
-        # 2^10 in both within one check); H satisfies both identities.
+        # 2^20, put blocks in float64 and in residues; H satisfies both
+        # identities.  Over Q(sqrt 3), H scaled by 2^8 (1 + sqrt 3) with
+        # its products' first coordinate 4 times larger puts the first
+        # block in residues and the others in float64 within one check.
         # Products that land in the first or the last basis vector only
         # fail in the first or the last block only.
         H = catalog_algebra("H")
@@ -1144,6 +1298,8 @@ class TestOutBlocks:
                     for span in (3, 2 ** 10, 2 ** 20)] + \
             [scaled(H, c) for c in scales] + \
             [into_one(sparse_algebra(3, 2, 3, field, 1.0), k) for k in (0, 2)]
+        if field == FIELD_QSQRT3:
+            algebras.append(weighted(scaled(H, QuadExt(2 ** 8, 2 ** 8)), 0, 4))
         calls = []
         build = engine.MultilinearEngine.multilinearization
 
@@ -1159,23 +1315,29 @@ class TestOutBlocks:
             n = A.dim
             for key, poly in triple_polys(1, 1, 2) + triple_polys(1, 2, 2):
                 expect = full_scan_check(A, poly)
-                (dx, dy), = poly.bidegrees()
                 for width in range(1, n + 1):
                     monkeypatch.setattr(engine, "_BLOCK_ENTRIES",
-                                        width * n ** (dx + dy))
+                                        width * block_rows(n, poly))
                     calls.clear()
                     assert A.ml_engine().check(poly) == expect, \
                         (A.name, key, width)
                     first = [(out, tier) for p, out, tier in calls
                              if p == engine._PRIMES[0]]
-                    assert [out for out, _ in first] == [
-                        slice(lo, lo + width) for lo in range(0, n, width)]
-                    # later primes rescan the residue blocks only
+                    blocks = [slice(lo, lo + width)
+                              for lo in range(0, n, width)]
+                    # later primes rescan the residue blocks only, and a
+                    # failure at the first tuple ends the scan
                     residue = [out for out, tier in first if tier == "o"]
                     later = [out for p, out, _ in calls
                              if p != engine._PRIMES[0]]
-                    assert later == residue * (len(later) // max(
-                        1, len(residue)))
+                    rounds = -(-len(later) // max(1, len(residue)))
+                    assert later == (residue * rounds)[:len(later)]
+                    if expect == first_tuple(poly):
+                        assert [out for out, _ in first] == \
+                            blocks[:len(first)]
+                    else:
+                        assert [out for out, _ in first] == blocks
+                        assert len(later) == rounds * len(residue)
                     tiers.add(tuple(sorted({t for _, t in first})))
                     rescans += len(later)
                 verdicts.add(expect[0])
@@ -1184,20 +1346,48 @@ class TestOutBlocks:
         if field == FIELD_QSQRT3:
             assert ("f", "o") in tiers
 
-    def test_peak_memory_of_a_degree_6_check(self):
-        # the whole accumulator of f_1 of (2,2,2) on P is 8^7 entries in
-        # each of two parts (32 MB); one out index at a time is 8^6
-        P = catalog_algebra("P")
-        fresh = StructureAlgebra("P", P.dim, P.field, P.constants)
+    @pytest.mark.parametrize("name", ("P", "S16"))
+    def test_peak_memory_of_a_degree_6_check(self, name, files_algebras):
+        # the whole unsymmetrized accumulator of f_1 of (2,2,2) on P is
+        # 8^7 entries in each of two parts (32 MB), and of f_2 of (1,1,2)
+        # on S16 16^5 entries (8 MB), whose factors split 256 x 256 rows
+        # at sorted tuples; the S16 bound is the peak measured with this
+        # code before the permutation sums were formed from the factors
+        A, poly, mb = {
+            "P": (catalog_algebra("P"), polarize(2, 2, 2).f(1), 40),
+            "S16": (files_algebras["S16"], polarize(1, 1, 2).f(2), 14.3),
+        }[name]
+        A = fresh(A)
         tracemalloc.start()
         try:
-            holds = identity_holds(fresh, polarize(2, 2, 2).f(1),
-                                   "multilinear").holds
+            holds = identity_holds(A, poly, "multilinear").holds
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert holds
-        assert peak < 40 * 2 ** 20
+        assert peak < mb * 2 ** 20
+
+    def test_stops_at_the_first_tuple(self, monkeypatch):
+        # one out index per block and several primes: a failure at the
+        # first sorted tuple of the first block decides the check there
+        A = big_algebra(FIELD_QSQRT3)
+        poly = pqr_associator(1, 1, 2)
+        expect = full_scan_check(A, poly)
+        assert expect == first_tuple(poly)
+        ml = engine.MultilinearEngine(A.tensor())
+        assert len(engine._primes(ml.multilinearization(poly)[3])) > 1
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 1)
+        calls = []
+        build = engine.MultilinearEngine.multilinearization
+
+        def counting(self, *args):
+            calls.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(engine.MultilinearEngine, "multilinearization",
+                            counting)
+        assert engine.MultilinearEngine(A.tensor()).check(poly) == expect
+        assert len(calls) == 1
 
 
 #: constant spans at the residue tier's edges: products of words cross 2^52
