@@ -28,7 +28,6 @@ when rebuilt by CRT, which keep their residues.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import os
@@ -755,38 +754,35 @@ def _leaf_slots(term: FreeTerm) -> Tuple[List[int], List[int]]:
             [i for i, s in enumerate(labels) if s == Y])
 
 
-@functools.lru_cache(maxsize=None)
 def _sorted_plan(n: int, k: int):
     """(tuples, steps): the nondecreasing k-tuples over range(n) in
     lexicographic order, as the rows of an (M, k) array, and the gathers of
     _sorted_sums, per slot j the (drops, tuples) of the sorted
-    (j+1)-tuples.  drops[i][r] is the row of the sorted j-tuple that is the
-    r-th sorted (j+1)-tuple without slot i.  Kept per (n, k), read-only.
-    There are M = C(n + k - 1, k) sorted k-tuples."""
+    (j+1)-tuples.  drops[i, r] is the row of the sorted j-tuple that is the
+    r-th sorted (j+1)-tuple without slot i.  There are M = C(n + k - 1, k)
+    sorted k-tuples, and the first j steps are _sorted_plan(n, j)'s."""
     tuples = np.zeros((1, 0), dtype=np.intp)
     last = np.zeros(1, dtype=np.intp)
-    drops: List = []
     steps = []
     for j in range(k):
         # the sorted (j+1)-tuples, in order: each sorted j-tuple extended by
         # every value no smaller than its last
         parent, a = np.nonzero(np.arange(n) >= last[:, None])
-        if drops:
+        if steps:
             # row[q, v]: the row of the sorted (j-1)-tuple q extended by v
             row = np.empty((rows_before, n), dtype=np.intp)
             row[built] = np.arange(len(tuples))
-            drops = [row[d[parent], a] for d in drops]
-        drops.append(parent)
+            drops = np.vstack([row[steps[-1][0][:, parent], a], parent])
+        else:
+            drops = parent[None]
         rows_before, built = len(tuples), (parent, a)
         tuples = np.column_stack([tuples[parent], a])
         last = a
-        for arr in drops + [tuples]:
-            arr.flags.writeable = False
         steps.append((drops, tuples))
     return tuples, steps
 
 
-def _sorted_sums(T, n: int, k: int):
+def _sorted_sums(T, n: int, k: int, plan=None):
     """(S, tuples): the sums of T (shape (B, n^k, m)) over all permutations
     of its k slot axes, at the nondecreasing k-tuples only.
 
@@ -796,11 +792,12 @@ def _sorted_sums(T, n: int, k: int):
     sorted tuples and the others free, the sum at a sorted (j+1)-tuple t
     adds, for each position i, the j-slot sum at t without t_i with t_i in
     slot j (a coset decomposition of the symmetric group, so j+1 gathers
-    per slot rather than k! in all; see _sorted_plan).  Every partial sum
-    is a sum of some of the k! permuted entries.
+    per slot rather than k! in all).  Every partial sum is a sum of some of
+    the k! permuted entries.  plan is _sorted_plan(n, k), built when not
+    given.
     """
     B, m = T.shape[0], T.shape[-1]
-    tuples, steps = _sorted_plan(n, k)
+    tuples, steps = _sorted_plan(n, k) if plan is None else plan
     V = T.reshape(B, 1, -1)
     for j, (drops, rows) in enumerate(steps):
         V4 = V.reshape(B, -1, n, n ** (k - j - 1) * m)
@@ -813,41 +810,27 @@ def _sorted_sums(T, n: int, k: int):
     return V, tuples
 
 
-def _ranks(T, n: int) -> np.ndarray:
-    """The position of each row of T, a nondecreasing k-tuple over range(n),
-    in the lexicographic order of all of them.
-
-    With c(m, v) = C(n - v + m - 1, m) nondecreasing m-tuples over
-    range(v, n), the tuples that agree with t before slot i and are
-    smaller in slot i number sum over v in [t_{i-1}, t_i) of
-    c(k - i - 1, v) = c(k - i, t_{i-1}) - c(k - i, t_i), with t_{-1} = 0.
-    """
-    k = T.shape[1]
-    rank = np.zeros(len(T), dtype=np.intp)
-    prev = np.zeros(len(T), dtype=np.intp)
-    for i in range(k):
-        c = np.array([math.comb(n - v + k - i - 1, k - i) for v in range(n)],
-                     dtype=np.intp)
-        rank += c[prev] - c[T[:, i]]
-        prev = T[:, i]
-    return rank
-
-
-@functools.lru_cache(maxsize=None)
-def _splits(n: int, k: int, a: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """For each set I of a of the k slots, in combinations order: the
-    positions of t_I among the sorted a-tuples and of t without I among the
-    sorted (k - a)-tuples (see _ranks), t over the sorted k-tuples in order.
-    A subsequence of a sorted tuple is sorted.  Kept per (n, k, a),
-    read-only."""
-    T = _sorted_plan(n, k)[0]
-    out = [(_ranks(T[:, list(I)], n),
-            _ranks(T[:, [i for i in range(k) if i not in I]], n))
-           for I in itertools.combinations(range(k), a)]
-    for pair in out:
-        for arr in pair:
-            arr.flags.writeable = False
-    return out
+def _splits(steps, a: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(inside, outside), each of shape (C(k, a), M): for each set I of a
+    of the k slots, in combinations order, the rows of t_I among the
+    sorted a-tuples and of t without I among the sorted (k - a)-tuples, t
+    over the M sorted k-tuples in order.  steps is the second item of
+    _sorted_plan(n, k).  A subsequence of a sorted tuple is sorted, so the
+    slots are dropped one at a time through the plan's drops, the largest
+    first, so that the others keep their positions."""
+    k = len(steps)
+    sets = list(itertools.combinations(range(k), a))
+    everything = np.arange(len(steps[-1][1]) if k else 1)
+    inside, outside = (np.empty((len(sets), len(everything)), dtype=np.intp)
+                       for _ in range(2))
+    for I, kept, dropped in zip(sets, inside, outside):
+        for out, drop in ((kept, [i for i in range(k) if i not in I]),
+                          (dropped, I)):
+            rows = everything
+            for j, i in enumerate(reversed(drop)):
+                rows = steps[k - 1 - j][0][i].take(rows)
+            out[:] = rows
+    return inside, outside
 
 
 def _vertex_cover(edges) -> Tuple[set, set]:
@@ -906,9 +889,9 @@ _BLOCK_ENTRIES = 1 << 18
 
 #: copies alive at once of the arrays a block needs, the largest factor
 #: word tensor, the largest contraction and the accumulator: intermediates
-#: of the contractions, of the slot sums and of the gathers, and the tables
-#: of sorted tuples kept across checks (a first (2,2,2) check in a process
-#: peaked at 3.3 to 4.4 times those arrays at n = 8 to 12)
+#: of the contractions, of the slot sums and of the gathers, and the
+#: engine's tables of sorted tuples (a (2,2,2) check on a fresh engine
+#: peaked at 3.5 to 4.7 times those arrays at n = 8 to 12)
 _LIVE_ARRAYS = 5
 
 
@@ -958,6 +941,10 @@ class MultilinearEngine:
         #: the prime of the residue tier, and the residue word tensors
         self._prime = _PRIMES[0]
         self._residue_cache: Dict[FreeTerm, Tuple] = {}
+        #: the steps of the largest _sorted_plan built, and _splits per
+        #: (slots, subset size)
+        self._steps: List = []
+        self._splits: Dict[Tuple[int, int], Tuple] = {}
 
     def _contract(self, L, lmax: int, R, rmax: int,
                   out: slice = slice(None)) -> Tuple:
@@ -1061,6 +1048,21 @@ class MultilinearEngine:
             S.append(acc)
         return S, bound
 
+    def _plan(self, k: int):
+        """_sorted_plan(n, k): a prefix of the largest plan built on the
+        engine."""
+        if len(self._steps) < k:
+            self._steps = _sorted_plan(self.t.n, k)[1]
+        steps = self._steps[:k]
+        return steps[-1][1] if k else np.zeros((1, 0), dtype=np.intp), steps
+
+    def _split(self, k: int, a: int):
+        """_splits of the sorted k-tuples into a slots and the rest, kept on
+        the engine."""
+        if (k, a) not in self._splits:
+            self._splits[k, a] = _splits(self._plan(k)[1], a)
+        return self._splits[k, a]
+
     def _symmetrized(self, parts, m: int, kx: int, ky: int) -> Tuple:
         """(parts, m) of a factor (axes: kx x slots, ky y slots, out) summed
         over the kx! ky! permutations of its x slots and of its y slots, at
@@ -1079,10 +1081,11 @@ class MultilinearEngine:
         out = []
         for x in parts:
             # one slot or none has one permutation, and every tuple sorted
-            S = x.reshape(n ** kx, -1) if kx < 2 else \
-                _sorted_sums(x.reshape(1, n ** kx, -1), n, kx)[0][0]
+            S = x.reshape(n ** kx, -1) if kx < 2 else _sorted_sums(
+                x.reshape(1, n ** kx, -1), n, kx, self._plan(kx))[0][0]
             if ky > 1:
-                S = _sorted_sums(S.reshape(len(S), n ** ky, -1), n, ky)[0]
+                S = _sorted_sums(S.reshape(len(S), n ** ky, -1), n, ky,
+                                 self._plan(ky))[0]
             S = S.reshape(len(S), -1, n)
             # sums of kx! ky! < 2^31 residues: within _fmod's margin
             out.append(_fmod(S, p) if residues else S)
@@ -1125,12 +1128,12 @@ class MultilinearEngine:
                 [np.arange(mx) * my], [np.arange(my)]
         (L, lmax), (R, rmax), ax, ay = factors[key]
         G, bound = self._contract(L, lmax, R, rmax, out)
-        n = self.t.n
         (mxl, myl), (mxr, myr) = L[0].shape[:2], R[0].shape[:2]
         # G' row of (l, r): (lx * myl + ly) * mxr * myr + rx * myr + ry
-        xs = [lx * (myl * mxr * myr) + rx * myr
-              for lx, rx in _splits(n, dx, ax)]
-        ys = [ly * (mxr * myr) + ry for ly, ry in _splits(n, dy, ay)]
+        lx, rx = self._split(dx, ax)
+        ly, ry = self._split(dy, ay)
+        xs = lx * (myl * mxr * myr) + rx * myr
+        ys = ly * (mxr * myr) + ry
         return [g.reshape(mxl * myl * mxr * myr, -1) for g in G], bound, \
             xs, ys
 
@@ -1219,10 +1222,13 @@ class MultilinearEngine:
         if p != self._prime:
             self._prime, self._residue_cache = p, {}
         factors = {} if factors is None else factors
+        self._plan(max(dx, dy))  # the others are its prefixes
         shape = (math.comb(n + dx - 1, dx), math.comb(n + dy - 1, dy), width)
-        rows = shape[0] * shape[1]
-        acc = tuple(np.zeros((rows, width)) for _ in self.t.parts)
-        buf = np.empty((rows, width))
+        acc = tuple(np.zeros((shape[0] * shape[1], width))
+                    for _ in self.t.parts)
+        # the rows one gather reads, and what it reads
+        index = np.empty(shape[:2], dtype=np.intp)
+        buf = np.empty_like(acc[0])
         residues = False
         running = 0  # exact bound on the accumulated entries
         for key, members in groups.items():
@@ -1242,9 +1248,9 @@ class MultilinearEngine:
                 G = _reduce(G, p)
             for x in xs:
                 for y in ys:
-                    rows = (x[:, None] + y).ravel()
+                    np.add(x[:, None], y, out=index)
                     for a, g in zip(acc, G):
-                        a += np.take(g, rows, axis=0, out=buf)
+                        a += np.take(g, index.ravel(), axis=0, out=buf)
         if residues:
             # fewer than 2^31 gathers of residues: within _fmod's margin
             acc = tuple(_fmod(a, p) for a in acc)
@@ -1307,5 +1313,5 @@ class MultilinearEngine:
         if not nz.any():
             return True, None
         i, j = np.unravel_index(np.argmax(nz), nz.shape)
-        return False, (tuple(int(a) for a in _sorted_plan(n, dx)[0][i]),
-                       tuple(int(b) for b in _sorted_plan(n, dy)[0][j]))
+        return False, (tuple(int(a) for a in self._plan(dx)[0][i]),
+                       tuple(int(b) for b in self._plan(dy)[0][j]))
