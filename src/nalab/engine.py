@@ -22,7 +22,7 @@ check, and the witness search, which evaluates an identity exactly at a
 chunk of integer points at once (``poly_nonzero_at``, a batched pointwise
 product, ``point_product``).  Every aggregation runs on float64: symbolic
 values are stored as float64 arrays, or as object arrays of Python ints
-when rebuilt by CRT, which keep their residues.
+when rebuilt by CRT.
 """
 
 from __future__ import annotations
@@ -239,16 +239,15 @@ class SymVec:
     tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
     scale**denom_power.  The rows are float64 (exact below 2^52), or object
     (Python ints) when rebuilt by CRT or made by constant_like from 2^52 on.
-    A value rebuilt from residues keeps them, by prime, in ``residues``
-    (None otherwise), and so do its coordinates (sym_coordinate), so later
-    operations need not reduce its big ints again.
+    The parts are the value's one stored form: an operation that needs
+    them mod a prime reduces them (_sym_parts).
     """
 
     __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
-                 "max_abs", "residues")
+                 "max_abs")
 
     def __init__(self, nvars, bits, degrees, denom_power, keys, parts,
-                 max_abs, residues=None):
+                 max_abs):
         self.nvars = nvars
         self.bits = bits
         self.degrees = degrees
@@ -256,7 +255,6 @@ class SymVec:
         self.keys = keys
         self.parts = parts
         self.max_abs = max_abs
-        self.residues: Optional[Dict[int, Tuple]] = residues
 
     @classmethod
     def generic(cls, n: int, nvars: int, bits: int, offset: int) -> "SymVec":
@@ -358,12 +356,9 @@ def _product_degrees(u: SymVec, v: SymVec) -> Tuple[int, ...]:
 
 
 def _sym_parts(x: SymVec, p: Optional[int]) -> Tuple:
-    """x's parts as exact float64, or with p as residues mod p: kept from
-    the operation that built x, or reduced."""
+    """x's parts as exact float64, or with p as residues mod p."""
     if p is None:
         return tuple(map(_float, x.parts))
-    if x.residues and p in x.residues:
-        return x.residues[p]
     return _reduce(x.parts, p)
 
 
@@ -373,19 +368,19 @@ def _times(parts, c: int, p: Optional[int]) -> List[np.ndarray]:
 
 
 def _sum_by_key(keys, rows, bound: int):
-    """(unique keys, parts, max_abs, residues): the rows of rows(p) summed
-    by key, rows zero in every part dropped.  bound bounds every entry and
-    every partial sum of the sums.
+    """(unique keys, parts, max_abs), as _aggregate: the rows of rows(p)
+    summed by key, rows zero in every part dropped.  bound bounds every
+    entry and every partial sum of the sums.
 
     Below 2^52, rows(None) are exact float64 and one _aggregate sums them.
     From there on rows(p) are their residues mod p, for primes whose
     product exceeds 2 * bound, one prime at a time, summed by key (fewer
     than 2^31 residues a key, within _fmod's margin); a row is zero when
-    all its residues are, the others are rebuilt, signs included, by CRT,
-    and their residues are kept by prime.
+    all its residues are, and the others are rebuilt, signs included, by
+    CRT.
     """
     if bound < _FLOAT_EXACT:
-        return (*_aggregate(keys, rows(None)), None)
+        return _aggregate(keys, rows(None))
     order, bounds, uk = _runs(keys)
     primes = _primes(2 * bound)
     sums = [[_fmod(s, p) for s in _run_sums(rows(p), order, bounds)]
@@ -395,8 +390,7 @@ def _sum_by_key(keys, rows, bound: int):
     parts = tuple(_crt([(per_prime[h] % p).astype(np.int64)
                         for per_prime, p in zip(sums, primes)], primes)
                   for h in range(len(sums[0])))
-    return uk[live], parts, _max_abs(parts), dict(zip(primes,
-                                                      map(tuple, sums)))
+    return uk[live], parts, _max_abs(parts)
 
 
 def _product_rows(U: Tuple, V: Tuple, C: Tuple, n: int,
@@ -489,10 +483,8 @@ def sym_coordinate(v: SymVec, k: int) -> SymVec:
     cols = [p[:, k:k + 1] for p in v.parts]
     live = np.any([c[:, 0] != 0 for c in cols], axis=0)
     cols = [c[live] for c in cols]
-    residues = v.residues and {p: tuple(r[live, k:k + 1] for r in rs)
-                               for p, rs in v.residues.items()}
     return SymVec(v.nvars, v.bits, v.degrees, v.denom_power, v.keys[live],
-                  tuple(cols), _max_abs(cols), residues)
+                  tuple(cols), _max_abs(cols))
 
 
 def sym_combine(terms: Sequence[Tuple[int, SymVec]], n: int) -> SymVec:
@@ -530,8 +522,7 @@ class SymSpan:
 
     def add(self, v: SymVec) -> bool:
         """Keep v when it is independent of the kept rows; False when not."""
-        v = SymVec(v.nvars, v.bits, v.degrees, 0, v.keys, v.parts, v.max_abs,
-                   v.residues)
+        v = SymVec(v.nvars, v.bits, v.degrees, 0, v.keys, v.parts, v.max_abs)
         d = len(self.rows)
         rows = self.rows + [v]
         minors = collections.ChainMap({}, self._minors)
@@ -556,8 +547,6 @@ class SymSpan:
         minor = minors[full] = sym_coordinate(w, k)
         if d % 2:
             minor.parts = tuple(-p for p in minor.parts)
-            minor.residues = minor.residues and {
-                p: tuple(-r for r in rs) for p, rs in minor.residues.items()}
         self._minors.update(minors.maps[0])
         self.rows.append(v)
         self.cols.append(k)
@@ -929,11 +918,6 @@ class MultilinearEngine:
     product exceeds its bound and never rebuilds an integer.
     """
 
-    #: cache word tensors only up to this many variable leaves; larger ones
-    #: (from 8^6 * 8 B = 2 MB per part at dim 8) are rebuilt on demand to
-    #: bound memory
-    _CACHE_LEAVES = 4
-
     def __init__(self, tensor: ScaledTensor):
         self.t = tensor
         #: exact word tensors
@@ -1011,10 +995,8 @@ class MultilinearEngine:
             parts, bound = self._contract(L, lmax, R, rmax)
             res = (*parts, bound if bound >= _FLOAT_EXACT
                    else _max_abs(parts))
-        if isinstance(term, str) or res[0].ndim - 1 <= self._CACHE_LEAVES:
-            cache = self._residue_cache if res[-1] >= _FLOAT_EXACT \
-                else self.cache
-            cache[term] = res
+        cache = self._residue_cache if res[-1] >= _FLOAT_EXACT else self.cache
+        cache[term] = res
         return res
 
     def _summed(self, members) -> Tuple:

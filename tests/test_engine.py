@@ -30,7 +30,7 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
 from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import X, Y, FreePoly, associator, polarize, \
-    pqr_associator, term_bidegree
+    pqr_associator, term_bidegree, term_degree
 from nalab.identities import check_pqr, predicate
 from oracles import bigint, bigint_sym_combine, bigint_sym_product, \
     bigint_sym_scale, bigint_word_tensor, dict_sum, fraction_eval_free_poly, \
@@ -833,9 +833,18 @@ class TestGroupedMultilinearization:
             assert kind <= tier(expect[3]), key
 
     @pytest.mark.parametrize("key, poly", program_polys())
+    def test_cover_factors_have_at_most_4_leaves(self, key, poly):
+        # every word tensor is cached; this bounds the largest at n^5
+        # entries per part (8^5 * 8 B = 256 kB at dim 8)
+        _, _, groups = engine._cover_groups(poly)
+        factors = [F for _, F in groups if F is not None]
+        factors += [F for members in groups.values() for _, F in members]
+        assert factors and max(map(term_degree, factors)) <= 4
+
+    @pytest.mark.parametrize("key, poly", program_polys())
     def test_one_contraction_per_cover_vertex(self, key, poly, monkeypatch):
-        # every factor of these words has at most 4 leaves, so a first pass
-        # caches them all and a second contracts only the groups
+        # a first pass caches every word tensor, so a second contracts
+        # only the groups
         groups = min_cover_size(word_edges(poly))
         # the counts README "Identity backends" quotes
         assert groups == {"(2.2.2.1)": 4, "(2.2.2.2)": 8, "(2.2.2.3)": 8,
@@ -1662,7 +1671,7 @@ def symbolic_answers(A):
 
 class TestOneResidueRoute:
     """Past 2^52 sym_product and sym_sum take one route: float64 residues
-    mod primes summed by key, rebuilt by CRT, with the residues kept."""
+    mod primes summed by key, rebuilt by CRT."""
 
     @pytest.mark.parametrize("name", (*CATALOG_NAMES, "D8"))
     def test_scaling_keeps_every_answer(self, name, monkeypatch):
@@ -1677,20 +1686,14 @@ class TestOneResidueRoute:
         assert asked
 
     @pytest.mark.parametrize("name, k", (("H", 20), ("P", 23)))
-    def test_sum_keeps_its_residues(self, name, k):
-        """A sym_sum past 2^52 keeps residues equal to its parts mod each
-        prime, and a product of it equals the big-int product."""
+    def test_product_of_sum_past_float64(self, name, k):
+        """A product of a sym_sum past 2^52 equals the big-int product."""
         A = scaled_past_float64(fresh_catalog_algebra(name), k)
         t = A.tensor()
         ctx = engine.SymContext(t, _symbolic_groups(A, (X,), 7))
         x = FreePoly.var(X)
         v = ctx.eval_poly((x * x) * (x * x) + x * (x * (x * x)))
-        assert v.max_abs >= 2 ** 52 and v.residues
-        for p, residues in v.residues.items():
-            assert len(residues) == len(v.parts)
-            for r, e in zip(residues, engine._reduce(v.parts, p)):
-                assert r.dtype == np.float64 and (np.abs(r) < p).all()
-                assert ((bigint(r) - bigint(e)) % p == 0).all(), p
+        assert v.max_abs >= 2 ** 52
         got = engine.sym_product(v, ctx.groups[X], t)
         exact = bigint_sym_product(v, ctx.groups[X], t)
         assert dict_sum(got.keys, got.parts) == \
@@ -1699,24 +1702,18 @@ class TestOneResidueRoute:
 
 @pytest.mark.parametrize("work, name, k", (("degree", "P", 12),
                                             ("quadratic", "H", 50)))
-def test_minors_reduce_no_big_ints(work, name, k, monkeypatch):
-    """SymSpan minors past 2^52 take coordinates with their residues, sign
-    flips included, and the first minor and a constant row are float64, so
-    no minor reduces Python ints mod a prime again."""
-    A = scaled_past_float64(fresh_catalog_algebra(name), k)
+def test_minors_past_float64_keep_answers(work, name, k, monkeypatch):
+    """SymSpan minors past 2^52, sign flips included, give the unscaled
+    algebra's answers."""
+    A = fresh_catalog_algebra(name)
+    expect = degree(A) if work == "degree" else None
+    A = scaled_past_float64(A, k)
     asked = recording_primes(monkeypatch)
-    reduce, big = engine._reduce, []
-
-    def counting(parts, p):
-        big.extend(len(x) for x in parts if x.dtype == object)
-        return reduce(parts, p)
-
-    monkeypatch.setattr(engine, "_reduce", counting)
     if work == "degree":
-        degree(A)
+        assert degree(A) == expect
     else:
         assert predicate(A, "quadratic").value
-    assert asked and big == []
+    assert asked
 
 
 def test_no_object_arrays_in_symbolic_kernels(files_algebras, monkeypatch):
