@@ -239,8 +239,7 @@ class SymVec:
     tuple; true coordinates are (parts[0] + parts[1]*sqrt 3) /
     scale**denom_power.  The rows are float64 (exact below 2^52), or object
     (Python ints) when rebuilt by CRT or made by constant_like from 2^52 on.
-    The parts are the value's one stored form: an operation that needs
-    them mod a prime reduces them (_sym_parts).
+    An operation that needs them mod a prime reduces them (_sym_parts).
     """
 
     __slots__ = ("nvars", "bits", "degrees", "denom_power", "keys", "parts",
