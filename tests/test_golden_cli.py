@@ -12,7 +12,9 @@ rational constants beside sqrt 3 ones.  The seed-1 ``files`` algebras also
 run every other symbolic ``check``, and six catalog algebras with their
 constants scaled by 2^12 to 2^25 (saved as files) run every catalog
 command: their symbolic sums and the products of the division certificate
-pass 2^52 and float64.
+pass 2^52 and float64.  ``polarize``, which takes no algebra, runs on every
+(p, q, r) triple, with each component alone and with them all, and on the
+inputs it refuses with exit 2.
 
 ``golden_cli.json`` maps each command line (a file algebra by its file
 name, such as ``D8.json``) to the sha256 of its stdout and its exit code.
@@ -80,6 +82,21 @@ FILE_COMMANDS = (
     ("check", "--identity", "1,1,2", "--backend", "symbolic"),
     *PREDICATES,
     ("predicate", "--name", "power_commutative", "--bound", "4"),
+)
+
+#: the algebra-free ``polarize`` runs: every triple with p, q, r <= 2,
+#: without --m and with each m in 1..p+q+r-1, then the inputs that exit 2:
+#: a 3 in the triple, and --m 0 and --m p+q+r on every triple
+TRIPLES = tuple(tuple(map(str, t))
+                for t in itertools.product((1, 2), repeat=3))
+POLARIZE = (
+    *(("polarize", *t, *m) for t in TRIPLES
+      for m in ((), *(("--m", str(k))
+                      for k in range(1, sum(map(int, t)))))),
+    *(("polarize", *t) for t in (("3", "1", "1"), ("1", "3", "1"),
+                                 ("1", "1", "3"))),
+    *(("polarize", *t, "--m", str(k)) for t in TRIPLES
+      for k in (0, sum(map(int, t)))),
 )
 
 D8_FILE = "D8.json"
@@ -166,7 +183,9 @@ def golden_cases():
                                (FILE_ALGEBRAS, FILE_COMMANDS),
                                (SEED_FILES, files_checks))
             for alg in algs
-            for cmd in cmds for fmt in ("text", "structured")]
+            for cmd in cmds for fmt in ("text", "structured")] + \
+        [(*cmd, "--format", fmt)
+         for cmd in POLARIZE for fmt in ("text", "structured")]
 
 
 def replay(case, directory: pathlib.Path) -> dict:
