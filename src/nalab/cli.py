@@ -226,13 +226,13 @@ def _cmd_polarize(args) -> int:
         if freealg.golden_row_is_misprinted(p, q, r, m):
             note = ("published table repeats the m=1 row here; showing the "
                     "symmetry-corrected component")
-        comps.append({"m": m, "display": display,
-                      "canonical": freealg.render_poly(pol.f(m)),
+        canonical = freealg.render_poly(pol.f(m))
+        comps.append({"m": m, "display": display, "canonical": canonical,
                       **({"note": note} if note else {})})
         lines.append(f"({p}.{q}.{r}.{m}):  {display}")
         if note:
             lines.append(f"  note: {note}")
-        lines.append(f"  expanded: {freealg.render_poly(pol.f(m))}")
+        lines.append(f"  expanded: {canonical}")
     data = {"command": "polarize", "p": p, "q": q, "r": r,
             "components": comps}
     _emit(data, "\n".join(lines), args.format)

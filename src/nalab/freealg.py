@@ -200,11 +200,6 @@ class FreePoly:
     def bidegrees(self) -> set:
         return {term_bidegree(t) for t in self.terms}
 
-    def y_component(self, m: int) -> "FreePoly":
-        """Homogeneous component of degree m in y."""
-        return FreePoly({t: c for t, c in self.terms.items()
-                         if term_bidegree(t)[1] == m})
-
     def variables(self) -> set:
         out = set()
 
@@ -304,14 +299,14 @@ def substitute(poly: FreePoly, assignment: Dict[str, FreePoly],
 # Polarization
 # ---------------------------------------------------------------------------
 
-#: Grading blocks of (x + y)^p: for p = 1 the components are x, y;
-#: for p = 2 they are x^2, x*y + y*x, y^2 (as y-degree 0, 1, 2).
-_BLOCK_POLY = {
-    "x": FreePoly.var(X),
-    "y": FreePoly.var(Y),
-    "xx": FreePoly.term((X, X)),
-    "yy": FreePoly.term((Y, Y)),
-    "xoy": jordan(FreePoly.var(X), FreePoly.var(Y)),
+#: Grading blocks of (x + y)^p as integer terms: for p = 1 the components
+#: are x, y; for p = 2 they are x^2, x*y + y*x, y^2 (as y-degree 0, 1, 2).
+_BLOCK_TERMS = {
+    "x": ((X, 1),),
+    "y": ((Y, 1),),
+    "xx": (((X, X), 1),),
+    "yy": (((Y, Y), 1),),
+    "xoy": (((X, Y), 1), ((Y, X), 1)),
 }
 
 _BLOCK_DISPLAY = {"x": "x", "y": "y", "xx": "x^2", "yy": "y^2", "xoy": "x.y"}
@@ -355,19 +350,36 @@ def render_blocks(blocks: Sequence[Tuple[str, str, str]]) -> str:
     )
 
 
+def _sum_blocks(blocks: Sequence[Tuple[str, str, str]]) -> FreePoly:
+    """The sum of the block associators (g1, g2, g3) = (g1 g2) g3 - g1 (g2 g3),
+    accumulated term by term with integer coefficients, its terms in
+    term_key order."""
+    acc: Dict[FreeTerm, int] = {}
+    for g1, g2, g3 in blocks:
+        for a, ca in _BLOCK_TERMS[g1]:
+            for b, cb in _BLOCK_TERMS[g2]:
+                for c, cc in _BLOCK_TERMS[g3]:
+                    k = ca * cb * cc
+                    left, right = ((a, b), c), (a, (b, c))
+                    acc[left] = acc.get(left, 0) + k
+                    acc[right] = acc.get(right, 0) - k
+    return FreePoly({t: acc[t] for t in sorted(acc, key=term_key)})
+
+
 @dataclass(frozen=True)
 class PolarizedIdentity:
     """Linearization components f_1 .. f_{p+q+r-1} of (x^p, x^q, x^r) = 0.
 
-    Component m is homogeneous of degree (p+q+r-m) in x and m in y.  The
-    degree-0 and degree-(p+q+r) components equal (x^p, x^q, x^r) and
-    (y^p, y^q, y^r) and are not stored.
+    Component m is homogeneous of degree (p+q+r-m) in x and m in y.  Each
+    call of f(m) builds that component alone, as the sum of the block
+    associators listed by polarize_blocks; nothing is stored.  The
+    degree-0 and degree-(p+q+r) components are (x^p, x^q, x^r) and
+    (y^p, y^q, y^r).
     """
 
     p: int
     q: int
     r: int
-    components: Tuple[FreePoly, ...]
 
     @property
     def total(self) -> int:
@@ -376,37 +388,25 @@ class PolarizedIdentity:
     def f(self, m: int) -> FreePoly:
         if not 1 <= m <= self.total - 1:
             raise ValueError(f"m must be in 1..{self.total - 1}")
-        return self.components[m - 1]
+        return _sum_blocks(polarize_blocks(self.p, self.q, self.r, m))
 
 
 def pqr_associator(p: int, q: int, r: int) -> FreePoly:
-    """(x^p, x^q, x^r) with x^2 the tree (x, x)."""
-    _check_pqr_args(p, q, r)
-    xp = _BLOCK_POLY["x"] if p == 1 else _BLOCK_POLY["xx"]
-    xq = _BLOCK_POLY["x"] if q == 1 else _BLOCK_POLY["xx"]
-    xr = _BLOCK_POLY["x"] if r == 1 else _BLOCK_POLY["xx"]
-    return associator(xp, xq, xr)
+    """(x^p, x^q, x^r) with x^2 the tree (x, x): the y-degree-0 block."""
+    return _sum_blocks(polarize_blocks(p, q, r, 0))
 
 
 def polarize(p: int, q: int, r: int) -> PolarizedIdentity:
     """Polarize (x^p, x^q, x^r) = 0 by substituting x -> x + y.
 
-    Expands the associator of the shifted powers fully and grades by degree
-    in y; this yields the same components as carrying a scalar parameter,
-    since the field has characteristic zero.
+    The associator is trilinear, so its y-degree-m component is the sum of
+    the associators of the graded blocks of the shifted powers whose
+    y-degrees add up to m; f(m) builds it on demand.  This yields the same
+    components as carrying a scalar parameter, since the field has
+    characteristic zero.
     """
     _check_pqr_args(p, q, r)
-    s = FreePoly.var(X) + FreePoly.var(Y)
-    pw = {1: s, 2: s * s}
-    full = associator(pw[p], pw[q], pw[r])
-    total = p + q + r
-    comps = [full.y_component(m) for m in range(total + 1)]
-    # sanity: the extreme components are the one-variable associators
-    if comps[0] != pqr_associator(p, q, r):
-        raise AssertionError("polarization lost the degree-0 component")
-    if comps[total] != pqr_associator(p, q, r).swap_xy():
-        raise AssertionError("polarization lost the top component")
-    return PolarizedIdentity(p, q, r, tuple(comps[1:total]))
+    return PolarizedIdentity(p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +467,11 @@ _GOLDEN: Dict[Tuple[int, int, int, int], List[tuple]] = {
 def _display_to_poly(entries: Sequence[tuple]) -> FreePoly:
     out = FreePoly()
     for e in entries:
+        gs = [FreePoly(dict(_BLOCK_TERMS[g])) for g in e[1:]]
         if e[0] == _A:
-            out = out + associator(_BLOCK_POLY[e[1]], _BLOCK_POLY[e[2]],
-                                   _BLOCK_POLY[e[3]])
+            out = out + associator(*gs)
         elif e[0] == _C:
-            out = out + commutator(_BLOCK_POLY[e[1]], _BLOCK_POLY[e[2]])
+            out = out + commutator(*gs)
         else:
             raise AssertionError(e)
     return out

@@ -5,6 +5,10 @@ Generic elements on MultiPoly coordinates check the packed symbolic kernels:
 ``fraction_multiply`` and ``fraction_eval_free_poly`` (below) run on these
 coordinates.  ``inclusion_exclusion_multilin`` evaluates a full
 multilinearization through ordinary algebra multiplication.
+``expanded_components`` polarizes (x^p, x^q, x^r) = 0 the long way, by
+expanding the associator of (x + y)^p, (x + y)^q and (x + y)^r in full with
+``FreePoly`` arithmetic and grading it by y-degree: the reference for the
+components ``freealg`` builds from their block associators.
 ``konig_cover`` finds a minimum vertex cover of a bipartite graph by maximum
 matching and König's theorem, the reference for the multilinear engine's
 greedy word grouping.
@@ -50,7 +54,7 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, Element, eval_free_poly
 from nalab.catalog import (MAX_DIM, AlgebraSpec, SpecFormatError,
                            spec_from_dict)
 from nalab.exactmath import MultiPoly, QuadExt, format_scalar, scalar_is_zero
-from nalab.freealg import UNIT
+from nalab.freealg import UNIT, X, Y, FreePoly, associator, term_bidegree
 
 
 def generic_element(A, nvars=None, offset=0):
@@ -182,6 +186,17 @@ def bigint_word_tensor(t, term, cache=None):
         res = parts, _max_abs(parts)
     cache[term] = res
     return res
+
+
+def expanded_components(p, q, r):
+    """[f_0, ..., f_{p+q+r}]: the associator of (x+y)^p, (x+y)^q and
+    (x+y)^r expanded in full, f_m its terms of degree m in y."""
+    s = FreePoly.var(X) + FreePoly.var(Y)
+    pw = {1: s, 2: s * s}
+    full = associator(pw[p], pw[q], pw[r])
+    return [FreePoly({t: c for t, c in full.terms.items()
+                      if term_bidegree(t)[1] == m})
+            for m in range(p + q + r + 1)]
 
 
 def konig_cover(edges):

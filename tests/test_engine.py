@@ -30,7 +30,7 @@ from nalab.algebra import FIELD_Q, FIELD_QSQRT3, StructureAlgebra, \
 from nalab.catalog import CATALOG_NAMES, catalog_algebra
 from nalab.exactmath import MultiPoly, QuadExt, poly_rank
 from nalab.freealg import X, Y, FreePoly, associator, polarize, \
-    pqr_associator, term_bidegree, term_degree
+    pqr_associator, render_poly, term_bidegree, term_degree
 from nalab.identities import check_pqr, predicate
 from oracles import bigint, bigint_sym_combine, bigint_sym_product, \
     bigint_sym_scale, bigint_word_tensor, dict_sum, fraction_eval_free_poly, \
@@ -1843,3 +1843,53 @@ class TestPolyNonzeroAt:
         x2 = x * x
         assert not engine.poly_nonzero_at(
             x2 * x2 - (x2 * x) * x, t, {X: np.ones((1, 1))})[0]
+
+
+def all_equal_algebra(n, c=1):
+    """The dimension-n algebra with every constant c_ijk = c > 0: at
+    nonnegative points no entry of a positive polynomial cancels, so the
+    kernels' magnitude bounds are reached or nearly."""
+    return StructureAlgebra(f"all{c}", n, FIELD_Q,
+                            [[[Fraction(c)] * n for _ in range(n)]
+                             for _ in range(n)])
+
+
+#: one-variable polynomials with positive coefficients
+POSITIVE_POLYS = [
+    FreePoly({("x", ("x", "x")): 1, (("x", "x"), "x"): 1}),
+    FreePoly({(("x", "x"), ("x", "x")): 1, ("x", ("x", ("x", "x"))): 2}),
+    FreePoly({((("x", "x"), "x"), "x"): 3, ("x", (("x", "x"), "x")): 1}),
+]
+
+
+class TestAttainedBounds:
+    """Magnitude bounds on algebras with all constants equal and positive,
+    where a bound that drops a factor falls below the exact maximum it
+    must cover."""
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("poly", POSITIVE_POLYS, ids=render_poly)
+    def test_multilinearization_bound(self, n, poly):
+        """The bound multilinearization returns covers every entry: each
+        group's contraction bound counts once per gather."""
+        ml = engine.MultilinearEngine(all_equal_algebra(n).tensor())
+        parts, _, _, bound = ml.multilinearization(poly)
+        assert bound < 2 ** 52
+        assert bound >= max(int(np.abs(p).max()) for p in parts)
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("poly", POSITIVE_POLYS, ids=render_poly)
+    def test_unformed_product_bound(self, n, poly, monkeypatch):
+        """Constants near 2^50 leave the products unformed at the all-ones
+        point, where each product's bound n max|C| s s' is reached.  The
+        bound handed to _primes covers sum |c| s(term) of the exact
+        values, computed in Python integers."""
+        A = all_equal_algebra(n, 2 ** 50 + 1)
+        asked = recording_primes(monkeypatch)
+        assert engine.poly_nonzero_at(poly, A.tensor(),
+                                      {X: np.ones((1, n))}).all()
+        ones = A.element([Fraction(1)] * n)
+        exact = sum(c * sum(abs(v) for v in fraction_eval_free_poly(
+            A, FreePoly.term(term), {X: ones}).coords)
+            for term, c in poly.terms.items())
+        assert len(asked) == 1 and asked[0] >= exact

@@ -12,27 +12,16 @@ from nalab.freealg import (DEGREE4_WORDS, FreePoly, TableRowError,
                            degree4_consequences, enumerate_trees,
                            golden_row_is_misprinted, golden_rows,
                            golden_table, golden_table_corrected, jordan,
-                           mul_term, polarize, polarize_blocks,
+                           mul_term, polarize,
                            poly_to_word_vector, pqr_associator, render_poly,
                            substitute, term_bidegree, term_degree, term_key)
+from oracles import expanded_components
 
 X = FreePoly.var("x")
 Y = FreePoly.var("y")
 XX = FreePoly.term(("x", "x"))
 
 ALL_TRIPLES = list(itertools.product((1, 2), repeat=3))
-
-#: the grading blocks of (x + y)^p, built here independently of freealg
-BLOCK_POLY = {"x": X, "y": Y, "xx": XX, "yy": FreePoly.term(("y", "y")),
-              "xoy": X * Y + Y * X}
-
-
-def blocks_to_poly(blocks):
-    """Oracle: the sum of the associators of the named blocks."""
-    out = FreePoly()
-    for g1, g2, g3 in blocks:
-        out = out + associator(BLOCK_POLY[g1], BLOCK_POLY[g2], BLOCK_POLY[g3])
-    return out
 
 
 def trees(depth):
@@ -121,15 +110,32 @@ class TestPolarize:
             pw = {1: sxy, 2: sxy * sxy}
             lhs = associator(pw[p], pw[q], pw[r])
             rhs = pqr_associator(p, q, r) + pqr_associator(p, q, r).swap_xy()
-            for f in polarize(p, q, r).components:
-                rhs = rhs + f
+            pol = polarize(p, q, r)
+            for m in range(1, p + q + r):
+                rhs = rhs + pol.f(m)
             assert lhs == rhs
 
     def test_blocks_agree(self):
+        """The 28 components, built from their block associators, equal
+        the full expansion graded by y-degree, with the same Fraction
+        coefficients; so do the 8 associators (y-degree 0) and their x/y
+        swaps (the top degree)."""
+        for (p, q, r) in ALL_TRIPLES:
+            want = expanded_components(p, q, r)
+            s = p + q + r
+            got = [pqr_associator(p, q, r)] + \
+                [polarize(p, q, r).f(m) for m in range(1, s)] + \
+                [pqr_associator(p, q, r).swap_xy()]
+            for m in range(s + 1):
+                assert got[m].terms == want[m].terms, (p, q, r, m)
+                assert {type(c) for c in got[m].terms.values()} == {Fraction}
+
+    def test_terms_in_term_key_order(self):
         for (p, q, r) in ALL_TRIPLES:
             pol = polarize(p, q, r)
-            for m in range(1, p + q + r):
-                assert blocks_to_poly(polarize_blocks(p, q, r, m)) == pol.f(m)
+            for f in [pqr_associator(p, q, r)] + \
+                    [pol.f(m) for m in range(1, p + q + r)]:
+                assert list(f.terms) == sorted(f.terms, key=term_key)
 
     def test_component_range(self):
         with pytest.raises(ValueError):
