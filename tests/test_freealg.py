@@ -12,9 +12,9 @@ from nalab.freealg import (DEGREE4_WORDS, FreePoly, TableRowError,
                            degree4_consequences, enumerate_trees,
                            golden_row_is_misprinted, golden_rows,
                            golden_table, golden_table_corrected, jordan,
-                           mul_term, polarize,
-                           poly_to_word_vector, pqr_associator, render_poly,
-                           substitute, term_bidegree, term_degree, term_key)
+                           mul_term, polarize, poly_to_word_vector,
+                           pqr_associator, render_poly, substitute,
+                           term_bidegree, term_degree, term_key)
 from oracles import expanded_components
 
 X = FreePoly.var("x")
